@@ -1,8 +1,8 @@
 """Continuous polynomial trajectory prediction for road agents."""
 
 from .anchoring import AnchorDistribution, AnchorSchedule, fixed_schedule, random_schedule
-from .model import ModelConfig, TrainSettings, TrajectoryModel, train
-from .poly import PolyTrajectory, eval_poly, eval_traj, gaussian_nll, propagate_variance, trajectory_loss
+from .model import ModelConfig, TrainSettings, TrajectoryModel, moments, train
+from .poly import gaussian_nll
 
 __all__ = [
     "AnchorDistribution",
@@ -12,11 +12,7 @@ __all__ = [
     "ModelConfig",
     "TrainSettings",
     "TrajectoryModel",
+    "moments",
     "train",
-    "PolyTrajectory",
-    "eval_poly",
-    "eval_traj",
     "gaussian_nll",
-    "propagate_variance",
-    "trajectory_loss",
 ]

@@ -34,8 +34,6 @@ __all__ = [
     "log",
     "softmax",
     "concat",
-    "sum_along",
-    "mean_all",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -385,18 +383,6 @@ def softmax(x, axis: int = -1):
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def sum_along(x, axis=None, keepdims: bool = False):
-    if isinstance(x, Tensor):
-        return x.sum(axis=axis, keepdims=keepdims)
-    return x.sum(axis=axis, keepdims=keepdims)
-
-
-def mean_all(x):
-    if isinstance(x, Tensor):
-        return x.mean()
-    return x.mean()
-
-
 # -- parameters and optimizers ---------------------------------------------
 
 
@@ -489,28 +475,39 @@ def save_checkpoint(path, params: Sequence[Parameter], meta: dict | None = None)
 
 
 def load_checkpoint(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
-    """Read a checkpoint written by save_checkpoint; returns (meta, name -> array)."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    """Read a checkpoint written by save_checkpoint; returns (meta, name -> array).
+
+    A malformed file raises DataError and a non-finite value NumericalError.
+    """
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read checkpoint {path}: {exc}") from None
     if not lines or lines[0] != _MAGIC:
         raise DataError(f"not a checkpoint file: {path}")
     meta: dict[str, str] = {}
     arrays: dict[str, np.ndarray] = {}
     i = 1
-    while i < len(lines):
-        tokens = lines[i].split(" ")
-        if tokens[0] == "meta":
-            meta[tokens[1]] = tokens[2]
-            i += 1
-        elif tokens[0] == "param":
-            name = tokens[1]
-            ndim = int(tokens[2])
-            shape = tuple(int(d) for d in tokens[3 : 3 + ndim])
-            values = np.array([float(v) for v in lines[i + 1].split()], dtype=np.float64)
-            if values.size != int(np.prod(shape, dtype=np.int64)):
-                raise DataError(f"checkpoint value count mismatch for '{name}'")
-            arrays[name] = values.reshape(shape)
-            i += 2
-        else:
-            raise DataError(f"unrecognized checkpoint line: {lines[i]!r}")
+    try:
+        while i < len(lines):
+            tokens = lines[i].split(" ")
+            if tokens[0] == "meta":
+                meta[tokens[1]] = tokens[2]
+                i += 1
+            elif tokens[0] == "param":
+                name = tokens[1]
+                ndim = int(tokens[2])
+                shape = tuple(int(d) for d in tokens[3 : 3 + ndim])
+                values = np.array([float(v) for v in lines[i + 1].split()], dtype=np.float64)
+                if len(shape) != ndim or values.size != math.prod(shape):
+                    raise DataError(f"checkpoint value count mismatch for '{name}'")
+                if not np.all(np.isfinite(values)):
+                    raise NumericalError(f"non-finite value in checkpoint parameter '{name}'")
+                arrays[name] = values.reshape(shape)
+                i += 2
+            else:
+                raise DataError(f"unrecognized checkpoint line: {lines[i]!r}")
+    except (IndexError, ValueError) as exc:
+        raise DataError(f"malformed checkpoint line {i + 1} of {path}: {exc}") from None
     return meta, arrays

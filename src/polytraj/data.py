@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -39,26 +39,6 @@ def _wrap_angle(angle: float) -> float:
     """Normalize to (-pi, pi]."""
     wrapped = (angle + math.pi) % (2.0 * math.pi) - math.pi
     return math.pi if wrapped == -math.pi else wrapped
-
-
-@dataclass(frozen=True)
-class AgentState:
-    """Per-frame kinematic state: increments, speed, acceleration, heading,
-    and polar coordinates (distance, bearing) to the reference agent."""
-
-    dx: float
-    dy: float
-    v: float
-    alpha: float
-    theta: float
-    l: float
-    phi: float
-
-    def as_vector(self) -> np.ndarray:
-        return np.array(
-            [self.dx, self.dy, self.v, self.alpha, self.theta, self.l, self.phi],
-            dtype=np.float64,
-        )
 
 
 @dataclass
@@ -153,31 +133,35 @@ def ingest_ngsim(csv_path, frame_rate: float = DEFAULT_FRAME_RATE) -> list[Track
     path = Path(csv_path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
+    rows_by_vehicle: dict[int, list[tuple[int, float, float, float, float]]] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"empty CSV: {path}") from None
-        header = [h.strip() for h in header]
-        for column in NGSIM_COLUMNS:
-            if column not in header:
-                raise DataError(f"missing column '{column}' in {path}")
-        idx = {column: header.index(column) for column in NGSIM_COLUMNS}
-        rows_by_vehicle: dict[int, list[tuple[int, float, float, float, float]]] = {}
-        for row in reader:
-            if not row:
-                continue
-            vid = int(float(row[idx["Vehicle_ID"]]))
-            rows_by_vehicle.setdefault(vid, []).append(
-                (
-                    int(float(row[idx["Frame_ID"]])),
-                    float(row[idx["Local_X"]]),
-                    float(row[idx["Local_Y"]]),
-                    float(row[idx["v_Vel"]]),
-                    float(row[idx["v_Acc"]]),
+            header = [h.strip() for h in next(reader, [])]
+            if not header:
+                raise DataError(f"empty CSV: {path}")
+            for column in NGSIM_COLUMNS:
+                if column not in header:
+                    raise DataError(f"missing column '{column}' in {path}")
+            idx = {column: header.index(column) for column in NGSIM_COLUMNS}
+            for row in reader:
+                if not row:
+                    continue
+                vid = int(float(row[idx["Vehicle_ID"]]))
+                frame = int(float(row[idx["Frame_ID"]]))
+                if abs(frame) >= 2**53:
+                    raise ValueError(f"frame {frame} out of range")
+                rows_by_vehicle.setdefault(vid, []).append(
+                    (
+                        frame,
+                        float(row[idx["Local_X"]]),
+                        float(row[idx["Local_Y"]]),
+                        float(row[idx["v_Vel"]]),
+                        float(row[idx["v_Acc"]]),
+                    )
                 )
-            )
+        except (ValueError, IndexError, OverflowError, csv.Error) as exc:
+            raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
     tracks = []
     for vid in sorted(rows_by_vehicle):
         rows = sorted(rows_by_vehicle[vid], key=lambda r: r[0])
@@ -185,6 +169,8 @@ def ingest_ngsim(csv_path, frame_rate: float = DEFAULT_FRAME_RATE) -> list[Track
         if np.any(np.diff(frames) <= 0):
             raise DataError(f"track {vid}: non-monotone frames")
         data = np.array([r[1:] for r in rows], dtype=np.float64)
+        if not np.all(np.isfinite(data)):
+            raise DataError(f"track {vid}: non-finite values")
         tracks.append(
             Track(
                 agent_id=vid,
@@ -356,22 +342,6 @@ def _state_vector(scene: Scene, agent_index: int, t: int) -> np.ndarray | None:
     l = float(np.hypot(rel[0], rel[1]))
     phi = 0.0 if l == 0.0 else _wrap_angle(math.atan2(rel[1], rel[0]))
     return np.array([delta[0], delta[1], v, alpha, theta, l, phi], dtype=np.float64)
-
-
-def compute_states(scene: Scene, t: int) -> list[AgentState | None]:
-    """States of every scene agent at frame index t; None where masked.
-
-    Increments need a predecessor frame, so t must be >= 1.
-    """
-    if t < 1:
-        raise ValueError(f"state computation needs t >= 1, got {t}")
-    if t >= len(scene):
-        raise ValueError(f"frame index {t} outside scene of length {len(scene)}")
-    states: list[AgentState | None] = []
-    for i in range(len(scene.agents)):
-        vec = _state_vector(scene, i, t)
-        states.append(None if vec is None else AgentState(*vec))
-    return states
 
 
 # -- segmentation, splitting, filtering -----------------------------------------

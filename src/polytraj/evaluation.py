@@ -18,6 +18,9 @@ from .errors import DataError
 
 RMSE_OFFSETS = (10, 20, 30, 40, 50)  # 1..5 s at 10 Hz
 
+EVAL_CHUNK = 64
+"""Samples per batched prediction: one forward pass each, bounded memory."""
+
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -67,16 +70,19 @@ def _truth_at(sample: Sample, offsets: np.ndarray) -> np.ndarray:
 
 
 def displacement_errors(model, samples: Sequence[Sample], offsets: Sequence[int]) -> np.ndarray:
-    """Euclidean displacement per sample per offset, shape (n_samples, n_offsets)."""
+    """Euclidean displacement per sample per offset, shape (n_samples, n_offsets).
+
+    `model.predict_positions` runs on chunks of EVAL_CHUNK samples.
+    """
     if not samples:
         raise DataError("empty test set")
     offsets = np.asarray([int(t) for t in offsets], dtype=np.int64)
-    errors = np.zeros((len(samples), offsets.size))
-    for i, sample in enumerate(samples):
-        truth = _truth_at(sample, offsets)
-        pred = model.predict_positions(sample, offsets)
-        errors[i] = np.hypot(pred[:, 0] - truth[:, 0], pred[:, 1] - truth[:, 1])
-    return errors
+    truth = np.stack([_truth_at(sample, offsets) for sample in samples])
+    pred = np.concatenate([
+        model.predict_positions(samples[start : start + EVAL_CHUNK], offsets)
+        for start in range(0, len(samples), EVAL_CHUNK)
+    ])
+    return np.hypot(pred[:, :, 0] - truth[:, :, 0], pred[:, :, 1] - truth[:, :, 1])
 
 
 def displacement_curve(model, samples: Sequence[Sample], offsets: Sequence[int]) -> np.ndarray:

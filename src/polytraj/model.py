@@ -8,25 +8,29 @@ a learned constant input.  A dense layer on the final decoder state
 emits either fixed-offset coordinates (with per-point log-sigmas) or
 polynomial coefficients (with per-coefficient log-sigmas).
 
-The forward pass is written against dispatching ops, so it runs in two
-modes: with Tensor parameters it builds the autodiff graph for training,
-with raw arrays it is a plain numpy inference path.
+`moments` is the one decoding path: it turns a batch of raw head outputs
+and a (B, T) matrix of frame offsets into the per-axis predicted mean and
+variance.  The loss (`batch_loss`), prediction (`predict_positions`) and
+through it evaluation and the studies all decode through it.  The forward
+pass runs on Tensor parameters when the loss needs gradients and on their
+plain arrays otherwise, so inference builds no graph.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .anchoring import AnchorDistribution, AnchorSchedule, fixed_schedule, random_schedule
+from . import poly
+from .anchoring import AnchorDistribution, fixed_schedule, random_schedule
 from .autodiff import Adam, Parameter, Tensor, sgd_step
 from .data import STATE_DIM, Sample
 from .errors import ConfigError, DataError, NumericalError, ShapeError
-from .poly import PolyTrajectory, eval_poly, gaussian_nll
+from .poly import gaussian_nll
 
 COORDINATES = "coordinates"
 POLYNOMIAL = "polynomial"
@@ -109,33 +113,46 @@ class ModelConfig:
 
     @staticmethod
     def from_meta(meta: dict[str, str]) -> "ModelConfig":
+        """Parse `to_meta` output; a missing or malformed key is a DataError."""
+
         def _int(key):
             return int(meta[f"model.{key}"])
 
-        return ModelConfig(
-            head=meta["model.head"],
-            units=_int("units"),
-            encoder_layers=_int("encoder_layers"),
-            decoder_layers=_int("decoder_layers"),
-            decoder_steps=_int("decoder_steps"),
-            d_x=_int("d_x"),
-            d_y=_int("d_y"),
-            horizon=_int("horizon"),
-            anchor_count=_int("anchor_count"),
-            anchor_mode=meta["model.anchor_mode"],
-            anchor_min=_int("anchor_min"),
-            anchor_max=_int("anchor_max"),
-            input_dim=_int("input_dim"),
-        )
+        try:
+            return ModelConfig(
+                head=meta["model.head"],
+                units=_int("units"),
+                encoder_layers=_int("encoder_layers"),
+                decoder_layers=_int("decoder_layers"),
+                decoder_steps=_int("decoder_steps"),
+                d_x=_int("d_x"),
+                d_y=_int("d_y"),
+                horizon=_int("horizon"),
+                anchor_count=_int("anchor_count"),
+                anchor_mode=meta["model.anchor_mode"],
+                anchor_min=_int("anchor_min"),
+                anchor_max=_int("anchor_max"),
+                input_dim=_int("input_dim"),
+            )
+        except KeyError as exc:
+            raise DataError(f"model meta key {exc} missing") from None
+        except (ValueError, ConfigError) as exc:
+            raise DataError(f"bad model meta: {exc}") from None
 
-
-@dataclass(frozen=True)
-class CoordinatePrediction:
-    """Fixed-offset positions with per-point standard deviations."""
-
-    offsets: tuple[int, ...]
-    points: np.ndarray  # (T, 2)
-    sigmas: np.ndarray  # (T, 2)
+    def param_shapes(self):
+        """Yield (name, shape) of every parameter in creation order."""
+        for prefix, layers, in_dim in (
+            ("enc", self.encoder_layers, self.input_dim),
+            ("dec", self.decoder_layers, self.units),
+        ):
+            for layer in range(layers):
+                yield f"{prefix}{layer}.w_x", (in_dim if layer == 0 else self.units, 3 * self.units)
+                yield f"{prefix}{layer}.u_zr", (self.units, 2 * self.units)
+                yield f"{prefix}{layer}.u_c", (self.units, self.units)
+                yield f"{prefix}{layer}.b", (3 * self.units,)
+        yield "dec.x0", (1, self.units)
+        yield "head.w", (self.units, self.output_dim)
+        yield "head.b", (self.output_dim,)
 
 
 @dataclass(frozen=True)
@@ -162,23 +179,24 @@ def gru_cell(x, h, weights: GRUWeights):
     return z * h + (1.0 - z) * c
 
 
-def attention(query, keys, values):
-    """Scaled dot-product attention: softmax(q . k / sqrt(d)) weighted values.
+def attention(query, keys: Sequence, values: Sequence, present: np.ndarray):
+    """Scaled dot-product attention of each sample's query over its agent slots.
 
-    `query` is a (d,) vector, `keys` and `values` are (n, d) stacks.
+    `query` is (B, d); `keys` and `values` hold one (B, d) entry per slot;
+    `present` is the (B, A) slot mask.  An absent slot gets exactly zero
+    weight, so padding a batch with empty slots leaves every output unchanged.
     """
-    keys = np.asarray(keys, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    query = np.asarray(query, dtype=np.float64)
-    if keys.ndim != 2 or keys.shape[0] == 0:
-        raise ShapeError("attention needs at least one key")
-    if keys.shape != values.shape or query.shape != (keys.shape[1],):
-        raise ShapeError(
-            f"attention shapes mismatch: query {query.shape}, keys {keys.shape}, values {values.shape}"
-        )
-    scores = keys @ query / math.sqrt(keys.shape[1])
-    weights = ad.softmax(scores)
-    return weights @ values
+    if not keys or len(keys) != len(values):
+        raise ShapeError(f"attention needs matching non-empty slots, got {len(keys)} keys, {len(values)} values")
+    if len(keys) == 1:
+        return values[0]  # the softmax of a single score is exactly 1
+    scale = 1.0 / math.sqrt(query.shape[1])
+    scores = ad.concat([(query * k).sum(axis=1, keepdims=True) * scale for k in keys], axis=1)
+    weights = ad.softmax(scores + np.where(present, 0.0, -1e9), axis=1)
+    context = weights[:, 0:1] * values[0]
+    for a in range(1, len(values)):
+        context = context + weights[:, a : a + 1] * values[a]
+    return context
 
 
 class TrajectoryModel:
@@ -188,26 +206,12 @@ class TrajectoryModel:
         self.config = config
         rng = _stream_rng(seed, 0)
         self.params: dict[str, Tensor] = {}
-        in_dim = config.input_dim
-        for layer in range(config.encoder_layers):
-            self._init_gru(rng, f"enc{layer}", in_dim, config.units)
-            in_dim = config.units
-        for layer in range(config.decoder_layers):
-            self._init_gru(rng, f"dec{layer}", config.units, config.units)
-        scale = 1.0 / math.sqrt(config.units)
-        self.params["dec.x0"] = Tensor(rng.uniform(-scale, scale, size=(1, config.units)))
-        self.params["head.w"] = Tensor(
-            rng.uniform(-scale, scale, size=(config.units, config.output_dim))
-        )
-        self.params["head.b"] = Tensor(np.zeros(config.output_dim))
-
-    def _init_gru(self, rng, prefix: str, in_dim: int, units: int) -> None:
-        sx = 1.0 / math.sqrt(in_dim)
-        sh = 1.0 / math.sqrt(units)
-        self.params[f"{prefix}.w_x"] = Tensor(rng.uniform(-sx, sx, size=(in_dim, 3 * units)))
-        self.params[f"{prefix}.u_zr"] = Tensor(rng.uniform(-sh, sh, size=(units, 2 * units)))
-        self.params[f"{prefix}.u_c"] = Tensor(rng.uniform(-sh, sh, size=(units, units)))
-        self.params[f"{prefix}.b"] = Tensor(np.zeros(3 * units))
+        for name, shape in config.param_shapes():
+            if name.endswith(".b"):
+                self.params[name] = Tensor(np.zeros(shape))
+                continue
+            bound = 1.0 / math.sqrt(shape[-1] if name == "dec.x0" else shape[0])
+            self.params[name] = Tensor(rng.uniform(-bound, bound, size=shape))
 
     def parameters(self) -> list[Parameter]:
         return [Parameter(name, node) for name, node in self.params.items()]
@@ -219,24 +223,19 @@ class TrajectoryModel:
 
     # -- forward -----------------------------------------------------------
 
-    def _weights(self, prefix: str, train: bool) -> GRUWeights:
-        get = (lambda k: self.params[k]) if train else (lambda k: self.params[k].data)
-        return GRUWeights(
-            w_x=get(f"{prefix}.w_x"),
-            u_zr=get(f"{prefix}.u_zr"),
-            u_c=get(f"{prefix}.u_c"),
-            b=get(f"{prefix}.b"),
-        )
+    def _param_values(self, train: bool) -> dict:
+        """The parameter Tensors when gradients are needed, else their arrays."""
+        if train:
+            return self.params
+        return {name: node.data for name, node in self.params.items()}
 
-    def _encode_slot(self, x_seq: np.ndarray, mask: np.ndarray, train: bool):
+    def _encode_slot(self, x_seq: np.ndarray, mask: np.ndarray, params: dict):
         """Run the stacked encoder over one agent slot: (B, S, F) -> (B, units)."""
         batch, steps, _ = x_seq.shape
         units = self.config.units
         all_present = bool(np.all(mask == 1.0))
         hidden = [np.zeros((batch, units)) for _ in range(self.config.encoder_layers)]
-        layer_weights = [
-            self._weights(f"enc{layer}", train) for layer in range(self.config.encoder_layers)
-        ]
+        layer_weights = [_weights(params, f"enc{layer}") for layer in range(self.config.encoder_layers)]
         for t in range(steps):
             x = x_seq[:, t, :]
             for layer, weights in enumerate(layer_weights):
@@ -253,7 +252,7 @@ class TrajectoryModel:
 
         states: (B, A, S, input_dim) with agent slot 0 the reference agent;
         mask: (B, A, S) with 1.0 where a state is valid.  Returns the raw
-        head output, (B, output_dim), as a Tensor in train mode.
+        head output, (B, output_dim): a Tensor when `train`, else an array.
         """
         if states.ndim != 4 or states.shape[3] != self.config.input_dim:
             raise ShapeError(f"states must be (B, A, S, {self.config.input_dim}), got {states.shape}")
@@ -262,104 +261,92 @@ class TrajectoryModel:
             raise DataError("empty history: at least one state frame is required")
         if self.config.input_dim == INPUT_SCALE.size:
             states = states * INPUT_SCALE
-        units = self.config.units
+        params = self._param_values(train)
         finals = [
-            self._encode_slot(states[:, a, :, :], mask[:, a, :], train) for a in range(n_agents)
+            self._encode_slot(states[:, a, :, :], mask[:, a, :], params) for a in range(n_agents)
         ]
-        query = finals[0]
-        if n_agents == 1:
-            context = query
-        else:
-            present = mask.any(axis=2)  # (B, A)
-            bias = np.where(present, 0.0, -1e9)
-            scale = 1.0 / math.sqrt(units)
-            scores = ad.concat(
-                [ad.sum_along(query * k, axis=1, keepdims=True) * scale for k in finals],
-                axis=1,
-            )
-            weights = ad.softmax(scores + bias, axis=1)
-            context = weights[:, 0:1] * finals[0]
-            for a in range(1, n_agents):
-                context = context + weights[:, a : a + 1] * finals[a]
-        x0 = self.params["dec.x0"] if train else self.params["dec.x0"].data
-        dec_in = x0 + np.zeros((batch, units))
+        context = attention(finals[0], finals, finals, mask.any(axis=2))
+        dec_in = params["dec.x0"] + np.zeros((batch, self.config.units))
         hidden = [context for _ in range(self.config.decoder_layers)]
-        layer_weights = [
-            self._weights(f"dec{layer}", train) for layer in range(self.config.decoder_layers)
-        ]
+        layer_weights = [_weights(params, f"dec{layer}") for layer in range(self.config.decoder_layers)]
         for _ in range(self.config.decoder_steps):
             x = dec_in
             for layer, weights in enumerate(layer_weights):
                 hidden[layer] = gru_cell(x, hidden[layer], weights)
                 x = hidden[layer]
-        head_w = self.params["head.w"] if train else self.params["head.w"].data
-        head_b = self.params["head.b"] if train else self.params["head.b"].data
-        return hidden[-1] @ head_w + head_b
+        return hidden[-1] @ params["head.w"] + params["head.b"]
 
-    def forward(self, sample: Sample, train: bool = False):
-        """Single-sample forward; returns the raw output vector."""
-        states = sample.states[np.newaxis]
-        mask = sample.mask[np.newaxis]
-        out = self.forward_batch(states, mask, train=train)
-        return out if train else out[0]
-
-    def predict(self, sample: Sample):
-        """Parse the raw output into the head's prediction object."""
-        raw = self.forward(sample, train=False)
-        cfg = self.config
-        scale = cfg.time_scale
-        if cfg.head == POLYNOMIAL:
-            d_x, d_y = cfg.d_x, cfg.d_y
-            # raw c_j parameterizes scale * sum c_j (t/scale)^j, so a_j = c_j * scale^(1-j)
-            unscale_x = scale ** (np.arange(1, d_x + 1) - 1.0)
-            unscale_y = scale ** (np.arange(1, d_y + 1) - 1.0)
-            return PolyTrajectory(
-                a=raw[:d_x] / unscale_x,
-                b=raw[d_x : d_x + d_y] / unscale_y,
-                sigma_a=np.exp(raw[d_x + d_y : 2 * d_x + d_y]) / unscale_x,
-                sigma_b=np.exp(raw[2 * d_x + d_y :]) / unscale_y,
-            )
-        t = cfg.anchor_count
-        return CoordinatePrediction(
-            offsets=cfg.head_offsets,
-            points=raw[: 2 * t].reshape(t, 2) * scale,
-            sigmas=np.exp(raw[2 * t :].reshape(t, 2)) * scale,
-        )
-
-    def predict_positions(self, sample: Sample, offsets: Sequence[int]) -> np.ndarray:
-        """Predicted (x, y) at the requested frame offsets."""
-        offsets = [int(t) for t in offsets]
-        prediction = self.predict(sample)
-        if self.config.head == POLYNOMIAL:
-            return np.array(
-                [[eval_poly(prediction.a, t), eval_poly(prediction.b, t)] for t in offsets]
-            )
-        index = {t: i for i, t in enumerate(prediction.offsets)}
-        missing = [t for t in offsets if t not in index]
-        if missing:
-            raise ConfigError(
-                f"coordinate head predicts offsets {prediction.offsets}, not {missing}"
-            )
-        return prediction.points[[index[t] for t in offsets]]
+    def predict_positions(self, samples: Sequence[Sample], offsets: Sequence[int]) -> np.ndarray:
+        """Predicted (x, y) of every sample at the given frame offsets: (B, T, 2)."""
+        states, mask = collate(samples)
+        raw = self.forward_batch(states, mask, train=False)
+        t = np.tile(np.array([int(o) for o in offsets], dtype=np.int64), (len(samples), 1))
+        positions = np.stack([mean for mean, _ in moments(self.config, raw, t)], axis=2)
+        finite = np.isfinite(positions).all(axis=(1, 2))
+        if not finite.all():
+            bad = [samples[i].sample_id for i in np.flatnonzero(~finite)]
+            raise NumericalError(f"non-finite prediction for sample(s) {bad}")
+        return positions
 
 
-# -- loss -----------------------------------------------------------------------
+def _weights(params: dict, prefix: str) -> GRUWeights:
+    return GRUWeights(
+        w_x=params[f"{prefix}.w_x"],
+        u_zr=params[f"{prefix}.u_zr"],
+        u_c=params[f"{prefix}.u_c"],
+        b=params[f"{prefix}.b"],
+    )
+
+
+# -- decoding and loss ------------------------------------------------------------
+
+
+def moments(cfg: ModelConfig, raw, t) -> list:
+    """Predicted per-axis (mean, variance) at frame offsets, in metres and m².
+
+    `raw` is a (B, output_dim) batch of head outputs, Tensor or array, and
+    `t` a (B, T) integer offset matrix with one row per sample.  Returns
+    [(mean_x, var_x), (mean_y, var_y)], each (B, T).  Raw outputs are scaled
+    by `cfg.time_scale` (see there); sigmas are emitted as log-sigmas.
+    """
+    t = np.asarray(t, dtype=np.int64)
+    scale = cfg.time_scale
+    if cfg.head == POLYNOMIAL:
+        # [x coefficients | y coefficients | x log-sigmas | y log-sigmas]
+        n = cfg.d_x + cfg.d_y
+        return [
+            poly.moments(raw[:, lo : lo + d], ad.exp(2.0 * raw[:, n + lo : n + lo + d]), t, scale)
+            for lo, d in ((0, cfg.d_x), (cfg.d_x, cfg.d_y))
+        ]
+    # [(x, y) per head offset | (x, y) log-sigmas per head offset]
+    offsets = np.array(cfg.head_offsets, dtype=np.int64)
+    n = offsets.size
+    cols = np.minimum(np.searchsorted(offsets, t), n - 1)
+    missing = sorted(set(t[offsets[cols] != t].tolist()))
+    if missing:
+        raise ConfigError(f"coordinate head predicts offsets {cfg.head_offsets}, not {missing}")
+    every_offset = t.shape[1] == n and bool(np.all(cols == np.arange(n)))
+    if not every_offset and isinstance(raw, Tensor):
+        raise ConfigError("coordinate head can only be supervised at its fixed offsets")
+    rows = np.arange(t.shape[0])[:, np.newaxis]
+
+    def pick(first: int):
+        return raw[:, first : first + 2 * n : 2] if every_offset else raw[rows, first + 2 * cols]
+
+    return [(pick(axis) * scale, ad.exp(2.0 * pick(2 * n + axis)) * scale**2) for axis in (0, 1)]
 
 
 def batch_loss(model: TrajectoryModel, batch: Sequence[Sample], t_matrix: np.ndarray, train: bool = True):
     """Negative log-likelihood of a batch at the given anchor offsets.
 
     t_matrix is (B, T) integer frame offsets (one schedule row per sample;
-    the coordinate head requires every row to equal its fixed offsets).
-    Returns (mean loss, per-sample loss vector).
+    the coordinate head requires every row to equal its fixed offsets when
+    `train`).  Returns (mean loss, per-sample loss vector).
     """
-    cfg = model.config
     t_matrix = np.asarray(t_matrix, dtype=np.int64)
     batch_size, n_anchors = t_matrix.shape
     if batch_size != len(batch):
         raise ShapeError(f"t_matrix rows {batch_size} != batch size {len(batch)}")
-    if cfg.head == COORDINATES and not np.all(t_matrix == np.array(cfg.head_offsets)):
-        raise ConfigError("coordinate head can only be supervised at its fixed offsets")
     truth = np.zeros((batch_size, n_anchors, 2))
     for i, sample in enumerate(batch):
         horizon = sample.future.shape[0] - 1
@@ -371,44 +358,10 @@ def batch_loss(model: TrajectoryModel, batch: Sequence[Sample], t_matrix: np.nda
         truth[i] = sample.future[t_matrix[i]]
     states, mask = collate(batch)
     out = model.forward_batch(states, mask, train=train)
-    if cfg.head == POLYNOMIAL:
-        d_x, d_y = cfg.d_x, cfg.d_y
-        coeff_x = out[:, :d_x]
-        coeff_y = out[:, d_x : d_x + d_y]
-        var_x_scale = (2.0 * out[:, d_x + d_y : 2 * d_x + d_y]).exp() if train else np.exp(
-            2.0 * out[:, d_x + d_y : 2 * d_x + d_y]
-        )
-        var_y_scale = (2.0 * out[:, 2 * d_x + d_y :]).exp() if train else np.exp(
-            2.0 * out[:, 2 * d_x + d_y :]
-        )
-        exps_x = np.arange(1, d_x + 1, dtype=np.float64)
-        exps_y = np.arange(1, d_y + 1, dtype=np.float64)
-        x_cols, y_cols, vx_cols, vy_cols = [], [], [], []
-        scale = cfg.time_scale
-        t_float = t_matrix.astype(np.float64) / scale
-        for k in range(n_anchors):
-            p_x = (t_float[:, k : k + 1] ** exps_x) * scale
-            p_y = (t_float[:, k : k + 1] ** exps_y) * scale
-            x_cols.append(ad.sum_along(coeff_x * p_x, axis=1, keepdims=True))
-            y_cols.append(ad.sum_along(coeff_y * p_y, axis=1, keepdims=True))
-            vx_cols.append(ad.sum_along(var_x_scale * p_x**2, axis=1, keepdims=True))
-            vy_cols.append(ad.sum_along(var_y_scale * p_y**2, axis=1, keepdims=True))
-        pred_x = ad.concat(x_cols, axis=1)
-        pred_y = ad.concat(y_cols, axis=1)
-        var_x = ad.concat(vx_cols, axis=1)
-        var_y = ad.concat(vy_cols, axis=1)
-    else:
-        t = cfg.anchor_count
-        scale = cfg.time_scale
-        pred_x = out[:, 0 : 2 * t : 2] * scale
-        pred_y = out[:, 1 : 2 * t : 2] * scale
-        ls_x = out[:, 2 * t :: 2]
-        ls_y = out[:, 2 * t + 1 :: 2]
-        var_x = ((2.0 * ls_x).exp() if train else np.exp(2.0 * ls_x)) * scale**2
-        var_y = ((2.0 * ls_y).exp() if train else np.exp(2.0 * ls_y)) * scale**2
-    nll = gaussian_nll(pred_x, var_x, truth[:, :, 0]) + gaussian_nll(pred_y, var_y, truth[:, :, 1])
-    per_sample = ad.sum_along(nll, axis=1) * (1.0 / n_anchors)
-    return ad.mean_all(per_sample), per_sample
+    (mean_x, var_x), (mean_y, var_y) = moments(model.config, out, t_matrix)
+    nll = gaussian_nll(mean_x, var_x, truth[:, :, 0]) + gaussian_nll(mean_y, var_y, truth[:, :, 1])
+    per_sample = nll.sum(axis=1) * (1.0 / n_anchors)
+    return per_sample.mean(), per_sample
 
 
 def collate(batch: Sequence[Sample]) -> tuple[np.ndarray, np.ndarray]:
@@ -434,7 +387,6 @@ def collate(batch: Sequence[Sample]) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class TrainSettings:
     lr: float = 0.005
-    lr_decay: float = 1.0  # final lr as a fraction of lr, geometric schedule
     epochs: int = 10
     steps: int = 0  # 0 = run all epochs; otherwise stop after this many batches
     batch: int = 32
@@ -491,8 +443,6 @@ def train(model: TrajectoryModel, samples: Sequence[Sample], settings: TrainSett
     )
     if settings.optimizer not in ("adam", "sgd"):
         raise ConfigError(f"unknown optimizer {settings.optimizer!r}")
-    batches_per_epoch = -(-len(samples) // settings.batch)
-    total_steps = settings.steps or settings.epochs * batches_per_epoch
     result = TrainResult()
     step = 0
     for _ in range(settings.epochs):
@@ -510,14 +460,10 @@ def train(model: TrajectoryModel, samples: Sequence[Sample], settings: TrainSett
                     f"non-finite loss at step {step} for sample(s) {bad}"
                 )
             loss.backward()
-            decay = 1.0
-            if settings.lr_decay < 1.0 and total_steps > 1:
-                decay = settings.lr_decay ** (step / (total_steps - 1))
             if adam is not None:
-                adam.lr = settings.lr * decay
                 adam.step()
             else:
-                sgd_step(params, lr=settings.lr * decay, grad_clip=settings.grad_clip)
+                sgd_step(params, lr=settings.lr, grad_clip=settings.grad_clip)
             result.loss_curve.append((step, float(loss.data)))
             step += 1
     return result
@@ -547,14 +493,15 @@ def save_model(model: TrajectoryModel, path, extra_meta: dict | None = None) -> 
 def load_model(path) -> tuple[TrajectoryModel, dict[str, str]]:
     meta, arrays = ad.load_checkpoint(path)
     config = ModelConfig.from_meta(meta)
+    # match every name and shape before building, so a corrupt size allocates nothing
+    names = []
+    for name, shape in config.param_shapes():
+        if name not in arrays or arrays[name].shape != shape:
+            raise DataError(f"checkpoint parameter '{name}' missing or not of shape {shape}")
+        names.append(name)
+    if len(names) != len(arrays):
+        raise DataError(f"checkpoint parameters {sorted(arrays)} do not match model {names}")
     model = TrajectoryModel(config, seed=0)
-    expected = set(model.params)
-    if set(arrays) != expected:
-        raise DataError(
-            f"checkpoint parameters {sorted(arrays)} do not match model {sorted(expected)}"
-        )
     for name, node in model.params.items():
-        if node.data.shape != arrays[name].shape:
-            raise DataError(f"checkpoint shape mismatch for '{name}'")
         node.data = arrays[name]
     return model, meta

@@ -1,111 +1,44 @@
-"""Polynomial trajectories: evaluation, variance propagation, NLL loss.
+"""Polynomial trajectories: mean and variance at frame offsets, NLL loss.
 
 A trajectory is a pair of polynomials x(t), y(t) over the frame offset t,
 with no constant term, so every trajectory passes through the origin at
 t = 0 (the origin is the predicted agent's position at the current frame).
-Each coefficient carries a predicted standard deviation; because x(t) is a
-linear combination of the coefficients, per-coefficient variances map to a
-positional variance in closed form, which feeds an axis-wise Gaussian
-negative log-likelihood.
+Each coefficient carries a predicted variance; because x(t) is a linear
+combination of the coefficients, the coefficient variances map to a
+positional variance in closed form.  `moments` is that one mapping, for a
+batch of coefficient sets at a batch of offset rows; its mean and variance
+feed the axis-wise Gaussian negative log-likelihood in `gaussian_nll`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
+from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import DataError, NumericalError
+from .errors import NumericalError
 
 VAR_FLOOR = 1e-6
 """Variance floor in m² added inside gaussian_nll for numerical stability."""
 
-_LOG_2PI = math.log(2.0 * math.pi)
 
+def moments(coeffs, coeff_var, t, scale: float = 1.0):
+    """Mean and variance of p(t) = scale * sum_{j>=1} c_j (t / scale)^j.
 
-def _check_finite(name: str, values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise NumericalError(f"non-finite {name}: {values!r}")
-    return arr
-
-
-@dataclass(frozen=True)
-class PolyTrajectory:
-    """Lateral/longitudinal coefficient sets with per-coefficient sigmas.
-
-    ``a[j-1]`` multiplies t^j on the lateral axis (metres/frame^j), and
-    likewise ``b`` on the longitudinal axis; there is no 0th coefficient.
+    `coeffs` and `coeff_var` are (B, d) coefficient means and variances,
+    as Tensors (graph ops) or numpy arrays; `t` is a (B, T) matrix of frame
+    offsets, one row per coefficient set.  Returns (mean, var), each (B, T).
+    The variance sum_j var_j (scale (t / scale)^j)^2 is exact for
+    independent coefficient noise; the mean is exactly 0 at t = 0.
     """
-
-    a: np.ndarray
-    b: np.ndarray
-    sigma_a: np.ndarray
-    sigma_b: np.ndarray
-
-    def __post_init__(self):
-        for field in ("a", "b", "sigma_a", "sigma_b"):
-            arr = _check_finite(field, getattr(self, field))
-            if arr.ndim != 1 or arr.size < 1:
-                raise ValueError(f"{field} must be a non-empty 1-D sequence")
-            object.__setattr__(self, field, arr)
-        if self.a.shape != self.sigma_a.shape or self.b.shape != self.sigma_b.shape:
-            raise ValueError("sigma shapes must match coefficient shapes")
-        if np.any(self.sigma_a < 0.0) or np.any(self.sigma_b < 0.0):
-            raise ValueError("sigmas must be non-negative")
-
-    @property
-    def d_x(self) -> int:
-        return self.a.size
-
-    @property
-    def d_y(self) -> int:
-        return self.b.size
-
-
-@dataclass(frozen=True)
-class PointPrediction:
-    """Predicted position and positional variance at one frame offset."""
-
-    t: float
-    x: float
-    y: float
-    var_x: float
-    var_y: float
-
-    def __post_init__(self):
-        _check_finite("PointPrediction", [self.t, self.x, self.y, self.var_x, self.var_y])
-        if self.var_x < 0.0 or self.var_y < 0.0:
-            raise ValueError("variances must be non-negative")
-
-
-def eval_poly(coeffs: Sequence[float], t: float) -> float:
-    """Evaluate sum_{j>=1} coeffs[j-1] * t^j; exactly 0 at t = 0."""
-    c = _check_finite("coefficients", coeffs)
-    if c.size < 1:
-        raise ValueError("coeffs must be non-empty")
-    t = float(_check_finite("offset", t))
-    if t < 0.0:
-        raise ValueError(f"offset must be >= 0, got {t}")
-    powers = t ** np.arange(1, c.size + 1, dtype=np.float64)
-    return float(c @ powers)
-
-
-def propagate_variance(sigma: Sequence[float], t: float) -> float:
-    """Positional variance sum_j sigma[j-1]^2 * (t^j)^2 at frame offset t.
-
-    Exact for independent coefficient noise because the position is a
-    linear combination of the coefficients; non-decreasing in t for t >= 1.
-    """
-    s = _check_finite("sigma", sigma)
-    if np.any(s < 0.0):
-        raise ValueError("sigma values must be non-negative")
-    t = float(_check_finite("offset", t))
-    powers = t ** np.arange(1, s.size + 1, dtype=np.float64)
-    return float((s**2) @ (powers**2))
+    d = coeffs.shape[1]
+    t = np.asarray(t, dtype=np.float64)[:, :, np.newaxis] / scale
+    powers = t ** np.arange(1, d + 1, dtype=np.float64) * scale  # (B, T, d)
+    mean = (coeffs[:, np.newaxis, :] * powers).sum(axis=2)
+    var = (coeff_var[:, np.newaxis, :] * powers**2).sum(axis=2)
+    return mean, var
 
 
 def gaussian_nll(pred, var, target, var_floor: float = VAR_FLOOR):
@@ -120,50 +53,4 @@ def gaussian_nll(pred, var, target, var_floor: float = VAR_FLOOR):
         raise NumericalError(f"variance {raw!r} not positive after flooring")
     v = var + var_floor
     residual = pred - target
-    if isinstance(v, Tensor):
-        return 0.5 * (residual**2) / v + 0.5 * (2.0 * math.pi * v).log()
-    if isinstance(v, np.ndarray):
-        return 0.5 * (residual**2) / v + 0.5 * np.log(2.0 * math.pi * v)
-    return 0.5 * (residual**2) / v + 0.5 * math.log(2.0 * math.pi * v)
-
-
-def eval_traj(p: PolyTrajectory, schedule) -> list[PointPrediction]:
-    """Evaluate a trajectory at each schedule offset, variances included."""
-    offsets = [int(t) for t in getattr(schedule, "offsets", schedule)]
-    if not offsets:
-        raise ValueError("schedule must be non-empty")
-    if any(b <= a for a, b in zip(offsets, offsets[1:])):
-        raise ValueError(f"schedule offsets must be strictly increasing: {offsets}")
-    return [
-        PointPrediction(
-            t=float(t),
-            x=eval_poly(p.a, t),
-            y=eval_poly(p.b, t),
-            var_x=propagate_variance(p.sigma_a, t),
-            var_y=propagate_variance(p.sigma_b, t),
-        )
-        for t in offsets
-    ]
-
-
-def trajectory_loss(p: PolyTrajectory, truth: np.ndarray, schedule) -> float:
-    """Mean over anchors of the x-axis NLL plus the y-axis NLL.
-
-    `truth` is indexed by frame offset: row t holds the observed (x, y) at
-    offset t, with row 0 the origin.  The mean (not sum) over anchors keeps
-    the loss magnitude comparable across anchor counts.
-    """
-    truth = np.asarray(truth, dtype=np.float64)
-    if truth.ndim != 2 or truth.shape[1] != 2:
-        raise ValueError(f"truth must have shape (n, 2), got {truth.shape}")
-    points = eval_traj(p, schedule)
-    total = 0.0
-    for point in points:
-        t = int(point.t)
-        if t >= truth.shape[0]:
-            raise DataError(
-                f"schedule offset {t} beyond ground truth length {truth.shape[0] - 1}"
-            )
-        total += gaussian_nll(point.x, point.var_x, truth[t, 0])
-        total += gaussian_nll(point.y, point.var_y, truth[t, 1])
-    return total / len(points)
+    return 0.5 * (residual**2) / v + 0.5 * ad.log(2.0 * math.pi * v)

@@ -114,7 +114,9 @@ def extrapolation_study(
 
     The polynomial model is evaluated directly at the extended offsets;
     the coordinate model's four predicted points are extended by least
-    squares, once linear and once at the polynomial head's degree.
+    squares, once linear and once at the polynomial head's degree.  All
+    three curves average over the same test samples: those whose future
+    covers the six seconds.
     """
     horizon = EXTRAPOLATION_TRAIN_HORIZON
     poly_cfg = replace(
@@ -134,31 +136,27 @@ def extrapolation_study(
     coord_model = _fit_model(coord_cfg, train_samples, settings)
 
     offsets = np.asarray(EXTRAPOLATION_EVAL_OFFSETS, dtype=np.int64)
-    poly_curve = displacement_errors(poly_model, test_samples, offsets).mean(axis=0)
+    kept = [s for s in test_samples if s.future.shape[0] - 1 >= int(offsets.max())]
+    if not kept:
+        raise DataError("no test sample covers the six-second evaluation span")
+    poly_curve = displacement_errors(poly_model, kept, offsets).mean(axis=0)
 
     anchor_offsets = np.asarray(coord_cfg.head_offsets, dtype=np.float64)
     degrees = (1, base.d_x)
-    fit_errors = {d: np.zeros((len(test_samples), offsets.size)) for d in degrees}
-    skipped = 0
-    for i, sample in enumerate(test_samples):
-        if sample.future.shape[0] - 1 < int(offsets.max()):
-            skipped += 1
-            continue
-        points = coord_model.predict_positions(sample, coord_cfg.head_offsets)
+    fit_errors = {d: np.zeros((len(kept), offsets.size)) for d in degrees}
+    points = coord_model.predict_positions(kept, coord_cfg.head_offsets)
+    for i, sample in enumerate(kept):
         truth = sample.future[offsets]
         for degree in degrees:
-            fit_x = least_squares_fit(np.stack([anchor_offsets, points[:, 0]], axis=1), degree)
-            fit_y = least_squares_fit(np.stack([anchor_offsets, points[:, 1]], axis=1), degree)
+            fit_x = least_squares_fit(np.stack([anchor_offsets, points[i, :, 0]], axis=1), degree)
+            fit_y = least_squares_fit(np.stack([anchor_offsets, points[i, :, 1]], axis=1), degree)
             pred = np.stack([fit_x(offsets.astype(np.float64)), fit_y(offsets.astype(np.float64))], axis=1)
             fit_errors[degree][i] = np.hypot(pred[:, 0] - truth[:, 0], pred[:, 1] - truth[:, 1])
-    if skipped == len(test_samples):
-        raise DataError("no test sample covers the six-second evaluation span")
-    kept = len(test_samples) - skipped
 
     report = StudyReport(name="extrapolation", fingerprint=fingerprint)
     report.series.append(Series("poly", tuple(int(t) for t in offsets), tuple(float(v) for v in poly_curve)))
     for degree in degrees:
-        curve = fit_errors[degree].sum(axis=0) / kept
+        curve = fit_errors[degree].mean(axis=0)
         report.series.append(
             Series(
                 f"coord-fit-deg{degree}",

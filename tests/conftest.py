@@ -1,11 +1,14 @@
-"""Shared test helpers: finite-difference oracle, hand-built samples."""
+"""Shared test helpers: finite-difference and loss oracles, hand-built samples."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
 
 from polytraj.data import Sample
+from polytraj.poly import VAR_FLOOR
 
 
 def central_difference(f, array: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -43,6 +46,21 @@ def make_moderate_samples(rng: np.random.Generator, n: int, agents: int = 2, ste
         future[0] = 0.0
         samples.append(Sample(states=states, mask=mask, future=future, sample_id=i))
     return samples
+
+
+def oracle_loss(traj, truth, offsets) -> float:
+    """Independent reimplementation of the loss: explicit loops, math-module
+    only, over per-frame coefficients traj.a, traj.b and sigmas traj.sigma_a,
+    traj.sigma_b."""
+    total = 0.0
+    for t in offsets:
+        for coeffs, sigmas, column in ((traj.a, traj.sigma_a, 0), (traj.b, traj.sigma_b, 1)):
+            pred = sum(coeffs[j] * t ** (j + 1) for j in range(len(coeffs)))
+            var = sum(sigmas[j] ** 2 * t ** (2 * (j + 1)) for j in range(len(sigmas)))
+            var += VAR_FLOOR
+            residual = pred - truth[t][column]
+            total += 0.5 * residual**2 / var + 0.5 * math.log(2 * math.pi * var)
+    return total / len(offsets)
 
 
 @pytest.fixture

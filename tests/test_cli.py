@@ -167,6 +167,24 @@ def test_eval_missing_data_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_eval_corrupt_checkpoint_exit_codes(tmp_path, capsys):
+    data_dir = _generate(tmp_path)
+    out_dir = tmp_path / "run"
+    main(["train", *_sets(*TINY, f"data.dir={data_dir}", f"out.dir={out_dir}", "train.steps=1")])
+    lines = (out_dir / "checkpoint.txt").read_text().splitlines()
+    cases = {
+        2: [line for line in lines if not line.startswith("meta model.head ")],
+        3: lines[:-1] + [" ".join(["nan"] + lines[-1].split()[1:])],
+    }
+    for code, corrupt in cases.items():
+        path = tmp_path / f"corrupt_{code}.txt"
+        path.write_text("\n".join(corrupt) + "\n")
+        capsys.readouterr()
+        args = ["eval", "--checkpoint", str(path), *_sets(*TINY, f"data.dir={data_dir}", f"out.dir={out_dir}")]
+        assert main(args) == code
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_train_rerun_is_byte_identical(tmp_path):
     data_dir = _generate(tmp_path)
     out_dir = tmp_path / "run"

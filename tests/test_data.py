@@ -14,7 +14,6 @@ from polytraj.data import (
     build_sample,
     build_samples,
     build_scene,
-    compute_states,
     filter_straight,
     gen_synthetic,
     ingest_ngsim,
@@ -137,35 +136,41 @@ def _two_agent_scene():
 
 def test_state_increments_speed_heading():
     scene = _two_agent_scene()
-    ego_state = compute_states(scene, 1)[0]
-    assert (ego_state.dx, ego_state.dy) == (1.0, 0.0)
-    assert ego_state.v == pytest.approx(10.0)
-    assert ego_state.theta == 0.0
-    assert ego_state.l == 0.0 and ego_state.phi == 0.0
+    sample = build_sample(scene, history_len=3)
+    dx, dy, v, _, theta, l, phi = sample.states[0, 0]  # ego at frame 1
+    assert (dx, dy) == (1.0, 0.0)
+    assert v == pytest.approx(10.0)
+    assert theta == 0.0
+    assert l == 0.0 and phi == 0.0
 
 
 def test_neighbor_polar_coordinates():
     scene = _two_agent_scene()
-    state = compute_states(scene, 2)[1]
+    state = build_sample(scene, history_len=3).states[1, 1]  # neighbor at frame 2
     # neighbor at (5, 4) vs ego at (2, 0): 3 m lateral, 4 m ahead
-    assert state.l == pytest.approx(5.0)
-    assert state.phi == pytest.approx(math.atan2(4.0, 3.0))
+    assert state[5] == pytest.approx(5.0)
+    assert state[6] == pytest.approx(math.atan2(4.0, 3.0))
 
 
 def test_masked_neighbor_is_none_not_error():
     scene = _two_agent_scene()
-    states = compute_states(scene, 1)  # neighbor absent at frame 0
-    assert states[1] is None
+    sample = build_sample(scene, history_len=3)  # neighbor absent at frame 0
+    assert sample.mask[1, 0] == 0.0
+    np.testing.assert_array_equal(sample.states[1, 0], np.zeros(7))
 
 
 def test_states_require_predecessor():
-    with pytest.raises(ValueError):
-        compute_states(_two_agent_scene(), 0)
+    # increments need a predecessor frame: states start at frame 1, and a
+    # history with no frame after the first is rejected
+    sample = build_sample(_two_agent_scene(), history_len=3)
+    assert sample.states.shape[1] == 2  # frames 1 and 2 of frames 0..2
+    with pytest.raises(ConfigError):
+        build_sample(_two_agent_scene(), history_len=1)
 
 
 def test_state_vector_order():
     scene = _two_agent_scene()
-    vec = compute_states(scene, 2)[1].as_vector()
+    vec = build_sample(scene, history_len=3).states[1, 1]
     assert vec.shape == (7,)
     delta = scene.agents[1].positions[2] - scene.agents[1].positions[1]
     assert vec[0] == delta[0] and vec[1] == delta[1]

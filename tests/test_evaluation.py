@@ -52,9 +52,9 @@ class _OffsetPredictor:
     def __init__(self, shifts):
         self.shifts = shifts
 
-    def predict_positions(self, sample, offsets):
-        truth = sample.future[np.asarray(offsets, dtype=int)]
-        return truth + self.shifts[sample.sample_id]
+    def predict_positions(self, samples, offsets):
+        offsets = np.asarray(offsets, dtype=int)
+        return np.stack([s.future[offsets] + self.shifts[s.sample_id] for s in samples])
 
 
 def _samples_with_futures(rng, n, horizon=55):

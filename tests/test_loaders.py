@@ -1,0 +1,153 @@
+"""Loaders of outside input: corrupt checkpoints and NGSim files end in a
+typed PolytrajError, never in a raw exception."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from polytraj.autodiff import load_checkpoint
+from polytraj.data import ingest_ngsim
+from polytraj.errors import DataError, NumericalError, PolytrajError
+from polytraj.model import ModelConfig, TrajectoryModel, load_model, save_model
+
+NGSIM_TEXT = (
+    "Vehicle_ID,Frame_ID,Total_Frames,Local_X,Local_Y,v_Vel,v_Acc\n"
+    "1,10,3,1.0,2.0,30.0,0.5\n"
+    "2,10,3,5.0,9.0,31.0,0.0\n"
+    "1,11,3,1.0,5.0,30.0,0.5\n"
+    "2,11,3,5.0,12.0,31.0,0.0\n"
+    "1,12,3,1.0,8.0,30.0,0.5\n"
+)
+
+# tokens that have broken naive parsers: empty, non-numeric, non-finite,
+# out of range, negative sizes, separators and keywords out of place
+HOSTILE = ["", "x", "nan", "inf", "-inf", "1e400", "1e300", "-1", "0", "9" * 30, ",", '"',
+           "param", "meta", "\x00", "3.5", " "]
+
+
+@pytest.fixture(scope="module")
+def checkpoint_text(tmp_path_factory) -> str:
+    cfg = ModelConfig(units=2, encoder_layers=1, decoder_layers=1, decoder_steps=1, d_x=1, d_y=1)
+    path = tmp_path_factory.mktemp("ckpt") / "model.txt"
+    save_model(TrajectoryModel(cfg, seed=0), path)
+    return path.read_text()
+
+
+def _edit(lines: list[str], edits) -> list[str]:
+    lines = list(lines)
+    for kind, where, token, payload in edits:
+        if not lines:
+            break
+        i = where % len(lines)
+        tokens = lines[i].split(" ")
+        if kind == "delete":
+            del lines[i]
+        elif kind == "truncate":
+            lines[i] = lines[i][: token % (len(lines[i]) + 1)]
+        elif kind == "insert":
+            lines.insert(i, payload)
+        else:
+            tokens[token % len(tokens)] = payload
+            lines[i] = " ".join(tokens)
+    return lines
+
+
+EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["delete", "truncate", "insert", "replace"]),
+        st.integers(0, 1000),
+        st.integers(0, 1000),
+        st.one_of(st.sampled_from(HOSTILE), st.text(max_size=8)),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+# -- checkpoints --------------------------------------------------------------------
+
+
+def _corrupt(tmp_path, text: str):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    return path
+
+
+def test_missing_meta_key_is_data_error(tmp_path, checkpoint_text):
+    text = "\n".join(l for l in checkpoint_text.splitlines() if not l.startswith("meta model.units "))
+    with pytest.raises(DataError, match="model.units"):
+        load_model(_corrupt(tmp_path, text))
+
+
+def test_truncated_param_line_is_data_error(tmp_path, checkpoint_text):
+    lines = checkpoint_text.splitlines()
+    with pytest.raises(DataError):
+        load_checkpoint(_corrupt(tmp_path, "\n".join(lines[:-1] + ["param head.b"])))
+    with pytest.raises(DataError):
+        load_checkpoint(_corrupt(tmp_path, "\n".join(lines[:-1])))  # values line missing
+
+
+def test_non_numeric_value_is_data_error(tmp_path, checkpoint_text):
+    lines = checkpoint_text.splitlines()
+    lines[-1] = " ".join(["zero"] + lines[-1].split()[1:])
+    with pytest.raises(DataError):
+        load_checkpoint(_corrupt(tmp_path, "\n".join(lines)))
+
+
+def test_non_finite_value_is_numerical_error(tmp_path, checkpoint_text):
+    lines = checkpoint_text.splitlines()
+    lines[-1] = " ".join(["nan"] + lines[-1].split()[1:])
+    with pytest.raises(NumericalError, match="head.b"):
+        load_model(_corrupt(tmp_path, "\n".join(lines)))
+
+
+def test_oversized_meta_allocates_nothing(tmp_path, checkpoint_text):
+    text = checkpoint_text.replace("meta model.units 2", "meta model.units 1000000000")
+    with pytest.raises(DataError, match="enc0.w_x"):
+        load_model(_corrupt(tmp_path, text))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(edits=EDITS)
+def test_fuzzed_checkpoint_raises_only_polytraj_errors(tmp_path_factory, checkpoint_text, edits):
+    path = tmp_path_factory.mktemp("fuzz") / "model.txt"
+    path.write_bytes("\n".join(_edit(checkpoint_text.splitlines(), edits)).encode("utf-8", "replace"))
+    try:
+        model, _ = load_model(path)
+    except PolytrajError:
+        return
+    assert all(np.all(np.isfinite(node.data)) for node in model.params.values())
+
+
+# -- NGSim files -----------------------------------------------------------------------
+
+
+def test_ngsim_non_numeric_field_is_data_error(tmp_path):
+    path = tmp_path / "ngsim.csv"
+    path.write_text(NGSIM_TEXT.replace("1,11,3,1.0,5.0", "1,11,3,1.0,five"))
+    with pytest.raises(DataError, match="line 4"):
+        ingest_ngsim(path)
+
+
+def test_ngsim_non_finite_speed_is_data_error(tmp_path):
+    path = tmp_path / "ngsim.csv"
+    path.write_text(NGSIM_TEXT.replace("1,11,3,1.0,5.0,30.0", "1,11,3,1.0,5.0,nan"))
+    with pytest.raises(DataError, match="track 1"):
+        ingest_ngsim(path)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(edits=EDITS, raw=st.binary(max_size=4))
+def test_fuzzed_ngsim_raises_only_polytraj_errors(tmp_path_factory, edits, raw):
+    # cells are edited like checkpoint tokens, with commas for spaces
+    lines = [line.replace(",", " ") for line in NGSIM_TEXT.splitlines()]
+    text = "\n".join(line.replace(" ", ",") for line in _edit(lines, edits))
+    path = tmp_path_factory.mktemp("fuzz") / "ngsim.csv"
+    path.write_bytes(text.encode("utf-8", "replace") + raw)
+    try:
+        tracks = ingest_ngsim(path)
+    except PolytrajError:
+        return
+    for track in tracks:
+        assert np.all(np.isfinite(track.positions)) and np.all(np.isfinite(track.speeds))

@@ -1,9 +1,11 @@
 """Tests for the GRU cell, attention, the full model, and training."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from conftest import assert_close_to_fd, central_difference, make_moderate_samples
+from conftest import assert_close_to_fd, central_difference, make_moderate_samples, oracle_loss
 
 from polytraj.autodiff import Tensor
 from polytraj.data import Sample, gen_synthetic, build_samples
@@ -20,10 +22,10 @@ from polytraj.model import (
     collate,
     gru_cell,
     load_model,
+    moments,
     save_model,
     train,
 )
-from polytraj.poly import trajectory_loss
 
 # -- GRU cell -------------------------------------------------------------------
 
@@ -88,30 +90,48 @@ def test_gru_shape_mismatch_raises():
 # -- attention ------------------------------------------------------------------
 
 
+def _slots(stack):
+    """(n, d) stack -> per-slot list of (1, d) batches."""
+    return [row[np.newaxis] for row in np.asarray(stack, dtype=float)]
+
+
 def test_attention_singleton_returns_value(rng):
     value = rng.normal(0, 1, size=(1, 4))
-    out = attention(rng.normal(0, 1, size=4), rng.normal(0, 1, size=(1, 4)), value)
-    np.testing.assert_allclose(out, value[0])
+    out = attention(rng.normal(0, 1, size=(1, 4)), _slots(rng.normal(0, 1, size=(1, 4))), _slots(value), np.ones((1, 1)))
+    np.testing.assert_allclose(out, value)
 
 
 def test_attention_identical_keys_average_values(rng):
     key = rng.normal(0, 1, size=4)
     values = rng.normal(0, 1, size=(2, 4))
-    out = attention(rng.normal(0, 1, size=4), np.stack([key, key]), values)
-    np.testing.assert_allclose(out, values.mean(axis=0))
+    out = attention(rng.normal(0, 1, size=(1, 4)), _slots([key, key]), _slots(values), np.ones((1, 2)))
+    np.testing.assert_allclose(out[0], values.mean(axis=0))
 
 
 def test_attention_orthogonal_query_gives_mean(rng):
     # all scores equal -> uniform softmax
-    query = np.array([0.0, 0.0, 1.0])
+    query = np.array([[0.0, 0.0, 1.0]])
     keys = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 2.0, 0.0]])
     values = rng.normal(0, 1, size=(3, 3))
-    np.testing.assert_allclose(attention(query, keys, values), values.mean(axis=0))
+    out = attention(query, _slots(keys), _slots(values), np.ones((1, 3)))
+    np.testing.assert_allclose(out[0], values.mean(axis=0))
 
 
 def test_attention_rejects_empty_keys():
     with pytest.raises(ShapeError):
-        attention(np.zeros(3), np.zeros((0, 3)), np.zeros((0, 3)))
+        attention(np.zeros((1, 3)), [], [], np.zeros((1, 0)))
+
+
+def test_attention_absent_slot_gets_zero_weight(rng):
+    # a padded slot, even with a huge value, changes no bit of the output
+    query = rng.normal(0, 1, size=(2, 4))
+    keys = rng.normal(0, 1, size=(3, 2, 4))
+    values = rng.normal(0, 1, size=(3, 2, 4))
+    values[1, 0] = 1e6
+    present = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
+    out = attention(query, list(keys), list(values), present)
+    without = attention(query[:1], [keys[0, :1], keys[2, :1]], [values[0, :1], values[2, :1]], np.ones((1, 2)))
+    np.testing.assert_array_equal(out[:1], without)
 
 
 # -- config and forward ------------------------------------------------------------
@@ -128,16 +148,22 @@ def test_head_offsets_for_coordinates():
     assert cfg.output_dim == 8
 
 
+def _forward(model, sample):
+    """Raw head output for one sample, through the batched inference path."""
+    states, mask = collate([sample])
+    return model.forward_batch(states, mask, train=False)[0]
+
+
 def test_zero_head_polynomial_is_origin_everywhere(rng):
     samples = make_moderate_samples(rng, 1)
     model = TrajectoryModel(ModelConfig(units=6, d_x=3, d_y=2), seed=3)
     model.zero_head()
-    traj = model.predict(samples[0])
-    np.testing.assert_array_equal(traj.a, np.zeros(3))
-    np.testing.assert_array_equal(traj.b, np.zeros(2))
-    assert np.all(traj.sigma_a > 0)
-    positions = model.predict_positions(samples[0], [1, 10, 50])
-    np.testing.assert_array_equal(positions, np.zeros((3, 2)))
+    raw = _forward(model, samples[0])[np.newaxis]
+    for mean, var in moments(model.config, raw, [[1, 10, 50]]):
+        np.testing.assert_array_equal(mean, np.zeros((1, 3)))
+        assert np.all(var > 0)
+    positions = model.predict_positions(samples, [1, 10, 50])
+    np.testing.assert_array_equal(positions, np.zeros((1, 3, 2)))
 
 
 def test_zero_head_coordinates_all_zero(rng):
@@ -145,8 +171,28 @@ def test_zero_head_coordinates_all_zero(rng):
     cfg = ModelConfig(head=COORDINATES, anchor_mode="fixed", anchor_count=3, horizon=30, units=6)
     model = TrajectoryModel(cfg, seed=3)
     model.zero_head()
-    prediction = model.predict(samples[0])
-    np.testing.assert_array_equal(prediction.points, np.zeros((3, 2)))
+    points = model.predict_positions(samples, cfg.head_offsets)
+    np.testing.assert_array_equal(points, np.zeros((1, 3, 2)))
+
+
+def test_coordinate_moments_select_requested_offsets(rng):
+    samples = make_moderate_samples(rng, 2)
+    cfg = ModelConfig(head=COORDINATES, anchor_mode="fixed", anchor_count=5, horizon=50, units=6)
+    model = TrajectoryModel(cfg, seed=3)
+    every = model.predict_positions(samples, cfg.head_offsets)
+    np.testing.assert_array_equal(model.predict_positions(samples, [50, 20]), every[:, [4, 1]])
+    with pytest.raises(ConfigError, match="25"):
+        model.predict_positions(samples, [20, 25])
+
+
+def test_batched_prediction_matches_single_samples(rng):
+    # padded agent slots change nothing; only the BLAS kernel choice for a
+    # batch of one differs, at the last bits
+    samples = [make_moderate_samples(rng, 1, agents=n)[0] for n in (1, 3, 2)]
+    model = TrajectoryModel(ModelConfig(units=6), seed=4)
+    batched = model.predict_positions(samples, [5, 25, 50])
+    for i, sample in enumerate(samples):
+        np.testing.assert_allclose(batched[i], model.predict_positions([sample], [5, 25, 50])[0], rtol=1e-12, atol=1e-14)
 
 
 def test_history_length_one_and_five_both_accepted(rng):
@@ -157,7 +203,7 @@ def test_history_length_one_and_five_both_accepted(rng):
             mask=np.ones((1, steps)),
             future=np.zeros((60, 2)),
         )
-        out = model.forward(sample)
+        out = _forward(model, sample)
         assert out.shape == (model.config.output_dim,)
 
 
@@ -165,13 +211,13 @@ def test_empty_history_rejected(rng):
     model = TrajectoryModel(ModelConfig(units=5), seed=0)
     sample = Sample(states=np.zeros((1, 0, 7)), mask=np.zeros((1, 0)), future=np.zeros((60, 2)))
     with pytest.raises(DataError):
-        model.forward(sample)
+        _forward(model, sample)
 
 
 def test_forward_deterministic_across_rebuilds(rng):
     samples = make_moderate_samples(rng, 1, agents=3)
-    out1 = TrajectoryModel(ModelConfig(units=8), seed=(7, 7)).forward(samples[0])
-    out2 = TrajectoryModel(ModelConfig(units=8), seed=(7, 7)).forward(samples[0])
+    out1 = _forward(TrajectoryModel(ModelConfig(units=8), seed=(7, 7)), samples[0])
+    out2 = _forward(TrajectoryModel(ModelConfig(units=8), seed=(7, 7)), samples[0])
     np.testing.assert_array_equal(out1, out2)
 
 
@@ -179,14 +225,14 @@ def test_neighbor_permutation_invariance(rng):
     samples = make_moderate_samples(rng, 1, agents=4)
     sample = samples[0]
     model = TrajectoryModel(ModelConfig(units=8), seed=11)
-    base = model.forward(sample)
+    base = _forward(model, sample)
     order = [0, 3, 1, 2]  # reference agent stays in slot 0
     shuffled = Sample(
         states=sample.states[order],
         mask=sample.mask[order],
         future=sample.future,
     )
-    np.testing.assert_allclose(model.forward(shuffled), base, atol=1e-12)
+    np.testing.assert_allclose(_forward(model, shuffled), base, atol=1e-12)
 
 
 def test_train_and_inference_paths_agree(rng):
@@ -202,12 +248,21 @@ def test_train_and_inference_paths_agree(rng):
 
 
 def test_batch_loss_equals_trajectory_loss_contract(rng):
+    # the batched loss equals the per-anchor scalar definition on the
+    # model's own head output, decoded to per-frame coefficients here
     samples = make_moderate_samples(rng, 1)
     model = TrajectoryModel(ModelConfig(units=6, d_x=3, d_y=3), seed=9)
     schedule = [7, 21, 42]
     loss, _ = batch_loss(model, samples, np.array([schedule]), train=False)
-    traj = model.predict(samples[0])
-    expected = trajectory_loss(traj, samples[0].future, schedule)
+    raw = _forward(model, samples[0])
+    unscale = model.config.time_scale ** np.arange(3)
+    traj = SimpleNamespace(
+        a=raw[0:3] / unscale,
+        b=raw[3:6] / unscale,
+        sigma_a=np.exp(raw[6:9]) / unscale,
+        sigma_b=np.exp(raw[9:12]) / unscale,
+    )
+    expected = oracle_loss(traj, samples[0].future, schedule)
     assert float(loss) == pytest.approx(expected, rel=1e-12)
 
 
@@ -338,7 +393,7 @@ def test_save_load_round_trip_preserves_predictions(tmp_path, rng):
     restored, meta = load_model(path)
     assert meta["fingerprint"] == "abc"
     assert restored.config == model.config
-    np.testing.assert_array_equal(restored.forward(samples[0]), model.forward(samples[0]))
+    np.testing.assert_array_equal(_forward(restored, samples[0]), _forward(model, samples[0]))
 
 
 def test_collate_pads_variable_agent_counts(rng):

@@ -1,45 +1,56 @@
-"""Tests for polynomial evaluation, variance propagation, and the NLL loss."""
+"""Tests for the polynomial moments and the NLL loss."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import make_moderate_samples, oracle_loss
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polytraj.autodiff import Tensor
 from polytraj.errors import DataError, NumericalError
-from polytraj.poly import (
-    VAR_FLOOR,
-    PointPrediction,
-    PolyTrajectory,
-    eval_poly,
-    eval_traj,
-    gaussian_nll,
-    propagate_variance,
-    trajectory_loss,
-)
+from polytraj.model import ModelConfig, TrajectoryModel, batch_loss
+from polytraj.poly import VAR_FLOOR, gaussian_nll, moments
 
-# -- eval_poly -------------------------------------------------------------
+
+def _mean(coeffs, t):
+    """Unscaled polynomial sum_j c_j t^j at one offset, via moments."""
+    c = np.asarray([coeffs], dtype=float)
+    return float(moments(c, np.zeros_like(c), [[t]])[0][0, 0])
+
+
+def _var(sigma, t):
+    """Positional variance sum_j sigma_j^2 t^(2j) at one offset, via moments."""
+    s = np.asarray([sigma], dtype=float)
+    return float(moments(np.zeros_like(s), s**2, [[t]])[1][0, 0])
+
+
+# -- polynomial mean -------------------------------------------------------------
 
 
 def test_linear_term():
-    assert eval_poly([1.0], 3) == 3.0
+    assert _mean([1.0], 3) == 3.0
 
 
 def test_quadratic_term():
-    assert eval_poly([0.0, 2.0], 3) == 18.0
+    assert _mean([0.0, 2.0], 3) == 18.0
 
 
 def test_origin_at_zero_offset():
-    assert eval_poly([4.2, -1.3, 0.7], 0) == 0.0
+    assert _mean([4.2, -1.3, 0.7], 0) == 0.0
 
 
-def test_rejects_non_finite():
-    with pytest.raises(NumericalError):
-        eval_poly([math.nan], 1)
-    with pytest.raises(NumericalError):
-        eval_poly([1.0], math.inf)
+def test_rejects_non_finite(rng):
+    # the finite guard on decoded predictions: a non-finite coefficient
+    # anywhere in the head stops evaluation with the sample named
+    samples = make_moderate_samples(rng, 2)
+    model = TrajectoryModel(ModelConfig(units=4), seed=0)
+    model.predict_positions(samples, [1, 10])
+    model.params["head.b"].data[0] = math.nan
+    with pytest.raises(NumericalError, match=r"sample\(s\) \[0, 1\]"):
+        model.predict_positions(samples, [1, 10])
 
 
 @settings(max_examples=60, derandomize=True)
@@ -49,29 +60,36 @@ def test_rejects_non_finite():
     t=st.integers(0, 55),
 )
 def test_linear_in_coefficients(c1, c2, t):
-    combined = eval_poly(np.add(c1, c2), t)
-    assert combined == pytest.approx(eval_poly(c1, t) + eval_poly(c2, t), rel=1e-12, abs=1e-9)
+    combined = _mean(np.add(c1, c2), t)
+    assert combined == pytest.approx(_mean(c1, t) + _mean(c2, t), rel=1e-12, abs=1e-9)
 
 
-# -- propagate_variance -------------------------------------------------------
+def test_scaled_moments_equal_unscaled_coefficients(rng):
+    # c_j parameterizes scale * sum c_j (t/scale)^j = sum c_j scale^(1-j) t^j
+    c = rng.normal(0, 1, size=(4, 3))
+    v = rng.uniform(0.01, 1, size=(4, 3))
+    t = rng.integers(0, 56, size=(4, 5))
+    unscale = 50.0 ** (np.arange(1, 4) - 1.0)
+    mean, var = moments(c, v, t, 50.0)
+    plain_mean, plain_var = moments(c / unscale, v / unscale**2, t)
+    np.testing.assert_allclose(mean, plain_mean, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(var, plain_var, rtol=1e-12)
+
+
+# -- positional variance ----------------------------------------------------------
 
 
 def test_variance_hand_example():
     # 0.1^2 * 2^2 + 0.2^2 * (2^2)^2
-    assert propagate_variance([0.1, 0.2], 2) == pytest.approx(0.68, rel=1e-12)
+    assert _var([0.1, 0.2], 2) == pytest.approx(0.68, rel=1e-12)
 
 
 def test_variance_zero_sigma():
-    assert propagate_variance([0.0, 0.0, 0.0], 17) == 0.0
+    assert _var([0.0, 0.0, 0.0], 17) == 0.0
 
 
 def test_variance_identity_case():
-    assert propagate_variance([1.0], 1) == 1.0
-
-
-def test_variance_rejects_negative_sigma():
-    with pytest.raises(ValueError):
-        propagate_variance([0.1, -0.2], 2)
+    assert _var([1.0], 1) == 1.0
 
 
 def test_variance_matches_monte_carlo(rng):
@@ -82,7 +100,7 @@ def test_variance_matches_monte_carlo(rng):
         powers = float(t) ** np.arange(1, 4)
         draws = rng.normal(0.0, sigma, size=(200_000, 3))
         empirical = float(np.var(draws @ powers))
-        assert propagate_variance(sigma, t) == pytest.approx(empirical, rel=0.02)
+        assert _var(sigma, t) == pytest.approx(empirical, rel=0.02)
 
 
 @settings(max_examples=40, derandomize=True)
@@ -91,7 +109,7 @@ def test_variance_matches_monte_carlo(rng):
     t=st.integers(1, 54),
 )
 def test_variance_non_decreasing_in_offset(sigma, t):
-    assert propagate_variance(sigma, t + 1) >= propagate_variance(sigma, t)
+    assert _var(sigma, t + 1) >= _var(sigma, t)
 
 
 # -- gaussian_nll ---------------------------------------------------------------
@@ -140,11 +158,12 @@ def test_nll_calibrated_at_squared_residual(residual):
     assert best <= gaussian_nll(residual, residual**2 * 0.95, 0.0)
 
 
-# -- eval_traj / trajectory_loss ----------------------------------------------------
+# -- moments in the loss: batch_loss on a known head --------------------------------
 
 
 def _traj(a, b, sa=None, sb=None):
-    return PolyTrajectory(
+    """Per-frame coefficients a (lateral) and b (longitudinal) with sigmas."""
+    return SimpleNamespace(
         a=np.asarray(a, dtype=float),
         b=np.asarray(b, dtype=float),
         sigma_a=np.zeros(len(a)) if sa is None else np.asarray(sa, dtype=float),
@@ -152,64 +171,66 @@ def _traj(a, b, sa=None, sb=None):
     )
 
 
+def _model_emitting(traj):
+    """A polynomial model whose head outputs `traj` for every input: the head
+    weights are zero and the bias holds the raw scaled coefficients."""
+    cfg = ModelConfig(units=3, d_x=traj.a.size, d_y=traj.b.size, decoder_steps=1)
+    model = TrajectoryModel(cfg, seed=0)
+    model.zero_head()
+    unscale_x = cfg.time_scale ** (np.arange(1, cfg.d_x + 1) - 1.0)
+    unscale_y = cfg.time_scale ** (np.arange(1, cfg.d_y + 1) - 1.0)
+    with np.errstate(divide="ignore"):  # a zero sigma is log-sigma -inf, variance 0
+        model.params["head.b"].data[:] = np.concatenate([
+            traj.a * unscale_x,
+            traj.b * unscale_y,
+            np.log(traj.sigma_a * unscale_x),
+            np.log(traj.sigma_b * unscale_y),
+        ])
+    return model
+
+
+def _loss(traj, truth, offsets):
+    sample = make_moderate_samples(np.random.default_rng(0), 1, horizon=truth.shape[0] - 1)[0]
+    sample.future[:] = truth
+    loss, _ = batch_loss(_model_emitting(traj), [sample], np.array([offsets]), train=False)
+    return float(loss)
+
+
 def test_eval_traj_linear_positions():
-    points = eval_traj(_traj([1.0], [2.0]), [1, 2])
-    assert [(p.x, p.y) for p in points] == [(1.0, 2.0), (2.0, 4.0)]
+    mean, _ = moments(np.array([[1.0], [2.0]]), np.zeros((2, 1)), [[1, 2], [1, 2]])
+    assert mean.T.tolist() == [[1.0, 2.0], [2.0, 4.0]]
 
 
 def test_eval_traj_zero_sigma_gives_zero_variance():
-    points = eval_traj(_traj([1.0, 1.0], [0.5]), [1, 2, 7])
-    assert all(p.var_x == 0.0 and p.var_y == 0.0 for p in points)
+    _, var = moments(np.array([[1.0, 1.0], [0.5, 0.0]]), np.zeros((2, 2)), [[1, 2, 7]] * 2)
+    assert np.all(var == 0.0)
 
 
 def test_eval_traj_quadratic():
-    (point,) = eval_traj(_traj([1.0, 1.0], [1.0]), [2])
-    assert point.x == 6.0
-
-
-def test_point_prediction_rejects_negative_variance():
-    with pytest.raises(ValueError):
-        PointPrediction(t=1, x=0, y=0, var_x=-0.1, var_y=0)
+    assert _mean([1.0, 1.0], 2) == 6.0
 
 
 def test_loss_zero_for_perfect_calibrated_prediction():
-    p = _traj([1.0], [2.0])
     truth = np.array([[0.0, 0.0], [1.0, 2.0], [2.0, 4.0]])
     # variance exactly 1/(2 pi) at t=1 makes the density 1 there
-    calibrated = PolyTrajectory(
-        a=p.a, b=p.b,
-        sigma_a=np.array([math.sqrt(1 / (2 * math.pi))]),
-        sigma_b=np.array([math.sqrt(1 / (2 * math.pi))]),
+    calibrated = _traj(
+        [1.0], [2.0], sa=[math.sqrt(1 / (2 * math.pi))], sb=[math.sqrt(1 / (2 * math.pi))]
     )
-    loss = trajectory_loss(calibrated, truth, [1])
-    assert loss == pytest.approx(0.0, abs=1e-4)
+    assert _loss(calibrated, truth, [1]) == pytest.approx(0.0, abs=1e-4)
 
 
 def test_loss_single_anchor_is_sum_of_two_nll_terms():
     p = _traj([1.5], [0.5], sa=[0.2], sb=[0.4])
     truth = np.array([[0.0, 0.0], [0.0, 0.0], [2.0, 2.0]])
     expected = gaussian_nll(3.0, 0.04 * 4, 2.0) + gaussian_nll(1.0, 0.16 * 4, 2.0)
-    assert trajectory_loss(p, truth, [2]) == pytest.approx(expected, rel=1e-12)
+    assert _loss(p, truth, [2]) == pytest.approx(expected, rel=1e-12)
 
 
 def test_loss_errors_beyond_truth_length():
     p = _traj([1.0], [1.0])
     truth = np.zeros((5, 2))
     with pytest.raises(DataError):
-        trajectory_loss(p, truth, [2, 6])
-
-
-def _oracle_loss(traj, truth, offsets):
-    """Independent reimplementation: explicit loops, math-module only."""
-    total = 0.0
-    for t in offsets:
-        for coeffs, sigmas, column in ((traj.a, traj.sigma_a, 0), (traj.b, traj.sigma_b, 1)):
-            pred = sum(coeffs[j] * t ** (j + 1) for j in range(len(coeffs)))
-            var = sum(sigmas[j] ** 2 * t ** (2 * (j + 1)) for j in range(len(sigmas)))
-            var += VAR_FLOOR
-            residual = pred - truth[t][column]
-            total += 0.5 * residual**2 / var + 0.5 * math.log(2 * math.pi * var)
-    return total / len(offsets)
+        _loss(p, truth, [2, 6])
 
 
 def test_loss_matches_brute_force_oracle(rng):
@@ -224,6 +245,6 @@ def test_loss_matches_brute_force_oracle(rng):
         offsets = np.sort(rng.choice(np.arange(1, 56), size=4, replace=False)).tolist()
         truth = rng.normal(0, 10, size=(56, 2))
         truth[0] = 0
-        assert trajectory_loss(traj, truth, offsets) == pytest.approx(
-            _oracle_loss(traj, truth, offsets), rel=1e-12, abs=1e-12
+        assert _loss(traj, truth, offsets) == pytest.approx(
+            oracle_loss(traj, truth, offsets), rel=1e-12, abs=1e-12
         )

@@ -1,0 +1,29 @@
+"""Tests for the studies' sample handling."""
+
+import pytest
+
+from conftest import make_moderate_samples
+
+from polytraj.errors import DataError
+from polytraj.model import ModelConfig, TrainSettings
+from polytraj.studies import extrapolation_study
+
+BASE = ModelConfig(units=3, decoder_steps=1, d_x=2, d_y=2)
+SETTINGS = TrainSettings(lr=0.01, epochs=1, batch=4, seed=(0, 0))
+
+
+def test_extrapolation_skips_short_samples_for_every_curve(rng):
+    train_samples = make_moderate_samples(rng, 4, horizon=60)
+    long_samples = make_moderate_samples(rng, 3, horizon=60)
+    short_samples = make_moderate_samples(rng, 2, horizon=45)
+    mixed = [short_samples[0], *long_samples[:2], short_samples[1], long_samples[2]]
+
+    report, _ = extrapolation_study(train_samples, mixed, BASE, SETTINGS)
+    expected, _ = extrapolation_study(train_samples, long_samples, BASE, SETTINGS)
+    assert [s.label for s in report.series] == ["poly", "coord-fit-deg1", "coord-fit-deg2"]
+    for got, want in zip(report.series, expected.series):
+        assert got.offsets == want.offsets
+        assert got.values == want.values
+
+    with pytest.raises(DataError, match="six-second"):
+        extrapolation_study(train_samples, short_samples, BASE, SETTINGS)
