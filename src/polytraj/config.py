@@ -80,9 +80,7 @@ class RunConfig:
             raise ConfigError(f"unknown config key {key!r}")
         default = DEFAULTS[key][0]
         try:
-            if isinstance(default, bool):
-                coerced = value in ("1", "true", "True", True)
-            elif isinstance(default, int):
+            if isinstance(default, int):
                 coerced = int(str(value))
             elif isinstance(default, float):
                 coerced = float(str(value))
@@ -114,10 +112,6 @@ class RunConfig:
         if not offsets:
             raise ConfigError("eval.offsets must name at least one offset")
         return offsets
-
-    def write(self, path) -> None:
-        lines = [f"{key} = {value}" for key, value in self.items()]
-        Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_config(path=None, overrides: list[str] | None = None) -> RunConfig:

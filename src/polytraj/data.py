@@ -1,11 +1,17 @@
-"""Dataset handling: NGSim-format ingestion, synthetic generation, features.
+"""Dataset handling: NGSim-format ingestion, synthetic scenes, scene files
+and model-ready samples.
 
-Tracks are fixed-rate sequences of 2-D positions (x lateral, y longitudinal,
-metres).  They are cut into fixed-length segments, split temporally into
-train and test, optionally thinned of straight constant-velocity segments,
-and turned into scenes (one reference agent plus nearby neighbors) and
-samples (per-agent state histories plus the reference agent's future in
-its own frame at the current time step).
+A track is one agent's fixed-rate sequence of 2-D positions (x lateral,
+y longitudinal, metres); `ingest_ngsim` splits a vehicle's rows into
+tracks at frame gaps.  Tracks are cut into fixed-length segments, split
+temporally into train and test, and turned into scenes: a window of
+frames with one reference agent and its nearest neighbours, each aligned
+on the window by `_align` and masked where absent.  `gen_synthetic`
+builds scenes directly.  Scenes go to disk and back as CSV files
+(`write_scene`, `read_scene`, which also aligns through `_align`).
+`build_sample` turns a scene into per-agent state histories, computed on
+whole arrays, plus the reference agent's future in its own frame at the
+current time step.
 """
 
 from __future__ import annotations
@@ -28,17 +34,15 @@ DEFAULT_FRAME_RATE = 10.0
 
 NGSIM_COLUMNS = ("Vehicle_ID", "Frame_ID", "Local_X", "Local_Y", "v_Vel", "v_Acc")
 
-CACHE_HEADER = ["agent_id", "frame", "x_m", "y_m", "v", "a"]
+SCENE_HEADER = ["agent_id", "frame", "x_m", "y_m", "v", "a"]
 
 SYNTHETIC_KINDS = ("const_vel", "const_acc", "lane_change", "arc", "mixed")
 
+# defaults of the gen_synthetic parameters that shape the reference path
+SYNTHETIC_DEFAULTS = {"speed_min": 8.0, "speed_max": 16.0, "accel_max": 2.0, "lane_offset_m": 3.5,
+                      "lane_mid_min": 0.35, "lane_mid_max": 0.65, "lane_steepness": 0.25}
+
 STATE_DIM = 7
-
-
-def _wrap_angle(angle: float) -> float:
-    """Normalize to (-pi, pi]."""
-    wrapped = (angle + math.pi) % (2.0 * math.pi) - math.pi
-    return math.pi if wrapped == -math.pi else wrapped
 
 
 @dataclass
@@ -125,11 +129,39 @@ class Sample:
     sample_id: int = 0
 
 
+def _align(window: np.ndarray, agent_id: int, frames, positions, speeds=None, accels=None):
+    """Place an agent's rows on a sorted window of frames.
+
+    Returns the SceneAgent, zero and absent at window frames it has no row
+    for, and a boolean mask over the rows marking those that landed on a
+    window frame.
+    """
+    slot = np.minimum(np.searchsorted(window, frames), window.size - 1)
+    landed = window[slot] == frames
+    slot = slot[landed]
+    present = np.zeros(window.size, dtype=bool)
+    present[slot] = True
+
+    def place(values):
+        if values is None:
+            return None
+        values = np.asarray(values)
+        placed = np.zeros((window.size,) + values.shape[1:], dtype=np.float64)
+        placed[slot] = values[landed]
+        return placed
+
+    return SceneAgent(agent_id, present, place(positions), place(speeds), place(accels)), landed
+
+
 # -- ingestion ----------------------------------------------------------------
 
 
 def ingest_ngsim(csv_path, frame_rate: float = DEFAULT_FRAME_RATE) -> list[Track]:
-    """Read an NGSim-format CSV into per-vehicle tracks (feet -> metres)."""
+    """Read an NGSim-format CSV into per-vehicle tracks (feet -> metres).
+
+    A vehicle's track is split wherever its frame step exceeds its smallest
+    step; pieces shorter than 2 frames are dropped.
+    """
     path = Path(csv_path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
@@ -144,204 +176,106 @@ def ingest_ngsim(csv_path, frame_rate: float = DEFAULT_FRAME_RATE) -> list[Track
                 if column not in header:
                     raise DataError(f"missing column '{column}' in {path}")
             idx = {column: header.index(column) for column in NGSIM_COLUMNS}
-            for row in reader:
-                if not row:
-                    continue
+            for row in filter(None, reader):
                 vid = int(float(row[idx["Vehicle_ID"]]))
                 frame = int(float(row[idx["Frame_ID"]]))
                 if abs(frame) >= 2**53:
                     raise ValueError(f"frame {frame} out of range")
-                rows_by_vehicle.setdefault(vid, []).append(
-                    (
-                        frame,
-                        float(row[idx["Local_X"]]),
-                        float(row[idx["Local_Y"]]),
-                        float(row[idx["v_Vel"]]),
-                        float(row[idx["v_Acc"]]),
-                    )
-                )
+                values = (float(row[idx[column]]) for column in NGSIM_COLUMNS[2:])
+                rows_by_vehicle.setdefault(vid, []).append((frame, *values))
         except (ValueError, IndexError, OverflowError, csv.Error) as exc:
             raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
     tracks = []
+    splits = dropped = 0
     for vid in sorted(rows_by_vehicle):
         rows = sorted(rows_by_vehicle[vid], key=lambda r: r[0])
         frames = np.array([r[0] for r in rows], dtype=np.int64)
-        if np.any(np.diff(frames) <= 0):
+        steps = np.diff(frames)
+        if np.any(steps <= 0):
             raise DataError(f"track {vid}: non-monotone frames")
-        data = np.array([r[1:] for r in rows], dtype=np.float64)
+        data = np.array([r[1:] for r in rows], dtype=np.float64) * FEET_TO_METRES
         if not np.all(np.isfinite(data)):
             raise DataError(f"track {vid}: non-finite values")
-        tracks.append(
-            Track(
-                agent_id=vid,
-                frames=frames,
-                positions=data[:, 0:2] * FEET_TO_METRES,
-                speeds=data[:, 2] * FEET_TO_METRES,
-                accels=data[:, 3] * FEET_TO_METRES,
-                frame_rate=frame_rate,
-            )
-        )
+        cuts = np.flatnonzero(steps > steps.min()) + 1 if steps.size else []
+        splits += len(cuts)
+        for piece_frames, piece in zip(np.split(frames, cuts), np.split(data, cuts)):
+            if piece_frames.size < 2:
+                dropped += 1
+            else:
+                tracks.append(Track(vid, piece_frames, piece[:, :2], piece[:, 2], piece[:, 3], frame_rate))
+    if splits or dropped:
+        log.warning("split tracks at %d frame gap(s); dropped %d piece(s) shorter than 2 frames", splits, dropped)
     return tracks
 
 
-# -- cache files ---------------------------------------------------------------
-
-
-def _format_value(value: float | None) -> str:
-    return "" if value is None else repr(float(value))
-
-
-def _agent_rows(agent_id: int, frames, positions, speeds, accels):
-    for i, frame in enumerate(frames):
-        yield [
-            str(int(agent_id)),
-            str(int(frame)),
-            repr(float(positions[i, 0])),
-            repr(float(positions[i, 1])),
-            _format_value(None if speeds is None else speeds[i]),
-            _format_value(None if accels is None else accels[i]),
-        ]
-
-
-def write_tracks(tracks: Sequence[Track], path) -> None:
-    """Write tracks to the cache CSV; floats use repr so they round-trip."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CACHE_HEADER)
-        for track in sorted(tracks, key=lambda t: t.agent_id):
-            writer.writerows(
-                _agent_rows(track.agent_id, track.frames, track.positions, track.speeds, track.accels)
-            )
-
-
-def read_tracks(path, frame_rate: float = DEFAULT_FRAME_RATE) -> list[Track]:
-    """Read a cache CSV written by write_tracks."""
-    groups = _read_cache_groups(path)
-    tracks = []
-    for agent_id, rows in groups:
-        frames = np.array([r[0] for r in rows], dtype=np.int64)
-        positions = np.array([[r[1], r[2]] for r in rows], dtype=np.float64)
-        speeds = None if any(r[3] is None for r in rows) else np.array([r[3] for r in rows])
-        accels = None if any(r[4] is None for r in rows) else np.array([r[4] for r in rows])
-        tracks.append(Track(agent_id, frames, positions, speeds, accels, frame_rate))
-    return tracks
-
-
-def _read_cache_groups(path):
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CACHE_HEADER:
-            raise DataError(f"bad cache header in {path}: {header}")
-        order: list[int] = []
-        rows_by_agent: dict[int, list] = {}
-        for row in reader:
-            agent_id = int(row[0])
-            parsed = (
-                int(row[1]),
-                float(row[2]),
-                float(row[3]),
-                float(row[4]) if row[4] else None,
-                float(row[5]) if row[5] else None,
-            )
-            if agent_id not in rows_by_agent:
-                order.append(agent_id)
-                rows_by_agent[agent_id] = []
-            rows_by_agent[agent_id].append(parsed)
-    return [(agent_id, rows_by_agent[agent_id]) for agent_id in order]
+# -- scene files -----------------------------------------------------------------
 
 
 def write_scene(scene: Scene, path) -> None:
     """Write one scene: reference agent's rows first, then each neighbor's,
-    with absent frames simply omitted."""
+    with absent frames simply omitted; floats use repr so they round-trip."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CACHE_HEADER)
+        writer.writerow(SCENE_HEADER)
         for agent in scene.agents:
-            present = np.flatnonzero(agent.present)
-            writer.writerows(
-                _agent_rows(
-                    agent.agent_id,
-                    scene.frames[present],
-                    agent.positions[present],
-                    None if agent.speeds is None else agent.speeds[present],
-                    None if agent.accels is None else agent.accels[present],
-                )
-            )
+            rows = np.flatnonzero(agent.present)
+            columns = [[int(agent.agent_id)] * rows.size, scene.frames[rows].tolist()]
+            for values in (agent.positions[:, 0], agent.positions[:, 1], agent.speeds, agent.accels):
+                # str of a Python float is its repr
+                columns.append([""] * rows.size if values is None else values[rows].astype(float).tolist())
+            writer.writerows(zip(*columns))
 
 
 def read_scene(path, frame_rate: float = DEFAULT_FRAME_RATE) -> Scene:
-    """Read a scene file; the first agent block is the reference agent."""
-    groups = _read_cache_groups(path)
-    if not groups:
+    """Read a scene file; the first agent block is the reference agent,
+    whose frames, strictly increasing, make the window.
+
+    An empty v or a field means "not recorded", and the agent then has no
+    speeds or accels; every other value must be a finite number.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"no such file: {path}")
+    rows_by_agent: dict[int, list[tuple]] = {}  # in order of first appearance
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header != SCENE_HEADER:
+                raise DataError(f"bad scene header in {path}: {header}")
+            for agent_id, frame, x, y, v, a in filter(None, reader):
+                rows_by_agent.setdefault(int(agent_id), []).append(
+                    (int(frame), float(x), float(y), float(v) if v else None, float(a) if a else None)
+                )
+        except (ValueError, csv.Error) as exc:
+            raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
+    if not rows_by_agent:
         raise DataError(f"scene file {path} has no rows")
-    ego_rows = groups[0][1]
-    frames = np.array([r[0] for r in ego_rows], dtype=np.int64)
-    frame_index = {int(f): i for i, f in enumerate(frames)}
+    window = None
     agents = []
-    for agent_id, rows in groups:
-        present = np.zeros(frames.size, dtype=bool)
-        positions = np.zeros((frames.size, 2), dtype=np.float64)
-        speeds = np.zeros(frames.size, dtype=np.float64)
-        accels = np.zeros(frames.size, dtype=np.float64)
-        have_speeds = have_accels = True
-        for frame, x, y, v, a in rows:
-            i = frame_index.get(frame)
-            if i is None:
-                raise DataError(f"scene agent {agent_id} has frame {frame} outside the window")
-            present[i] = True
-            positions[i] = (x, y)
-            if v is None:
-                have_speeds = False
-            else:
-                speeds[i] = v
-            if a is None:
-                have_accels = False
-            else:
-                accels[i] = a
-        agents.append(
-            SceneAgent(
-                agent_id=agent_id,
-                present=present,
-                positions=positions,
-                speeds=speeds if have_speeds else None,
-                accels=accels if have_accels else None,
-            )
+    for agent_id, rows in rows_by_agent.items():
+        frames, xs, ys, speeds, accels = zip(*rows)
+        try:
+            frames = np.array(frames, dtype=np.int64)
+        except OverflowError:
+            raise DataError(f"{path}: scene agent {agent_id} has a frame out of range") from None
+        if window is None:
+            if np.any(np.diff(frames) <= 0):
+                raise DataError(f"{path}: reference agent's frames are not strictly increasing")
+            window = frames
+        agent, landed = _align(
+            window, agent_id, frames, np.stack([xs, ys], axis=1),
+            None if None in speeds else speeds, None if None in accels else accels,
         )
-    return Scene(frames=frames, agents=agents, frame_rate=frame_rate)
-
-
-# -- per-frame state features ---------------------------------------------------
-
-
-def _derived_speed(agent: SceneAgent, t: int, frame_rate: float) -> float:
-    delta = agent.positions[t] - agent.positions[t - 1]
-    return float(np.hypot(delta[0], delta[1])) * frame_rate
-
-
-def _state_vector(scene: Scene, agent_index: int, t: int) -> np.ndarray | None:
-    agent = scene.agents[agent_index]
-    if not (agent.present[t] and agent.present[t - 1]):
-        return None
-    delta = agent.positions[t] - agent.positions[t - 1]
-    if agent.speeds is not None:
-        v = float(agent.speeds[t])
-    else:
-        v = _derived_speed(agent, t, scene.frame_rate)
-    if agent.accels is not None:
-        alpha = float(agent.accels[t])
-    elif t >= 2 and agent.present[t - 2]:
-        alpha = (v - _derived_speed(agent, t - 1, scene.frame_rate)) * scene.frame_rate
-    else:
-        alpha = 0.0
-    theta = _wrap_angle(math.atan2(delta[1], delta[0]))
-    rel = agent.positions[t] - scene.ego.positions[t]
-    l = float(np.hypot(rel[0], rel[1]))
-    phi = 0.0 if l == 0.0 else _wrap_angle(math.atan2(rel[1], rel[0]))
-    return np.array([delta[0], delta[1], v, alpha, theta, l, phi], dtype=np.float64)
+        if not landed.all():
+            outside = int(frames[np.argmin(landed)])
+            raise DataError(f"{path}: scene agent {agent_id} has frame {outside} outside the window")
+        if np.count_nonzero(agent.present) < frames.size:
+            raise DataError(f"{path}: scene agent {agent_id} has a duplicate frame")
+        if not all(np.isfinite(v).all() for v in (agent.positions, agent.speeds, agent.accels) if v is not None):
+            raise DataError(f"{path}: scene agent {agent_id} has a non-finite value")
+        agents.append(agent)
+    return Scene(frames=window, agents=agents, frame_rate=frame_rate)
 
 
 # -- segmentation, splitting, filtering -----------------------------------------
@@ -394,16 +328,19 @@ def segment_and_split(
     return train, test
 
 
+def _speed(positions: np.ndarray, frame_rate: float) -> np.ndarray:
+    """Speed from position increments along the frame axis: (..., n, 2) -> (..., n - 1)."""
+    delta = np.diff(positions, axis=-2)
+    return np.hypot(delta[..., 0], delta[..., 1]) * frame_rate
+
+
 def is_straight_constant_velocity(
     scene: Scene, lateral_range_m: float = 0.5, speed_std: float = 0.5
 ) -> bool:
     """Reference agent stays within a small lateral band at near-constant speed."""
     positions = scene.ego.positions
     lateral_span = float(positions[:, 0].max() - positions[:, 0].min())
-    if scene.ego.speeds is not None:
-        speeds = scene.ego.speeds
-    else:
-        speeds = np.hypot(*np.diff(positions, axis=0).T) * scene.frame_rate
+    speeds = _speed(positions, scene.frame_rate) if scene.ego.speeds is None else scene.ego.speeds
     return lateral_span < lateral_range_m and float(np.std(speeds)) < speed_std
 
 
@@ -426,14 +363,9 @@ def filter_straight(
     if keep_count == len(straight):
         return list(scenes)
     rng = rng if rng is not None else np.random.default_rng(0)
-    kept = set(np.sort(rng.choice(len(straight), size=keep_count, replace=False)).tolist())
-    straight_set = set(straight)
-    keep_straight = {straight[j] for j in kept}
-    return [
-        scene
-        for i, scene in enumerate(scenes)
-        if i not in straight_set or i in keep_straight
-    ]
+    kept = rng.choice(len(straight), size=keep_count, replace=False)
+    dropped = set(straight) - {straight[j] for j in kept.tolist()}
+    return [scene for i, scene in enumerate(scenes) if i not in dropped]
 
 
 def build_scene(segment: Segment, tracks: Sequence[Track], history_len: int, max_neighbors: int) -> Scene:
@@ -444,61 +376,48 @@ def build_scene(segment: Segment, tracks: Sequence[Track], history_len: int, max
     """
     track = segment.track
     frames = track.frames[segment.start : segment.start + segment.length]
-    window = {int(f): i for i, f in enumerate(frames)}
-    t0_frame = int(frames[history_len - 1])
+    t0_frame = frames[history_len - 1]
     ego_t0 = track.positions[segment.start + history_len - 1]
-    ego = SceneAgent(
-        agent_id=track.agent_id,
-        present=np.ones(frames.size, dtype=bool),
-        positions=track.positions[segment.start : segment.start + segment.length].copy(),
-        speeds=None if track.speeds is None else track.speeds[segment.start : segment.start + segment.length].copy(),
-        accels=None if track.accels is None else track.accels[segment.start : segment.start + segment.length].copy(),
-    )
     candidates = []
     for other in tracks:
         if other.agent_id == track.agent_id:
             continue
-        pos_t0 = np.flatnonzero(other.frames == t0_frame)
-        if pos_t0.size == 0:
+        row = int(np.searchsorted(other.frames, t0_frame))
+        if row == len(other) or other.frames[row] != t0_frame:
             continue
-        distance = float(np.hypot(*(other.positions[pos_t0[0]] - ego_t0)))
+        distance = float(np.hypot(*(other.positions[row] - ego_t0)))
         candidates.append((distance, other.agent_id, other))
     candidates.sort(key=lambda c: (c[0], c[1]))
-    agents = [ego]
-    for _, _, other in candidates[:max_neighbors]:
-        present = np.zeros(frames.size, dtype=bool)
-        positions = np.zeros((frames.size, 2), dtype=np.float64)
-        speeds = None if other.speeds is None else np.zeros(frames.size, dtype=np.float64)
-        accels = None if other.accels is None else np.zeros(frames.size, dtype=np.float64)
-        for j, frame in enumerate(other.frames):
-            i = window.get(int(frame))
-            if i is None:
-                continue
-            present[i] = True
-            positions[i] = other.positions[j]
-            if speeds is not None:
-                speeds[i] = other.speeds[j]
-            if accels is not None:
-                accels[i] = other.accels[j]
-        agents.append(SceneAgent(other.agent_id, present, positions, speeds, accels))
+    agents = []
+    for kept in [track] + [other for _, _, other in candidates[:max_neighbors]]:
+        rows = slice(*np.searchsorted(kept.frames, (frames[0], frames[-1] + 1)))
+        columns = (None if c is None else c[rows] for c in (kept.positions, kept.speeds, kept.accels))
+        agents.append(_align(frames, kept.agent_id, kept.frames[rows], *columns)[0])
     return Scene(frames=frames, agents=agents, frame_rate=track.frame_rate)
 
 
 # -- synthetic scenes -------------------------------------------------------------
 
 
-def _logistic(x):
-    return 1.0 / (1.0 + np.exp(-x))
+def _synthetic_params(params: dict) -> dict[str, float]:
+    """The path parameters of `params` with defaults filled in, range-checked."""
+    p = {key: float(params.get(key, default)) for key, default in SYNTHETIC_DEFAULTS.items()}
+    if not (0.0 <= p["speed_min"] <= p["speed_max"] <= 40.0):
+        raise ConfigError(
+            f"speeds must satisfy 0 <= min <= max <= 40 m/s, got [{p['speed_min']}, {p['speed_max']}]"
+        )
+    if not (0.0 < p["accel_max"] <= 4.0):
+        raise ConfigError(f"accel_max must be in (0, 4] m/s^2, got {p['accel_max']}")
+    if not (0.0 < p["lane_offset_m"] <= 5.0):
+        raise ConfigError(f"lane_offset_m must be in (0, 5] m, got {p['lane_offset_m']}")
+    return p
 
 
-def _synthetic_ego(kind: str, params: dict, rng: np.random.Generator, n_frames: int, frame_rate: float):
+def _synthetic_ego(kind: str, p: dict[str, float], rng: np.random.Generator, n_frames: int, frame_rate: float):
     """Closed-form ego positions (n_frames, 2) for one synthetic scene."""
     tau = np.arange(n_frames, dtype=np.float64) / frame_rate
-    speed_min = float(params.get("speed_min", 8.0))
-    speed_max = float(params.get("speed_max", 16.0))
-    accel_max = float(params.get("accel_max", 2.0))
-    lane_offset = float(params.get("lane_offset_m", 3.5))
-    vy = float(rng.uniform(speed_min, speed_max))
+    accel_max = p["accel_max"]
+    vy = float(rng.uniform(p["speed_min"], p["speed_max"]))
     if kind == "const_vel":
         vx = float(rng.uniform(-1.0, 1.0))
         x = vx * tau
@@ -513,11 +432,9 @@ def _synthetic_ego(kind: str, params: dict, rng: np.random.Generator, n_frames: 
         y = vy * tau + 0.5 * ay * tau**2
     elif kind == "lane_change":
         direction = 1.0 if rng.uniform() < 0.5 else -1.0
-        mid_lo = float(params.get("lane_mid_min", 0.35))
-        mid_hi = float(params.get("lane_mid_max", 0.65))
-        t_mid = float(rng.uniform(mid_lo, mid_hi)) * n_frames
-        steepness = float(params.get("lane_steepness", 0.25))
-        x = direction * lane_offset * _logistic(steepness * (np.arange(n_frames) - t_mid))
+        t_mid = float(rng.uniform(p["lane_mid_min"], p["lane_mid_max"])) * n_frames
+        profile = 1.0 / (1.0 + np.exp(-(p["lane_steepness"] * (np.arange(n_frames) - t_mid))))
+        x = direction * p["lane_offset_m"] * profile
         x = x - x[0]
         y = vy * tau
     elif kind == "arc":
@@ -529,19 +446,6 @@ def _synthetic_ego(kind: str, params: dict, rng: np.random.Generator, n_frames: 
     else:
         raise ConfigError(f"unknown synthetic kind {kind!r}; valid kinds: {', '.join(SYNTHETIC_KINDS)}")
     return np.stack([x, y], axis=1)
-
-
-def _validate_synth_params(params: dict) -> None:
-    speed_min = float(params.get("speed_min", 8.0))
-    speed_max = float(params.get("speed_max", 16.0))
-    accel_max = float(params.get("accel_max", 2.0))
-    lane_offset = float(params.get("lane_offset_m", 3.5))
-    if not (0.0 <= speed_min <= speed_max <= 40.0):
-        raise ConfigError(f"speeds must satisfy 0 <= min <= max <= 40 m/s, got [{speed_min}, {speed_max}]")
-    if not (0.0 < accel_max <= 4.0):
-        raise ConfigError(f"accel_max must be in (0, 4] m/s^2, got {accel_max}")
-    if not (0.0 < lane_offset <= 5.0):
-        raise ConfigError(f"lane_offset_m must be in (0, 5] m, got {lane_offset}")
 
 
 def gen_synthetic(
@@ -561,14 +465,14 @@ def gen_synthetic(
     """
     if kind not in SYNTHETIC_KINDS:
         raise ConfigError(f"unknown synthetic kind {kind!r}; valid kinds: {', '.join(SYNTHETIC_KINDS)}")
-    _validate_synth_params(params)
+    path_params = _synthetic_params(params)
     noise = float(params.get("noise", 0.0))
     n_neighbors = int(params.get("neighbors", 0))
     cycle = ("const_vel", "const_acc", "lane_change", "arc")
     scenes = []
     for i in range(int(n)):
         scene_kind = cycle[i % len(cycle)] if kind == "mixed" else kind
-        positions = _synthetic_ego(scene_kind, params, rng, n_frames, frame_rate)
+        positions = _synthetic_ego(scene_kind, path_params, rng, n_frames, frame_rate)
         if noise > 0.0:
             positions = positions + rng.normal(0.0, noise, size=positions.shape)
         frames = np.arange(n_frames, dtype=np.int64)
@@ -602,29 +506,60 @@ def gen_synthetic(
 # -- samples ---------------------------------------------------------------------
 
 
+def _heading(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Elementwise angle of (x, y) in (-pi, pi].
+
+    Maps math.atan2, which np.arctan2 can differ from in the last bit, and
+    wraps as (angle + pi) % 2pi - pi with -pi sent to pi.
+    """
+    angle = np.array(list(map(math.atan2, y.ravel().tolist(), x.ravel().tolist())), dtype=np.float64)
+    wrapped = np.remainder(angle.reshape(y.shape) + math.pi, 2.0 * math.pi) - math.pi
+    return np.where(wrapped == -math.pi, math.pi, wrapped)
+
+
 def build_sample(scene: Scene, history_len: int, sample_id: int = 0) -> Sample:
     """State histories over the input window plus the reference agent's
-    future, translated so the reference agent at t_0 is the origin."""
+    future, translated so the reference agent at t_0 is the origin.
+
+    The state of an agent at frame t (1 <= t < history_len) needs it at t
+    and t - 1: [dx, dy, v, alpha, theta, l, phi] with (dx, dy) the position
+    increment, v the recorded speed or else the increment's speed, alpha
+    the recorded acceleration or else the change of v from the increment
+    speed at t - 1 (0 when the agent is absent at t - 2), theta the
+    increment's heading, and (l, phi) the polar offset from the reference
+    agent (phi 0 at l = 0).
+    """
     if history_len < 2:
         raise ConfigError(f"history_len must be >= 2, got {history_len}")
     if len(scene) <= history_len:
         raise DataError(
             f"scene length {len(scene)} leaves no future after {history_len} history frames"
         )
-    t0 = history_len - 1
-    steps = history_len - 1  # states exist for frames 1 .. t0
-    n_agents = len(scene.agents)
-    states = np.zeros((n_agents, steps, STATE_DIM), dtype=np.float64)
-    mask = np.zeros((n_agents, steps), dtype=np.float64)
-    for t in range(1, history_len):
-        for a in range(n_agents):
-            vec = _state_vector(scene, a, t)
-            if vec is not None:
-                states[a, t - 1] = vec
-                mask[a, t - 1] = 1.0
-    origin = scene.ego.positions[t0]
-    future = scene.ego.positions[t0:] - origin
-    return Sample(states=states, mask=mask, future=future, sample_id=sample_id)
+    n = history_len
+    rate = scene.frame_rate
+    present = np.stack([agent.present[:n] for agent in scene.agents]).astype(bool)
+    positions = np.stack([agent.positions[:n] for agent in scene.agents])  # (A, n, 2)
+    delta = np.diff(positions, axis=1)
+    derived = _speed(positions, rate)  # (A, n - 1), the speed at frames 1 .. n - 1
+    speed = np.stack(
+        [d if agent.speeds is None else agent.speeds[1:n] for d, agent in zip(derived, scene.agents)]
+    )
+    accel = np.zeros_like(derived)
+    accel[:, 1:] = np.where(present[:, : n - 2], (speed[:, 1:] - derived[:, :-1]) * rate, 0.0)
+    for a, agent in enumerate(scene.agents):
+        if agent.accels is not None:
+            accel[a] = agent.accels[1:n]
+    rel = positions[:, 1:] - positions[0, 1:]
+    distance = np.hypot(rel[..., 0], rel[..., 1])
+    bearing = np.where(distance == 0.0, 0.0, _heading(rel[..., 1], rel[..., 0]))
+    features = np.stack(
+        [delta[..., 0], delta[..., 1], speed, accel, _heading(delta[..., 1], delta[..., 0]), distance, bearing],
+        axis=-1,
+    )
+    valid = present[:, 1:] & present[:, :-1]
+    states = np.where(valid[..., None], features, 0.0)
+    future = scene.ego.positions[n - 1 :] - scene.ego.positions[n - 1]
+    return Sample(states=states, mask=valid.astype(np.float64), future=future, sample_id=sample_id)
 
 
 def build_samples(scenes: Sequence[Scene], history_len: int) -> list[Sample]:

@@ -70,6 +70,12 @@ class ModelConfig:
             raise ConfigError("units, layer counts and decoder steps must be >= 1")
         if min(self.d_x, self.d_y) < 1:
             raise ConfigError("polynomial degrees must be >= 1")
+        # anchoring.py floors evenly spread offsets: as many frames as anchors are needed
+        count, low, high = self.anchor_count, self.anchor_min, self.anchor_max
+        if self.anchor_mode == "fixed" and not 1 <= count <= self.horizon:
+            raise ConfigError(f"fixed anchors need 1 <= count {count} <= horizon {self.horizon}")
+        if self.anchor_mode == "random" and not 1 <= count <= low <= high:
+            raise ConfigError(f"random anchors need 1 <= count {count} <= min {low} <= max {high}")
 
     @property
     def output_dim(self) -> int:
@@ -259,11 +265,11 @@ class TrajectoryModel:
         batch, n_agents, steps, _ = states.shape
         if steps < 1:
             raise DataError("empty history: at least one state frame is required")
-        if self.config.input_dim == INPUT_SCALE.size:
-            states = states * INPUT_SCALE
+        # scaled one slot at a time: no scaled copy of the whole batch is held
+        scale = INPUT_SCALE if self.config.input_dim == INPUT_SCALE.size else 1.0
         params = self._param_values(train)
         finals = [
-            self._encode_slot(states[:, a, :, :], mask[:, a, :], params) for a in range(n_agents)
+            self._encode_slot(states[:, a] * scale, mask[:, a, :], params) for a in range(n_agents)
         ]
         context = attention(finals[0], finals, finals, mask.any(axis=2))
         dec_in = params["dec.x0"] + np.zeros((batch, self.config.units))

@@ -1,4 +1,4 @@
-"""Shared test helpers: finite-difference and loss oracles, hand-built samples."""
+"""Shared test helpers: finite-difference, loss and state oracles, hand-built samples."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from polytraj.data import Sample
+from polytraj.data import STATE_DIM, Sample, Scene
 from polytraj.poly import VAR_FLOOR
 
 
@@ -61,6 +61,43 @@ def oracle_loss(traj, truth, offsets) -> float:
             residual = pred - truth[t][column]
             total += 0.5 * residual**2 / var + 0.5 * math.log(2 * math.pi * var)
     return total / len(offsets)
+
+
+def _wrap_angle(angle: float) -> float:
+    wrapped = (angle + math.pi) % (2.0 * math.pi) - math.pi
+    return math.pi if wrapped == -math.pi else wrapped
+
+
+def oracle_states(scene: Scene, history_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """Independent reimplementation of the sample states: one scalar state
+    vector per agent and frame, math-module angles."""
+
+    def derived_speed(agent, t):
+        delta = agent.positions[t] - agent.positions[t - 1]
+        return float(np.hypot(delta[0], delta[1])) * scene.frame_rate
+
+    n_agents = len(scene.agents)
+    states = np.zeros((n_agents, history_len - 1, STATE_DIM))
+    mask = np.zeros((n_agents, history_len - 1))
+    for t in range(1, history_len):
+        for a, agent in enumerate(scene.agents):
+            if not (agent.present[t] and agent.present[t - 1]):
+                continue
+            delta = agent.positions[t] - agent.positions[t - 1]
+            v = derived_speed(agent, t) if agent.speeds is None else float(agent.speeds[t])
+            if agent.accels is not None:
+                alpha = float(agent.accels[t])
+            elif t >= 2 and agent.present[t - 2]:
+                alpha = (v - derived_speed(agent, t - 1)) * scene.frame_rate
+            else:
+                alpha = 0.0
+            theta = _wrap_angle(math.atan2(delta[1], delta[0]))
+            rel = agent.positions[t] - scene.ego.positions[t]
+            l = float(np.hypot(rel[0], rel[1]))
+            phi = 0.0 if l == 0.0 else _wrap_angle(math.atan2(rel[1], rel[0]))
+            states[a, t - 1] = [delta[0], delta[1], v, alpha, theta, l, phi]
+            mask[a, t - 1] = 1.0
+    return states, mask
 
 
 @pytest.fixture

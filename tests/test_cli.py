@@ -185,6 +185,40 @@ def test_eval_corrupt_checkpoint_exit_codes(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        ("anchors.min=60", "anchors.max=50"),
+        ("anchors.count=40",),  # above the default anchors.min of 35
+        ("anchors.count=25", "anchors.mode=fixed", "horizon_frames=10"),
+    ],
+)
+def test_train_bad_anchor_config_exits_1(tmp_path, capsys, overrides):
+    data_dir = _generate(tmp_path)
+    capsys.readouterr()
+    args = ["train", *_sets(*TINY, f"data.dir={data_dir}", f"out.dir={tmp_path / 'run'}", *overrides)]
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda lines: [lines[0], "x" + lines[1]] + lines[2:],  # non-numeric agent id
+        lambda lines: lines[:2] + [lines[2].rsplit(",", 3)[0] + ",nan,,"] + lines[3:],  # nan y
+        lambda lines: [lines[0], lines[2], lines[1]] + lines[3:],  # unsorted reference frames
+    ],
+)
+def test_train_bad_scene_file_exits_2(tmp_path, capsys, corrupt):
+    data_dir = _generate(tmp_path)
+    scene = data_dir / "train" / "scene_00000.csv"
+    scene.write_text("\n".join(corrupt(scene.read_text().splitlines())) + "\n")
+    capsys.readouterr()
+    args = ["train", *_sets(*TINY, f"data.dir={data_dir}", f"out.dir={tmp_path / 'run'}")]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_train_rerun_is_byte_identical(tmp_path):
     data_dir = _generate(tmp_path)
     out_dir = tmp_path / "run"

@@ -1,9 +1,11 @@
 """Tests for ingestion, feature computation, segmentation, and synthetics."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from conftest import oracle_states
 
 from polytraj.data import (
     FEET_TO_METRES,
@@ -20,10 +22,8 @@ from polytraj.data import (
     is_straight_constant_velocity,
     parse_ratio,
     read_scene,
-    read_tracks,
     segment_and_split,
     write_scene,
-    write_tracks,
 )
 from polytraj.errors import ConfigError, DataError
 from polytraj.evaluation import least_squares_fit
@@ -90,25 +90,44 @@ def test_track_rejects_non_uniform_spacing():
         Track(agent_id=1, frames=[0, 1, 3], positions=np.zeros((3, 2)))
 
 
-def test_tracks_round_trip_bit_exact(tmp_path, rng):
-    tracks = [
-        Track(
-            agent_id=i,
-            frames=np.arange(5) + 10 * i,
-            positions=rng.normal(0, 100, size=(5, 2)) * math.pi,
-            speeds=rng.uniform(0, 30, size=5) if i % 2 else None,
-            accels=None,
-        )
-        for i in range(1, 4)
-    ]
-    path = tmp_path / "cache.csv"
-    write_tracks(tracks, path)
-    restored = read_tracks(path)
-    assert len(restored) == len(tracks)
-    for before, after in zip(tracks, restored):
+def test_frame_gap_splits_track(tmp_path, caplog):
+    path = tmp_path / "ngsim.csv"
+    _write_csv(path, [f"4,{f},4,0.0,{f}.0,30.0,0.0\n" for f in (10, 11, 13, 14)])
+    tracks = ingest_ngsim(path)
+    assert [list(t.frames) for t in tracks] == [[10, 11], [13, 14]]
+    assert [t.agent_id for t in tracks] == [4, 4]
+    assert "1 frame gap" in caplog.text
+
+
+def test_frame_gap_drops_single_frame_piece(tmp_path):
+    path = tmp_path / "ngsim.csv"
+    _write_csv(path, [f"4,{f},3,0.0,{f}.0,30.0,0.0\n" for f in (10, 11, 13)])
+    (track,) = ingest_ngsim(path)
+    assert list(track.frames) == [10, 11]
+    np.testing.assert_array_equal(track.positions[:, 1], np.array([10.0, 11.0]) * FEET_TO_METRES)
+
+
+def test_scene_round_trip_bit_exact(tmp_path, rng):
+    # frames, pi-scaled positions and speeds come back bit for bit; a
+    # neighbour absent at one frame keeps zeros there, and agents without
+    # speeds keep speeds None
+    frames = np.arange(5) + 10
+    agents = []
+    for i in range(1, 4):
+        present = (np.arange(5) != i) | (i == 1)  # agent 1, the reference, is always present
+        positions = rng.normal(0, 100, size=(5, 2)) * math.pi * present[:, None]
+        speeds = rng.uniform(0, 30, size=5) * present if i % 2 else None
+        agents.append(SceneAgent(agent_id=i, present=present, positions=positions, speeds=speeds))
+    scene = Scene(frames=frames, agents=agents)
+    path = tmp_path / "scene.csv"
+    write_scene(scene, path)
+    restored = read_scene(path)
+    assert len(restored.agents) == len(agents)
+    np.testing.assert_array_equal(restored.frames, frames)
+    for before, after in zip(agents, restored.agents):
         assert after.agent_id == before.agent_id
+        np.testing.assert_array_equal(after.present, before.present)
         np.testing.assert_array_equal(after.positions, before.positions)
-        np.testing.assert_array_equal(after.frames, before.frames)
         if before.speeds is None:
             assert after.speeds is None
         else:
@@ -384,3 +403,67 @@ def test_build_scene_selects_nearest_neighbors():
     scene = build_scene(Segment(ego, 0, 200), [ego, near, far, elsewhere], history_len=50, max_neighbors=1)
     assert [a.agent_id for a in scene.agents] == [1, 2]
     assert bool(np.all(scene.agents[1].present))
+
+
+# -- whole-array states against the per-frame oracle -----------------------------------
+
+
+def _ngsim_scenes(tmp_path, rng, n_vehicles=40, frames=160):
+    """Scenes of up to 9 agents from a staggered NGSim-format file, so many
+    neighbours are present in only part of the window."""
+    rows = []
+    for vid in range(1, n_vehicles + 1):
+        lane, speed, y0 = vid % 5, rng.uniform(30.0, 60.0), rng.uniform(0.0, 100.0)
+        for k in range(frames):
+            x = 12.0 * lane + rng.normal(0.0, 0.3)
+            y = y0 + speed * k / 10.0 + rng.normal(0.0, 0.3)
+            v, acc = speed + rng.normal(0.0, 1.0), rng.normal(0.0, 2.0)
+            rows.append(f"{vid},{3 * vid + k},{frames},{x!r},{y!r},{v!r},{acc!r}\n")
+    path = tmp_path / "ngsim.csv"
+    _write_csv(path, rows)
+    tracks = ingest_ngsim(path)
+    train, test = segment_and_split(tracks, segment_len=40)
+    return [build_scene(seg, tracks, history_len=20, max_neighbors=8) for seg in train + test]
+
+
+def _with_holes(scene, rng, share=0.2):
+    agents = [scene.ego]
+    for agent in scene.agents[1:]:
+        present = agent.present & (rng.uniform(size=agent.present.size) >= share)
+        agents.append(
+            dataclasses.replace(
+                agent,
+                present=present,
+                positions=agent.positions * present[:, None],
+                speeds=None if agent.speeds is None else agent.speeds * present,
+                accels=None if agent.accels is None else agent.accels * present,
+            )
+        )
+    return dataclasses.replace(scene, agents=agents)
+
+
+def _without_accels(scene):
+    return dataclasses.replace(
+        scene, agents=[dataclasses.replace(agent, accels=None) for agent in scene.agents]
+    )
+
+
+def test_build_sample_equals_per_frame_oracle_bitwise(tmp_path, rng):
+    noisy = {"noise": 0.05}
+    families = {
+        "5-agent": gen_synthetic("mixed", {**noisy, "neighbors": 4}, 200, rng, n_frames=30),
+        "1-agent": gen_synthetic("mixed", noisy, 100, rng, n_frames=30),
+    }
+    ngsim = _ngsim_scenes(tmp_path, rng)
+    families["ngsim"] = ngsim
+    families["ngsim-holes"] = [_with_holes(scene, rng) for scene in ngsim]
+    families["ngsim-no-accels"] = [_without_accels(scene) for scene in families["ngsim-holes"]]
+    assert len(ngsim) == 160
+    assert max(len(scene.agents) for scene in ngsim) == 9
+    assert any(not agent.present.all() for scene in ngsim for agent in scene.agents)
+    for name, scenes in families.items():
+        for scene in scenes:
+            sample = build_sample(scene, history_len=20)
+            states, mask = oracle_states(scene, history_len=20)
+            assert sample.states.tobytes() == states.tobytes(), name
+            assert sample.mask.tobytes() == mask.tobytes(), name

@@ -1,5 +1,5 @@
-"""Loaders of outside input: corrupt checkpoints and NGSim files end in a
-typed PolytrajError, never in a raw exception."""
+"""Loaders of outside input: corrupt checkpoints, NGSim files and scene
+files end in a typed PolytrajError, never in a raw exception."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polytraj.autodiff import load_checkpoint
-from polytraj.data import ingest_ngsim
+from polytraj.data import ingest_ngsim, read_scene
 from polytraj.errors import DataError, NumericalError, PolytrajError
 from polytraj.model import ModelConfig, TrajectoryModel, load_model, save_model
 
@@ -18,6 +18,19 @@ NGSIM_TEXT = (
     "1,11,3,1.0,5.0,30.0,0.5\n"
     "2,11,3,5.0,12.0,31.0,0.0\n"
     "1,12,3,1.0,8.0,30.0,0.5\n"
+)
+
+# reference agent 3 at frames 0..3, neighbour 5 absent at frame 0 with no
+# recorded accels
+SCENE_TEXT = (
+    "agent_id,frame,x_m,y_m,v,a\n"
+    "3,0,0.0,0.0,10.0,0.5\n"
+    "3,1,0.0,1.0,10.0,0.5\n"
+    "3,2,0.0,2.0,10.0,0.5\n"
+    "3,3,0.0,3.0,10.0,0.5\n"
+    "5,1,3.5,4.0,9.0,\n"
+    "5,2,3.5,5.0,9.0,\n"
+    "5,3,3.5,6.0,9.0,\n"
 )
 
 # tokens that have broken naive parsers: empty, non-numeric, non-finite,
@@ -151,3 +164,82 @@ def test_fuzzed_ngsim_raises_only_polytraj_errors(tmp_path_factory, edits, raw):
         return
     for track in tracks:
         assert np.all(np.isfinite(track.positions)) and np.all(np.isfinite(track.speeds))
+
+
+# -- scene files -----------------------------------------------------------------------
+
+
+def _scene_file(tmp_path, text: str):
+    path = tmp_path / "scene.csv"
+    path.write_text(text)
+    return path
+
+
+def test_scene_reads_empty_field_as_not_recorded(tmp_path):
+    scene = read_scene(_scene_file(tmp_path, SCENE_TEXT))
+    assert [agent.agent_id for agent in scene.agents] == [3, 5]
+    np.testing.assert_array_equal(scene.agents[1].present, [False, True, True, True])
+    np.testing.assert_array_equal(scene.agents[1].speeds, [0.0, 9.0, 9.0, 9.0])
+    assert scene.agents[1].accels is None
+    np.testing.assert_array_equal(scene.ego.accels, [0.5] * 4)
+
+
+@pytest.mark.parametrize(
+    "old, new, line",
+    [
+        ("5,2,3.5", "x,2,3.5", 7),  # non-numeric agent id
+        ("3,2,0.0,2.0", "3,2,0.0,two", 4),  # non-numeric coordinate
+        ("5,3,3.5,6.0,9.0,", "5,3,3.5,6.0", 8),  # missing fields
+        ("3,2,0.0,2.0,10.0,0.5", "3,2,0.0,2.0,,,", 4),  # one field too many
+    ],
+)
+def test_bad_scene_field_is_data_error_with_line(tmp_path, old, new, line):
+    with pytest.raises(DataError, match=f"line {line}"):
+        read_scene(_scene_file(tmp_path, SCENE_TEXT.replace(old, new)))
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("3,1,0.0,1.0,10.0,0.5", "3,1,0.0,1.0,nan,0.5"),  # nan is not "not recorded"
+        ("5,1,3.5,4.0", "5,1,inf,4.0"),
+        ("3,3,0.0,3.0,10.0,0.5", "3,3,0.0,3.0,10.0,-1e400"),
+    ],
+)
+def test_non_finite_scene_value_is_data_error(tmp_path, old, new):
+    with pytest.raises(DataError, match="non-finite"):
+        read_scene(_scene_file(tmp_path, SCENE_TEXT.replace(old, new)))
+
+
+def test_scene_unsorted_reference_frames_is_data_error(tmp_path):
+    text = SCENE_TEXT.replace("3,1,0.0,1.0", "3,9,0.0,1.0").replace("3,2,0.0,2.0", "3,1,0.0,2.0")
+    with pytest.raises(DataError, match="strictly increasing"):
+        read_scene(_scene_file(tmp_path, text))
+
+
+def test_scene_duplicate_frame_is_data_error(tmp_path):
+    with pytest.raises(DataError, match="duplicate"):
+        read_scene(_scene_file(tmp_path, SCENE_TEXT.replace("5,3,", "5,2,")))
+    with pytest.raises(DataError, match="strictly increasing"):
+        read_scene(_scene_file(tmp_path, SCENE_TEXT.replace("3,3,", "3,2,")))
+
+
+def test_scene_frame_outside_window_is_data_error(tmp_path):
+    with pytest.raises(DataError, match="frame 7 outside"):
+        read_scene(_scene_file(tmp_path, SCENE_TEXT.replace("5,3,", "5,7,")))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(edits=EDITS, raw=st.binary(max_size=4))
+def test_fuzzed_scene_raises_only_polytraj_errors(tmp_path_factory, edits, raw):
+    lines = [line.replace(",", " ") for line in SCENE_TEXT.splitlines()]
+    text = "\n".join(line.replace(" ", ",") for line in _edit(lines, edits))
+    path = tmp_path_factory.mktemp("fuzz") / "scene.csv"
+    path.write_bytes(text.encode("utf-8", "replace") + raw)
+    try:
+        scene = read_scene(path)
+    except PolytrajError:
+        return
+    for agent in scene.agents:
+        for values in (agent.positions, agent.speeds, agent.accels):
+            assert values is None or np.all(np.isfinite(values))
