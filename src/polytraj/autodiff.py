@@ -6,7 +6,11 @@ activations, reductions, concatenation, basic slicing and softmax.
 A ``Tensor`` wraps a numpy array and remembers the operation that
 produced it; calling ``backward()`` on a scalar result accumulates
 ``d(result)/d(node)`` into every reachable node, visiting each node
-exactly once in reverse topological order.
+exactly once in reverse topological order.  ``backward()`` consumes the
+graph: each node lets go of its parents and its backward closure once it
+has passed its gradient on, so the graph is freed by reference counting
+as soon as the caller drops the result, not by Python's cyclic gc.  A
+second ``backward()`` through a consumed node raises ``GraphError``.
 
 The module-level helpers (``sigmoid``, ``tanh``, ``concat``, ...)
 dispatch on input type, so the same model code can also run on plain
@@ -21,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DataError, NumericalError, ShapeError
+from .errors import DataError, GraphError, NumericalError, ShapeError
 
 __all__ = [
     "Tensor",
@@ -57,7 +61,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 class Tensor:
     """A node in the computation graph: value, lazy gradient, parents."""
 
-    __slots__ = ("data", "grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "_parents", "_backward", "__weakref__")
 
     # keep numpy from hijacking `ndarray <op> Tensor` into elementwise object ops
     __array_ufunc__ = None
@@ -302,7 +306,12 @@ class Tensor:
     # -- backward pass ----------------------------------------------------
 
     def backward(self) -> None:
-        """Populate gradients of every node reachable from this scalar."""
+        """Populate gradients of every node reachable from this scalar.
+
+        Consumes the graph: every interior node drops its parents and its
+        backward closure once it has propagated, so the gradients that stay
+        are those of the leaves and of the nodes the caller still holds.
+        """
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar, got shape {self.data.shape}")
         topo: list[Tensor] = []
@@ -315,15 +324,26 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward is _consumed:
+                raise GraphError("backward() through a graph that an earlier backward() consumed")
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
                 if id(parent) not in visited:
                     stack.append((parent, False))
         self._accumulate(np.ones_like(self.data))
-        for node in reversed(topo):
+        while topo:
+            # popping lets each node die as soon as it has propagated
+            node = topo.pop()
             if node._backward is not None:
                 node._backward()
+                node._backward = _consumed
+                node._parents = ()
+
+
+def _consumed() -> None:
+    """Stands in for the backward closure of a node that has propagated;
+    `backward()` refuses to walk through it."""
 
 
 def concat(parts: Sequence, axis: int = 0):

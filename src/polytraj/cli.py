@@ -294,6 +294,7 @@ def cmd_study(cfg: RunConfig, name: str) -> int:
     for series in report.series:
         mean_ade = sum(series.values) / len(series.values)
         print(f"{series.label}: mean ADE {mean_ade:.4f} m over {len(series.offsets)} offsets")
+    print(f"samples: {report.sample_count} of {len(test_samples)}")
     print(f"fingerprint: {fingerprint}")
     return 0
 

@@ -294,7 +294,10 @@ def parse_ratio(ratio: str) -> tuple[int, int]:
     parts = ratio.split(":")
     if len(parts) != 2:
         raise ConfigError(f"ratio must look like '3:1', got {ratio!r}")
-    train, test = (int(p) for p in parts)
+    try:
+        train, test = (int(p) for p in parts)
+    except ValueError:
+        raise ConfigError(f"ratio parts must be integers, got {ratio!r}") from None
     if train < 1 or test < 1:
         raise ConfigError(f"ratio parts must be positive, got {ratio!r}")
     return train, test
@@ -374,6 +377,10 @@ def build_scene(segment: Segment, tracks: Sequence[Track], history_len: int, max
     Neighbors must be present at the reference agent's current frame
     t_0 = start + history_len - 1; the closest `max_neighbors` are kept.
     """
+    if not 2 <= history_len < segment.length:
+        raise ConfigError(
+            f"history_len must be >= 2 and below the segment length {segment.length}, got {history_len}"
+        )
     track = segment.track
     frames = track.frames[segment.start : segment.start + segment.length]
     t0_frame = frames[history_len - 1]

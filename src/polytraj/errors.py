@@ -29,6 +29,12 @@ class NumericalError(PolytrajError):
     exit_code = 3
 
 
+class GraphError(PolytrajError):
+    """backward() through an autodiff graph that an earlier backward() consumed."""
+
+    exit_code = 1
+
+
 class ShapeError(PolytrajError, ValueError):
     """Operand shapes incompatible with the requested operation."""
 

@@ -1,19 +1,24 @@
 """GRU encoder-attention-decoder with interchangeable output heads.
 
-Every agent's state history runs through a shared stacked-GRU encoder;
-the reference agent's final encoder state queries a scaled dot-product
-attention over all agents' final states, and the attended context
-initializes a stacked-GRU decoder driven for a fixed number of steps by
-a learned constant input.  A dense layer on the final decoder state
-emits either fixed-offset coordinates (with per-point log-sigmas) or
-polynomial coefficients (with per-coefficient log-sigmas).
+Every agent's state history runs through a shared stacked-GRU encoder,
+all agents of a batch in one pass; the reference agent's final encoder
+state queries a scaled dot-product attention over all agents' final
+states, and the attended context initializes a stacked-GRU decoder driven
+for a fixed number of steps by a learned constant input.  A dense layer
+on the final decoder state emits either fixed-offset coordinates (with
+per-point log-sigmas) or polynomial coefficients (with per-coefficient
+log-sigmas).  Each GRU layer is one `gru_layer` call over all its steps;
+when training, that is one graph node with a hand-written backward pass
+through time.
 
 `moments` is the one decoding path: it turns a batch of raw head outputs
 and a (B, T) matrix of frame offsets into the per-axis predicted mean and
 variance.  The loss (`batch_loss`), prediction (`predict_positions`) and
 through it evaluation and the studies all decode through it.  The forward
 pass runs on Tensor parameters when the loss needs gradients and on their
-plain arrays otherwise, so inference builds no graph.
+plain arrays otherwise, so inference builds no graph.  `Tensor.backward`
+consumes the graph it walks, so a training step's graph is freed as soon
+as its loss is dropped.
 """
 
 from __future__ import annotations
@@ -173,16 +178,150 @@ class GRUWeights:
     b: object
 
 
-def gru_cell(x, h, weights: GRUWeights):
-    """Classic GRU update: the reset gate scales h before the candidate
-    matmul, and the update gate interpolates between old state and candidate."""
-    units = weights.u_c.shape[0]
-    gx = x @ weights.w_x + weights.b
-    gh = h @ weights.u_zr
-    z = ad.sigmoid(gx[:, :units] + gh[:, :units])
-    r = ad.sigmoid(gx[:, units : 2 * units] + gh[:, units:])
-    c = ad.tanh(gx[:, 2 * units :] + (r * h) @ weights.u_c)
+def gru_layer(xs, h0, weights: GRUWeights, mask=None):
+    """One GRU layer over S steps: the (S, N, units) hidden state after each step.
+
+    `xs` holds the S inputs of N rows each: an (S, N, F) array or Tensor, or
+    any sequence whose item t is the (N, F) input of step t, read in step
+    order.  `h0` is the (N, units) start state.  `mask` is None when every
+    row is present, else a sequence of S (N,) 0/1 rows; an absent row keeps
+    its previous state.
+
+    When `xs`, `h0` or a weight is a Tensor, the result is one graph node that
+    covers the whole layer: the forward pass caches the gates and the backward
+    pass runs backpropagation through time by hand.  Otherwise nothing is
+    cached and the result is a `_LazySteps` sequence, run as its steps are
+    read, so a stack of layers holds one state per layer, not every
+    layer's whole sequence.
+    """
+    inputs = (xs, h0, weights.w_x, weights.u_zr, weights.u_c, weights.b)
+    x_seq, h_start, w_x, u_zr, u_c, b = (v.data if isinstance(v, Tensor) else v for v in inputs)
+    parents = tuple(v for v in inputs if isinstance(v, Tensor))
+    steps, (rows, units) = len(x_seq), h_start.shape
+    in_dim = w_x.shape[0]
+    if (w_x.shape, u_zr.shape, u_c.shape, b.shape) != (
+        (in_dim, 3 * units), (units, 2 * units), (units, units), (3 * units,)
+    ):
+        raise ShapeError(
+            f"GRU weights {w_x.shape}, {u_zr.shape}, {u_c.shape}, {b.shape} do not fit {units} units"
+        )
+    if not parents:
+        return _LazySteps(_gru_steps(x_seq, h_start, w_x, u_zr, u_c, b, mask), steps)
+    hs = np.empty((steps, rows, units))
+    gates = np.empty((steps, rows, 3 * units))  # [z | r | c]
+    for t, h in enumerate(_gru_steps(x_seq, h_start, w_x, u_zr, u_c, b, mask, gates)):
+        hs[t] = h
+    out = Tensor(hs, parents)
+
+    def _backward():
+        grads = [np.zeros_like(v) for v in (w_x, u_zr, u_c, b)]
+        d_w_x, d_u_zr, d_u_c, d_b = grads
+        d_xs = np.empty((steps, rows, in_dim)) if isinstance(xs, Tensor) else None
+        d_h = np.zeros((rows, units))
+        d_pre = np.empty((rows, 3 * units))  # gradient of the gate pre-activations
+        for t in range(steps - 1, -1, -1):
+            h_prev = hs[t - 1] if t else h_start
+            z, r, c = (gates[t, :, k * units : (k + 1) * units] for k in range(3))
+            d_h = d_h + out.grad[t]
+            if mask is None:
+                d_new, d_h = d_h, 0.0
+            else:
+                m = mask[t][:, np.newaxis]
+                d_new, d_h = m * d_h, (1.0 - m) * d_h
+            d_pre[:, :units] = d_new * (h_prev - c) * z * (1.0 - z)
+            d_pre[:, 2 * units :] = d_new * (1.0 - z) * (1.0 - c * c)
+            d_rh = d_pre[:, 2 * units :] @ u_c.T
+            d_pre[:, units : 2 * units] = d_rh * h_prev * r * (1.0 - r)
+            d_h = d_h + d_new * z + d_rh * r + d_pre[:, : 2 * units] @ u_zr.T
+            d_u_c += (r * h_prev).T @ d_pre[:, 2 * units :]
+            d_u_zr += h_prev.T @ d_pre[:, : 2 * units]
+            d_w_x += x_seq[t].T @ d_pre
+            d_b += d_pre.sum(axis=0)
+            if d_xs is not None:
+                d_xs[t] = d_pre @ w_x.T
+        for node, grad in zip(inputs, (d_xs, d_h, *grads)):
+            if isinstance(node, Tensor):
+                node._accumulate(grad)
+
+    out._backward = _backward
+    return out
+
+
+def _gru_steps(x_seq, h, w_x, u_zr, u_c, b, mask, gates=None):
+    """Yield the state after each step of one GRU layer; when `gates` is given,
+    store each step's [z | r | c] in it.  The step math sits in `_gru_step`
+    so that its temporaries are freed before the generator suspends."""
+    for t in range(len(x_seq)):
+        x = x_seq[t]
+        if x.shape != (h.shape[0], w_x.shape[0]):
+            raise ShapeError(f"GRU step input {x.shape} does not fit state {h.shape} and w_x {w_x.shape}")
+        new_h = _gru_step(x, h, w_x, u_zr, u_c, b, None if gates is None else gates[t])
+        if mask is not None:
+            m = mask[t][:, np.newaxis]
+            new_h = m * new_h + (1.0 - m) * h
+        h = new_h
+        yield h
+
+
+def _gru_step(x, h, w_x, u_zr, u_c, b, gates=None):
+    """Classic GRU update (Cho et al. 2014): the reset gate scales h before the
+    candidate matmul, and the update gate interpolates between old state and
+    candidate.  Stores [z | r | c] in `gates` when given."""
+    units = u_c.shape[0]
+    gx = x @ w_x + b
+    zr = ad.sigmoid(gx[:, : 2 * units] + h @ u_zr)
+    z, r = zr[:, :units], zr[:, units:]
+    c = np.tanh(gx[:, 2 * units :] + (r * h) @ u_c)
+    if gates is not None:
+        gates[:, : 2 * units] = zr
+        gates[:, 2 * units :] = c
     return z * h + (1.0 - z) * c
+
+
+class _LazySteps:
+    """The states of a graph-free `gru_layer`, computed as they are read.
+
+    Steps must be read in order; the latest one can be read again."""
+
+    def __init__(self, states, steps: int):
+        self._states = states
+        self._steps = steps
+        self._t = -1
+        self._h = None
+
+    def __len__(self) -> int:
+        return self._steps
+
+    def __getitem__(self, t: int) -> np.ndarray:
+        if t < 0:
+            t += self._steps
+        if not self._t <= t < self._steps:
+            raise IndexError(f"step {t} of a GRU layer run up to step {self._t}; read steps in order")
+        while self._t < t:
+            self._h = next(self._states)
+            self._t += 1
+        return self._h
+
+
+def gru_cell(x, h, weights: GRUWeights):
+    """One GRU step, (N, F) input and (N, units) state: `gru_layer` over one input."""
+    return gru_layer(x[np.newaxis], h, weights)[0]
+
+
+class _AgentMajorSteps:
+    """Step t of a (B, A, S, ...) batch as (A·B, ...) agent-major rows, times
+    `scale`; gathered when asked for, so no copy of the whole batch is held."""
+
+    def __init__(self, batch: np.ndarray, scale=1.0):
+        self.batch = batch
+        self.scale = scale
+
+    def __len__(self) -> int:
+        return self.batch.shape[2]
+
+    def __getitem__(self, t: int) -> np.ndarray:
+        step = np.multiply(self.batch[:, :, t].swapaxes(0, 1), self.scale, order="C")
+        return step.reshape(-1, *step.shape[2:])
 
 
 def attention(query, keys: Sequence, values: Sequence, present: np.ndarray):
@@ -235,52 +374,36 @@ class TrajectoryModel:
             return self.params
         return {name: node.data for name, node in self.params.items()}
 
-    def _encode_slot(self, x_seq: np.ndarray, mask: np.ndarray, params: dict):
-        """Run the stacked encoder over one agent slot: (B, S, F) -> (B, units)."""
-        batch, steps, _ = x_seq.shape
-        units = self.config.units
-        all_present = bool(np.all(mask == 1.0))
-        hidden = [np.zeros((batch, units)) for _ in range(self.config.encoder_layers)]
-        layer_weights = [_weights(params, f"enc{layer}") for layer in range(self.config.encoder_layers)]
-        for t in range(steps):
-            x = x_seq[:, t, :]
-            for layer, weights in enumerate(layer_weights):
-                new_h = gru_cell(x, hidden[layer], weights)
-                if not all_present:
-                    m = mask[:, t : t + 1]
-                    new_h = m * new_h + (1.0 - m) * hidden[layer]
-                hidden[layer] = new_h
-                x = new_h
-        return hidden[-1]
-
     def forward_batch(self, states: np.ndarray, mask: np.ndarray, train: bool = True):
         """Batched forward pass.
 
         states: (B, A, S, input_dim) with agent slot 0 the reference agent;
         mask: (B, A, S) with 1.0 where a state is valid.  Returns the raw
         head output, (B, output_dim): a Tensor when `train`, else an array.
+        The encoder runs once over all A·B agent rows, agent-major, so slot
+        a's final state is rows a·B to (a+1)·B; each layer is one `gru_layer`.
         """
         if states.ndim != 4 or states.shape[3] != self.config.input_dim:
             raise ShapeError(f"states must be (B, A, S, {self.config.input_dim}), got {states.shape}")
         batch, n_agents, steps, _ = states.shape
         if steps < 1:
             raise DataError("empty history: at least one state frame is required")
-        # scaled one slot at a time: no scaled copy of the whole batch is held
-        scale = INPUT_SCALE if self.config.input_dim == INPUT_SCALE.size else 1.0
+        cfg = self.config
+        scale = INPUT_SCALE if cfg.input_dim == INPUT_SCALE.size else 1.0
         params = self._param_values(train)
-        finals = [
-            self._encode_slot(states[:, a] * scale, mask[:, a, :], params) for a in range(n_agents)
-        ]
+        present = None if np.all(mask == 1.0) else _AgentMajorSteps(mask)
+        hidden = _AgentMajorSteps(states, scale)
+        start = np.zeros((n_agents * batch, cfg.units))
+        for layer in range(cfg.encoder_layers):
+            hidden = gru_layer(hidden, start, _weights(params, f"enc{layer}"), present)
+        final = hidden[steps - 1]
+        finals = [final[a * batch : (a + 1) * batch] for a in range(n_agents)]
         context = attention(finals[0], finals, finals, mask.any(axis=2))
-        dec_in = params["dec.x0"] + np.zeros((batch, self.config.units))
-        hidden = [context for _ in range(self.config.decoder_layers)]
-        layer_weights = [_weights(params, f"dec{layer}") for layer in range(self.config.decoder_layers)]
-        for _ in range(self.config.decoder_steps):
-            x = dec_in
-            for layer, weights in enumerate(layer_weights):
-                hidden[layer] = gru_cell(x, hidden[layer], weights)
-                x = hidden[layer]
-        return hidden[-1] @ params["head.w"] + params["head.b"]
+        # the learned constant input, repeated for every decoder step
+        hidden = params["dec.x0"] + np.zeros((cfg.decoder_steps, batch, cfg.units))
+        for layer in range(cfg.decoder_layers):
+            hidden = gru_layer(hidden, context, _weights(params, f"dec{layer}"))
+        return hidden[cfg.decoder_steps - 1] @ params["head.w"] + params["head.b"]
 
     def predict_positions(self, samples: Sequence[Sample], offsets: Sequence[int]) -> np.ndarray:
         """Predicted (x, y) of every sample at the given frame offsets: (B, T, 2)."""

@@ -41,6 +41,7 @@ class StudyReport:
     name: str
     fingerprint: str
     series: list[Series] = field(default_factory=list)
+    sample_count: int = 0  # test samples every curve averages over
 
     def get(self, label: str) -> Series:
         for s in self.series:

@@ -67,7 +67,7 @@ def anchoring_study(
         ),
     }
     offsets = tuple(sorted(set(even_offsets(base.horizon)) | {25, 50}))
-    report = StudyReport(name="anchoring", fingerprint=fingerprint)
+    report = StudyReport(name="anchoring", fingerprint=fingerprint, sample_count=len(test_samples))
     models = {}
     for label, config in configs.items():
         model = _fit_model(config, train_samples, settings)
@@ -89,7 +89,7 @@ def anchor_count_study(
     Coordinate models are evaluated on their own offsets; polynomial
     models on the dense even grid (a superset of both anchor grids).
     """
-    report = StudyReport(name="anchor_count", fingerprint=fingerprint)
+    report = StudyReport(name="anchor_count", fingerprint=fingerprint, sample_count=len(test_samples))
     models = {}
     for head in (POLYNOMIAL, COORDINATES):
         for count in (25, 5):
@@ -116,7 +116,7 @@ def extrapolation_study(
     the coordinate model's four predicted points are extended by least
     squares, once linear and once at the polynomial head's degree.  All
     three curves average over the same test samples: those whose future
-    covers the six seconds.
+    covers the six seconds, counted in the report's `sample_count`.
     """
     horizon = EXTRAPOLATION_TRAIN_HORIZON
     poly_cfg = replace(
@@ -153,7 +153,7 @@ def extrapolation_study(
             pred = np.stack([fit_x(offsets.astype(np.float64)), fit_y(offsets.astype(np.float64))], axis=1)
             fit_errors[degree][i] = np.hypot(pred[:, 0] - truth[:, 0], pred[:, 1] - truth[:, 1])
 
-    report = StudyReport(name="extrapolation", fingerprint=fingerprint)
+    report = StudyReport(name="extrapolation", fingerprint=fingerprint, sample_count=len(kept))
     report.series.append(Series("poly", tuple(int(t) for t in offsets), tuple(float(v) for v in poly_curve)))
     for degree in degrees:
         curve = fit_errors[degree].mean(axis=0)

@@ -7,7 +7,7 @@ from conftest import assert_close_to_fd, central_difference
 
 from polytraj import autodiff as ad
 from polytraj.autodiff import Adam, Parameter, Tensor, load_checkpoint, save_checkpoint, sgd_step
-from polytraj.errors import DataError, NumericalError, ShapeError
+from polytraj.errors import DataError, GraphError, NumericalError, ShapeError
 
 
 def test_matmul_hand_example():
@@ -40,6 +40,19 @@ def test_reused_node_accumulates_both_paths():
     x = Tensor([3.0])
     (x + x).sum().backward()
     np.testing.assert_allclose(x.grad, [2.0])
+
+
+def test_second_backward_through_a_consumed_graph_raises():
+    p = Tensor([1.0, -2.0])
+    hidden = p * p
+    loss = hidden.sum()
+    loss.backward()
+    np.testing.assert_array_equal(p.grad, [2.0, -4.0])
+    with pytest.raises(GraphError):
+        loss.backward()
+    with pytest.raises(GraphError):
+        (hidden * 3.0).sum().backward()  # reaches p only through the consumed node
+    np.testing.assert_array_equal(p.grad, [2.0, -4.0])
 
 
 def test_backward_requires_scalar():

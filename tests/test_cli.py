@@ -248,7 +248,35 @@ def test_study_anchoring_runs_small(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "fixed-2" in out and "random-2" in out
+    assert "samples: 2 of 2" in out
     assert list(out_dir.glob("anchoring_*.csv")) and list(out_dir.glob("anchoring_*.svg"))
+
+
+def _write_ngsim(path, vehicles=3, frames=60):
+    rows = ["Vehicle_ID,Frame_ID,Total_Frames,Local_X,Local_Y,v_Vel,v_Acc\n"]
+    for vid in range(1, vehicles + 1):
+        rows += [f"{vid},{k},{frames},{12.0 * vid},{40.0 * k / 10.0},40.0,0.0\n" for k in range(frames)]
+    path.write_text("".join(rows))
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ("data.history_len=40", "history_len"),
+        ("data.history_len=55", "history_len"),
+        ("data.split_ratio=a:1", "ratio"),
+    ],
+)
+def test_generate_ngsim_bad_setting_exits_1(tmp_path, capsys, override, message):
+    csv_path = tmp_path / "ngsim.csv"
+    _write_ngsim(csv_path)
+    args = ["generate", *_sets("data.source=ngsim", f"data.ngsim_csv={csv_path}", "data.segment_len=40",
+                               f"out.dir={tmp_path / 'data'}", override)]
+    assert main(args) == 1
+    assert message in capsys.readouterr().err
+    valid = ["generate", *_sets("data.source=ngsim", f"data.ngsim_csv={csv_path}", "data.segment_len=40",
+                                "data.history_len=20", f"out.dir={tmp_path / 'ok'}")]
+    assert main(valid) == 0
 
 
 def test_help_lists_every_config_key(capsys):

@@ -1,11 +1,20 @@
-"""Tests for the GRU cell, attention, the full model, and training."""
+"""Tests for the GRU cell and layer, attention, the full model, and training."""
 
+import gc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import assert_close_to_fd, central_difference, make_moderate_samples, oracle_loss
+from conftest import (
+    assert_close_to_fd,
+    central_difference,
+    make_moderate_samples,
+    oracle_forward,
+    oracle_gru_cell,
+    oracle_loss,
+)
 
 from polytraj.autodiff import Tensor
 from polytraj.data import Sample, gen_synthetic, build_samples
@@ -21,6 +30,7 @@ from polytraj.model import (
     batch_loss,
     collate,
     gru_cell,
+    gru_layer,
     load_model,
     moments,
     save_model,
@@ -85,6 +95,50 @@ def test_gru_shape_mismatch_raises():
             w_x=Tensor(weights.w_x), u_zr=Tensor(weights.u_zr),
             u_c=Tensor(weights.u_c), b=Tensor(weights.b),
         ))
+
+
+# -- GRU layer ------------------------------------------------------------------
+
+
+def _random_weights(rng, in_dim, units, wrap=np.asarray):
+    return GRUWeights(
+        w_x=wrap(rng.normal(0, 0.5, size=(in_dim, 3 * units))),
+        u_zr=wrap(rng.normal(0, 0.5, size=(units, 2 * units))),
+        u_c=wrap(rng.normal(0, 0.5, size=(units, units))),
+        b=wrap(rng.normal(0, 0.2, size=3 * units)),
+    )
+
+
+def test_gru_layer_matches_iterated_oracle_cell(rng):
+    steps, rows, in_dim, units = 5, 4, 3, 2
+    weights = _random_weights(rng, in_dim, units)
+    xs = rng.normal(0, 1, size=(steps, rows, in_dim))
+    h0 = rng.normal(0, 1, size=(rows, units))
+    mask = (rng.uniform(size=(steps, rows)) < 0.6).astype(float)
+    h = h0
+    for t in range(steps):
+        new_h = oracle_gru_cell(xs[t], h, weights)
+        h = mask[t][:, None] * new_h + (1.0 - mask[t][:, None]) * h
+    np.testing.assert_array_equal(gru_layer(xs, h0, weights, mask)[-1], h)
+    np.testing.assert_array_equal(gru_layer(xs[:1], h0, weights)[0], oracle_gru_cell(xs[0], h0, weights))
+
+
+def test_gru_layer_gradients_match_finite_differences(rng):
+    steps, rows, in_dim, units = 4, 3, 2, 3
+    weights = _random_weights(rng, in_dim, units, wrap=Tensor)
+    xs = Tensor(rng.normal(0, 1, size=(steps, rows, in_dim)))
+    h0 = Tensor(rng.normal(0, 1, size=(rows, units)))
+    mask = np.ones((steps, rows))
+    mask[:2, 1] = 0.0  # row 1 enters late
+    mix = rng.normal(0, 1, size=(steps, rows, units))
+
+    def forward():
+        return (gru_layer(xs, h0, weights, mask) * mix).sum()
+
+    forward().backward()
+    for node in (weights.w_x, weights.u_zr, weights.u_c, weights.b, h0, xs):
+        numeric = central_difference(lambda: float(forward().data), node.data)
+        assert_close_to_fd(node.grad, numeric)
 
 
 # -- attention ------------------------------------------------------------------
@@ -308,6 +362,84 @@ def test_whole_model_gradient_check_mini(rng):
         )
         analytic = node.grad if node.grad is not None else np.zeros_like(node.data)
         assert_close_to_fd(analytic, numeric)
+
+
+def _with_masks(samples, full: bool):
+    if full:
+        for sample in samples:
+            sample.mask[:] = 1.0
+    return samples
+
+
+@pytest.mark.parametrize("agents", [1, 5])
+@pytest.mark.parametrize("full", [True, False], ids=["full-masks", "late-neighbours"])
+def test_batch_loss_and_gradients_match_unrolled_oracle(rng, monkeypatch, agents, full):
+    samples = _with_masks(make_moderate_samples(rng, 4, agents=agents, steps=5), full)
+    if agents > 1:
+        samples.append(make_moderate_samples(rng, 1, agents=2, steps=5)[0])  # padded slots
+    model = TrajectoryModel(ModelConfig(units=4, d_x=2, d_y=2, decoder_steps=3), seed=17)
+    t_matrix = np.tile([5, 20, 50], (len(samples), 1))
+
+    def run():
+        loss, per_sample = batch_loss(model, samples, t_matrix, train=True)
+        loss.backward()
+        grads = {name: node.grad for name, node in model.params.items()}
+        for node in model.params.values():
+            node.zero_grad()
+        return per_sample.data, grads
+
+    fused, fused_grads = run()
+    monkeypatch.setattr(TrajectoryModel, "forward_batch", oracle_forward)
+    unrolled, unrolled_grads = run()
+    np.testing.assert_allclose(fused, unrolled, rtol=1e-10, atol=0.0)
+    for name, grad in unrolled_grads.items():
+        gap = np.max(np.abs(fused_grads[name] - grad))
+        assert gap <= 1e-10 * np.max(np.abs(grad)), f"{name}: gradient gap {gap}"
+
+
+def _interior_nodes(root: Tensor, leaves) -> list:
+    """Every node reachable from `root` through `_parents`, except `leaves`."""
+    keep = {id(node) for node in leaves}
+    seen, stack, found = {id(root)}, [root], [root]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+                if id(parent) not in keep:
+                    found.append(parent)
+    return found
+
+
+def test_backward_frees_the_graph_without_gc(rng):
+    samples = make_moderate_samples(rng, 3, agents=3)
+    model = TrajectoryModel(ModelConfig(units=4), seed=3)
+    gc.disable()
+    try:
+        loss, per_sample = batch_loss(model, samples, np.tile([10, 30, 50], (3, 1)))
+        refs = [weakref.ref(node) for node in _interior_nodes(loss, model.params.values())]
+        assert len(refs) > 20
+        loss.backward()
+        del loss, per_sample
+        assert [ref for ref in refs if ref() is not None] == []
+    finally:
+        gc.enable()
+
+
+def test_training_leaves_no_tensor_for_the_cyclic_gc(rng):
+    samples = make_moderate_samples(rng, 4, agents=2)
+    model = TrajectoryModel(ModelConfig(units=4), seed=2)
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)  # keep what the collector finds in gc.garbage
+    try:
+        train(model, samples, TrainSettings(lr=0.01, epochs=1, batch=2, seed=(0, 0)))
+        gc.collect()
+        assert not [obj for obj in gc.garbage if isinstance(obj, Tensor)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
 
 
 # -- training --------------------------------------------------------------------------

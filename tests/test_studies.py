@@ -21,6 +21,7 @@ def test_extrapolation_skips_short_samples_for_every_curve(rng):
     report, _ = extrapolation_study(train_samples, mixed, BASE, SETTINGS)
     expected, _ = extrapolation_study(train_samples, long_samples, BASE, SETTINGS)
     assert [s.label for s in report.series] == ["poly", "coord-fit-deg1", "coord-fit-deg2"]
+    assert report.sample_count == expected.sample_count == 3
     for got, want in zip(report.series, expected.series):
         assert got.offsets == want.offsets
         assert got.values == want.values
