@@ -531,10 +531,10 @@ def build_sample(scene: Scene, history_len: int, sample_id: int = 0) -> Sample:
     The state of an agent at frame t (1 <= t < history_len) needs it at t
     and t - 1: [dx, dy, v, alpha, theta, l, phi] with (dx, dy) the position
     increment, v the recorded speed or else the increment's speed, alpha
-    the recorded acceleration or else the change of v from the increment
-    speed at t - 1 (0 when the agent is absent at t - 2), theta the
-    increment's heading, and (l, phi) the polar offset from the reference
-    agent (phi 0 at l = 0).
+    the recorded acceleration or else the change of v from t - 1, with v
+    from the same source at both frames (0 when the agent is absent at
+    t - 2), theta the increment's heading, and (l, phi) the polar offset
+    from the reference agent (phi 0 at l = 0).
     """
     if history_len < 2:
         raise ConfigError(f"history_len must be >= 2, got {history_len}")
@@ -552,7 +552,7 @@ def build_sample(scene: Scene, history_len: int, sample_id: int = 0) -> Sample:
         [d if agent.speeds is None else agent.speeds[1:n] for d, agent in zip(derived, scene.agents)]
     )
     accel = np.zeros_like(derived)
-    accel[:, 1:] = np.where(present[:, : n - 2], (speed[:, 1:] - derived[:, :-1]) * rate, 0.0)
+    accel[:, 1:] = np.where(present[:, : n - 2], np.diff(speed, axis=1) * rate, 0.0)
     for a, agent in enumerate(scene.agents):
         if agent.accels is not None:
             accel[a] = agent.accels[1:n]

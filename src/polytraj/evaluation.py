@@ -85,11 +85,6 @@ def displacement_errors(model, samples: Sequence[Sample], offsets: Sequence[int]
     return np.hypot(pred[:, :, 0] - truth[:, :, 0], pred[:, :, 1] - truth[:, :, 1])
 
 
-def displacement_curve(model, samples: Sequence[Sample], offsets: Sequence[int]) -> np.ndarray:
-    """ADE at each offset: mean displacement across the test set."""
-    return displacement_errors(model, samples, offsets).mean(axis=0)
-
-
 def rmse_at_offsets(
     model,
     samples: Sequence[Sample],

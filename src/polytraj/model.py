@@ -7,9 +7,10 @@ states, and the attended context initializes a stacked-GRU decoder driven
 for a fixed number of steps by a learned constant input.  A dense layer
 on the final decoder state emits either fixed-offset coordinates (with
 per-point log-sigmas) or polynomial coefficients (with per-coefficient
-log-sigmas).  Each GRU layer is one `gru_layer` call over all its steps;
-when training, that is one graph node with a hand-written backward pass
-through time.
+log-sigmas).  `gru_cell` is the one GRU function: encoder and decoder run
+it step-major, one call per layer and step, holding one state per layer.
+When training, each call is one graph node with a hand-written backward
+pass, so the graph unrolls backpropagation through time step by step.
 
 `moments` is the one decoding path: it turns a batch of raw head outputs
 and a (B, T) matrix of frame offsets into the per-axis predicted mean and
@@ -178,89 +179,58 @@ class GRUWeights:
     b: object
 
 
-def gru_layer(xs, h0, weights: GRUWeights, mask=None):
-    """One GRU layer over S steps: the (S, N, units) hidden state after each step.
+def gru_cell(x, h, weights: GRUWeights, mask=None):
+    """One GRU step: the (N, units) state after the (N, F) input `x` from
+    the (N, units) state `h`.
 
-    `xs` holds the S inputs of N rows each: an (S, N, F) array or Tensor, or
-    any sequence whose item t is the (N, F) input of step t, read in step
-    order.  `h0` is the (N, units) start state.  `mask` is None when every
-    row is present, else a sequence of S (N,) 0/1 rows; an absent row keeps
-    its previous state.
-
-    When `xs`, `h0` or a weight is a Tensor, the result is one graph node that
-    covers the whole layer: the forward pass caches the gates and the backward
-    pass runs backpropagation through time by hand.  Otherwise nothing is
-    cached and the result is a `_LazySteps` sequence, run as its steps are
-    read, so a stack of layers holds one state per layer, not every
-    layer's whole sequence.
+    `mask` is None when every row is present, else an (N,) 0/1 row; an
+    absent row keeps its state.  When `x`, `h` or a weight is a Tensor, the
+    result is one graph node whose backward pass is written by hand from
+    the cached gates; on plain arrays no graph is built.
     """
-    inputs = (xs, h0, weights.w_x, weights.u_zr, weights.u_c, weights.b)
-    x_seq, h_start, w_x, u_zr, u_c, b = (v.data if isinstance(v, Tensor) else v for v in inputs)
+    inputs = (x, h, weights.w_x, weights.u_zr, weights.u_c, weights.b)
+    # lists, not tuples built from generators: those leave a resized tuple
+    # on the interpreter's free list per call, which reads as memory growth
+    arrays = [v.data if isinstance(v, Tensor) else v for v in inputs]
+    x_in, h_prev, w_x, u_zr, u_c, _ = arrays
+    rows, units, in_dim = len(h_prev), u_c.shape[0], w_x.shape[0]
+    shapes = [v.shape for v in arrays]
+    if shapes != [(rows, in_dim), (rows, units), (in_dim, 3 * units), (units, 2 * units), (units, units), (3 * units,)]:
+        raise ShapeError(f"GRU input, state and weights {shapes} do not fit {units} units")
     parents = tuple(v for v in inputs if isinstance(v, Tensor))
-    steps, (rows, units) = len(x_seq), h_start.shape
-    in_dim = w_x.shape[0]
-    if (w_x.shape, u_zr.shape, u_c.shape, b.shape) != (
-        (in_dim, 3 * units), (units, 2 * units), (units, units), (3 * units,)
-    ):
-        raise ShapeError(
-            f"GRU weights {w_x.shape}, {u_zr.shape}, {u_c.shape}, {b.shape} do not fit {units} units"
-        )
+    gates = np.empty((rows, 3 * units)) if parents else None  # [z | r | c]
+    h_new = _gru_step(*arrays, gates)
+    if mask is not None:
+        m = mask[:, np.newaxis]
+        h_new = m * h_new + (1.0 - m) * h_prev
     if not parents:
-        return _LazySteps(_gru_steps(x_seq, h_start, w_x, u_zr, u_c, b, mask), steps)
-    hs = np.empty((steps, rows, units))
-    gates = np.empty((steps, rows, 3 * units))  # [z | r | c]
-    for t, h in enumerate(_gru_steps(x_seq, h_start, w_x, u_zr, u_c, b, mask, gates)):
-        hs[t] = h
-    out = Tensor(hs, parents)
+        return h_new
+    out = Tensor(h_new, parents)
 
     def _backward():
-        grads = [np.zeros_like(v) for v in (w_x, u_zr, u_c, b)]
-        d_w_x, d_u_zr, d_u_c, d_b = grads
-        d_xs = np.empty((steps, rows, in_dim)) if isinstance(xs, Tensor) else None
-        d_h = np.zeros((rows, units))
+        z, r, c = (gates[:, k * units : (k + 1) * units] for k in range(3))
+        d_new, d_kept = (out.grad, 0.0) if mask is None else (m * out.grad, (1.0 - m) * out.grad)
         d_pre = np.empty((rows, 3 * units))  # gradient of the gate pre-activations
-        for t in range(steps - 1, -1, -1):
-            h_prev = hs[t - 1] if t else h_start
-            z, r, c = (gates[t, :, k * units : (k + 1) * units] for k in range(3))
-            d_h = d_h + out.grad[t]
-            if mask is None:
-                d_new, d_h = d_h, 0.0
-            else:
-                m = mask[t][:, np.newaxis]
-                d_new, d_h = m * d_h, (1.0 - m) * d_h
-            d_pre[:, :units] = d_new * (h_prev - c) * z * (1.0 - z)
-            d_pre[:, 2 * units :] = d_new * (1.0 - z) * (1.0 - c * c)
-            d_rh = d_pre[:, 2 * units :] @ u_c.T
-            d_pre[:, units : 2 * units] = d_rh * h_prev * r * (1.0 - r)
-            d_h = d_h + d_new * z + d_rh * r + d_pre[:, : 2 * units] @ u_zr.T
-            d_u_c += (r * h_prev).T @ d_pre[:, 2 * units :]
-            d_u_zr += h_prev.T @ d_pre[:, : 2 * units]
-            d_w_x += x_seq[t].T @ d_pre
-            d_b += d_pre.sum(axis=0)
-            if d_xs is not None:
-                d_xs[t] = d_pre @ w_x.T
-        for node, grad in zip(inputs, (d_xs, d_h, *grads)):
+        d_pre[:, :units] = d_new * (h_prev - c) * z * (1.0 - z)
+        d_pre[:, 2 * units :] = d_new * (1.0 - z) * (1.0 - c * c)
+        d_rh = d_pre[:, 2 * units :] @ u_c.T
+        d_pre[:, units : 2 * units] = d_rh * h_prev * r * (1.0 - r)
+        d_h = d_kept + d_new * z + d_rh * r + d_pre[:, : 2 * units] @ u_zr.T
+        d_x = d_pre @ w_x.T if isinstance(x, Tensor) else None
+        grads = (
+            d_x,
+            d_h,
+            x_in.T @ d_pre,
+            h_prev.T @ d_pre[:, : 2 * units],
+            (r * h_prev).T @ d_pre[:, 2 * units :],
+            d_pre.sum(axis=0),
+        )
+        for node, grad in zip(inputs, grads):
             if isinstance(node, Tensor):
                 node._accumulate(grad)
 
     out._backward = _backward
     return out
-
-
-def _gru_steps(x_seq, h, w_x, u_zr, u_c, b, mask, gates=None):
-    """Yield the state after each step of one GRU layer; when `gates` is given,
-    store each step's [z | r | c] in it.  The step math sits in `_gru_step`
-    so that its temporaries are freed before the generator suspends."""
-    for t in range(len(x_seq)):
-        x = x_seq[t]
-        if x.shape != (h.shape[0], w_x.shape[0]):
-            raise ShapeError(f"GRU step input {x.shape} does not fit state {h.shape} and w_x {w_x.shape}")
-        new_h = _gru_step(x, h, w_x, u_zr, u_c, b, None if gates is None else gates[t])
-        if mask is not None:
-            m = mask[t][:, np.newaxis]
-            new_h = m * new_h + (1.0 - m) * h
-        h = new_h
-        yield h
 
 
 def _gru_step(x, h, w_x, u_zr, u_c, b, gates=None):
@@ -276,52 +246,6 @@ def _gru_step(x, h, w_x, u_zr, u_c, b, gates=None):
         gates[:, : 2 * units] = zr
         gates[:, 2 * units :] = c
     return z * h + (1.0 - z) * c
-
-
-class _LazySteps:
-    """The states of a graph-free `gru_layer`, computed as they are read.
-
-    Steps must be read in order; the latest one can be read again."""
-
-    def __init__(self, states, steps: int):
-        self._states = states
-        self._steps = steps
-        self._t = -1
-        self._h = None
-
-    def __len__(self) -> int:
-        return self._steps
-
-    def __getitem__(self, t: int) -> np.ndarray:
-        if t < 0:
-            t += self._steps
-        if not self._t <= t < self._steps:
-            raise IndexError(f"step {t} of a GRU layer run up to step {self._t}; read steps in order")
-        while self._t < t:
-            self._h = next(self._states)
-            self._t += 1
-        return self._h
-
-
-def gru_cell(x, h, weights: GRUWeights):
-    """One GRU step, (N, F) input and (N, units) state: `gru_layer` over one input."""
-    return gru_layer(x[np.newaxis], h, weights)[0]
-
-
-class _AgentMajorSteps:
-    """Step t of a (B, A, S, ...) batch as (A·B, ...) agent-major rows, times
-    `scale`; gathered when asked for, so no copy of the whole batch is held."""
-
-    def __init__(self, batch: np.ndarray, scale=1.0):
-        self.batch = batch
-        self.scale = scale
-
-    def __len__(self) -> int:
-        return self.batch.shape[2]
-
-    def __getitem__(self, t: int) -> np.ndarray:
-        step = np.multiply(self.batch[:, :, t].swapaxes(0, 1), self.scale, order="C")
-        return step.reshape(-1, *step.shape[2:])
 
 
 def attention(query, keys: Sequence, values: Sequence, present: np.ndarray):
@@ -381,7 +305,9 @@ class TrajectoryModel:
         mask: (B, A, S) with 1.0 where a state is valid.  Returns the raw
         head output, (B, output_dim): a Tensor when `train`, else an array.
         The encoder runs once over all A·B agent rows, agent-major, so slot
-        a's final state is rows a·B to (a+1)·B; each layer is one `gru_layer`.
+        a's final state is rows a·B to (a+1)·B.  Encoder and decoder run
+        step-major: each step goes up through every layer, one `gru_cell`
+        each, before the next step starts, so one state per layer is held.
         """
         if states.ndim != 4 or states.shape[3] != self.config.input_dim:
             raise ShapeError(f"states must be (B, A, S, {self.config.input_dim}), got {states.shape}")
@@ -391,19 +317,25 @@ class TrajectoryModel:
         cfg = self.config
         scale = INPUT_SCALE if cfg.input_dim == INPUT_SCALE.size else 1.0
         params = self._param_values(train)
-        present = None if np.all(mask == 1.0) else _AgentMajorSteps(mask)
-        hidden = _AgentMajorSteps(states, scale)
-        start = np.zeros((n_agents * batch, cfg.units))
-        for layer in range(cfg.encoder_layers):
-            hidden = gru_layer(hidden, start, _weights(params, f"enc{layer}"), present)
-        final = hidden[steps - 1]
-        finals = [final[a * batch : (a + 1) * batch] for a in range(n_agents)]
+        rows = n_agents * batch
+        all_present = bool(np.all(mask == 1.0))
+        layers = [_weights(params, f"enc{layer}") for layer in range(cfg.encoder_layers)]
+        hidden = [np.zeros((rows, cfg.units))] * cfg.encoder_layers
+        for t in range(steps):
+            x = states[:, :, t].swapaxes(0, 1).reshape(rows, -1) * scale
+            present = None if all_present else mask[:, :, t].T.reshape(rows)
+            for layer, weights in enumerate(layers):
+                hidden[layer] = x = gru_cell(x, hidden[layer], weights, present)
+        finals = [hidden[-1][a * batch : (a + 1) * batch] for a in range(n_agents)]
         context = attention(finals[0], finals, finals, mask.any(axis=2))
-        # the learned constant input, repeated for every decoder step
-        hidden = params["dec.x0"] + np.zeros((cfg.decoder_steps, batch, cfg.units))
-        for layer in range(cfg.decoder_layers):
-            hidden = gru_layer(hidden, context, _weights(params, f"dec{layer}"))
-        return hidden[cfg.decoder_steps - 1] @ params["head.w"] + params["head.b"]
+        x0 = params["dec.x0"] + np.zeros((batch, cfg.units))  # the learned constant input
+        layers = [_weights(params, f"dec{layer}") for layer in range(cfg.decoder_layers)]
+        hidden = [context] * cfg.decoder_layers
+        for _ in range(cfg.decoder_steps):
+            x = x0
+            for layer, weights in enumerate(layers):
+                hidden[layer] = x = gru_cell(x, hidden[layer], weights)
+        return hidden[-1] @ params["head.w"] + params["head.b"]
 
     def predict_positions(self, samples: Sequence[Sample], offsets: Sequence[int]) -> np.ndarray:
         """Predicted (x, y) of every sample at the given frame offsets: (B, T, 2)."""

@@ -75,7 +75,9 @@ def oracle_states(scene: Scene, history_len: int) -> tuple[np.ndarray, np.ndarra
     """Independent reimplementation of the sample states: one scalar state
     vector per agent and frame, math-module angles."""
 
-    def derived_speed(agent, t):
+    def speed(agent, t):
+        if agent.speeds is not None:
+            return float(agent.speeds[t])
         delta = agent.positions[t] - agent.positions[t - 1]
         return float(np.hypot(delta[0], delta[1])) * scene.frame_rate
 
@@ -87,11 +89,11 @@ def oracle_states(scene: Scene, history_len: int) -> tuple[np.ndarray, np.ndarra
             if not (agent.present[t] and agent.present[t - 1]):
                 continue
             delta = agent.positions[t] - agent.positions[t - 1]
-            v = derived_speed(agent, t) if agent.speeds is None else float(agent.speeds[t])
+            v = speed(agent, t)
             if agent.accels is not None:
                 alpha = float(agent.accels[t])
             elif t >= 2 and agent.present[t - 2]:
-                alpha = (v - derived_speed(agent, t - 1)) * scene.frame_rate
+                alpha = (v - speed(agent, t - 1)) * scene.frame_rate
             else:
                 alpha = 0.0
             theta = _wrap_angle(math.atan2(delta[1], delta[0]))

@@ -196,6 +196,17 @@ def test_state_vector_order():
     assert vec[4] == pytest.approx(math.atan2(delta[1], delta[0]))
 
 
+def test_constant_recorded_speed_gives_zero_alpha(rng):
+    # with recorded speeds and no recorded accels, alpha is the change of
+    # the recorded speed, so position noise does not enter it
+    frames = np.arange(12)
+    positions = np.stack([np.zeros(12), frames * 1.0], axis=1) + rng.normal(0.0, 0.05, size=(12, 2))
+    ego = SceneAgent(agent_id=1, present=np.ones(12, dtype=bool), positions=positions, speeds=np.full(12, 10.0))
+    sample = build_sample(Scene(frames=frames, agents=[ego], frame_rate=10.0), history_len=8)
+    np.testing.assert_array_equal(sample.states[0, :, 2], 10.0)
+    np.testing.assert_array_equal(sample.states[0, :, 3], 0.0)
+
+
 # -- segmentation and splitting ------------------------------------------------------
 
 

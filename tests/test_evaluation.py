@@ -8,7 +8,7 @@ from polytraj.errors import DataError
 from polytraj.evaluation import (
     EvalReport,
     ade,
-    displacement_curve,
+    displacement_errors,
     least_squares_fit,
     rmse_at_offsets,
 )
@@ -112,7 +112,7 @@ def test_empty_test_set_rejected():
 def test_offsets_beyond_future_rejected(rng):
     samples = _samples_with_futures(rng, 1, horizon=30)
     with pytest.raises(DataError):
-        displacement_curve(_OffsetPredictor(np.zeros((1, 2))), samples, (40,))
+        displacement_errors(_OffsetPredictor(np.zeros((1, 2))), samples, (40,))
 
 
 # -- least squares ---------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""Tests for the GRU cell and layer, attention, the full model, and training."""
+"""Tests for the GRU cell, attention, the full model, and training."""
 
 import gc
+import tracemalloc
 import weakref
 from types import SimpleNamespace
 
@@ -30,7 +31,6 @@ from polytraj.model import (
     batch_loss,
     collate,
     gru_cell,
-    gru_layer,
     load_model,
     moments,
     save_model,
@@ -85,9 +85,7 @@ def test_gru_gradients_match_finite_differences(rng):
 
 
 def test_gru_shape_mismatch_raises():
-    # numpy raises its own ValueError on the inference path; the graph path
-    # raises ShapeError, which subclasses ValueError
-    with pytest.raises(ValueError):
+    with pytest.raises(ShapeError):
         gru_cell(np.ones((1, 5)), np.zeros((1, 3)), _zero_weights(4, 3))
     with pytest.raises(ShapeError):
         weights = _zero_weights(4, 3)
@@ -97,7 +95,7 @@ def test_gru_shape_mismatch_raises():
         ))
 
 
-# -- GRU layer ------------------------------------------------------------------
+# -- chains of GRU steps -------------------------------------------------------
 
 
 def _random_weights(rng, in_dim, units, wrap=np.asarray):
@@ -109,7 +107,16 @@ def _random_weights(rng, in_dim, units, wrap=np.asarray):
     )
 
 
-def test_gru_layer_matches_iterated_oracle_cell(rng):
+def _gru_chain(xs, h, weights, mask=None):
+    """The state after each of the S steps of `xs`, one `gru_cell` a step."""
+    states = []
+    for t in range(xs.shape[0]):
+        h = gru_cell(xs[t], h, weights, None if mask is None else mask[t])
+        states.append(h)
+    return states
+
+
+def test_gru_cell_chain_matches_iterated_oracle_cell(rng):
     steps, rows, in_dim, units = 5, 4, 3, 2
     weights = _random_weights(rng, in_dim, units)
     xs = rng.normal(0, 1, size=(steps, rows, in_dim))
@@ -119,11 +126,14 @@ def test_gru_layer_matches_iterated_oracle_cell(rng):
     for t in range(steps):
         new_h = oracle_gru_cell(xs[t], h, weights)
         h = mask[t][:, None] * new_h + (1.0 - mask[t][:, None]) * h
-    np.testing.assert_array_equal(gru_layer(xs, h0, weights, mask)[-1], h)
-    np.testing.assert_array_equal(gru_layer(xs[:1], h0, weights)[0], oracle_gru_cell(xs[0], h0, weights))
+    np.testing.assert_array_equal(_gru_chain(xs, h0, weights, mask)[-1], h)
+    np.testing.assert_array_equal(gru_cell(xs[0], h0, weights), oracle_gru_cell(xs[0], h0, weights))
+    # the graph path computes the same states as the array path
+    graph_weights = GRUWeights(*(Tensor(w) for w in (weights.w_x, weights.u_zr, weights.u_c, weights.b)))
+    np.testing.assert_array_equal(_gru_chain(Tensor(xs), Tensor(h0), graph_weights, mask)[-1].data, h)
 
 
-def test_gru_layer_gradients_match_finite_differences(rng):
+def test_gru_cell_chain_gradients_match_finite_differences(rng):
     steps, rows, in_dim, units = 4, 3, 2, 3
     weights = _random_weights(rng, in_dim, units, wrap=Tensor)
     xs = Tensor(rng.normal(0, 1, size=(steps, rows, in_dim)))
@@ -133,7 +143,10 @@ def test_gru_layer_gradients_match_finite_differences(rng):
     mix = rng.normal(0, 1, size=(steps, rows, units))
 
     def forward():
-        return (gru_layer(xs, h0, weights, mask) * mix).sum()
+        loss = 0.0
+        for t, h in enumerate(_gru_chain(xs, h0, weights, mask)):
+            loss = loss + (h * mix[t]).sum()
+        return loss
 
     forward().backward()
     for node in (weights.w_x, weights.u_zr, weights.u_c, weights.b, h0, xs):
@@ -296,6 +309,24 @@ def test_train_and_inference_paths_agree(rng):
     graph_out = model.forward_batch(states, mask, train=True)
     numpy_out = model.forward_batch(states, mask, train=False)
     np.testing.assert_allclose(numpy_out, graph_out.data, atol=1e-14)
+
+
+def test_inference_memory_does_not_grow_with_history(rng):
+    # step-major inference holds one state per layer, not one per step
+    model = TrajectoryModel(ModelConfig(), seed=0)
+
+    def peak_bytes(steps):
+        states = rng.normal(0, 1, size=(4, 2, steps, 7))
+        mask = np.ones((4, 2, steps))
+        mask[:, 1, :3] = 0.0  # the neighbour enters late
+        tracemalloc.start()
+        try:
+            model.forward_batch(states, mask, train=False)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak_bytes(200) <= 2 * peak_bytes(20)
 
 
 # -- loss ---------------------------------------------------------------------------
