@@ -423,17 +423,26 @@ def _clipped_grad(param: Parameter, grad_clip: float | None) -> np.ndarray:
     return g
 
 
+def _check_finite(param: Parameter) -> None:
+    if not np.all(np.isfinite(param.node.data)):
+        raise NumericalError(f"optimizer step left parameter '{param.name}' non-finite")
+
+
 def sgd_step(params: Iterable[Parameter], lr: float, grad_clip: float | None = None) -> None:
-    """p <- p - lr * clip(g), then reset gradients to zero."""
+    """p <- p - lr * clip(g), then reset gradients to zero; a step that
+    leaves a parameter non-finite raises NumericalError."""
     for p in params:
         if p.node.grad is None:
             continue
-        p.node.data -= lr * _clipped_grad(p, grad_clip)
+        with np.errstate(over="ignore", invalid="ignore"):  # _check_finite reports it
+            p.node.data -= lr * _clipped_grad(p, grad_clip)
+        _check_finite(p)
         p.node.zero_grad()
 
 
 class Adam:
-    """Adam with elementwise gradient clipping; resets gradients each step."""
+    """Adam with elementwise gradient clipping; resets gradients each step.
+    A step that leaves a parameter non-finite raises NumericalError."""
 
     def __init__(
         self,
@@ -469,7 +478,9 @@ class Adam:
             v += (1.0 - b2) * g * g
             m_hat = m / (1.0 - b1**self.t)
             v_hat = v / (1.0 - b2**self.t)
-            p.node.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            with np.errstate(over="ignore", invalid="ignore"):  # _check_finite reports it
+                p.node.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            _check_finite(p)
             p.node.zero_grad()
 
 

@@ -111,6 +111,8 @@ class RunConfig:
             raise ConfigError(f"eval.offsets must be comma-separated integers, got {self['eval.offsets']!r}") from None
         if not offsets:
             raise ConfigError("eval.offsets must name at least one offset")
+        if min(offsets) < 1:
+            raise ConfigError(f"eval.offsets must be frame offsets of at least 1, got {min(offsets)}")
         return offsets
 
 

@@ -2,23 +2,33 @@
 and model-ready samples.
 
 A track is one agent's fixed-rate sequence of 2-D positions (x lateral,
-y longitudinal, metres); `ingest_ngsim` splits a vehicle's rows into
-tracks at frame gaps.  Tracks are cut into fixed-length segments, split
-temporally into train and test, and turned into scenes: a window of
-frames with one reference agent and its nearest neighbours, each aligned
-on the window by `_align` and masked where absent.  `gen_synthetic`
-builds scenes directly.  Scenes go to disk and back as CSV files
-(`write_scene`, `read_scene`, which also aligns through `_align`).
-`build_sample` turns a scene into per-agent state histories, computed on
-whole arrays, plus the reference agent's future in its own frame at the
-current time step.
+y longitudinal, metres); `ingest_ngsim` parses an NGSim CSV's six used
+columns in one `np.loadtxt`, sorts the rows by (vehicle, frame) and
+splits each vehicle's rows into tracks at frame gaps.  Tracks are cut
+into fixed-length segments, split temporally into train and test, and
+turned into scenes by `build_scene`: a window of frames with one
+reference agent and its nearest neighbours at t_0, found through a
+frame-sorted index of every track row, each agent aligned on the window
+by `_align` and masked where absent.  `gen_synthetic` builds scenes
+directly.  Scenes go to disk and back as CSV files: `write_scene` joins
+each agent block's columns of repr strings and writes the file at once,
+and `read_scene` parses the whole body in one `np.loadtxt`, groups the
+rows by agent and aligns them through `_align`.  Both parsers accept
+plain comma-separated numbers only, with no quoting.  `build_sample`
+turns a scene into per-agent state histories, computed on whole arrays,
+plus the reference agent's future in its own frame at the current time
+step.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import logging
 import math
+import operator
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -35,6 +45,10 @@ DEFAULT_FRAME_RATE = 10.0
 NGSIM_COLUMNS = ("Vehicle_ID", "Frame_ID", "Local_X", "Local_Y", "v_Vel", "v_Acc")
 
 SCENE_HEADER = ["agent_id", "frame", "x_m", "y_m", "v", "a"]
+SCENE_HEADER_LINE = ",".join(SCENE_HEADER).encode()
+SCENE_DTYPE = np.dtype([("agent_id", np.int64), ("frame", np.int64), ("x", np.float64), ("y", np.float64),
+                        ("v", np.float64), ("a", np.float64)])
+LF, CR = b"\n", b"\r"
 
 SYNTHETIC_KINDS = ("const_vel", "const_acc", "lane_change", "arc", "mixed")
 
@@ -76,6 +90,34 @@ class Track:
 
     def __len__(self) -> int:
         return self.frames.size
+
+
+class TrackList(list):
+    """A list of tracks that caches its frame index, built on first use."""
+
+    _index: _FrameIndex | None = None
+
+    def frame_index(self) -> _FrameIndex:
+        if self._index is None or not self._index.covers(self):
+            self._index = _FrameIndex(self)
+        return self._index
+
+
+class _FrameIndex:
+    """Every row of a list of tracks, sorted by frame (ties in list order):
+    which tracks are present at a frame, and where they are."""
+
+    def __init__(self, tracks: Sequence[Track]):
+        self.tracks = list(tracks)
+        frames = np.concatenate([track.frames for track in self.tracks] or [np.empty(0, dtype=np.int64)])
+        order = np.argsort(frames, kind="stable")
+        self.frames = frames[order]
+        self.owner = np.repeat(np.arange(len(self.tracks)), [len(track) for track in self.tracks])[order]
+        self.agent_ids = np.array([track.agent_id for track in self.tracks], dtype=np.int64)[self.owner]
+        self.positions = np.concatenate([track.positions for track in self.tracks] or [np.empty((0, 2))])[order]
+
+    def covers(self, tracks: Sequence[Track]) -> bool:
+        return len(tracks) == len(self.tracks) and all(map(operator.is_, tracks, self.tracks))
 
 
 @dataclass
@@ -159,53 +201,105 @@ def _align(window: np.ndarray, agent_id: int, frames, positions, speeds=None, ac
 def ingest_ngsim(csv_path, frame_rate: float = DEFAULT_FRAME_RATE) -> list[Track]:
     """Read an NGSim-format CSV into per-vehicle tracks (feet -> metres).
 
-    A vehicle's track is split wherever its frame step exceeds its smallest
-    step; pieces shorter than 2 frames are dropped.
+    The header is read with the csv module; the body is parsed by one
+    `np.loadtxt` over the six `NGSIM_COLUMNS`, so it must be plain
+    comma-separated ASCII: a quoted field or a non-ASCII character is a
+    DataError.  Vehicle ids and frames are truncated to integers as
+    `int(float(...))` does and must lie within 2**53.  Rows are sorted by
+    (vehicle, frame); a vehicle's track is split wherever its frame step
+    exceeds its smallest step, and pieces shorter than 2 frames are
+    dropped.
     """
     path = Path(csv_path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    rows_by_vehicle: dict[int, list[tuple[int, float, float, float, float]]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader, [])]
-            if not header:
-                raise DataError(f"empty CSV: {path}")
-            for column in NGSIM_COLUMNS:
-                if column not in header:
-                    raise DataError(f"missing column '{column}' in {path}")
-            idx = {column: header.index(column) for column in NGSIM_COLUMNS}
-            for row in filter(None, reader):
-                vid = int(float(row[idx["Vehicle_ID"]]))
-                frame = int(float(row[idx["Frame_ID"]]))
-                if abs(frame) >= 2**53:
-                    raise ValueError(f"frame {frame} out of range")
-                values = (float(row[idx[column]]) for column in NGSIM_COLUMNS[2:])
-                rows_by_vehicle.setdefault(vid, []).append((frame, *values))
-        except (ValueError, IndexError, OverflowError, csv.Error) as exc:
-            raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
-    tracks = []
-    splits = dropped = 0
-    for vid in sorted(rows_by_vehicle):
-        rows = sorted(rows_by_vehicle[vid], key=lambda r: r[0])
-        frames = np.array([r[0] for r in rows], dtype=np.int64)
-        steps = np.diff(frames)
-        if np.any(steps <= 0):
-            raise DataError(f"track {vid}: non-monotone frames")
-        data = np.array([r[1:] for r in rows], dtype=np.float64) * FEET_TO_METRES
-        if not np.all(np.isfinite(data)):
-            raise DataError(f"track {vid}: non-finite values")
-        cuts = np.flatnonzero(steps > steps.min()) + 1 if steps.size else []
-        splits += len(cuts)
-        for piece_frames, piece in zip(np.split(frames, cuts), np.split(data, cuts)):
-            if piece_frames.size < 2:
-                dropped += 1
-            else:
-                tracks.append(Track(vid, piece_frames, piece[:, :2], piece[:, 2], piece[:, 3], frame_rate))
+    header, has_rows, plain = _ngsim_header(path)
+    if not header:
+        raise DataError(f"empty CSV: {path}")
+    for column in NGSIM_COLUMNS:
+        if column not in header:
+            raise DataError(f"missing column '{column}' in {path}")
+    columns = [header.index(column) for column in NGSIM_COLUMNS]
+    if not has_rows:
+        return TrackList()
+    values = None
+    # a quoted comma would shift the columns read, and numpy's text parser
+    # misreads, or crashes on, some non-ASCII characters
+    if plain:
+        with contextlib.suppress(ValueError):
+            values = np.loadtxt(path, delimiter=",", skiprows=1, usecols=columns, comments=None, ndmin=2,
+                                encoding="utf-8")
+    if values is None or not np.all(np.abs(values[:, :2]) < 2**53):
+        raise _ngsim_line_error(path, columns)
+    vehicles = values[:, 0].astype(np.int64)  # truncates as int() does
+    frames = values[:, 1].astype(np.int64)
+    order = np.lexsort((frames, vehicles))  # stable: equal keys keep file order
+    vehicles, frames = vehicles[order], frames[order]
+    data = values[order, 2:] * FEET_TO_METRES
+    same_vehicle = vehicles[1:] == vehicles[:-1]
+    steps = np.diff(frames)
+    repeated = vehicles[1:][same_vehicle & (steps == 0)]
+    non_finite = vehicles[~np.all(np.isfinite(data), axis=1)]
+    if repeated.size or non_finite.size:  # the lowest id first, its repeated frame before a non-finite value
+        vid = min(int(ids[0]) for ids in (repeated, non_finite) if ids.size)
+        fault = "non-monotone frames" if repeated.size and repeated[0] == vid else "non-finite values"
+        raise DataError(f"track {vid}: {fault}")
+    # a vehicle's track is cut where a step exceeds that vehicle's smallest step
+    vehicle_of_step = np.cumsum(~same_vehicle)[same_vehicle]
+    smallest = np.full(vehicles.size, np.iinfo(np.int64).max)
+    np.minimum.at(smallest, vehicle_of_step, steps[same_vehicle])
+    gap = np.zeros(steps.size, dtype=bool)
+    gap[same_vehicle] = steps[same_vehicle] > smallest[vehicle_of_step]
+    bounds = [0, *(np.flatnonzero(gap | ~same_vehicle) + 1).tolist(), frames.size]
+    tracks = TrackList()
+    dropped = 0
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        if stop - start < 2:
+            dropped += 1
+            continue
+        piece = data[start:stop]
+        tracks.append(Track(int(vehicles[start]), frames[start:stop], piece[:, :2], piece[:, 2], piece[:, 3],
+                            frame_rate))
+    splits = int(np.count_nonzero(gap))
     if splits or dropped:
         log.warning("split tracks at %d frame gap(s); dropped %d piece(s) shorter than 2 frames", splits, dropped)
     return tracks
+
+
+def _ngsim_header(path: Path) -> tuple[list[str], bool, bool]:
+    """An NGSim CSV's header fields, read with the csv module, whether a
+    non-blank line follows the header, and whether the lines after it are
+    plain ASCII without quotes; the file must be UTF-8."""
+    raw = path.read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}, line {raw.count(LF, 0, exc.start) + 1}: {exc}") from None
+    first_line = re.match(r"[^\r\n]*", text).group()
+    header = [h.strip() for h in next(csv.reader([first_line]), [])]
+    has_rows = re.compile(r"[^\r\n]").search(text, len(first_line)) is not None
+    plain = (raw.isascii() or text[len(first_line) :].isascii()) and text.find('"', len(first_line)) < 0
+    return header, has_rows, plain
+
+
+def _ngsim_line_error(path: Path, columns: list[int]) -> DataError:
+    """The error of the first NGSim data line that does not parse or whose
+    vehicle id or frame is out of range; blank lines are skipped."""
+    lines = path.read_text(encoding="utf-8").split("\n")  # CR and CRLF read as LF
+    for number, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        try:
+            if '"' in line or not line.isascii():
+                raise ValueError("quoted fields and non-ASCII characters are not supported")
+            (row,) = np.loadtxt([line], delimiter=",", usecols=columns, comments=None, ndmin=2)
+        except ValueError as exc:
+            return DataError(f"{path}, line {number}: {exc}")
+        for name, value in (("vehicle id", row[0]), ("frame", row[1])):
+            if not abs(value) < 2**53:
+                shown = int(value) if math.isfinite(value) else value
+                return DataError(f"{path}, line {number}: {name} {shown} out of range")
+    return DataError(f"{path}: unreadable NGSim rows")
 
 
 # -- scene files -----------------------------------------------------------------
@@ -213,59 +307,55 @@ def ingest_ngsim(csv_path, frame_rate: float = DEFAULT_FRAME_RATE) -> list[Track
 
 def write_scene(scene: Scene, path) -> None:
     """Write one scene: reference agent's rows first, then each neighbor's,
-    with absent frames simply omitted; floats use repr so they round-trip."""
+    with absent frames simply omitted and "\\r\\n" line ends, in one write.
+
+    Each agent block is built as column lists of strings; floats use repr
+    so they round-trip, and a missing speed or accel column is empty.
+    """
+    lines = [",".join(SCENE_HEADER)]
+    for agent in scene.agents:
+        rows = np.flatnonzero(agent.present)
+        columns = [[str(int(agent.agent_id))] * rows.size, [*map(str, scene.frames[rows].tolist())]]
+        for values in (agent.positions[:, 0], agent.positions[:, 1], agent.speeds, agent.accels):
+            columns.append(
+                [""] * rows.size if values is None else [*map(repr, values[rows].astype(float).tolist())]
+            )
+        lines.extend(map(",".join, zip(*columns)))
+    lines.append("")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SCENE_HEADER)
-        for agent in scene.agents:
-            rows = np.flatnonzero(agent.present)
-            columns = [[int(agent.agent_id)] * rows.size, scene.frames[rows].tolist()]
-            for values in (agent.positions[:, 0], agent.positions[:, 1], agent.speeds, agent.accels):
-                # str of a Python float is its repr
-                columns.append([""] * rows.size if values is None else values[rows].astype(float).tolist())
-            writer.writerows(zip(*columns))
+        fh.write("\r\n".join(lines))
 
 
 def read_scene(path, frame_rate: float = DEFAULT_FRAME_RATE) -> Scene:
     """Read a scene file; the first agent block is the reference agent,
     whose frames, strictly increasing, make the window.
 
-    An empty v or a field means "not recorded", and the agent then has no
-    speeds or accels; every other value must be a finite number.
+    The file is read once and its body parsed by one `np.loadtxt` into
+    int64 ids and frames and float64 values.  Lines end in "\\n" or
+    "\\r\\n" and hold exactly six plain comma-separated ASCII fields: a
+    blank line, a bare "\\r", a quoted field or a non-ASCII byte is a
+    DataError.  An empty v or a field means "not recorded", and the agent
+    then has no speeds or accels; every other value must be a finite
+    number.  Rows are grouped by agent id in order of first appearance.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    rows_by_agent: dict[int, list[tuple]] = {}  # in order of first appearance
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header != SCENE_HEADER:
-                raise DataError(f"bad scene header in {path}: {header}")
-            for agent_id, frame, x, y, v, a in filter(None, reader):
-                rows_by_agent.setdefault(int(agent_id), []).append(
-                    (int(frame), float(x), float(y), float(v) if v else None, float(a) if a else None)
-                )
-        except (ValueError, csv.Error) as exc:
-            raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
-    if not rows_by_agent:
-        raise DataError(f"scene file {path} has no rows")
+    table, v_empty, a_empty = _scene_table(path)
+    _, first, group = np.unique(table["agent_id"], return_index=True, return_inverse=True)
+    group = np.argsort(np.argsort(first))[group]  # agents numbered by first appearance
     window = None
     agents = []
-    for agent_id, rows in rows_by_agent.items():
-        frames, xs, ys, speeds, accels = zip(*rows)
-        try:
-            frames = np.array(frames, dtype=np.int64)
-        except OverflowError:
-            raise DataError(f"{path}: scene agent {agent_id} has a frame out of range") from None
+    for rows in np.split(np.argsort(group, kind="stable"), np.cumsum(np.bincount(group))[:-1]):
+        agent_id = int(table["agent_id"][rows[0]])
+        frames = table["frame"][rows]
         if window is None:
             if np.any(np.diff(frames) <= 0):
                 raise DataError(f"{path}: reference agent's frames are not strictly increasing")
             window = frames
         agent, landed = _align(
-            window, agent_id, frames, np.stack([xs, ys], axis=1),
-            None if None in speeds else speeds, None if None in accels else accels,
+            window, agent_id, frames, np.stack([table["x"][rows], table["y"][rows]], axis=1),
+            None if v_empty[rows].any() else table["v"][rows], None if a_empty[rows].any() else table["a"][rows],
         )
         if not landed.all():
             outside = int(frames[np.argmin(landed)])
@@ -276,6 +366,56 @@ def read_scene(path, frame_rate: float = DEFAULT_FRAME_RATE) -> Scene:
             raise DataError(f"{path}: scene agent {agent_id} has a non-finite value")
         agents.append(agent)
     return Scene(frames=window, agents=agents, frame_rate=frame_rate)
+
+
+def _scene_table(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A scene file's rows as a SCENE_DTYPE table, with per-row flags for
+    an empty v and an empty a field (parsed as 0)."""
+    raw = path.read_bytes()
+    if not raw.isascii():  # numpy's text parser misreads, or crashes on, some non-ASCII characters
+        at = int(np.argmax(np.frombuffer(raw, dtype=np.uint8) >= 0x80))
+        raise DataError(f"{path}, line {raw.count(LF, 0, at) + 1}: non-ASCII byte 0x{raw[at]:02x}")
+    header, _, body = raw.partition(LF)
+    if header.removesuffix(CR) != SCENE_HEADER_LINE:
+        raise DataError(f"bad scene header in {path}: {header.decode()!r}")
+    if not body:
+        raise DataError(f"scene file {path} has no rows")
+    if not body.endswith(LF):
+        body += LF
+    chars = np.frombuffer(body, dtype=np.uint8)
+    ends = np.flatnonzero(chars == LF[0])
+    crlf = chars[ends - 1] == CR[0]
+    if body.count(CR) > np.count_nonzero(crlf):
+        returns = np.flatnonzero(chars == CR[0])
+        line = int(np.searchsorted(ends, returns[chars[returns + 1] != LF[0]][0])) + 2
+        raise DataError(f"{path}, line {line}: carriage return without a line feed")
+    ends = ends - crlf  # where each line's last field ends
+    commas = np.flatnonzero(chars == ord(","))
+    fields = np.diff(np.searchsorted(commas, ends), prepend=0) + 1
+    if np.any(fields != len(SCENE_HEADER)):
+        i = int(np.argmax(fields != len(SCENE_HEADER)))
+        raise DataError(f"{path}, line {i + 2}: expected {len(SCENE_HEADER)} fields, got {fields[i]}")
+    commas = commas.reshape(ends.size, len(SCENE_HEADER) - 1)
+    v_empty = commas[:, -1] == commas[:, -2] + 1
+    a_empty = ends == commas[:, -1] + 1
+    if v_empty.any() or a_empty.any():
+        body = np.insert(chars, np.concatenate([commas[v_empty, -1], ends[a_empty]]), ord("0")).tobytes()
+    text = body.decode()
+    try:
+        table = np.loadtxt(io.StringIO(text), delimiter=",", dtype=SCENE_DTYPE, comments=None, ndmin=1)
+    except ValueError as exc:
+        raise _scene_line_error(path, text, exc) from None
+    return table, v_empty, a_empty
+
+
+def _scene_line_error(path: Path, text: str, exc: ValueError) -> DataError:
+    """The error of the first scene body line that does not parse."""
+    for number, line in enumerate(text.split("\n")[:-1], start=2):
+        try:
+            np.loadtxt([line], delimiter=",", dtype=SCENE_DTYPE, comments=None)
+        except ValueError as line_exc:
+            return DataError(f"{path}, line {number}: {line_exc}")
+    return DataError(f"{path}: {exc}")
 
 
 # -- segmentation, splitting, filtering -----------------------------------------
@@ -375,7 +515,10 @@ def build_scene(segment: Segment, tracks: Sequence[Track], history_len: int, max
     """Materialize a segment into a scene with its nearest neighbors.
 
     Neighbors must be present at the reference agent's current frame
-    t_0 = start + history_len - 1; the closest `max_neighbors` are kept.
+    t_0 = start + history_len - 1; the closest `max_neighbors` are kept,
+    ties going to the lower agent id, then to the earlier track.  The
+    tracks present at t_0 come from a frame index, which a `TrackList`
+    (as `ingest_ngsim` returns) builds once and reuses across calls.
     """
     if not 2 <= history_len < segment.length:
         raise ConfigError(
@@ -383,20 +526,16 @@ def build_scene(segment: Segment, tracks: Sequence[Track], history_len: int, max
         )
     track = segment.track
     frames = track.frames[segment.start : segment.start + segment.length]
+    index = tracks.frame_index() if isinstance(tracks, TrackList) else _FrameIndex(tracks)
     t0_frame = frames[history_len - 1]
-    ego_t0 = track.positions[segment.start + history_len - 1]
-    candidates = []
-    for other in tracks:
-        if other.agent_id == track.agent_id:
-            continue
-        row = int(np.searchsorted(other.frames, t0_frame))
-        if row == len(other) or other.frames[row] != t0_frame:
-            continue
-        distance = float(np.hypot(*(other.positions[row] - ego_t0)))
-        candidates.append((distance, other.agent_id, other))
-    candidates.sort(key=lambda c: (c[0], c[1]))
+    rows = slice(*np.searchsorted(index.frames, (t0_frame, t0_frame + 1)))  # the tracks present at t_0
+    others = index.agent_ids[rows] != track.agent_id
+    owner, agent_ids = index.owner[rows][others], index.agent_ids[rows][others]
+    offset = index.positions[rows][others] - track.positions[segment.start + history_len - 1]
+    distance = np.hypot(offset[:, 0], offset[:, 1])
+    nearest = owner[np.lexsort((owner, agent_ids, distance))[:max_neighbors]]
     agents = []
-    for kept in [track] + [other for _, _, other in candidates[:max_neighbors]]:
+    for kept in [track] + [index.tracks[k] for k in nearest.tolist()]:
         rows = slice(*np.searchsorted(kept.frames, (frames[0], frames[-1] + 1)))
         columns = (None if c is None else c[rows] for c in (kept.positions, kept.speeds, kept.accels))
         agents.append(_align(frames, kept.agent_id, kept.frames[rows], *columns)[0])

@@ -40,10 +40,6 @@ class FitResult:
     coefficients: np.ndarray
     residual: float
 
-    @property
-    def degree(self) -> int:
-        return self.coefficients.size - 1
-
     def __call__(self, t):
         return np.polynomial.polynomial.polyval(t, self.coefficients)
 

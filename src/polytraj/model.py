@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -192,7 +193,7 @@ def gru_cell(x, h, weights: GRUWeights, mask=None):
     # lists, not tuples built from generators: those leave a resized tuple
     # on the interpreter's free list per call, which reads as memory growth
     arrays = [v.data if isinstance(v, Tensor) else v for v in inputs]
-    x_in, h_prev, w_x, u_zr, u_c, _ = arrays
+    _, h_prev, w_x, u_zr, u_c, _ = arrays
     rows, units, in_dim = len(h_prev), u_c.shape[0], w_x.shape[0]
     shapes = [v.shape for v in arrays]
     if shapes != [(rows, in_dim), (rows, units), (in_dim, 3 * units), (units, 2 * units), (units, units), (3 * units,)]:
@@ -200,37 +201,43 @@ def gru_cell(x, h, weights: GRUWeights, mask=None):
     parents = tuple(v for v in inputs if isinstance(v, Tensor))
     gates = np.empty((rows, 3 * units)) if parents else None  # [z | r | c]
     h_new = _gru_step(*arrays, gates)
-    if mask is not None:
-        m = mask[:, np.newaxis]
+    m = None if mask is None else mask[:, np.newaxis]
+    if m is not None:
         h_new = m * h_new + (1.0 - m) * h_prev
     if not parents:
         return h_new
     out = Tensor(h_new, parents)
-
-    def _backward():
-        z, r, c = (gates[:, k * units : (k + 1) * units] for k in range(3))
-        d_new, d_kept = (out.grad, 0.0) if mask is None else (m * out.grad, (1.0 - m) * out.grad)
-        d_pre = np.empty((rows, 3 * units))  # gradient of the gate pre-activations
-        d_pre[:, :units] = d_new * (h_prev - c) * z * (1.0 - z)
-        d_pre[:, 2 * units :] = d_new * (1.0 - z) * (1.0 - c * c)
-        d_rh = d_pre[:, 2 * units :] @ u_c.T
-        d_pre[:, units : 2 * units] = d_rh * h_prev * r * (1.0 - r)
-        d_h = d_kept + d_new * z + d_rh * r + d_pre[:, : 2 * units] @ u_zr.T
-        d_x = d_pre @ w_x.T if isinstance(x, Tensor) else None
-        grads = (
-            d_x,
-            d_h,
-            x_in.T @ d_pre,
-            h_prev.T @ d_pre[:, : 2 * units],
-            (r * h_prev).T @ d_pre[:, 2 * units :],
-            d_pre.sum(axis=0),
-        )
-        for node, grad in zip(inputs, grads):
-            if isinstance(node, Tensor):
-                node._accumulate(grad)
-
-    out._backward = _backward
+    # the node's cache goes to the backward pass as one partial, not as a
+    # closure's cells, so each node adds two gc-tracked objects, not fifteen
+    out._backward = partial(_gru_cell_backward, out, inputs, arrays, gates, m)
     return out
+
+
+def _gru_cell_backward(out: Tensor, inputs: tuple, arrays: list, gates: np.ndarray, m) -> None:
+    """Backward pass of one `gru_cell` node from its cached [z | r | c] gates;
+    `m` is the (N, 1) row mask, or None when every row is present."""
+    x_in, h_prev, w_x, u_zr, u_c, _ = arrays
+    rows, units = len(h_prev), u_c.shape[0]
+    z, r, c = (gates[:, k * units : (k + 1) * units] for k in range(3))
+    d_new, d_kept = (out.grad, 0.0) if m is None else (m * out.grad, (1.0 - m) * out.grad)
+    d_pre = np.empty((rows, 3 * units))  # gradient of the gate pre-activations
+    d_pre[:, :units] = d_new * (h_prev - c) * z * (1.0 - z)
+    d_pre[:, 2 * units :] = d_new * (1.0 - z) * (1.0 - c * c)
+    d_rh = d_pre[:, 2 * units :] @ u_c.T
+    d_pre[:, units : 2 * units] = d_rh * h_prev * r * (1.0 - r)
+    d_h = d_kept + d_new * z + d_rh * r + d_pre[:, : 2 * units] @ u_zr.T
+    d_x = d_pre @ w_x.T if isinstance(inputs[0], Tensor) else None
+    grads = (
+        d_x,
+        d_h,
+        x_in.T @ d_pre,
+        h_prev.T @ d_pre[:, : 2 * units],
+        (r * h_prev).T @ d_pre[:, 2 * units :],
+        d_pre.sum(axis=0),
+    )
+    for node, grad in zip(inputs, grads):
+        if isinstance(node, Tensor):
+            node._accumulate(grad)
 
 
 def _gru_step(x, h, w_x, u_zr, u_c, b, gates=None):

@@ -43,12 +43,6 @@ class StudyReport:
     series: list[Series] = field(default_factory=list)
     sample_count: int = 0  # test samples every curve averages over
 
-    def get(self, label: str) -> Series:
-        for s in self.series:
-            if s.label == label:
-                return s
-        raise KeyError(f"no series {label!r} in study {self.name!r}")
-
 
 def write_study_csv(report: StudyReport, path) -> None:
     """One row per offset per method."""

@@ -1,15 +1,28 @@
-"""Shared test helpers: finite-difference, loss, state and forward-pass
-oracles, hand-built samples."""
+"""Shared test helpers: finite-difference, loss, state, forward-pass and
+row-wise data-path oracles, hand-built samples."""
 
 from __future__ import annotations
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from polytraj import autodiff as ad
-from polytraj.data import STATE_DIM, Sample, Scene
+from polytraj.data import (
+    DEFAULT_FRAME_RATE,
+    FEET_TO_METRES,
+    NGSIM_COLUMNS,
+    SCENE_HEADER,
+    STATE_DIM,
+    Sample,
+    Scene,
+    Track,
+    _align,
+)
+from polytraj.errors import DataError
 from polytraj.model import INPUT_SCALE, GRUWeights, attention
 from polytraj.poly import VAR_FLOOR
 
@@ -152,6 +165,136 @@ def oracle_forward(model, states: np.ndarray, mask: np.ndarray, train: bool = Tr
         for layer in range(cfg.decoder_layers):
             hidden[layer] = x = oracle_gru_cell(x, hidden[layer], _oracle_weights(params, f"dec{layer}"))
     return hidden[-1] @ params["head.w"] + params["head.b"]
+
+
+# -- row-wise data-path oracles: the csv-module reader and writer and the
+# per-track neighbour search that the column-wise data path replaced -------------
+
+
+def oracle_ingest_ngsim(csv_path, frame_rate: float = DEFAULT_FRAME_RATE) -> list[Track]:
+    """NGSim rows parsed one csv row at a time, grouped per vehicle in dicts."""
+    path = Path(csv_path)
+    if not path.exists():
+        raise DataError(f"no such file: {path}")
+    rows_by_vehicle: dict[int, list[tuple[int, float, float, float, float]]] = {}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [h.strip() for h in next(reader, [])]
+            if not header:
+                raise DataError(f"empty CSV: {path}")
+            for column in NGSIM_COLUMNS:
+                if column not in header:
+                    raise DataError(f"missing column '{column}' in {path}")
+            idx = {column: header.index(column) for column in NGSIM_COLUMNS}
+            for row in filter(None, reader):
+                vid = int(float(row[idx["Vehicle_ID"]]))
+                frame = int(float(row[idx["Frame_ID"]]))
+                if abs(frame) >= 2**53:
+                    raise ValueError(f"frame {frame} out of range")
+                values = (float(row[idx[column]]) for column in NGSIM_COLUMNS[2:])
+                rows_by_vehicle.setdefault(vid, []).append((frame, *values))
+        except (ValueError, IndexError, OverflowError, csv.Error) as exc:
+            raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
+    tracks = []
+    for vid in sorted(rows_by_vehicle):
+        rows = sorted(rows_by_vehicle[vid], key=lambda r: r[0])
+        frames = np.array([r[0] for r in rows], dtype=np.int64)
+        steps = np.diff(frames)
+        if np.any(steps <= 0):
+            raise DataError(f"track {vid}: non-monotone frames")
+        data = np.array([r[1:] for r in rows], dtype=np.float64) * FEET_TO_METRES
+        if not np.all(np.isfinite(data)):
+            raise DataError(f"track {vid}: non-finite values")
+        cuts = np.flatnonzero(steps > steps.min()) + 1 if steps.size else []
+        for piece_frames, piece in zip(np.split(frames, cuts), np.split(data, cuts)):
+            if piece_frames.size >= 2:
+                tracks.append(Track(vid, piece_frames, piece[:, :2], piece[:, 2], piece[:, 3], frame_rate))
+    return tracks
+
+
+def oracle_write_scene(scene: Scene, path) -> None:
+    """One csv row per present agent frame, written by `csv.writer`."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(SCENE_HEADER)
+        for agent in scene.agents:
+            rows = np.flatnonzero(agent.present)
+            columns = [[int(agent.agent_id)] * rows.size, scene.frames[rows].tolist()]
+            for values in (agent.positions[:, 0], agent.positions[:, 1], agent.speeds, agent.accels):
+                columns.append([""] * rows.size if values is None else values[rows].astype(float).tolist())
+            writer.writerows(zip(*columns))
+
+
+def oracle_read_scene(path, frame_rate: float = DEFAULT_FRAME_RATE) -> Scene:
+    """Scene rows parsed one csv row at a time with `int` and `float`."""
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"no such file: {path}")
+    rows_by_agent: dict[int, list[tuple]] = {}  # in order of first appearance
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header != SCENE_HEADER:
+                raise DataError(f"bad scene header in {path}: {header}")
+            for agent_id, frame, x, y, v, a in filter(None, reader):
+                rows_by_agent.setdefault(int(agent_id), []).append(
+                    (int(frame), float(x), float(y), float(v) if v else None, float(a) if a else None)
+                )
+        except (ValueError, csv.Error) as exc:
+            raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
+    if not rows_by_agent:
+        raise DataError(f"scene file {path} has no rows")
+    window = None
+    agents = []
+    for agent_id, rows in rows_by_agent.items():
+        frames, xs, ys, speeds, accels = zip(*rows)
+        try:
+            frames = np.array(frames, dtype=np.int64)
+        except OverflowError:
+            raise DataError(f"{path}: scene agent {agent_id} has a frame out of range") from None
+        if window is None:
+            if np.any(np.diff(frames) <= 0):
+                raise DataError(f"{path}: reference agent's frames are not strictly increasing")
+            window = frames
+        agent, landed = _align(
+            window, agent_id, frames, np.stack([xs, ys], axis=1),
+            None if None in speeds else speeds, None if None in accels else accels,
+        )
+        if not landed.all():
+            outside = int(frames[np.argmin(landed)])
+            raise DataError(f"{path}: scene agent {agent_id} has frame {outside} outside the window")
+        if np.count_nonzero(agent.present) < frames.size:
+            raise DataError(f"{path}: scene agent {agent_id} has a duplicate frame")
+        if not all(np.isfinite(v).all() for v in (agent.positions, agent.speeds, agent.accels) if v is not None):
+            raise DataError(f"{path}: scene agent {agent_id} has a non-finite value")
+        agents.append(agent)
+    return Scene(frames=window, agents=agents, frame_rate=frame_rate)
+
+
+def oracle_build_scene(segment, tracks, history_len: int, max_neighbors: int) -> Scene:
+    """Neighbours found by a binary search of every track for t_0."""
+    track = segment.track
+    frames = track.frames[segment.start : segment.start + segment.length]
+    t0_frame = frames[history_len - 1]
+    ego_t0 = track.positions[segment.start + history_len - 1]
+    candidates = []
+    for other in tracks:
+        if other.agent_id == track.agent_id:
+            continue
+        row = int(np.searchsorted(other.frames, t0_frame))
+        if row == len(other) or other.frames[row] != t0_frame:
+            continue
+        distance = float(np.hypot(*(other.positions[row] - ego_t0)))
+        candidates.append((distance, other.agent_id, other))
+    candidates.sort(key=lambda c: (c[0], c[1]))
+    agents = []
+    for kept in [track] + [other for _, _, other in candidates[:max_neighbors]]:
+        rows = slice(*np.searchsorted(kept.frames, (frames[0], frames[-1] + 1)))
+        columns = (None if c is None else c[rows] for c in (kept.positions, kept.speeds, kept.accels))
+        agents.append(_align(frames, kept.agent_id, kept.frames[rows], *columns)[0])
+    return Scene(frames=frames, agents=agents, frame_rate=track.frame_rate)
 
 
 @pytest.fixture

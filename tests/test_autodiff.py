@@ -185,6 +185,19 @@ def test_adam_lr_zero_keeps_parameters():
     np.testing.assert_array_equal(p.node.data, [3.0])
 
 
+@pytest.mark.parametrize("lr", [np.nan, np.inf, 1e308])
+def test_optimizer_step_leaving_a_parameter_non_finite_raises(lr):
+    p = Parameter("theta", Tensor([1.0, -1e308]))
+    p.node.grad = np.array([1.0, 1.0])
+    with pytest.raises(NumericalError, match="left parameter 'theta' non-finite"):
+        sgd_step([p], lr=lr)
+    q = Parameter("theta", Tensor([1.0, -1e308]))
+    opt = Adam([q], lr=lr)
+    q.node.grad = np.array([1.0, 1.0])
+    with pytest.raises(NumericalError, match="left parameter 'theta' non-finite"):
+        opt.step()
+
+
 def test_adam_moves_against_gradient():
     p = Parameter("p", Tensor([1.0]))
     opt = Adam([p], lr=0.1)

@@ -111,6 +111,28 @@ def test_train_eval_end_to_end(tmp_path, capsys):
     assert "offset_frames" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("offsets", ["-5,5", "0,10"])
+def test_eval_offset_below_one_exits_1(tmp_path, capsys, offsets):
+    data_dir = _generate(tmp_path)
+    out_dir = tmp_path / "run"
+    main(["train", *_sets(*TINY, f"data.dir={data_dir}", f"out.dir={out_dir}", "train.steps=1")])
+    capsys.readouterr()
+    args = ["eval", "--checkpoint", str(out_dir / "checkpoint.txt"),
+            *_sets(*TINY, f"data.dir={data_dir}", f"out.dir={out_dir}", f"eval.offsets={offsets}")]
+    assert main(args) == 1
+    assert "eval.offsets" in capsys.readouterr().err
+    assert not list(out_dir.glob("eval_*"))
+
+
+def test_train_nan_learning_rate_exits_3_without_checkpoint(tmp_path, capsys):
+    data_dir = _generate(tmp_path)
+    out_dir = tmp_path / "run"
+    args = ["train", *_sets(*TINY, f"data.dir={data_dir}", f"out.dir={out_dir}", "train.steps=1", "train.lr=nan")]
+    assert main(args) == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert not (out_dir / "checkpoint.txt").exists()
+
+
 def test_train_epochs_zero_equals_initialization(tmp_path):
     data_dir = _generate(tmp_path)
     out_dir = tmp_path / "run"

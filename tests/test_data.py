@@ -2,10 +2,17 @@
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import oracle_states
+from conftest import (
+    oracle_build_scene,
+    oracle_ingest_ngsim,
+    oracle_read_scene,
+    oracle_states,
+    oracle_write_scene,
+)
 
 from polytraj.data import (
     FEET_TO_METRES,
@@ -13,6 +20,7 @@ from polytraj.data import (
     SceneAgent,
     Segment,
     Track,
+    TrackList,
     build_sample,
     build_samples,
     build_scene,
@@ -29,6 +37,9 @@ from polytraj.errors import ConfigError, DataError
 from polytraj.evaluation import least_squares_fit
 
 NGSIM_HEADER = "Vehicle_ID,Frame_ID,Total_Frames,Local_X,Local_Y,v_Vel,v_Acc\n"
+# 12 vehicles with staggered entries, rows interleaved by frame, CRLF line
+# ends and unused columns; vehicle 5 has a frame gap and an isolated frame
+NGSIM_FIXTURE = Path(__file__).parent / "fixtures" / "ngsim_small.csv"
 
 
 def _write_csv(path, rows, header=NGSIM_HEADER):
@@ -478,3 +489,135 @@ def test_build_sample_equals_per_frame_oracle_bitwise(tmp_path, rng):
             states, mask = oracle_states(scene, history_len=20)
             assert sample.states.tobytes() == states.tobytes(), name
             assert sample.mask.tobytes() == mask.tobytes(), name
+
+
+# -- column-wise data path against the row-wise oracles ---------------------------------
+
+
+def _assert_same_tracks(tracks, expected):
+    assert len(tracks) == len(expected)
+    for track, oracle in zip(tracks, expected):
+        assert track.agent_id == oracle.agent_id and type(track.agent_id) is type(oracle.agent_id)
+        for name in ("frames", "positions", "speeds", "accels"):
+            a, b = getattr(track, name), getattr(oracle, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def _assert_same_scene(scene, expected):
+    assert scene.frames.dtype == expected.frames.dtype
+    assert scene.frames.tobytes() == expected.frames.tobytes()
+    assert scene.frame_rate == expected.frame_rate
+    assert [a.agent_id for a in scene.agents] == [a.agent_id for a in expected.agents]
+    for agent, oracle in zip(scene.agents, expected.agents):
+        assert type(agent.agent_id) is type(oracle.agent_id)
+        for name in ("present", "positions", "speeds", "accels"):
+            a, b = getattr(agent, name), getattr(oracle, name)
+            assert (a is None) == (b is None), name
+            if a is not None:
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def _fixture_scenes(history_len=20, neighbors=8):
+    tracks = ingest_ngsim(NGSIM_FIXTURE)
+    train, test = segment_and_split(tracks, segment_len=40)
+    return [build_scene(seg, tracks, history_len, neighbors) for seg in train + test]
+
+
+def test_ngsim_fixture_has_gaps_staggered_entries_and_masked_neighbours():
+    scenes = _fixture_scenes()
+    assert len(ingest_ngsim(NGSIM_FIXTURE)) == 13  # vehicle 5 splits in two; its isolated frame is dropped
+    assert len(scenes) == 23 and max(len(scene.agents) for scene in scenes) == 9
+    assert any(not agent.present.all() for scene in scenes for agent in scene.agents)
+
+
+def test_ingest_ngsim_matches_row_wise_oracle(tmp_path):
+    _assert_same_tracks(ingest_ngsim(NGSIM_FIXTURE), oracle_ingest_ngsim(NGSIM_FIXTURE))
+    # float ids and frames truncate as int(float(...)) does; equal (vehicle,
+    # frame) keys after truncation are a repeated frame
+    path = tmp_path / "ngsim.csv"
+    _write_csv(path, ["3.7,10.2,2,1,2,3,4\n", "-2.5,10,2,1,2,3,4\n", "3.2,11.9,2,5,6,7,8\n", "-2,11,2,1,2,3,4\n"])
+    _assert_same_tracks(ingest_ngsim(path), oracle_ingest_ngsim(path))
+    _write_csv(path, ["3.7,10.2,2,1,2,3,4\n", "3.2,10.9,2,5,6,7,8\n"])
+    with pytest.raises(DataError, match="track 3: non-monotone"):
+        ingest_ngsim(path)
+
+
+@pytest.mark.parametrize("rows, message", [
+    (["2,1,2,0,0,0,0\n", "2,1,2,1,1,0,0\n", "1,1,2,nan,0,0,0\n", "1,2,2,0,0,0,0\n"], "track 1: non-finite"),
+    (["2,1,2,0,0,0,0\n", "1,1,2,nan,0,0,0\n", "2,1,2,1,1,0,0\n", "1,1,2,0,0,0,0\n"], "track 1: non-monotone"),
+    (["2,1,2,0,0,0,0\n", "2,2,2,1,inf,0,0\n", "3,1,2,0,0,0,0\n", "3,1,2,0,0,0,0\n"], "track 2: non-finite"),
+])
+def test_ingest_ngsim_reports_the_fault_a_per_vehicle_pass_finds_first(tmp_path, rows, message):
+    path = tmp_path / "ngsim.csv"
+    _write_csv(path, rows)
+    for ingest in (ingest_ngsim, oracle_ingest_ngsim):
+        with pytest.raises(DataError, match=message):
+            ingest(path)
+
+
+@pytest.mark.parametrize("history_len, neighbors", [(20, 8), (10, 2), (39, 0)])
+def test_build_scene_matches_row_wise_oracle(history_len, neighbors):
+    tracks = ingest_ngsim(NGSIM_FIXTURE)
+    assert isinstance(tracks, TrackList)
+    train, test = segment_and_split(tracks, segment_len=40)
+    for segment in train + test:
+        expected = oracle_build_scene(segment, tracks, history_len, neighbors)
+        _assert_same_scene(build_scene(segment, tracks, history_len, neighbors), expected)
+        _assert_same_scene(build_scene(segment, list(tracks), history_len, neighbors), expected)
+
+
+def test_build_scene_breaks_distance_ties_by_agent_id_then_list_order():
+    def track(agent_id, x):
+        return Track(agent_id, np.arange(10), np.stack([np.full(10, x), np.zeros(10)], axis=1))
+
+    ego = track(5, 0.0)
+    tracks = [ego, track(9, 3.0), track(2, -3.0), track(7, 3.0), track(2, 3.0)]
+    scene = build_scene(Segment(ego, 0, 10), tracks, history_len=4, max_neighbors=3)
+    expected = oracle_build_scene(Segment(ego, 0, 10), tracks, history_len=4, max_neighbors=3)
+    _assert_same_scene(scene, expected)
+    assert [a.agent_id for a in scene.agents] == [5, 2, 2, 7]
+    assert scene.agents[1].positions[0, 0] == -3.0
+
+
+def test_track_list_reuses_its_frame_index_until_it_changes():
+    tracks = ingest_ngsim(NGSIM_FIXTURE)
+    index = tracks.frame_index()
+    assert tracks.frame_index() is index
+    tracks.append(_track_of_length(50, agent_id=99))
+    assert tracks.frame_index() is not index and tracks.frame_index().tracks[-1].agent_id == 99
+
+
+def _scene_families(rng):
+    tiny = {"noise": 0.05}
+    ngsim = _fixture_scenes()
+    holes = [_with_holes(scene, rng) for scene in ngsim]
+    return {
+        "tiny": gen_synthetic("mixed", tiny, 8, rng, n_frames=90),
+        "tiny-neighbours": gen_synthetic("mixed", {**tiny, "neighbors": 2}, 8, rng, n_frames=90),
+        "mixed-4": gen_synthetic("mixed", {"neighbors": 4}, 12, rng, n_frames=60),
+        "ngsim": ngsim,
+        "ngsim-holes": holes,
+        "ngsim-no-accels": [_without_accels(scene) for scene in holes],
+    }
+
+
+def test_write_scene_bytes_match_csv_writer(tmp_path, rng):
+    for name, scenes in _scene_families(rng).items():
+        for i, scene in enumerate(scenes):
+            path, expected = tmp_path / f"{name}_{i}.csv", tmp_path / f"{name}_{i}_oracle.csv"
+            write_scene(scene, path)
+            oracle_write_scene(scene, expected)
+            assert path.read_bytes() == expected.read_bytes(), (name, i)
+
+
+def test_read_scene_matches_row_wise_oracle(tmp_path, rng):
+    for name, scenes in _scene_families(rng).items():
+        for i, scene in enumerate(scenes):
+            path = tmp_path / f"{name}_{i}.csv"
+            write_scene(scene, path)
+            _assert_same_scene(read_scene(path, frame_rate=12.5), oracle_read_scene(path, frame_rate=12.5))
+    # LF line ends, interleaved agents, padded fields and a last row without
+    # a line break are read alike too
+    path = tmp_path / "interleaved.csv"
+    path.write_text("agent_id,frame,x_m,y_m,v,a\n4,0,1.5,2,,\n8,1,0.25,-1e-300,3,\n4,1,1,1,,\n4,2, 7 ,-0.0,,")
+    _assert_same_scene(read_scene(path), oracle_read_scene(path))

@@ -3,6 +3,7 @@ files end in a typed PolytrajError, never in a raw exception."""
 
 import numpy as np
 import pytest
+from conftest import oracle_ingest_ngsim, oracle_read_scene
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -150,6 +151,28 @@ def test_ngsim_non_finite_speed_is_data_error(tmp_path):
         ingest_ngsim(path)
 
 
+def test_ngsim_quoted_field_is_data_error(tmp_path):
+    # the csv module read a quoted number; the column-wise parse rejects any
+    # quote, as a quoted comma would shift the columns it reads
+    path = tmp_path / "ngsim.csv"
+    path.write_text(NGSIM_TEXT.replace("2,11,3,5.0", '2,"11",3,5.0'))
+    assert len(oracle_ingest_ngsim(path)) == 2
+    with pytest.raises(DataError, match="line 5: quoted"):
+        ingest_ngsim(path)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("1,11,3,1.0", "1,9007199254740992,3,1.0", "line 4: frame 9007199254740992 out of range"),
+    ("1,11,3,1.0", "1e300,11,3,1.0", "line 4: vehicle id .* out of range"),
+    ("1,11,3,1.0", "nan,11,3,1.0", "line 4: vehicle id nan out of range"),
+])
+def test_ngsim_id_or_frame_out_of_range_is_data_error_with_line(tmp_path, old, new, message):
+    path = tmp_path / "ngsim.csv"
+    path.write_text(NGSIM_TEXT.replace(old, new))
+    with pytest.raises(DataError, match=message):
+        ingest_ngsim(path)
+
+
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(edits=EDITS, raw=st.binary(max_size=4))
 def test_fuzzed_ngsim_raises_only_polytraj_errors(tmp_path_factory, edits, raw):
@@ -227,6 +250,96 @@ def test_scene_duplicate_frame_is_data_error(tmp_path):
 def test_scene_frame_outside_window_is_data_error(tmp_path):
     with pytest.raises(DataError, match="frame 7 outside"):
         read_scene(_scene_file(tmp_path, SCENE_TEXT.replace("5,3,", "5,7,")))
+
+
+def test_scene_reads_crlf_line_ends(tmp_path):
+    # write_scene ends lines in CRLF; LF and CRLF lines may mix
+    path = tmp_path / "scene.csv"
+    path.write_bytes(SCENE_TEXT.replace("\n", "\r\n", 4).encode())
+    crlf = read_scene(path)
+    plain = read_scene(_scene_file(tmp_path, SCENE_TEXT))
+    np.testing.assert_array_equal(crlf.agents[1].positions, plain.agents[1].positions)
+    assert crlf.agents[1].accels is None
+
+
+@pytest.mark.parametrize("text, line", [
+    (SCENE_TEXT.replace("\n", "\r"), None),  # old Mac line ends: no line feed at all
+    (SCENE_TEXT.replace("3,2,0.0,2.0,10.0,0.5\n", "3,2,0.0,2.0,10.0,0.5\r"), 4),  # one bare CR
+])
+def test_scene_bare_carriage_return_is_data_error(tmp_path, text, line):
+    # the csv module took a lone CR for a line end; the column-wise parse
+    # accepts CR only right before LF
+    path = tmp_path / "scene.csv"
+    path.write_bytes(text.encode())
+    assert len(oracle_read_scene(path).agents) == 2
+    with pytest.raises(DataError, match="bad scene header" if line is None else f"line {line}: carriage return"):
+        read_scene(path)
+
+
+def test_scene_blank_line_in_body_is_data_error(tmp_path):
+    text = SCENE_TEXT.replace("3,3,0.0", "\n3,3,0.0")
+    assert len(oracle_read_scene(_scene_file(tmp_path, text)).agents) == 2  # the csv reader skipped it
+    with pytest.raises(DataError, match="line 5: expected 6 fields, got 1"):
+        read_scene(_scene_file(tmp_path, text))
+
+
+def test_scene_header_only_is_data_error(tmp_path):
+    for text in ("agent_id,frame,x_m,y_m,v,a\n", "agent_id,frame,x_m,y_m,v,a\r\n", "agent_id,frame,x_m,y_m,v,a"):
+        with pytest.raises(DataError, match="has no rows"):
+            read_scene(_scene_file(tmp_path, text))
+
+
+@pytest.mark.parametrize("frame", [str(2**63), str(-(2**63) - 1)])
+def test_scene_frame_beyond_int64_is_data_error(tmp_path, frame):
+    with pytest.raises(DataError, match=f"line 5: could not convert string '{frame}' to int64"):
+        read_scene(_scene_file(tmp_path, SCENE_TEXT.replace("3,3,0.0", f"3,{frame},0.0")))
+
+
+def test_scene_frames_beyond_2_to_the_53_are_exact(tmp_path):
+    base = 2**62 + 1  # every frame here rounds to the same float64
+    lines = SCENE_TEXT.splitlines()
+    for i in range(1, len(lines)):
+        agent, frame, rest = lines[i].split(",", 2)
+        lines[i] = f"{agent},{base + int(frame)},{rest}"
+    scene = read_scene(_scene_file(tmp_path, "\n".join(lines)))
+    assert scene.frames.tolist() == [base, base + 1, base + 2, base + 3]
+    assert scene.agents[1].present.tolist() == [False, True, True, True]
+
+
+def test_scene_trailing_invalid_utf8_is_data_error(tmp_path):
+    path = tmp_path / "scene.csv"
+    path.write_bytes(SCENE_TEXT.encode() + b"\xff")
+    with pytest.raises(DataError, match="line 9: non-ASCII byte 0xff"):
+        read_scene(path)
+    path.write_bytes(SCENE_TEXT.encode()[:-1] + b"\xc3")  # a cut two-byte sequence ends the last row
+    with pytest.raises(DataError, match="line 8: non-ASCII byte 0xc3"):
+        read_scene(path)
+
+
+# numpy's loadtxt reads "\U000b4b520" as the int64 7401300 and crashes the
+# interpreter on "0\U000b4b52", so no non-ASCII character may reach it
+@pytest.mark.parametrize("field", ["\U000b4b520", "0\U000b4b52", "\U000b4b52\x0c0", "\u0663"])
+def test_scene_non_ascii_field_is_data_error(tmp_path, field):
+    with pytest.raises(DataError, match="line 8: non-ASCII byte"):
+        read_scene(_scene_file(tmp_path, SCENE_TEXT.replace("5,3,", f"5,{field},")))
+
+
+@pytest.mark.parametrize("field", ["\U000b4b520", "0\U000b4b52", "\u0663"])
+def test_ngsim_non_ascii_field_is_data_error(tmp_path, field):
+    path = tmp_path / "ngsim.csv"
+    path.write_text(NGSIM_TEXT.replace("2,11,3,", f"2,{field},3,"), encoding="utf-8")
+    with pytest.raises(DataError, match="line 5: .*non-ASCII"):
+        ingest_ngsim(path)
+    path.write_text(NGSIM_TEXT.replace("Total_Frames", "Gesamt_Länge"), encoding="utf-8")
+    assert len(ingest_ngsim(path)) == 2  # a non-ASCII header name is fine
+
+
+def test_scene_quoted_field_is_data_error(tmp_path):
+    # the csv module unquoted fields; the column-wise parse reads plain numbers only
+    text = SCENE_TEXT.replace("3,2,0.0,2.0", '3,"2",0.0,2.0')
+    assert len(oracle_read_scene(_scene_file(tmp_path, text)).agents) == 2
+    with pytest.raises(DataError, match="line 4"):
+        read_scene(_scene_file(tmp_path, text))
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
