@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import io
 import logging
 import math
-import operator
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,6 +49,9 @@ SCENE_HEADER_LINE = ",".join(SCENE_HEADER).encode()
 SCENE_DTYPE = np.dtype([("agent_id", np.int64), ("frame", np.int64), ("x", np.float64), ("y", np.float64),
                         ("v", np.float64), ("a", np.float64)])
 LF, CR = b"\n", b"\r"
+# an agent id or frame is an integer: ASCII digits with an optional sign and blanks around
+SCENE_INT_FIELD = re.compile(r"[ \t]*[+-]?[0-9]+[ \t]*")
+INT_FIELD_BYTES = np.isin(np.arange(256), list(b"0123456789+- \t"))
 
 SYNTHETIC_KINDS = ("const_vel", "const_acc", "lane_change", "arc", "mixed")
 
@@ -92,15 +95,12 @@ class Track:
         return self.frames.size
 
 
-class TrackList(list):
-    """A list of tracks that caches its frame index, built on first use."""
+class TrackList(tuple):
+    """An immutable sequence of tracks with a frame index built on first use."""
 
-    _index: _FrameIndex | None = None
-
+    @functools.cached_property
     def frame_index(self) -> _FrameIndex:
-        if self._index is None or not self._index.covers(self):
-            self._index = _FrameIndex(self)
-        return self._index
+        return _FrameIndex(self)
 
 
 class _FrameIndex:
@@ -108,16 +108,13 @@ class _FrameIndex:
     which tracks are present at a frame, and where they are."""
 
     def __init__(self, tracks: Sequence[Track]):
-        self.tracks = list(tracks)
+        self.tracks = tracks
         frames = np.concatenate([track.frames for track in self.tracks] or [np.empty(0, dtype=np.int64)])
         order = np.argsort(frames, kind="stable")
         self.frames = frames[order]
         self.owner = np.repeat(np.arange(len(self.tracks)), [len(track) for track in self.tracks])[order]
         self.agent_ids = np.array([track.agent_id for track in self.tracks], dtype=np.int64)[self.owner]
         self.positions = np.concatenate([track.positions for track in self.tracks] or [np.empty((0, 2))])[order]
-
-    def covers(self, tracks: Sequence[Track]) -> bool:
-        return len(tracks) == len(self.tracks) and all(map(operator.is_, tracks, self.tracks))
 
 
 @dataclass
@@ -198,7 +195,7 @@ def _align(window: np.ndarray, agent_id: int, frames, positions, speeds=None, ac
 # -- ingestion ----------------------------------------------------------------
 
 
-def ingest_ngsim(csv_path, frame_rate: float = DEFAULT_FRAME_RATE) -> list[Track]:
+def ingest_ngsim(csv_path, frame_rate: float = DEFAULT_FRAME_RATE) -> TrackList:
     """Read an NGSim-format CSV into per-vehicle tracks (feet -> metres).
 
     The header is read with the csv module; the body is parsed by one
@@ -208,7 +205,8 @@ def ingest_ngsim(csv_path, frame_rate: float = DEFAULT_FRAME_RATE) -> list[Track
     `int(float(...))` does and must lie within 2**53.  Rows are sorted by
     (vehicle, frame); a vehicle's track is split wherever its frame step
     exceeds its smallest step, and pieces shorter than 2 frames are
-    dropped.
+    dropped.  The tracks come as a `TrackList`, which `build_scene` indexes
+    once by frame.
     """
     path = Path(csv_path)
     if not path.exists():
@@ -251,7 +249,7 @@ def ingest_ngsim(csv_path, frame_rate: float = DEFAULT_FRAME_RATE) -> list[Track
     gap = np.zeros(steps.size, dtype=bool)
     gap[same_vehicle] = steps[same_vehicle] > smallest[vehicle_of_step]
     bounds = [0, *(np.flatnonzero(gap | ~same_vehicle) + 1).tolist(), frames.size]
-    tracks = TrackList()
+    tracks = []
     dropped = 0
     for start, stop in zip(bounds[:-1], bounds[1:]):
         if stop - start < 2:
@@ -263,7 +261,7 @@ def ingest_ngsim(csv_path, frame_rate: float = DEFAULT_FRAME_RATE) -> list[Track
     splits = int(np.count_nonzero(gap))
     if splits or dropped:
         log.warning("split tracks at %d frame gap(s); dropped %d piece(s) shorter than 2 frames", splits, dropped)
-    return tracks
+    return TrackList(tracks)
 
 
 def _ngsim_header(path: Path) -> tuple[list[str], bool, bool]:
@@ -334,8 +332,10 @@ def read_scene(path, frame_rate: float = DEFAULT_FRAME_RATE) -> Scene:
     int64 ids and frames and float64 values.  Lines end in "\\n" or
     "\\r\\n" and hold exactly six plain comma-separated ASCII fields: a
     blank line, a bare "\\r", a quoted field or a non-ASCII byte is a
-    DataError.  An empty v or a field means "not recorded", and the agent
-    then has no speeds or accels; every other value must be a finite
+    DataError.  The agent id and frame must be integers within int64 (a
+    fraction or an exponent is a DataError, whatever numpy's version and
+    warning filters).  An empty v or a field means "not recorded", and the
+    agent then has no speeds or accels; every other value must be a finite
     number.  Rows are grouped by agent id in order of first appearance.
     """
     path = Path(path)
@@ -389,6 +389,7 @@ def _scene_table(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         returns = np.flatnonzero(chars == CR[0])
         line = int(np.searchsorted(ends, returns[chars[returns + 1] != LF[0]][0])) + 2
         raise DataError(f"{path}, line {line}: carriage return without a line feed")
+    starts = np.concatenate([[0], ends[:-1] + 1])
     ends = ends - crlf  # where each line's last field ends
     commas = np.flatnonzero(chars == ord(","))
     fields = np.diff(np.searchsorted(commas, ends), prepend=0) + 1
@@ -396,26 +397,41 @@ def _scene_table(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         i = int(np.argmax(fields != len(SCENE_HEADER)))
         raise DataError(f"{path}, line {i + 2}: expected {len(SCENE_HEADER)} fields, got {fields[i]}")
     commas = commas.reshape(ends.size, len(SCENE_HEADER) - 1)
+    # numpy releases that still carry the 1.23 deprecation parse an int64
+    # field that is not an integer as a float and truncate it, with only a
+    # DeprecationWarning; an id or frame of other bytes than digits, signs
+    # and blanks, or over 18 bytes wide, goes to the line-wise check
+    first = np.stack([starts, commas[:, 0] + 1])
+    width = np.stack([commas[:, 0], commas[:, 1]]) - first
+    widest = int(width.max())
+    offsets = np.arange(widest)
+    at = np.minimum(first[..., None] + offsets, chars.size - 1)
+    suspect = widest > 18 or not np.all(INT_FIELD_BYTES[chars[at]] | (offsets >= width[..., None]))
     v_empty = commas[:, -1] == commas[:, -2] + 1
     a_empty = ends == commas[:, -1] + 1
     if v_empty.any() or a_empty.any():
         body = np.insert(chars, np.concatenate([commas[v_empty, -1], ends[a_empty]]), ord("0")).tobytes()
     text = body.decode()
+    if suspect:
+        _check_scene_lines(path, text)
     try:
         table = np.loadtxt(io.StringIO(text), delimiter=",", dtype=SCENE_DTYPE, comments=None, ndmin=1)
     except ValueError as exc:
-        raise _scene_line_error(path, text, exc) from None
+        _check_scene_lines(path, text)
+        raise DataError(f"{path}: {exc}") from None
     return table, v_empty, a_empty
 
 
-def _scene_line_error(path: Path, text: str, exc: ValueError) -> DataError:
-    """The error of the first scene body line that does not parse."""
+def _check_scene_lines(path: Path, text: str) -> None:
+    """Raise the DataError of the first scene body line that does not parse."""
     for number, line in enumerate(text.split("\n")[:-1], start=2):
         try:
+            for field in line.split(",", 2)[:2]:
+                if not (SCENE_INT_FIELD.fullmatch(field) and -(2**63) <= int(field) < 2**63):
+                    raise ValueError(f"could not convert string {field!r} to int64")
             np.loadtxt([line], delimiter=",", dtype=SCENE_DTYPE, comments=None)
-        except ValueError as line_exc:
-            return DataError(f"{path}, line {number}: {line_exc}")
-    return DataError(f"{path}: {exc}")
+        except ValueError as exc:
+            raise DataError(f"{path}, line {number}: {exc}") from None
 
 
 # -- segmentation, splitting, filtering -----------------------------------------
@@ -517,8 +533,9 @@ def build_scene(segment: Segment, tracks: Sequence[Track], history_len: int, max
     Neighbors must be present at the reference agent's current frame
     t_0 = start + history_len - 1; the closest `max_neighbors` are kept,
     ties going to the lower agent id, then to the earlier track.  The
-    tracks present at t_0 come from a frame index, which a `TrackList`
-    (as `ingest_ngsim` returns) builds once and reuses across calls.
+    tracks present at t_0 come from a frame index of every track row: a
+    `TrackList` (as `ingest_ngsim` returns) builds it once, any other
+    sequence of tracks on every call.
     """
     if not 2 <= history_len < segment.length:
         raise ConfigError(
@@ -526,7 +543,7 @@ def build_scene(segment: Segment, tracks: Sequence[Track], history_len: int, max
         )
     track = segment.track
     frames = track.frames[segment.start : segment.start + segment.length]
-    index = tracks.frame_index() if isinstance(tracks, TrackList) else _FrameIndex(tracks)
+    index = tracks.frame_index if isinstance(tracks, TrackList) else _FrameIndex(tracks)
     t0_frame = frames[history_len - 1]
     rows = slice(*np.searchsorted(index.frames, (t0_frame, t0_frame + 1)))  # the tracks present at t_0
     others = index.agent_ids[rows] != track.agent_id

@@ -579,12 +579,13 @@ def test_build_scene_breaks_distance_ties_by_agent_id_then_list_order():
     assert scene.agents[1].positions[0, 0] == -3.0
 
 
-def test_track_list_reuses_its_frame_index_until_it_changes():
+def test_track_list_is_immutable_and_builds_its_frame_index_once():
     tracks = ingest_ngsim(NGSIM_FIXTURE)
-    index = tracks.frame_index()
-    assert tracks.frame_index() is index
-    tracks.append(_track_of_length(50, agent_id=99))
-    assert tracks.frame_index() is not index and tracks.frame_index().tracks[-1].agent_id == 99
+    assert tracks.frame_index is tracks.frame_index
+    assert not hasattr(tracks, "append")
+    segment = segment_and_split(tracks, segment_len=40)[0][0]
+    build_scene(segment, tracks, history_len=20, max_neighbors=8)
+    assert tracks.frame_index.tracks is tracks
 
 
 def _scene_families(rng):

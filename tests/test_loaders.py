@@ -1,6 +1,8 @@
 """Loaders of outside input: corrupt checkpoints, NGSim files and scene
 files end in a typed PolytrajError, never in a raw exception."""
 
+import re
+
 import numpy as np
 import pytest
 from conftest import oracle_ingest_ngsim, oracle_read_scene
@@ -293,6 +295,43 @@ def test_scene_header_only_is_data_error(tmp_path):
 def test_scene_frame_beyond_int64_is_data_error(tmp_path, frame):
     with pytest.raises(DataError, match=f"line 5: could not convert string '{frame}' to int64"):
         read_scene(_scene_file(tmp_path, SCENE_TEXT.replace("3,3,0.0", f"3,{frame},0.0")))
+
+
+def _truncating_loadtxt(fname, *, dtype, **kwargs):
+    """np.loadtxt as older numpy runs it: int64 fields parsed as floats and truncated."""
+    floats = _REAL_LOADTXT(fname, dtype=np.dtype([(name, np.float64) for name in dtype.names]), **kwargs)
+    with np.errstate(invalid="ignore"):
+        return floats.astype(dtype)
+
+
+_REAL_LOADTXT = np.loadtxt
+
+
+# the id and frame checks must not rest on numpy raising, nor on a warnings
+# filter turning its DeprecationWarning into an error
+@pytest.mark.filterwarnings("default")
+@pytest.mark.parametrize("loadtxt", [_REAL_LOADTXT, _truncating_loadtxt], ids=["numpy", "truncating"])
+@pytest.mark.parametrize("old, new, field, line", [
+    ("3,3,0.0", "3,{},0.0", "2.5", 5),  # fractional frame
+    ("5,2,3.5", "{},2,3.5", "3.0", 7),  # agent id written as a float
+    ("3,3,0.0", "3,{},0.0", "1e3", 5),  # exponent
+    ("3,3,0.0", "3,{},0.0", str(2**63), 5),  # beyond int64
+    ("5,3,3.5", "5,{},3.5", str(-(2**63) - 1), 8),
+])
+def test_scene_non_integer_id_or_frame_is_data_error_with_line(tmp_path, monkeypatch, loadtxt, old, new, field, line):
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    with pytest.raises(DataError, match=rf"line {line}: could not convert string '{re.escape(field)}' to int64"):
+        read_scene(_scene_file(tmp_path, SCENE_TEXT.replace(old, new.format(field))))
+
+
+@pytest.mark.parametrize("loadtxt", [_REAL_LOADTXT, _truncating_loadtxt], ids=["numpy", "truncating"])
+def test_scene_int_fields_with_signs_blanks_and_leading_zeros_read(tmp_path, monkeypatch, loadtxt):
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    text = SCENE_TEXT.replace("5,1,", " +5,\t1 ,").replace("3,2,", f"3,{'0' * 20}2,")
+    scene = read_scene(_scene_file(tmp_path, text))
+    assert [agent.agent_id for agent in scene.agents] == [3, 5]
+    assert scene.frames.tolist() == [0, 1, 2, 3]
+    assert scene.agents[1].present.tolist() == [False, True, True, True]
 
 
 def test_scene_frames_beyond_2_to_the_53_are_exact(tmp_path):
