@@ -9,7 +9,6 @@ offset equals (r * k) // T exactly.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,19 +78,3 @@ def random_schedule(dist: AnchorDistribution, count: int, rng: np.random.Generat
     r = int(rng.integers(dist.min, dist.max + 1))
     return AnchorSchedule(tuple((r * k) // count for k in range(1, count + 1)))
 
-
-def schedule_histogram(
-    dist: AnchorDistribution, count: int, n_draws: int, rng: np.random.Generator
-) -> dict[int, int]:
-    """Frequency of each supervised offset over n_draws random schedules.
-
-    Diagnostic for the over-representation of low offsets that motivates
-    pushing the range's lower boundary up in the production setting.
-    """
-    n_draws = int(n_draws)
-    if n_draws < 1:
-        raise ValueError(f"n_draws must be >= 1, got {n_draws}")
-    counts: Counter[int] = Counter()
-    for _ in range(n_draws):
-        counts.update(random_schedule(dist, count, rng).offsets)
-    return dict(sorted(counts.items()))

@@ -122,15 +122,39 @@ def _train_settings(cfg: RunConfig) -> TrainSettings:
     )
 
 
+def _frame_rate(cfg: RunConfig) -> float:
+    frame_rate = cfg["data.frame_rate"]
+    if not 0.0 < frame_rate < float("inf"):
+        raise ConfigError(f"data.frame_rate must be a positive finite number, got {frame_rate}")
+    return frame_rate
+
+
+def _generated_history_len(data_dir: Path) -> int:
+    """The data.history_len a data dir was generated with: its scenes hold
+    neighbours over that many history frames only."""
+    try:
+        return json.loads((data_dir / "manifest.json").read_text())["history_len"]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"{data_dir} has no readable manifest.json with a history_len ({exc!r}); "
+                        "run generate again") from None
+
+
 def _load_samples(cfg: RunConfig, split: str) -> list:
-    split_dir = Path(cfg["data.dir"]) / split
+    data_dir = Path(cfg["data.dir"])
+    split_dir = data_dir / split
     if not split_dir.is_dir():
-        raise DataError(f"no {split} split under {cfg['data.dir']}; run generate first")
+        raise DataError(f"no {split} split under {data_dir}; run generate first")
+    history_len = cfg["data.history_len"]
+    generated = _generated_history_len(data_dir)
+    if history_len != generated:
+        raise ConfigError(f"data.history_len is {history_len}, but {data_dir} was generated with "
+                          f"data.history_len={generated}; use that or run generate again")
     scene_files = sorted(split_dir.glob("scene_*.csv"))
     if not scene_files:
         raise DataError(f"no scene files in {split_dir}")
-    scenes = [datamod.read_scene(path, frame_rate=cfg["data.frame_rate"]) for path in scene_files]
-    return datamod.build_samples(scenes, history_len=cfg["data.history_len"])
+    frame_rate = _frame_rate(cfg)
+    scenes = [datamod.read_scene(path, frame_rate=frame_rate) for path in scene_files]
+    return datamod.build_samples(scenes, history_len=history_len)
 
 
 def _synth_params(cfg: RunConfig) -> dict:
@@ -164,6 +188,8 @@ def cmd_generate(cfg: RunConfig) -> int:
     out_dir = _prepare_out_dir(cfg)
     source = cfg["data.source"]
     seed = cfg["run.seed"]
+    frame_rate = _frame_rate(cfg)
+    history_len = cfg["data.history_len"]
     if source == "synthetic":
         params = _synth_params(cfg)
         n_total = cfg["synthetic.n"]
@@ -172,22 +198,21 @@ def cmd_generate(cfg: RunConfig) -> int:
         kind = cfg["synthetic.kind"]
         train_scenes = datamod.gen_synthetic(
             kind, params, n_train, np.random.default_rng([seed, 10]),
-            n_frames=cfg["synthetic.frames"], frame_rate=cfg["data.frame_rate"],
+            n_frames=cfg["synthetic.frames"], frame_rate=frame_rate, history_len=history_len,
         )
         test_scenes = datamod.gen_synthetic(
             kind, params, n_test, np.random.default_rng([seed, 11]),
-            n_frames=cfg["synthetic.frames"], frame_rate=cfg["data.frame_rate"],
+            n_frames=cfg["synthetic.frames"], frame_rate=frame_rate, history_len=history_len,
         )
         detail = {"kind": kind}
     elif source == "ngsim":
         csv_path = cfg["data.ngsim_csv"]
         if not csv_path:
             raise ConfigError("data.source=ngsim requires data.ngsim_csv")
-        tracks = datamod.ingest_ngsim(csv_path, frame_rate=cfg["data.frame_rate"])
+        tracks = datamod.ingest_ngsim(csv_path, frame_rate=frame_rate)
         train_segments, test_segments = datamod.segment_and_split(
             tracks, segment_len=cfg["data.segment_len"], ratio=cfg["data.split_ratio"]
         )
-        history_len = cfg["data.history_len"]
         neighbors = cfg["data.neighbors"]
         train_scenes = [
             datamod.build_scene(seg, tracks, history_len, neighbors) for seg in train_segments
@@ -211,6 +236,7 @@ def cmd_generate(cfg: RunConfig) -> int:
         "source": source,
         "seed": seed,
         "fingerprint": cfg.fingerprint(),
+        "history_len": history_len,
         "scenes": {"train": len(train_names), "test": len(test_names),
                    "total": len(train_names) + len(test_names)},
         **detail,

@@ -24,7 +24,7 @@ DEFAULTS: dict[str, tuple[object, str]] = {
     "data.frame_rate": (10.0, "frames per second of the input data"),
     "data.segment_len": (200, "frames per segment when cutting tracks"),
     "data.split_ratio": ("3:1", "temporal train:test split of each track's segments"),
-    "data.history_len": (50, "frames of history before the current step t_0"),
+    "data.history_len": (50, "history frames up to and including t_0; generate fixes it for its data dir"),
     "data.neighbors": (8, "max neighbors kept per scene (nearest at t_0)"),
     "data.straight.fraction": (0.5, "fraction of straight constant-velocity segments kept"),
     "data.straight.lateral_range_m": (0.5, "lateral span below which a segment counts as straight"),

@@ -10,14 +10,17 @@ turned into scenes by `build_scene`: a window of frames with one
 reference agent and its nearest neighbours at t_0, found through a
 frame-sorted index of every track row, each agent aligned on the window
 by `_align` and masked where absent.  `gen_synthetic` builds scenes
-directly.  Scenes go to disk and back as CSV files: `write_scene` joins
-each agent block's columns of repr strings and writes the file at once,
-and `read_scene` parses the whole body in one `np.loadtxt`, groups the
-rows by agent and aligns them through `_align`.  Both parsers accept
-plain comma-separated numbers only, with no quoting.  `build_sample`
-turns a scene into per-agent state histories, computed on whole arrays,
-plus the reference agent's future in its own frame at the current time
-step.
+directly.  The reference agent covers the whole window, each neighbour
+only `frames[:history_len]`, up to and including t_0: the model reads
+every agent's history but the future of the reference agent alone, so a
+neighbour's future would be written, parsed and never used.  Scenes go
+to disk and back as CSV files: `write_scene` joins each agent block's
+columns of repr strings and writes the file at once, and `read_scene`
+parses the whole body in one `np.loadtxt`, groups the rows by agent and
+aligns them through `_align`.  Both parsers accept plain comma-separated
+numbers only, with no quoting.  `build_sample` turns a scene into
+per-agent state histories, computed on whole arrays, plus the reference
+agent's future in its own frame at the current time step.
 """
 
 from __future__ import annotations
@@ -131,7 +134,12 @@ class SceneAgent:
 @dataclass
 class Scene:
     """A fixed window of frames with one reference agent (index 0) and
-    neighbors aligned on those frames."""
+    neighbors aligned on those frames.
+
+    The reference agent is present at every frame.  `build_scene` and
+    `gen_synthetic` leave each neighbor absent after t_0, the last of the
+    `history_len` history frames, since a sample never reads a neighbor's
+    future."""
 
     frames: np.ndarray
     agents: list[SceneAgent]
@@ -533,6 +541,8 @@ def build_scene(segment: Segment, tracks: Sequence[Track], history_len: int, max
     Neighbors must be present at the reference agent's current frame
     t_0 = start + history_len - 1; the closest `max_neighbors` are kept,
     ties going to the lower agent id, then to the earlier track.  The
+    reference agent covers the whole window and each neighbor only the
+    frames up to and including t_0, the part `build_sample` reads.  The
     tracks present at t_0 come from a frame index of every track row: a
     `TrackList` (as `ingest_ngsim` returns) builds it once, any other
     sequence of tracks on every call.
@@ -552,8 +562,8 @@ def build_scene(segment: Segment, tracks: Sequence[Track], history_len: int, max
     distance = np.hypot(offset[:, 0], offset[:, 1])
     nearest = owner[np.lexsort((owner, agent_ids, distance))[:max_neighbors]]
     agents = []
-    for kept in [track] + [index.tracks[k] for k in nearest.tolist()]:
-        rows = slice(*np.searchsorted(kept.frames, (frames[0], frames[-1] + 1)))
+    for kept, last in [(track, frames[-1])] + [(index.tracks[k], t0_frame) for k in nearest.tolist()]:
+        rows = slice(*np.searchsorted(kept.frames, (frames[0], last + 1)))
         columns = (None if c is None else c[rows] for c in (kept.positions, kept.speeds, kept.accels))
         agents.append(_align(frames, kept.agent_id, kept.frames[rows], *columns)[0])
     return Scene(frames=frames, agents=agents, frame_rate=track.frame_rate)
@@ -618,20 +628,28 @@ def gen_synthetic(
     rng: np.random.Generator,
     n_frames: int = 200,
     frame_rate: float = DEFAULT_FRAME_RATE,
+    *,
+    history_len: int,
 ) -> list[Scene]:
     """Generate scenes with closed-form ground truth.
 
     const_vel is exactly degree 1 in the frame offset, const_acc exactly
     degree 2; lane_change uses a logistic lateral profile and arc a
     constant-curvature path.  Optional additive Gaussian observation
-    noise via params['noise'].
+    noise via params['noise'].  params['neighbors'] parallel
+    constant-velocity neighbors are present over the first `history_len`
+    frames only, up to and including t_0, and zero elsewhere, as
+    `read_scene` leaves absent rows.
     """
     if kind not in SYNTHETIC_KINDS:
         raise ConfigError(f"unknown synthetic kind {kind!r}; valid kinds: {', '.join(SYNTHETIC_KINDS)}")
+    if not 2 <= history_len < n_frames:
+        raise ConfigError(f"history_len must be >= 2 and below the frame count {n_frames}, got {history_len}")
     path_params = _synthetic_params(params)
     noise = float(params.get("noise", 0.0))
     n_neighbors = int(params.get("neighbors", 0))
     cycle = ("const_vel", "const_acc", "lane_change", "arc")
+    in_history = np.arange(n_frames) < history_len
     scenes = []
     for i in range(int(n)):
         scene_kind = cycle[i % len(cycle)] if kind == "mixed" else kind
@@ -655,10 +673,11 @@ def gen_synthetic(
             neighbor_pos = np.stack(
                 [np.full(n_frames, positions[0, 0] + lateral), gap + speed * tau], axis=1
             )
+            neighbor_pos[history_len:] = 0.0
             agents.append(
                 SceneAgent(
                     agent_id=j + 1,
-                    present=np.ones(n_frames, dtype=bool),
+                    present=in_history.copy(),
                     positions=neighbor_pos,
                 )
             )

@@ -292,11 +292,6 @@ class TrajectoryModel:
     def parameters(self) -> list[Parameter]:
         return [Parameter(name, node) for name, node in self.params.items()]
 
-    def zero_head(self) -> None:
-        """Zero the output layer; useful as a structural baseline."""
-        self.params["head.w"].data[:] = 0.0
-        self.params["head.b"].data[:] = 0.0
-
     # -- forward -----------------------------------------------------------
 
     def _param_values(self, train: bool) -> dict:

@@ -1,16 +1,20 @@
 """Shared test helpers: finite-difference, loss, state, forward-pass and
-row-wise data-path oracles, hand-built samples."""
+row-wise data-path oracles, hand-built samples, an anchor histogram and a
+zeroed model head."""
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from polytraj import autodiff as ad
+from polytraj.anchoring import AnchorDistribution, random_schedule
 from polytraj.data import (
     DEFAULT_FRAME_RATE,
     FEET_TO_METRES,
@@ -23,7 +27,7 @@ from polytraj.data import (
     _align,
 )
 from polytraj.errors import DataError
-from polytraj.model import INPUT_SCALE, GRUWeights, attention
+from polytraj.model import INPUT_SCALE, GRUWeights, TrajectoryModel, attention
 from polytraj.poly import VAR_FLOOR
 
 
@@ -62,6 +66,22 @@ def make_moderate_samples(rng: np.random.Generator, n: int, agents: int = 2, ste
         future[0] = 0.0
         samples.append(Sample(states=states, mask=mask, future=future, sample_id=i))
     return samples
+
+
+def schedule_histogram(
+    dist: AnchorDistribution, count: int, n_draws: int, rng: np.random.Generator
+) -> dict[int, int]:
+    """Frequency of each supervised offset over n_draws random schedules."""
+    counts: Counter[int] = Counter()
+    for _ in range(n_draws):
+        counts.update(random_schedule(dist, count, rng).offsets)
+    return dict(sorted(counts.items()))
+
+
+def zero_head(model: TrajectoryModel) -> None:
+    """Zero a model's output layer, so its raw output is zero for every input."""
+    model.params["head.w"].data[:] = 0.0
+    model.params["head.b"].data[:] = 0.0
 
 
 def oracle_loss(traj, truth, offsets) -> float:
@@ -295,6 +315,25 @@ def oracle_build_scene(segment, tracks, history_len: int, max_neighbors: int) ->
         columns = (None if c is None else c[rows] for c in (kept.positions, kept.speeds, kept.accels))
         agents.append(_align(frames, kept.agent_id, kept.frames[rows], *columns)[0])
     return Scene(frames=frames, agents=agents, frame_rate=track.frame_rate)
+
+
+def cut_neighbours_at_t0(scene: Scene, history_len: int) -> Scene:
+    """A scene with each neighbour absent, and zero, after t_0, the last of
+    the `history_len` history frames; the reference agent is kept whole."""
+
+    def cut(values):
+        if values is None:
+            return None
+        values = values.copy()
+        values[history_len:] = 0.0
+        return values
+
+    neighbours = [
+        dataclasses.replace(agent, present=cut(agent.present), positions=cut(agent.positions),
+                            speeds=cut(agent.speeds), accels=cut(agent.accels))
+        for agent in scene.agents[1:]
+    ]
+    return dataclasses.replace(scene, agents=[scene.ego, *neighbours])
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import schedule_histogram
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
@@ -11,7 +12,6 @@ from polytraj.anchoring import (
     AnchorSchedule,
     fixed_schedule,
     random_schedule,
-    schedule_histogram,
 )
 
 

@@ -133,6 +133,75 @@ def test_train_nan_learning_rate_exits_3_without_checkpoint(tmp_path, capsys):
     assert not (out_dir / "checkpoint.txt").exists()
 
 
+@pytest.mark.parametrize("history_len", [19, 21])
+def test_train_at_another_history_len_than_generated_exits_1(tmp_path, capsys, history_len):
+    data_dir = _generate(tmp_path)
+    assert json.loads((data_dir / "manifest.json").read_text())["history_len"] == 20
+    capsys.readouterr()
+    args = ["train", *_sets(*TINY, f"data.dir={data_dir}", f"out.dir={tmp_path / 'run'}",
+                            f"data.history_len={history_len}")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "data.history_len=20" in err and f"is {history_len}," in err
+    assert not (tmp_path / "run" / "checkpoint.txt").exists()
+
+
+def test_eval_at_another_history_len_than_generated_exits_1(tmp_path, capsys):
+    data_dir = _generate(tmp_path)
+    out_dir = tmp_path / "run"
+    assert main(["train", *_sets(*TINY, f"data.dir={data_dir}", f"out.dir={out_dir}", "train.steps=1")]) == 0
+    capsys.readouterr()
+    args = ["eval", "--checkpoint", str(out_dir / "checkpoint.txt"),
+            *_sets(*TINY, f"data.dir={data_dir}", f"out.dir={out_dir}", "data.history_len=21")]
+    assert main(args) == 1
+    assert "data.history_len=20" in capsys.readouterr().err
+    assert not list(out_dir.glob("eval_*"))
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda manifest: manifest.unlink(),
+        lambda manifest: manifest.write_text("{"),
+        lambda manifest: manifest.write_text(
+            json.dumps({k: v for k, v in json.loads(manifest.read_text()).items() if k != "history_len"})
+        ),
+    ],
+    ids=["deleted", "unreadable", "without-history-len"],
+)
+def test_train_without_a_manifest_history_len_exits_2(tmp_path, capsys, spoil):
+    data_dir = _generate(tmp_path)
+    spoil(data_dir / "manifest.json")
+    capsys.readouterr()
+    assert main(["train", *_sets(*TINY, f"data.dir={data_dir}", f"out.dir={tmp_path / 'run'}")]) == 2
+    assert "run generate again" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (("synthetic.frames=0",), "history_len"),
+        (("synthetic.frames=20", "data.history_len=20"), "history_len"),
+        (("data.frame_rate=0",), "data.frame_rate"),
+        (("data.frame_rate=nan",), "data.frame_rate"),
+    ],
+    ids=["frames-0", "frames-equal-history-len", "frame-rate-0", "frame-rate-nan"],
+)
+def test_generate_bad_window_or_frame_rate_exits_1(tmp_path, capsys, overrides, message):
+    data_dir = tmp_path / "data"
+    assert main(["generate", *_sets(*TINY, f"out.dir={data_dir}", *overrides)]) == 1
+    assert message in capsys.readouterr().err
+    assert not (data_dir / "manifest.json").exists()
+
+
+def test_train_at_frame_rate_zero_exits_1(tmp_path, capsys):
+    data_dir = _generate(tmp_path)
+    capsys.readouterr()
+    args = ["train", *_sets(*TINY, f"data.dir={data_dir}", f"out.dir={tmp_path / 'run'}", "data.frame_rate=0")]
+    assert main(args) == 1
+    assert "data.frame_rate" in capsys.readouterr().err
+
+
 def test_train_epochs_zero_equals_initialization(tmp_path):
     data_dir = _generate(tmp_path)
     out_dir = tmp_path / "run"

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import (
+    cut_neighbours_at_t0,
     oracle_build_scene,
     oracle_ingest_ngsim,
     oracle_read_scene,
@@ -321,13 +322,13 @@ def test_curved_count_preserved_in_mixed_set(rng):
 
 def test_const_vel_span():
     params = {"speed_min": 10.0, "speed_max": 10.0}
-    (scene,) = gen_synthetic("const_vel", params, 1, np.random.default_rng(0), n_frames=51)
+    (scene,) = gen_synthetic("const_vel", params, 1, np.random.default_rng(0), n_frames=51, history_len=20)
     assert scene.ego.positions[0, 1] == 0.0
     assert scene.ego.positions[-1, 1] == pytest.approx(50.0)
 
 
 def test_const_acc_exact_quadratic(rng):
-    scenes = gen_synthetic("const_acc", {}, 3, rng, n_frames=120)
+    scenes = gen_synthetic("const_acc", {}, 3, rng, n_frames=120, history_len=20)
     for scene in scenes:
         t = np.arange(120, dtype=float)
         for axis in (0, 1):
@@ -336,7 +337,7 @@ def test_const_acc_exact_quadratic(rng):
 
 
 def test_lane_change_profile(rng):
-    scenes = gen_synthetic("lane_change", {}, 4, rng, n_frames=200)
+    scenes = gen_synthetic("lane_change", {}, 4, rng, n_frames=200, history_len=50)
     for scene in scenes:
         lateral = scene.ego.positions[:, 0]
         assert lateral[0] == 0.0
@@ -346,7 +347,7 @@ def test_lane_change_profile(rng):
 
 
 def test_arc_constant_curvature(rng):
-    (scene,) = gen_synthetic("arc", {}, 1, rng, n_frames=100)
+    (scene,) = gen_synthetic("arc", {}, 1, rng, n_frames=100, history_len=20)
     positions = scene.ego.positions
     x, y = positions[:, 0], positions[:, 1]
     sign = 1.0 if x[-1] >= 0 else -1.0
@@ -358,20 +359,26 @@ def test_arc_constant_curvature(rng):
     assert np.allclose(r_est, r_est[0], rtol=1e-6)
 
 
+@pytest.mark.parametrize("n_frames, history_len", [(200, 1), (200, 200), (20, 50), (0, 50)])
+def test_gen_synthetic_rejects_history_len_outside_the_frames(rng, n_frames, history_len):
+    with pytest.raises(ConfigError, match=f"history_len must be >= 2 and below the frame count {n_frames}"):
+        gen_synthetic("const_vel", {"neighbors": 1}, 1, rng, n_frames=n_frames, history_len=history_len)
+
+
 def test_invalid_kind_names_valid_kinds(rng):
     with pytest.raises(ConfigError, match="const_vel"):
-        gen_synthetic("spiral", {}, 1, rng)
+        gen_synthetic("spiral", {}, 1, rng, history_len=50)
 
 
 def test_out_of_range_params_rejected(rng):
     with pytest.raises(ConfigError):
-        gen_synthetic("const_vel", {"speed_min": 10.0, "speed_max": 50.0}, 1, rng)
+        gen_synthetic("const_vel", {"speed_min": 10.0, "speed_max": 50.0}, 1, rng, history_len=50)
     with pytest.raises(ConfigError):
-        gen_synthetic("const_acc", {"accel_max": 9.0}, 1, rng)
+        gen_synthetic("const_acc", {"accel_max": 9.0}, 1, rng, history_len=50)
 
 
 def test_mixed_cycles_through_kinds(rng):
-    scenes = gen_synthetic("mixed", {}, 8, rng, n_frames=100)
+    scenes = gen_synthetic("mixed", {}, 8, rng, n_frames=100, history_len=20)
     assert len(scenes) == 8
 
 
@@ -379,7 +386,7 @@ def test_mixed_cycles_through_kinds(rng):
 
 
 def test_sample_future_origin_is_zero(rng):
-    scenes = gen_synthetic("mixed", {"neighbors": 2}, 4, rng, n_frames=80)
+    scenes = gen_synthetic("mixed", {"neighbors": 2}, 4, rng, n_frames=80, history_len=20)
     for sample in build_samples(scenes, history_len=20):
         np.testing.assert_array_equal(sample.future[0], [0.0, 0.0])
         assert sample.states.shape == (3, 19, 7)
@@ -387,7 +394,7 @@ def test_sample_future_origin_is_zero(rng):
 
 
 def test_sample_rejects_scene_without_future(rng):
-    (scene,) = gen_synthetic("const_vel", {}, 1, rng, n_frames=20)
+    (scene,) = gen_synthetic("const_vel", {}, 1, rng, n_frames=20, history_len=19)
     with pytest.raises(DataError):
         build_sample(scene, history_len=20)
 
@@ -424,7 +431,8 @@ def test_build_scene_selects_nearest_neighbors():
     )
     scene = build_scene(Segment(ego, 0, 200), [ego, near, far, elsewhere], history_len=50, max_neighbors=1)
     assert [a.agent_id for a in scene.agents] == [1, 2]
-    assert bool(np.all(scene.agents[1].present))
+    assert bool(np.all(scene.agents[1].present[:50]))
+    assert not scene.agents[1].present[50:].any()
 
 
 # -- whole-array states against the per-frame oracle -----------------------------------
@@ -473,8 +481,8 @@ def _without_accels(scene):
 def test_build_sample_equals_per_frame_oracle_bitwise(tmp_path, rng):
     noisy = {"noise": 0.05}
     families = {
-        "5-agent": gen_synthetic("mixed", {**noisy, "neighbors": 4}, 200, rng, n_frames=30),
-        "1-agent": gen_synthetic("mixed", noisy, 100, rng, n_frames=30),
+        "5-agent": gen_synthetic("mixed", {**noisy, "neighbors": 4}, 200, rng, n_frames=30, history_len=20),
+        "1-agent": gen_synthetic("mixed", noisy, 100, rng, n_frames=30, history_len=20),
     }
     ngsim = _ngsim_scenes(tmp_path, rng)
     families["ngsim"] = ngsim
@@ -561,7 +569,7 @@ def test_build_scene_matches_row_wise_oracle(history_len, neighbors):
     assert isinstance(tracks, TrackList)
     train, test = segment_and_split(tracks, segment_len=40)
     for segment in train + test:
-        expected = oracle_build_scene(segment, tracks, history_len, neighbors)
+        expected = cut_neighbours_at_t0(oracle_build_scene(segment, tracks, history_len, neighbors), history_len)
         _assert_same_scene(build_scene(segment, tracks, history_len, neighbors), expected)
         _assert_same_scene(build_scene(segment, list(tracks), history_len, neighbors), expected)
 
@@ -573,7 +581,7 @@ def test_build_scene_breaks_distance_ties_by_agent_id_then_list_order():
     ego = track(5, 0.0)
     tracks = [ego, track(9, 3.0), track(2, -3.0), track(7, 3.0), track(2, 3.0)]
     scene = build_scene(Segment(ego, 0, 10), tracks, history_len=4, max_neighbors=3)
-    expected = oracle_build_scene(Segment(ego, 0, 10), tracks, history_len=4, max_neighbors=3)
+    expected = cut_neighbours_at_t0(oracle_build_scene(Segment(ego, 0, 10), tracks, history_len=4, max_neighbors=3), 4)
     _assert_same_scene(scene, expected)
     assert [a.agent_id for a in scene.agents] == [5, 2, 2, 7]
     assert scene.agents[1].positions[0, 0] == -3.0
@@ -588,18 +596,65 @@ def test_track_list_is_immutable_and_builds_its_frame_index_once():
     assert tracks.frame_index.tracks is tracks
 
 
-def _scene_families(rng):
+HISTORY_LEN = 20  # of the scene families
+
+
+def _full_window(scene):
+    """`scene` with each neighbour present over the whole window, carried on
+    past its history at its first step's velocity, as the generator's
+    constant-velocity neighbours drive."""
+    steps = np.arange(len(scene))[:, None]
+    agents = [scene.ego]
+    for agent in scene.agents[1:]:
+        carried = agent.positions[0] + (agent.positions[1] - agent.positions[0]) * steps
+        agents.append(dataclasses.replace(agent, present=np.ones(len(scene), dtype=bool),
+                                          positions=np.where(agent.present[:, None], agent.positions, carried)))
+    return dataclasses.replace(scene, agents=agents)
+
+
+def _scene_pairs(rng):
+    """Each family's scenes as (scene, the same scene over the full window)
+    pairs: neighbours are cut at t_0 in the first and not in the second.
+    Holes fall on the same frames of both."""
     tiny = {"noise": 0.05}
-    ngsim = _fixture_scenes()
-    holes = [_with_holes(scene, rng) for scene in ngsim]
-    return {
-        "tiny": gen_synthetic("mixed", tiny, 8, rng, n_frames=90),
-        "tiny-neighbours": gen_synthetic("mixed", {**tiny, "neighbors": 2}, 8, rng, n_frames=90),
-        "mixed-4": gen_synthetic("mixed", {"neighbors": 4}, 12, rng, n_frames=60),
-        "ngsim": ngsim,
-        "ngsim-holes": holes,
-        "ngsim-no-accels": [_without_accels(scene) for scene in holes],
+    synthetic = {
+        "tiny": gen_synthetic("mixed", tiny, 8, rng, n_frames=90, history_len=HISTORY_LEN),
+        "tiny-neighbours": gen_synthetic("mixed", {**tiny, "neighbors": 2}, 8, rng, n_frames=90,
+                                         history_len=HISTORY_LEN),
+        "mixed-4": gen_synthetic("mixed", {"neighbors": 4}, 12, rng, n_frames=60, history_len=HISTORY_LEN),
     }
+    pairs = {name: [(scene, _full_window(scene)) for scene in scenes] for name, scenes in synthetic.items()}
+    tracks = ingest_ngsim(NGSIM_FIXTURE)
+    train, test = segment_and_split(tracks, segment_len=40)
+    pairs["ngsim"] = [
+        (build_scene(seg, tracks, HISTORY_LEN, 8), oracle_build_scene(seg, tracks, HISTORY_LEN, 8))
+        for seg in train + test
+    ]
+    pairs["ngsim-holes"] = [
+        tuple(_with_holes(scene, np.random.default_rng(i)) for scene in pair) for i, pair in enumerate(pairs["ngsim"])
+    ]
+    pairs["ngsim-no-accels"] = [tuple(map(_without_accels, pair)) for pair in pairs["ngsim-holes"]]
+    return pairs
+
+
+def _scene_families(rng):
+    return {name: [scene for scene, _ in pairs] for name, pairs in _scene_pairs(rng).items()}
+
+
+def test_scene_cut_at_t0_gives_the_full_window_sample(tmp_path, rng):
+    pairs = _scene_pairs(rng)
+    for name, scene_pairs in pairs.items():
+        for i, (scene, full) in enumerate(scene_pairs):
+            assert not any(agent.present[HISTORY_LEN:].any() for agent in scene.agents[1:]), (name, i)
+            expected = build_sample(full, HISTORY_LEN)
+            path = tmp_path / f"{name}_{i}.csv"
+            write_scene(scene, path)
+            for trimmed in (scene, read_scene(path, frame_rate=scene.frame_rate)):
+                sample = build_sample(trimmed, HISTORY_LEN)
+                for field in ("states", "mask", "future"):
+                    assert getattr(sample, field).tobytes() == getattr(expected, field).tobytes(), (name, i, field)
+        if name != "tiny":  # the full window holds neighbour rows past t_0 that the cut scene drops
+            assert any(agent.present[HISTORY_LEN:].any() for _, full in scene_pairs for agent in full.agents[1:])
 
 
 def test_write_scene_bytes_match_csv_writer(tmp_path, rng):

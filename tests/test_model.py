@@ -15,6 +15,7 @@ from conftest import (
     oracle_forward,
     oracle_gru_cell,
     oracle_loss,
+    zero_head,
 )
 
 from polytraj.autodiff import Tensor
@@ -224,7 +225,7 @@ def _forward(model, sample):
 def test_zero_head_polynomial_is_origin_everywhere(rng):
     samples = make_moderate_samples(rng, 1)
     model = TrajectoryModel(ModelConfig(units=6, d_x=3, d_y=2), seed=3)
-    model.zero_head()
+    zero_head(model)
     raw = _forward(model, samples[0])[np.newaxis]
     for mean, var in moments(model.config, raw, [[1, 10, 50]]):
         np.testing.assert_array_equal(mean, np.zeros((1, 3)))
@@ -237,7 +238,7 @@ def test_zero_head_coordinates_all_zero(rng):
     samples = make_moderate_samples(rng, 1)
     cfg = ModelConfig(head=COORDINATES, anchor_mode="fixed", anchor_count=3, horizon=30, units=6)
     model = TrajectoryModel(cfg, seed=3)
-    model.zero_head()
+    zero_head(model)
     points = model.predict_positions(samples, cfg.head_offsets)
     np.testing.assert_array_equal(points, np.zeros((1, 3, 2)))
 

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import make_moderate_samples, oracle_loss
+from conftest import make_moderate_samples, oracle_loss, zero_head
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -176,7 +176,7 @@ def _model_emitting(traj):
     weights are zero and the bias holds the raw scaled coefficients."""
     cfg = ModelConfig(units=3, d_x=traj.a.size, d_y=traj.b.size, decoder_steps=1)
     model = TrajectoryModel(cfg, seed=0)
-    model.zero_head()
+    zero_head(model)
     unscale_x = cfg.time_scale ** (np.arange(1, cfg.d_x + 1) - 1.0)
     unscale_y = cfg.time_scale ** (np.arange(1, cfg.d_y + 1) - 1.0)
     with np.errstate(divide="ignore"):  # a zero sigma is log-sigma -inf, variance 0
