@@ -581,7 +581,8 @@ def test_build_scene_breaks_distance_ties_by_agent_id_then_list_order():
     ego = track(5, 0.0)
     tracks = [ego, track(9, 3.0), track(2, -3.0), track(7, 3.0), track(2, 3.0)]
     scene = build_scene(Segment(ego, 0, 10), tracks, history_len=4, max_neighbors=3)
-    expected = cut_neighbours_at_t0(oracle_build_scene(Segment(ego, 0, 10), tracks, history_len=4, max_neighbors=3), 4)
+    expected = oracle_build_scene(Segment(ego, 0, 10), tracks, history_len=4, max_neighbors=3)
+    expected = cut_neighbours_at_t0(expected, history_len=4)
     _assert_same_scene(scene, expected)
     assert [a.agent_id for a in scene.agents] == [5, 2, 2, 7]
     assert scene.agents[1].positions[0, 0] == -3.0
