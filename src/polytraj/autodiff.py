@@ -135,9 +135,6 @@ class Tensor:
     def __rsub__(self, other) -> "Tensor":
         return self._wrap(other) - self
 
-    def __neg__(self) -> "Tensor":
-        return self * -1.0
-
     def __mul__(self, other) -> "Tensor":
         other = self._wrap(other)
         self._broadcast_check(other, "multiply")
@@ -165,9 +162,6 @@ class Tensor:
 
         out._backward = _backward
         return out
-
-    def __rtruediv__(self, other) -> "Tensor":
-        return self._wrap(other) / self
 
     def __pow__(self, exponent) -> "Tensor":
         if not isinstance(exponent, (int, float)):
@@ -374,7 +368,8 @@ def concat(parts: Sequence, axis: int = 0):
 def sigmoid(x):
     if isinstance(x, Tensor):
         return x.sigmoid()
-    return 1.0 / (1.0 + np.exp(-x))
+    with np.errstate(over="ignore"):  # exp(-x) = inf gives the right limit, 0
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def tanh(x):

@@ -122,13 +122,6 @@ def _train_settings(cfg: RunConfig) -> TrainSettings:
     )
 
 
-def _frame_rate(cfg: RunConfig) -> float:
-    frame_rate = cfg["data.frame_rate"]
-    if not 0.0 < frame_rate < float("inf"):
-        raise ConfigError(f"data.frame_rate must be a positive finite number, got {frame_rate}")
-    return frame_rate
-
-
 def _generated_history_len(data_dir: Path) -> int:
     """The data.history_len a data dir was generated with: its scenes hold
     neighbours over that many history frames only."""
@@ -152,8 +145,7 @@ def _load_samples(cfg: RunConfig, split: str) -> list:
     scene_files = sorted(split_dir.glob("scene_*.csv"))
     if not scene_files:
         raise DataError(f"no scene files in {split_dir}")
-    frame_rate = _frame_rate(cfg)
-    scenes = [datamod.read_scene(path, frame_rate=frame_rate) for path in scene_files]
+    scenes = [datamod.read_scene(path, frame_rate=cfg["data.frame_rate"]) for path in scene_files]
     return datamod.build_samples(scenes, history_len=history_len)
 
 
@@ -188,7 +180,7 @@ def cmd_generate(cfg: RunConfig) -> int:
     out_dir = _prepare_out_dir(cfg)
     source = cfg["data.source"]
     seed = cfg["run.seed"]
-    frame_rate = _frame_rate(cfg)
+    frame_rate = cfg["data.frame_rate"]
     history_len = cfg["data.history_len"]
     if source == "synthetic":
         params = _synth_params(cfg)
@@ -205,7 +197,7 @@ def cmd_generate(cfg: RunConfig) -> int:
             n_frames=cfg["synthetic.frames"], frame_rate=frame_rate, history_len=history_len,
         )
         detail = {"kind": kind}
-    elif source == "ngsim":
+    else:
         csv_path = cfg["data.ngsim_csv"]
         if not csv_path:
             raise ConfigError("data.source=ngsim requires data.ngsim_csv")
@@ -228,8 +220,6 @@ def cmd_generate(cfg: RunConfig) -> int:
             speed_std=cfg["data.straight.speed_std"],
         )
         detail = {"ngsim_csv": str(csv_path), "tracks": len(tracks)}
-    else:
-        raise ConfigError(f"unknown data.source {source!r}; valid sources: synthetic, ngsim")
     train_names = _write_scene_split(train_scenes, out_dir / "train")
     test_names = _write_scene_split(test_scenes, out_dir / "test")
     manifest = {

@@ -38,6 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .autodiff import sigmoid
 from .errors import ConfigError, DataError
 
 log = logging.getLogger(__name__)
@@ -55,8 +56,6 @@ LF, CR = b"\n", b"\r"
 # an agent id or frame is an integer: ASCII digits with an optional sign and blanks around
 SCENE_INT_FIELD = re.compile(r"[ \t]*[+-]?[0-9]+[ \t]*")
 INT_FIELD_BYTES = np.isin(np.arange(256), list(b"0123456789+- \t"))
-
-SYNTHETIC_KINDS = ("const_vel", "const_acc", "lane_change", "arc", "mixed")
 
 # defaults of the gen_synthetic parameters that shape the reference path
 SYNTHETIC_DEFAULTS = {"speed_min": 8.0, "speed_max": 16.0, "accel_max": 2.0, "lane_offset_m": 3.5,
@@ -519,8 +518,6 @@ def filter_straight(
     speed_std: float = 0.5,
 ) -> list[Scene]:
     """Downsample straight constant-velocity scenes to `fraction`; keep the rest."""
-    if not 0.0 <= fraction <= 1.0:
-        raise ConfigError(f"fraction must be in [0, 1], got {fraction}")
     straight = [
         i
         for i, scene in enumerate(scenes)
@@ -573,16 +570,12 @@ def build_scene(segment: Segment, tracks: Sequence[Track], history_len: int, max
 
 
 def _synthetic_params(params: dict) -> dict[str, float]:
-    """The path parameters of `params` with defaults filled in, range-checked."""
+    """The path parameters of `params` with defaults filled in; each range's
+    minimum must not exceed its maximum (the config bounds each value)."""
     p = {key: float(params.get(key, default)) for key, default in SYNTHETIC_DEFAULTS.items()}
-    if not (0.0 <= p["speed_min"] <= p["speed_max"] <= 40.0):
-        raise ConfigError(
-            f"speeds must satisfy 0 <= min <= max <= 40 m/s, got [{p['speed_min']}, {p['speed_max']}]"
-        )
-    if not (0.0 < p["accel_max"] <= 4.0):
-        raise ConfigError(f"accel_max must be in (0, 4] m/s^2, got {p['accel_max']}")
-    if not (0.0 < p["lane_offset_m"] <= 5.0):
-        raise ConfigError(f"lane_offset_m must be in (0, 5] m, got {p['lane_offset_m']}")
+    for low, high in (("speed_min", "speed_max"), ("lane_mid_min", "lane_mid_max")):
+        if p[low] > p[high]:
+            raise ConfigError(f"synthetic.{low} {p[low]} exceeds synthetic.{high} {p[high]}")
     return p
 
 
@@ -597,7 +590,7 @@ def _synthetic_ego(kind: str, p: dict[str, float], rng: np.random.Generator, n_f
         y = vy * tau
     elif kind == "const_acc":
         horizon_s = tau[-1] if n_frames > 1 else 1.0
-        ay_low = max(-accel_max, -(vy - 0.5) / horizon_s)
+        ay_low = min(max(-accel_max, -(vy - 0.5) / horizon_s), accel_max)  # below 0.5 m/s, no braking
         ay = float(rng.uniform(ay_low, accel_max))
         vx = float(rng.uniform(-1.0, 1.0))
         ax = float(rng.uniform(-accel_max / 4.0, accel_max / 4.0))
@@ -606,18 +599,16 @@ def _synthetic_ego(kind: str, p: dict[str, float], rng: np.random.Generator, n_f
     elif kind == "lane_change":
         direction = 1.0 if rng.uniform() < 0.5 else -1.0
         t_mid = float(rng.uniform(p["lane_mid_min"], p["lane_mid_max"])) * n_frames
-        profile = 1.0 / (1.0 + np.exp(-(p["lane_steepness"] * (np.arange(n_frames) - t_mid))))
+        profile = sigmoid(p["lane_steepness"] * (np.arange(n_frames) - t_mid))
         x = direction * p["lane_offset_m"] * profile
         x = x - x[0]
         y = vy * tau
-    elif kind == "arc":
+    else:  # arc
         radius = float(rng.uniform(150.0, 400.0))
         direction = 1.0 if rng.uniform() < 0.5 else -1.0
         angle = vy * tau / radius
         x = direction * radius * (1.0 - np.cos(angle))
         y = radius * np.sin(angle)
-    else:
-        raise ConfigError(f"unknown synthetic kind {kind!r}; valid kinds: {', '.join(SYNTHETIC_KINDS)}")
     return np.stack([x, y], axis=1)
 
 
@@ -641,8 +632,6 @@ def gen_synthetic(
     frames only, up to and including t_0, and zero elsewhere, as
     `read_scene` leaves absent rows.
     """
-    if kind not in SYNTHETIC_KINDS:
-        raise ConfigError(f"unknown synthetic kind {kind!r}; valid kinds: {', '.join(SYNTHETIC_KINDS)}")
     if not 2 <= history_len < n_frames:
         raise ConfigError(f"history_len must be >= 2 and below the frame count {n_frames}, got {history_len}")
     path_params = _synthetic_params(params)
@@ -711,8 +700,6 @@ def build_sample(scene: Scene, history_len: int, sample_id: int = 0) -> Sample:
     t - 2), theta the increment's heading, and (l, phi) the polar offset
     from the reference agent (phi 0 at l = 0).
     """
-    if history_len < 2:
-        raise ConfigError(f"history_len must be >= 2, got {history_len}")
     if len(scene) <= history_len:
         raise DataError(
             f"scene length {len(scene)} leaves no future after {history_len} history frames"

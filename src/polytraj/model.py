@@ -504,8 +504,6 @@ def train(model: TrajectoryModel, samples: Sequence[Sample], settings: TrainSett
         if settings.optimizer == "adam"
         else None
     )
-    if settings.optimizer not in ("adam", "sgd"):
-        raise ConfigError(f"unknown optimizer {settings.optimizer!r}")
     result = TrainResult()
     step = 0
     for _ in range(settings.epochs):
@@ -515,14 +513,15 @@ def train(model: TrajectoryModel, samples: Sequence[Sample], settings: TrainSett
                 return result
             batch = [samples[i] for i in order[start : start + settings.batch]]
             t_matrix = draw_schedules(model.config, len(batch), rng_anchor)
-            loss, per_sample = batch_loss(model, batch, t_matrix, train=True)
+            with np.errstate(all="ignore"):  # a non-finite loss raises below, a non-finite gradient in the step
+                loss, per_sample = batch_loss(model, batch, t_matrix, train=True)
+                loss.backward()
             finite = np.isfinite(per_sample.data)
             if not finite.all():
                 bad = [batch[i].sample_id for i in np.flatnonzero(~finite)]
                 raise NumericalError(
                     f"non-finite loss at step {step} for sample(s) {bad}"
                 )
-            loss.backward()
             if adam is not None:
                 adam.step()
             else:

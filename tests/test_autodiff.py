@@ -19,6 +19,10 @@ def test_sigmoid_at_zero():
     assert Tensor(0.0).sigmoid().item() == 0.5
 
 
+def test_sigmoid_of_a_large_negative_array_is_zero_without_warning():  # pytest turns warnings into errors
+    assert ad.sigmoid(np.array([-1000.0])).tolist() == [0.0]
+
+
 def test_softmax_symmetry():
     out = Tensor([0.0, 0.0]).softmax()
     np.testing.assert_allclose(out.data, [0.5, 0.5])
@@ -242,3 +246,4 @@ def test_seeded_step_is_bit_identical(rng):
     first = run_once()
     second = run_once()
     np.testing.assert_array_equal(first, second)
+

@@ -2,10 +2,13 @@
 
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polytraj.autodiff import load_checkpoint
 from polytraj.cli import main
@@ -124,11 +127,24 @@ def test_eval_offset_below_one_exits_1(tmp_path, capsys, offsets):
     assert not list(out_dir.glob("eval_*"))
 
 
-def test_train_nan_learning_rate_exits_3_without_checkpoint(tmp_path, capsys):
+def test_train_nan_learning_rate_exits_1_without_checkpoint(tmp_path, capsys):
     data_dir = _generate(tmp_path)
     out_dir = tmp_path / "run"
     args = ["train", *_sets(*TINY, f"data.dir={data_dir}", f"out.dir={out_dir}", "train.steps=1", "train.lr=nan")]
-    assert main(args) == 3
+    assert main(args) == 1
+    assert "train.lr" in capsys.readouterr().err
+    assert not (out_dir / "checkpoint.txt").exists()
+
+
+def test_train_non_finite_loss_exits_3_without_checkpoint(tmp_path, capsys):
+    data_dir = _generate(tmp_path)
+    for scene in (data_dir / "train").glob("scene_*.csv"):  # every future y 1e160 m away: the NLL overflows
+        lines = scene.read_text().splitlines()
+        lines[21:91] = [",".join([*line.split(",")[:3], "1e160", "", ""]) for line in lines[21:91]]
+        scene.write_text("\n".join(lines) + "\n")
+    out_dir = tmp_path / "run"
+    capsys.readouterr()
+    assert main(["train", *_sets(*TINY, f"data.dir={data_dir}", f"out.dir={out_dir}", "train.steps=1")]) == 3
     assert "non-finite" in capsys.readouterr().err
     assert not (out_dir / "checkpoint.txt").exists()
 
@@ -375,8 +391,9 @@ def test_help_lists_every_config_key(capsys):
         main(["--help"])
     assert excinfo.value.code == 0
     out = capsys.readouterr().out
-    for key in DEFAULTS:
+    for key, (_, domain, _) in DEFAULTS.items():
         assert key in out
+        assert domain is None or f" in {domain}" in out
 
 
 def test_config_file_plus_override(tmp_path):
@@ -393,3 +410,132 @@ def test_fingerprint_ignores_out_dir():
     assert a.fingerprint() == b.fingerprint()
     c = RunConfig({"run.seed": 1})
     assert c.fingerprint() != a.fingerprint()
+
+
+# -- the config schema -------------------------------------------------------------
+
+
+def test_every_default_lies_in_its_domain():
+    RunConfig({key: default for key, (default, _, _) in DEFAULTS.items()})  # set() checks each domain
+    for key, (_, domain, _) in DEFAULTS.items():
+        if domain is not None and not domain.startswith("{"):
+            assert not domain.startswith("[-inf") and not domain.endswith("inf]"), key
+
+
+@pytest.mark.parametrize(
+    "command, override",
+    [
+        # each ended in a raw traceback
+        ("train", "train.batch=0"),
+        ("generate", "run.seed=-1"),
+        ("train", "train.seed=-1"),
+        ("ngsim", "data.segment_len=0"),
+        ("generate", "synthetic.lane_mid_min=2"),
+        # each exited 0 doing the wrong thing
+        ("train", "train.batch=-3"),
+        ("train", "train.steps=-1"),
+        ("train", "train.epochs=-1"),
+        ("train", "train.grad_clip=-1"),
+        ("train", "train.lr=-1"),
+        ("ngsim", "data.neighbors=-1"),
+        ("ngsim", "data.segment_len=-5"),
+        # each was accepted silently
+        ("generate", "synthetic.n=0"),
+        ("generate", "synthetic.test_fraction=1.5"),
+        ("generate", "synthetic.test_fraction=-1"),
+        ("generate", "synthetic.noise=-1"),
+        ("generate", "synthetic.noise=nan"),
+        ("generate", "synthetic.neighbors=-1"),
+        ("generate", "synthetic.lane_steepness=nan"),
+        # each ended after numpy warnings, in exit 3 or 0
+        ("train", "horizon_frames=0"),
+        ("train", "train.lr=1e300"),
+        ("generate", "data.frame_rate=1e-300"),
+    ],
+)
+def test_out_of_domain_setting_exits_1_naming_key_and_domain(tmp_path, capsys, command, override):
+    out_dir = tmp_path / "out"
+    if command == "train":
+        args = ["train", *_sets(*TINY, f"data.dir={_generate(tmp_path)}", f"out.dir={out_dir}", override)]
+    elif command == "ngsim":
+        _write_ngsim(tmp_path / "ngsim.csv")
+        args = ["generate", *_sets("data.source=ngsim", f"data.ngsim_csv={tmp_path / 'ngsim.csv'}",
+                                   "data.history_len=20", f"out.dir={out_dir}", override)]
+    else:
+        args = ["generate", *_sets(*TINY, f"out.dir={out_dir}", override)]
+    capsys.readouterr()
+    assert main(args) == 1
+    key = override.split("=")[0]
+    assert f"{key!r} must lie in {DEFAULTS[key][1]}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def _domain_edges(key: str) -> list[str]:
+    """A key's choices and one value that is not among them, or the values at
+    and just outside each finite end of its interval, plus nan and inf."""
+    default, domain, _ = DEFAULTS[key]
+    if domain.startswith("{"):
+        return [*domain[1:-1].split(", "), "zigzag"]
+    values = ["nan", "inf", "-inf"] if isinstance(default, float) else []
+    low, high = domain[1:-1].split(", ")
+    for end, closed, outward in ((low, domain[0] == "[", -1.0), (high, domain[-1] == "]", 1.0)):
+        if end == "inf":
+            continue
+        base, _, power = end.partition("**")
+        if isinstance(default, int):
+            bound = int(base) ** int(power or 1)
+            inside, outside = (bound, bound + int(outward)) if closed else (bound - int(outward), bound)
+        else:
+            bound = float(end)
+            beyond, within = np.nextafter(bound, outward * np.inf), np.nextafter(bound, -outward * np.inf)
+            inside, outside = (bound, beyond) if closed else (within, bound)
+            inside, outside = repr(float(inside)), repr(float(outside))
+        values += [str(inside), str(outside)]
+    return values
+
+
+SCHEMA_EDGES = [f"{key}={value}" for key in sorted(DEFAULTS) if DEFAULTS[key][1] for value in _domain_edges(key)]
+
+
+@pytest.fixture(scope="module")
+def ngsim_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ngsim") / "ngsim.csv"
+    _write_ngsim(path, frames=240)
+    return path
+
+
+def _finite_outputs(root: Path) -> None:
+    for path in root.rglob("*.csv"):
+        for line in path.read_text().splitlines()[1:]:
+            for field in line.split(","):
+                try:
+                    value = float(field)
+                except ValueError:
+                    continue
+                assert np.isfinite(value), (path, line)
+    for path in root.rglob("checkpoint.txt"):
+        _, arrays = load_checkpoint(path)
+        assert all(np.all(np.isfinite(array)) for array in arrays.values()), path
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(ngsim=st.booleans(), overrides=st.lists(st.sampled_from(SCHEMA_EDGES), min_size=1, max_size=2))
+def test_pipeline_at_domain_edges_ends_in_an_exit_code(tmp_path_factory, ngsim_csv, ngsim, overrides):
+    root = tmp_path_factory.mktemp("edges")
+    base = list(TINY)
+    if ngsim:
+        base += ["data.source=ngsim", f"data.ngsim_csv={ngsim_csv}", "data.segment_len=80"]
+    sets = _sets(*base, f"data.dir={root / 'data'}", *overrides)
+    commands = [
+        ["generate", *sets, "--set", f"out.dir={root / 'data'}"],
+        ["train", *sets, "--set", f"out.dir={root / 'run'}"],
+        ["eval", "--checkpoint", str(root / "run" / "checkpoint.txt"), *sets, "--set", f"out.dir={root / 'run'}"],
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for args in commands:
+            code = main(args)
+            assert code in (0, 1, 2, 3)
+            if code:
+                break
+            _finite_outputs(root)

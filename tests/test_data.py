@@ -15,6 +15,7 @@ from conftest import (
     oracle_write_scene,
 )
 
+from polytraj.config import load_config
 from polytraj.data import (
     FEET_TO_METRES,
     Scene,
@@ -191,12 +192,12 @@ def test_masked_neighbor_is_none_not_error():
 
 
 def test_states_require_predecessor():
-    # increments need a predecessor frame: states start at frame 1, and a
-    # history with no frame after the first is rejected
+    # increments need a predecessor frame: states start at frame 1, and the
+    # config rejects a history with no frame after the first
     sample = build_sample(_two_agent_scene(), history_len=3)
     assert sample.states.shape[1] == 2  # frames 1 and 2 of frames 0..2
     with pytest.raises(ConfigError):
-        build_sample(_two_agent_scene(), history_len=1)
+        load_config(overrides=["data.history_len=1"])
 
 
 def test_state_vector_order():
@@ -365,16 +366,28 @@ def test_gen_synthetic_rejects_history_len_outside_the_frames(rng, n_frames, his
         gen_synthetic("const_vel", {"neighbors": 1}, 1, rng, n_frames=n_frames, history_len=history_len)
 
 
-def test_invalid_kind_names_valid_kinds(rng):
+def test_invalid_kind_names_valid_kinds():
     with pytest.raises(ConfigError, match="const_vel"):
-        gen_synthetic("spiral", {}, 1, rng, history_len=50)
+        load_config(overrides=["synthetic.kind=spiral"])
 
 
-def test_out_of_range_params_rejected(rng):
+def test_out_of_range_params_rejected():
     with pytest.raises(ConfigError):
-        gen_synthetic("const_vel", {"speed_min": 10.0, "speed_max": 50.0}, 1, rng, history_len=50)
+        load_config(overrides=["synthetic.speed_min=10.0", "synthetic.speed_max=50.0"])
     with pytest.raises(ConfigError):
-        gen_synthetic("const_acc", {"accel_max": 9.0}, 1, rng, history_len=50)
+        load_config(overrides=["synthetic.accel_max=9.0"])
+
+
+@pytest.mark.parametrize("params", [{"speed_min": 12.0, "speed_max": 10.0}, {"lane_mid_min": 0.7, "lane_mid_max": 0.6}])
+def test_range_minimum_above_its_maximum_rejected(rng, params):
+    with pytest.raises(ConfigError, match="exceeds"):
+        gen_synthetic("lane_change", params, 1, rng, history_len=50)
+
+
+def test_const_acc_below_half_a_metre_per_second_never_brakes(rng):
+    params = {"speed_min": 0.0, "speed_max": 0.4, "accel_max": 1e-3}
+    for scene in gen_synthetic("const_acc", params, 20, rng, n_frames=100, history_len=20):
+        assert np.all(np.diff(scene.ego.positions[:, 1]) > 0.0)
 
 
 def test_mixed_cycles_through_kinds(rng):
