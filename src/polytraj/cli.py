@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -93,35 +92,6 @@ def _prepare_out_dir(cfg: RunConfig) -> Path:
     return out_dir
 
 
-def _model_config(cfg: RunConfig) -> ModelConfig:
-    return ModelConfig(
-        head=cfg["model.head"],
-        units=cfg["model.units"],
-        encoder_layers=cfg["model.encoder_layers"],
-        decoder_layers=cfg["model.decoder_layers"],
-        decoder_steps=cfg["model.decoder_steps"],
-        d_x=cfg["model.d_x"],
-        d_y=cfg["model.d_y"],
-        horizon=cfg["horizon_frames"],
-        anchor_count=cfg["anchors.count"],
-        anchor_mode=cfg["anchors.mode"],
-        anchor_min=cfg["anchors.min"],
-        anchor_max=cfg["anchors.max"],
-    )
-
-
-def _train_settings(cfg: RunConfig) -> TrainSettings:
-    return TrainSettings(
-        lr=cfg["train.lr"],
-        epochs=cfg["train.epochs"],
-        steps=cfg["train.steps"],
-        batch=cfg["train.batch"],
-        optimizer=cfg["train.optimizer"],
-        grad_clip=cfg["train.grad_clip"],
-        seed=(cfg["run.seed"], cfg["train.seed"]),
-    )
-
-
 def _generated_history_len(data_dir: Path) -> int:
     """The data.history_len a data dir was generated with: its scenes hold
     neighbours over that many history frames only."""
@@ -149,20 +119,6 @@ def _load_samples(cfg: RunConfig, split: str) -> list:
     return datamod.build_samples(scenes, history_len=history_len)
 
 
-def _synth_params(cfg: RunConfig) -> dict:
-    return {
-        "speed_min": cfg["synthetic.speed_min"],
-        "speed_max": cfg["synthetic.speed_max"],
-        "accel_max": cfg["synthetic.accel_max"],
-        "lane_offset_m": cfg["synthetic.lane_offset_m"],
-        "lane_mid_min": cfg["synthetic.lane_mid_min"],
-        "lane_mid_max": cfg["synthetic.lane_mid_max"],
-        "lane_steepness": cfg["synthetic.lane_steepness"],
-        "noise": cfg["synthetic.noise"],
-        "neighbors": cfg["synthetic.neighbors"],
-    }
-
-
 def _write_scene_split(scenes, split_dir: Path) -> list[str]:
     split_dir.mkdir(parents=True, exist_ok=True)
     names = []
@@ -183,20 +139,15 @@ def cmd_generate(cfg: RunConfig) -> int:
     frame_rate = cfg["data.frame_rate"]
     history_len = cfg["data.history_len"]
     if source == "synthetic":
-        params = _synth_params(cfg)
-        n_total = cfg["synthetic.n"]
-        n_test = int(n_total * cfg["synthetic.test_fraction"] + 0.5)
-        n_train = n_total - n_test
-        kind = cfg["synthetic.kind"]
+        params = cfg.section("synthetic")
+        n_test = int(params["n"] * params["test_fraction"] + 0.5)
         train_scenes = datamod.gen_synthetic(
-            kind, params, n_train, np.random.default_rng([seed, 10]),
-            n_frames=cfg["synthetic.frames"], frame_rate=frame_rate, history_len=history_len,
+            params, params["n"] - n_test, np.random.default_rng([seed, 10]), frame_rate, history_len=history_len
         )
         test_scenes = datamod.gen_synthetic(
-            kind, params, n_test, np.random.default_rng([seed, 11]),
-            n_frames=cfg["synthetic.frames"], frame_rate=frame_rate, history_len=history_len,
+            params, n_test, np.random.default_rng([seed, 11]), frame_rate, history_len=history_len
         )
-        detail = {"kind": kind}
+        detail = {"kind": params["kind"]}
     else:
         csv_path = cfg["data.ngsim_csv"]
         if not csv_path:
@@ -241,8 +192,8 @@ def cmd_generate(cfg: RunConfig) -> int:
 def cmd_train(cfg: RunConfig) -> int:
     out_dir = _prepare_out_dir(cfg)
     samples = _load_samples(cfg, "train")
-    model = TrajectoryModel(_model_config(cfg), seed=(cfg["run.seed"], cfg["train.seed"]))
-    settings = _train_settings(cfg)
+    settings = TrainSettings.from_config(cfg)
+    model = TrajectoryModel(ModelConfig.from_config(cfg), seed=settings.seed)
     result = train(model, samples, settings)
     fingerprint = cfg.fingerprint()
     checkpoint = out_dir / "checkpoint.txt"
@@ -288,8 +239,8 @@ def cmd_study(cfg: RunConfig, name: str) -> int:
     out_dir = _prepare_out_dir(cfg)
     train_samples = _load_samples(cfg, "train")
     test_samples = _load_samples(cfg, "test")
-    base = _model_config(cfg)
-    settings = _train_settings(cfg)
+    base = ModelConfig.from_config(cfg)
+    settings = TrainSettings.from_config(cfg)
     fingerprint = cfg.fingerprint()
     if name == "table1":
         reports = studies.table1_protocol(train_samples, test_samples, base, settings, fingerprint)

@@ -5,6 +5,10 @@ A run is fully described by its config: every random draw derives from
 an identical config reproduce all outputs byte for byte.  The fingerprint
 is a short hash over every key except the output directory; reports carry
 it and files are named with it.
+
+`DEFAULTS` is the one home of each run setting's default and domain: the
+model, training and synthetic settings are read from a config, and the
+data functions' keyword defaults read `default(key)`.
 """
 
 from __future__ import annotations
@@ -14,10 +18,11 @@ from pathlib import Path
 
 from .errors import ConfigError
 
-# key -> (default, domain, help).  The default's type fixes the key's type.  The
-# domain, None for free text, is "{a, b}" for a set of choices or an interval
-# over finite numbers such as "[0, 1]", "(0, inf)" or "[0, 2**63)"; an end at
-# inf is open, so the comparisons alone turn away nan and inf.
+# key -> (default, domain, help), the only place a default or a domain is
+# written.  The default's type fixes the key's type.  The domain, None for free
+# text, is "{a, b}" for a set of choices or an interval over finite numbers such
+# as "[0, 1]", "(0, inf)" or "[0, 2**63)"; an end at inf is open, so the
+# comparisons alone turn away nan and inf.
 DEFAULTS: dict[str, tuple[object, str | None, str]] = {
     "run.seed": (0, "[0, 2**63)", "master seed; every random stream derives from it"),
     "out.dir": ("out", None, "output directory (excluded from the fingerprint)"),
@@ -106,6 +111,11 @@ class RunConfig:
     def items(self):
         return sorted(self._values.items())
 
+    def section(self, prefix: str) -> dict[str, object]:
+        """The keys under `prefix.` with the prefix taken off, e.g.
+        `section("synthetic")["noise"]` for `synthetic.noise`."""
+        return {key[len(prefix) + 1 :]: value for key, value in self.items() if key.startswith(f"{prefix}.")}
+
     def fingerprint(self) -> str:
         text = "\n".join(
             f"{key}={value}" for key, value in self.items() if key not in FINGERPRINT_EXCLUDED
@@ -122,6 +132,11 @@ class RunConfig:
         if min(offsets) < 1:
             raise ConfigError(f"eval.offsets must be frame offsets of at least 1, got {min(offsets)}")
         return offsets
+
+
+def default(key: str):
+    """A config key's default."""
+    return DEFAULTS[key][0]
 
 
 def _in_domain(value, domain: str) -> bool:

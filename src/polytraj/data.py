@@ -10,9 +10,10 @@ turned into scenes by `build_scene`: a window of frames with one
 reference agent and its nearest neighbours at t_0, found through a
 frame-sorted index of every track row, each agent aligned on the window
 by `_align` and masked where absent.  `gen_synthetic` builds scenes
-directly.  The reference agent covers the whole window, each neighbour
-only `frames[:history_len]`, up to and including t_0: the model reads
-every agent's history but the future of the reference agent alone, so a
+directly from the `synthetic` section of a run config.  The reference
+agent covers the whole window, each neighbour only
+`frames[:history_len]`, up to and including t_0: the model reads every
+agent's history but the future of the reference agent alone, so a
 neighbour's future would be written, parsed and never used.  Scenes go
 to disk and back as CSV files: `write_scene` joins each agent block's
 columns of repr strings and writes the file at once, and `read_scene`
@@ -20,7 +21,9 @@ parses the whole body in one `np.loadtxt`, groups the rows by agent and
 aligns them through `_align`.  Both parsers accept plain comma-separated
 numbers only, with no quoting.  `build_sample` turns a scene into
 per-agent state histories, computed on whole arrays, plus the reference
-agent's future in its own frame at the current time step.
+agent's future in its own frame at the current time step.  Keyword
+defaults, such as a frame rate or a segment length, read
+`config.DEFAULTS`; none is written here.
 """
 
 from __future__ import annotations
@@ -39,12 +42,13 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import sigmoid
+from .config import default
 from .errors import ConfigError, DataError
 
 log = logging.getLogger(__name__)
 
 FEET_TO_METRES = 0.3048
-DEFAULT_FRAME_RATE = 10.0
+DEFAULT_FRAME_RATE = default("data.frame_rate")
 
 NGSIM_COLUMNS = ("Vehicle_ID", "Frame_ID", "Local_X", "Local_Y", "v_Vel", "v_Acc")
 
@@ -56,10 +60,6 @@ LF, CR = b"\n", b"\r"
 # an agent id or frame is an integer: ASCII digits with an optional sign and blanks around
 SCENE_INT_FIELD = re.compile(r"[ \t]*[+-]?[0-9]+[ \t]*")
 INT_FIELD_BYTES = np.isin(np.arange(256), list(b"0123456789+- \t"))
-
-# defaults of the gen_synthetic parameters that shape the reference path
-SYNTHETIC_DEFAULTS = {"speed_min": 8.0, "speed_max": 16.0, "accel_max": 2.0, "lane_offset_m": 3.5,
-                      "lane_mid_min": 0.35, "lane_mid_max": 0.65, "lane_steepness": 0.25}
 
 STATE_DIM = 7
 
@@ -467,7 +467,9 @@ def parse_ratio(ratio: str) -> tuple[int, int]:
 
 
 def segment_and_split(
-    tracks: Sequence[Track], segment_len: int = 200, ratio: str = "3:1"
+    tracks: Sequence[Track],
+    segment_len: int = default("data.segment_len"),
+    ratio: str = default("data.split_ratio"),
 ) -> tuple[list[Segment], list[Segment]]:
     """Cut tracks into non-overlapping segments and split temporally.
 
@@ -501,7 +503,9 @@ def _speed(positions: np.ndarray, frame_rate: float) -> np.ndarray:
 
 
 def is_straight_constant_velocity(
-    scene: Scene, lateral_range_m: float = 0.5, speed_std: float = 0.5
+    scene: Scene,
+    lateral_range_m: float = default("data.straight.lateral_range_m"),
+    speed_std: float = default("data.straight.speed_std"),
 ) -> bool:
     """Reference agent stays within a small lateral band at near-constant speed."""
     positions = scene.ego.positions
@@ -512,10 +516,10 @@ def is_straight_constant_velocity(
 
 def filter_straight(
     scenes: Sequence[Scene],
-    fraction: float = 0.5,
+    fraction: float = default("data.straight.fraction"),
     rng: np.random.Generator | None = None,
-    lateral_range_m: float = 0.5,
-    speed_std: float = 0.5,
+    lateral_range_m: float = default("data.straight.lateral_range_m"),
+    speed_std: float = default("data.straight.speed_std"),
 ) -> list[Scene]:
     """Downsample straight constant-velocity scenes to `fraction`; keep the rest."""
     straight = [
@@ -569,17 +573,7 @@ def build_scene(segment: Segment, tracks: Sequence[Track], history_len: int, max
 # -- synthetic scenes -------------------------------------------------------------
 
 
-def _synthetic_params(params: dict) -> dict[str, float]:
-    """The path parameters of `params` with defaults filled in; each range's
-    minimum must not exceed its maximum (the config bounds each value)."""
-    p = {key: float(params.get(key, default)) for key, default in SYNTHETIC_DEFAULTS.items()}
-    for low, high in (("speed_min", "speed_max"), ("lane_mid_min", "lane_mid_max")):
-        if p[low] > p[high]:
-            raise ConfigError(f"synthetic.{low} {p[low]} exceeds synthetic.{high} {p[high]}")
-    return p
-
-
-def _synthetic_ego(kind: str, p: dict[str, float], rng: np.random.Generator, n_frames: int, frame_rate: float):
+def _synthetic_ego(kind: str, p: dict, rng: np.random.Generator, n_frames: int, frame_rate: float):
     """Closed-form ego positions (n_frames, 2) for one synthetic scene."""
     tau = np.arange(n_frames, dtype=np.float64) / frame_rate
     accel_max = p["accel_max"]
@@ -613,36 +607,38 @@ def _synthetic_ego(kind: str, p: dict[str, float], rng: np.random.Generator, n_f
 
 
 def gen_synthetic(
-    kind: str,
     params: dict,
     n: int,
     rng: np.random.Generator,
-    n_frames: int = 200,
     frame_rate: float = DEFAULT_FRAME_RATE,
     *,
     history_len: int,
 ) -> list[Scene]:
-    """Generate scenes with closed-form ground truth.
+    """Generate `n` scenes of params['frames'] frames with closed-form ground truth.
 
-    const_vel is exactly degree 1 in the frame offset, const_acc exactly
-    degree 2; lane_change uses a logistic lateral profile and arc a
-    constant-curvature path.  Optional additive Gaussian observation
-    noise via params['noise'].  params['neighbors'] parallel
-    constant-velocity neighbors are present over the first `history_len`
-    frames only, up to and including t_0, and zero elsewhere, as
-    `read_scene` leaves absent rows.
+    `params` is the `synthetic` section of a run config (`n` and
+    `test_fraction` are the caller's).  const_vel is exactly degree 1 in
+    the frame offset, const_acc exactly degree 2; lane_change uses a
+    logistic lateral profile and arc a constant-curvature path; mixed
+    cycles through the four.  Optional additive Gaussian observation noise
+    via params['noise'].  params['neighbors'] parallel constant-velocity
+    neighbors are present over the first `history_len` frames only, up to
+    and including t_0, and zero elsewhere, as `read_scene` leaves absent
+    rows.  Each range's minimum must not exceed its maximum (the config
+    bounds each value).
     """
+    kind, n_frames, noise, n_neighbors = params["kind"], params["frames"], params["noise"], params["neighbors"]
     if not 2 <= history_len < n_frames:
         raise ConfigError(f"history_len must be >= 2 and below the frame count {n_frames}, got {history_len}")
-    path_params = _synthetic_params(params)
-    noise = float(params.get("noise", 0.0))
-    n_neighbors = int(params.get("neighbors", 0))
+    for low, high in (("speed_min", "speed_max"), ("lane_mid_min", "lane_mid_max")):
+        if params[low] > params[high]:
+            raise ConfigError(f"synthetic.{low} {params[low]} exceeds synthetic.{high} {params[high]}")
     cycle = ("const_vel", "const_acc", "lane_change", "arc")
     in_history = np.arange(n_frames) < history_len
     scenes = []
     for i in range(int(n)):
         scene_kind = cycle[i % len(cycle)] if kind == "mixed" else kind
-        positions = _synthetic_ego(scene_kind, path_params, rng, n_frames, frame_rate)
+        positions = _synthetic_ego(scene_kind, params, rng, n_frames, frame_rate)
         if noise > 0.0:
             positions = positions + rng.normal(0.0, noise, size=positions.shape)
         frames = np.arange(n_frames, dtype=np.int64)

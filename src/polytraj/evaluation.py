@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import Sample
-from .errors import DataError
+from .errors import DataError, NumericalError
 
 RMSE_OFFSETS = (10, 20, 30, 40, 50)  # 1..5 s at 10 Hz
 
@@ -87,12 +87,19 @@ def rmse_at_offsets(
     offsets: Sequence[int] = RMSE_OFFSETS,
     fingerprint: str = "",
 ) -> EvalReport:
-    """Per-offset root-mean-square Euclidean displacement over the test set."""
+    """Per-offset root-mean-square Euclidean displacement over the test set;
+    a non-finite RMSE or ADE, as an error too large to square, is a
+    NumericalError."""
     errors = displacement_errors(model, samples, offsets)
+    with np.errstate(all="ignore"):  # a non-finite result raises below
+        rmse, ade_curve = np.sqrt(np.mean(errors**2, axis=0)), errors.mean(axis=0)
+    bad = ~(np.isfinite(rmse) & np.isfinite(ade_curve))
+    if bad.any():
+        raise NumericalError(f"non-finite RMSE or ADE at offset(s) {np.asarray(offsets)[bad].tolist()}")
     return EvalReport(
         rmse_offsets=tuple(int(t) for t in offsets),
-        rmse=np.sqrt(np.mean(errors**2, axis=0)),
-        ade_curve=errors.mean(axis=0),
+        rmse=rmse,
+        ade_curve=ade_curve,
         sample_count=len(samples),
         fingerprint=fingerprint,
     )

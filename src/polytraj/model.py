@@ -20,12 +20,17 @@ pass runs on Tensor parameters when the loss needs gradients and on their
 plain arrays otherwise, so inference builds no graph.  `Tensor.backward`
 consumes the graph it walks, so a training step's graph is freed as soon
 as its loss is dropped.
+
+`ModelConfig` and `TrainSettings` hold no defaults: `from_config` reads
+each field from its config key (`CONFIG_KEYS`), and `from_meta` sends a
+checkpoint's values through `RunConfig`, so `config.DEFAULTS` alone sets
+each default and domain.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
 from typing import Sequence
 
@@ -35,6 +40,7 @@ from . import autodiff as ad
 from . import poly
 from .anchoring import AnchorDistribution, fixed_schedule, random_schedule
 from .autodiff import Adam, Parameter, Tensor, sgd_step
+from .config import RunConfig
 from .data import STATE_DIM, Sample
 from .errors import ConfigError, DataError, NumericalError, ShapeError
 from .poly import gaussian_nll
@@ -47,42 +53,69 @@ POLYNOMIAL = "polynomial"
 INPUT_SCALE = np.array([1.0, 1.0, 0.1, 0.5, 1.0, 0.05, 1.0])
 
 
+# the config key of every ModelConfig and TrainSettings field that is not
+# named as the field under its class's section ("model" or "train"); a field
+# with a default of its own, as `input_dim`, is no config key
+CONFIG_KEYS: dict[str, str | tuple[str, ...]] = {
+    "horizon": "horizon_frames",
+    "anchor_count": "anchors.count",
+    "anchor_mode": "anchors.mode",
+    "anchor_min": "anchors.min",
+    "anchor_max": "anchors.max",
+    "seed": ("run.seed", "train.seed"),
+}
+
+
+def _config_keys(cls, section: str) -> dict[str, str | tuple[str, ...]]:
+    """Field name -> config key, or keys for a tuple field, of `cls`."""
+    return {f.name: CONFIG_KEYS.get(f.name, f"{section}.{f.name}") for f in fields(cls) if f.default is MISSING}
+
+
+def _from_config(cls, section: str, cfg: RunConfig, **extra):
+    """A `cls` with every config-key field read from `cfg`, plus `extra` fields."""
+
+    def read(key):
+        return tuple(cfg[k] for k in key) if isinstance(key, tuple) else cfg[key]
+
+    return cls(**{name: read(key) for name, key in _config_keys(cls, section).items()}, **extra)
+
+
 @dataclass(frozen=True)
 class ModelConfig:
-    head: str = POLYNOMIAL
-    units: int = 32
-    encoder_layers: int = 2
-    decoder_layers: int = 3
-    decoder_steps: int = 5
-    d_x: int = 3
-    d_y: int = 3
-    horizon: int = 50
-    anchor_count: int = 25
-    anchor_mode: str = "random"
-    anchor_min: int = 35
-    anchor_max: int = 55
+    """The model's settings; `from_config` reads them from a run config,
+    whose `DEFAULTS` hold their defaults and domains."""
+
+    head: str
+    units: int
+    encoder_layers: int
+    decoder_layers: int
+    decoder_steps: int
+    d_x: int
+    d_y: int
+    horizon: int
+    anchor_count: int
+    anchor_mode: str
+    anchor_min: int
+    anchor_max: int
     input_dim: int = STATE_DIM
 
     def __post_init__(self):
-        if self.head not in (COORDINATES, POLYNOMIAL):
-            raise ConfigError(f"unknown head {self.head!r}")
-        if self.anchor_mode not in ("fixed", "random"):
-            raise ConfigError(f"unknown anchor mode {self.anchor_mode!r}")
+        """The rules across keys; `RunConfig` checks each key's own domain."""
         if self.head == COORDINATES and self.anchor_mode == "random":
             raise ConfigError(
                 "coordinate head bakes its offsets into the output layer; "
                 "random anchoring requires the polynomial head"
             )
-        if min(self.units, self.encoder_layers, self.decoder_layers, self.decoder_steps) < 1:
-            raise ConfigError("units, layer counts and decoder steps must be >= 1")
-        if min(self.d_x, self.d_y) < 1:
-            raise ConfigError("polynomial degrees must be >= 1")
         # anchoring.py floors evenly spread offsets: as many frames as anchors are needed
         count, low, high = self.anchor_count, self.anchor_min, self.anchor_max
-        if self.anchor_mode == "fixed" and not 1 <= count <= self.horizon:
-            raise ConfigError(f"fixed anchors need 1 <= count {count} <= horizon {self.horizon}")
-        if self.anchor_mode == "random" and not 1 <= count <= low <= high:
-            raise ConfigError(f"random anchors need 1 <= count {count} <= min {low} <= max {high}")
+        if self.anchor_mode == "fixed" and count > self.horizon:
+            raise ConfigError(f"fixed anchors need count {count} <= horizon {self.horizon}")
+        if self.anchor_mode == "random" and not count <= low <= high:
+            raise ConfigError(f"random anchors need count {count} <= min {low} <= max {high}")
+
+    @classmethod
+    def from_config(cls, cfg: RunConfig) -> "ModelConfig":
+        return _from_config(cls, "model", cfg)
 
     @property
     def output_dim(self) -> int:
@@ -108,45 +141,16 @@ class ModelConfig:
         return fixed_schedule(self.anchor_count, self.horizon).offsets
 
     def to_meta(self) -> dict[str, str]:
-        return {
-            "model.head": self.head,
-            "model.units": str(self.units),
-            "model.encoder_layers": str(self.encoder_layers),
-            "model.decoder_layers": str(self.decoder_layers),
-            "model.decoder_steps": str(self.decoder_steps),
-            "model.d_x": str(self.d_x),
-            "model.d_y": str(self.d_y),
-            "model.horizon": str(self.horizon),
-            "model.anchor_count": str(self.anchor_count),
-            "model.anchor_mode": self.anchor_mode,
-            "model.anchor_min": str(self.anchor_min),
-            "model.anchor_max": str(self.anchor_max),
-            "model.input_dim": str(self.input_dim),
-        }
+        """Every field as `model.<field>`, in field order."""
+        return {f"model.{f.name}": str(getattr(self, f.name)) for f in fields(self)}
 
-    @staticmethod
-    def from_meta(meta: dict[str, str]) -> "ModelConfig":
-        """Parse `to_meta` output; a missing or malformed key is a DataError."""
-
-        def _int(key):
-            return int(meta[f"model.{key}"])
-
+    @classmethod
+    def from_meta(cls, meta: dict[str, str]) -> "ModelConfig":
+        """Parse `to_meta` output, each value checked by `RunConfig` against
+        its config key's domain; a missing or bad value is a DataError."""
         try:
-            return ModelConfig(
-                head=meta["model.head"],
-                units=_int("units"),
-                encoder_layers=_int("encoder_layers"),
-                decoder_layers=_int("decoder_layers"),
-                decoder_steps=_int("decoder_steps"),
-                d_x=_int("d_x"),
-                d_y=_int("d_y"),
-                horizon=_int("horizon"),
-                anchor_count=_int("anchor_count"),
-                anchor_mode=meta["model.anchor_mode"],
-                anchor_min=_int("anchor_min"),
-                anchor_max=_int("anchor_max"),
-                input_dim=_int("input_dim"),
-            )
+            cfg = RunConfig({key: meta[f"model.{name}"] for name, key in _config_keys(cls, "model").items()})
+            return _from_config(cls, "model", cfg, input_dim=int(meta["model.input_dim"]))
         except KeyError as exc:
             raise DataError(f"model meta key {exc} missing") from None
         except (ValueError, ConfigError) as exc:
@@ -449,13 +453,19 @@ def collate(batch: Sequence[Sample]) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class TrainSettings:
-    lr: float = 0.005
-    epochs: int = 10
-    steps: int = 0  # 0 = run all epochs; otherwise stop after this many batches
-    batch: int = 32
-    optimizer: str = "adam"
-    grad_clip: float = 5.0
-    seed: tuple = (0, 0)
+    """The training settings; `from_config` reads them from a run config."""
+
+    lr: float
+    epochs: int
+    steps: int  # 0 = run all epochs; otherwise stop after this many batches
+    batch: int
+    optimizer: str
+    grad_clip: float
+    seed: tuple  # (run.seed, train.seed)
+
+    @classmethod
+    def from_config(cls, cfg: RunConfig) -> "TrainSettings":
+        return _from_config(cls, "train", cfg)
 
 
 @dataclass

@@ -1,4 +1,5 @@
-"""Shared test helpers: finite-difference, loss, state, forward-pass and
+"""Shared test helpers: the default model, training and synthetic settings
+with some fields replaced, finite-difference, loss, state, forward-pass and
 row-wise data-path oracles, hand-built samples, an anchor histogram and a
 zeroed model head."""
 
@@ -15,6 +16,7 @@ import pytest
 
 from polytraj import autodiff as ad
 from polytraj.anchoring import AnchorDistribution, random_schedule
+from polytraj.config import RunConfig
 from polytraj.data import (
     DEFAULT_FRAME_RATE,
     FEET_TO_METRES,
@@ -27,8 +29,23 @@ from polytraj.data import (
     _align,
 )
 from polytraj.errors import DataError
-from polytraj.model import INPUT_SCALE, GRUWeights, TrajectoryModel, attention
+from polytraj.model import INPUT_SCALE, GRUWeights, ModelConfig, TrainSettings, TrajectoryModel, attention
 from polytraj.poly import VAR_FLOOR
+
+
+def model_config(**fields) -> ModelConfig:
+    """The default run config's ModelConfig with `fields` replaced."""
+    return dataclasses.replace(ModelConfig.from_config(RunConfig()), **fields)
+
+
+def train_settings(**fields) -> TrainSettings:
+    """The default run config's TrainSettings with `fields` replaced."""
+    return dataclasses.replace(TrainSettings.from_config(RunConfig()), **fields)
+
+
+def synthetic_params(**params) -> dict:
+    """The default run config's `synthetic` section with `params` replaced."""
+    return {**RunConfig().section("synthetic"), **params}
 
 
 def central_difference(f, array: np.ndarray, step: float = 1e-5) -> np.ndarray:

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polytraj import cli
 from polytraj.autodiff import load_checkpoint
 from polytraj.cli import main
 from polytraj.config import DEFAULTS, RunConfig, load_config
-from polytraj.model import ModelConfig, TrajectoryModel
+from polytraj.model import ModelConfig, TrainSettings, TrajectoryModel, save_model
 
 TINY = [
     "synthetic.n=8",
@@ -292,6 +293,40 @@ def test_eval_corrupt_checkpoint_exit_codes(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("horizon", ["-5", "0"])
+def test_eval_checkpoint_horizon_out_of_domain_exits_2(tmp_path, capsys, horizon):
+    data_dir = _generate(tmp_path)
+    out_dir = tmp_path / "run"
+    assert main(["train", *_sets(*TINY, f"data.dir={data_dir}", f"out.dir={out_dir}", "train.steps=1")]) == 0
+    checkpoint = out_dir / "checkpoint.txt"
+    text = checkpoint.read_text()
+    assert "\nmeta model.horizon 50\n" in text
+    checkpoint.write_text(text.replace("\nmeta model.horizon 50\n", f"\nmeta model.horizon {horizon}\n"))
+    capsys.readouterr()
+    args = ["eval", "--checkpoint", str(checkpoint), *_sets(*TINY, f"data.dir={data_dir}", f"out.dir={out_dir}")]
+    assert main(args) == 2
+    assert "horizon_frames" in capsys.readouterr().err
+    assert not list(out_dir.glob("eval_*"))
+
+
+def test_eval_non_finite_rmse_exits_3_without_eval_files(tmp_path, capsys):
+    data_dir = _generate(tmp_path)
+    out_dir = tmp_path / "run"
+    assert main(["train", *_sets(*TINY, f"data.dir={data_dir}", f"out.dir={out_dir}", "train.steps=1")]) == 0
+    for scene in (data_dir / "test").glob("scene_*.csv"):  # every future y 1e160 m away: its square overflows
+        lines = scene.read_text().splitlines()
+        lines[21:91] = [",".join([*line.split(",")[:3], "1e160", "", ""]) for line in lines[21:91]]
+        scene.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    args = ["eval", "--checkpoint", str(out_dir / "checkpoint.txt"),
+            *_sets(*TINY, f"data.dir={data_dir}", f"out.dir={out_dir}")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args) == 3
+    assert "non-finite RMSE" in capsys.readouterr().err
+    assert not list(out_dir.glob("eval_*"))
+
+
 @pytest.mark.parametrize(
     "overrides",
     [
@@ -539,3 +574,109 @@ def test_pipeline_at_domain_edges_ends_in_an_exit_code(tmp_path_factory, ngsim_c
             if code:
                 break
             _finite_outputs(root)
+
+
+# -- every setting's default lives in DEFAULTS: each key reaches its setting -------------
+
+
+# a non-default value in the domain of each key that sets a model, training or
+# synthetic setting, with the field it sets and that field's expected value
+SETTING_KEYS = {
+    "horizon_frames": (51, "horizon", 51),
+    "anchors.count": (4, "anchor_count", 4),
+    "anchors.mode": ("fixed", "anchor_mode", "fixed"),
+    "anchors.min": (36, "anchor_min", 36),
+    "anchors.max": (54, "anchor_max", 54),
+    "model.head": ("coordinates", "head", "coordinates"),
+    "model.units": (4, "units", 4),
+    "model.encoder_layers": (1, "encoder_layers", 1),
+    "model.decoder_layers": (2, "decoder_layers", 2),
+    "model.decoder_steps": (3, "decoder_steps", 3),
+    "model.d_x": (2, "d_x", 2),
+    "model.d_y": (4, "d_y", 4),
+    "run.seed": (3, "seed", (3, 0)),
+    "train.seed": (7, "seed", (0, 7)),
+    "train.lr": (0.01, "lr", 0.01),
+    "train.epochs": (2, "epochs", 2),
+    "train.steps": (5, "steps", 5),
+    "train.batch": (8, "batch", 8),
+    "train.optimizer": ("sgd", "optimizer", "sgd"),
+    "train.grad_clip": (2.5, "grad_clip", 2.5),
+}
+SYNTHETIC_KEYS = {
+    "synthetic.kind": "arc",
+    "synthetic.n": 12,
+    "synthetic.test_fraction": 0.4,
+    "synthetic.frames": 60,
+    "synthetic.noise": 0.1,
+    "synthetic.speed_min": 9.0,
+    "synthetic.speed_max": 15.0,
+    "synthetic.accel_max": 1.5,
+    "synthetic.lane_offset_m": 3.0,
+    "synthetic.lane_mid_min": 0.4,
+    "synthetic.lane_mid_max": 0.6,
+    "synthetic.lane_steepness": 0.5,
+    "synthetic.neighbors": 1,
+}
+
+
+def test_wiring_tables_cover_every_setting_key_with_a_non_default_in_its_domain():
+    sections = ("model.", "anchors.", "train.", "synthetic.")
+    expected = {key for key in DEFAULTS if key == "horizon_frames" or key.startswith(sections)}
+    assert set(SETTING_KEYS) | set(SYNTHETIC_KEYS) == expected | {"run.seed"}
+    values = {**{key: value for key, (value, _, _) in SETTING_KEYS.items()}, **SYNTHETIC_KEYS}
+    for key, value in values.items():
+        assert value != DEFAULTS[key][0], key
+        RunConfig({key: value})  # set() checks the domain
+
+
+def _settings(cfg: RunConfig) -> dict:
+    return {**vars(ModelConfig.from_config(cfg)), **vars(TrainSettings.from_config(cfg))}
+
+
+@pytest.mark.parametrize("key", sorted(SETTING_KEYS))
+def test_each_model_and_train_key_reaches_its_setting_alone(key):
+    value, field, expected = SETTING_KEYS[key]
+    base = {"anchors.mode": "fixed"} if key == "model.head" else {}  # the coordinate head needs fixed anchors
+    before, after = _settings(RunConfig(base)), _settings(RunConfig({**base, key: value}))
+    assert {name: v for name, v in after.items() if before[name] != v} == {field: expected}
+
+
+def test_each_synthetic_key_reaches_gen_synthetic(tmp_path, monkeypatch):
+    calls = []
+
+    def gen_synthetic(params, n, rng, frame_rate, *, history_len):
+        calls.append((params, n))
+        return []
+
+    monkeypatch.setattr(cli.datamod, "gen_synthetic", gen_synthetic)
+    overrides = [f"{key}={value}" for key, value in SYNTHETIC_KEYS.items()]
+    assert main(["generate", *_sets(*overrides, f"out.dir={tmp_path}")]) == 0
+    params = {key.removeprefix("synthetic."): value for key, value in SYNTHETIC_KEYS.items()}
+    assert calls == [(params, 7), (params, 5)]  # 12 scenes, int(12 * 0.4 + 0.5) of them for test
+
+
+def test_model_meta_round_trips_and_pins_the_default_checkpoint_lines(tmp_path):
+    default = ModelConfig.from_config(RunConfig())
+    changed = ModelConfig.from_config(RunConfig({key: value for key, (value, field, _) in SETTING_KEYS.items()
+                                                 if field in vars(default)}))
+    assert changed != default
+    for config in (default, changed):
+        assert ModelConfig.from_meta(config.to_meta()) == config
+    save_model(TrajectoryModel(default), tmp_path / "checkpoint.txt")
+    lines = [line for line in (tmp_path / "checkpoint.txt").read_text().splitlines() if line.startswith("meta ")]
+    assert lines == [
+        "meta model.anchor_count 25",
+        "meta model.anchor_max 55",
+        "meta model.anchor_min 35",
+        "meta model.anchor_mode random",
+        "meta model.d_x 3",
+        "meta model.d_y 3",
+        "meta model.decoder_layers 3",
+        "meta model.decoder_steps 5",
+        "meta model.encoder_layers 2",
+        "meta model.head polynomial",
+        "meta model.horizon 50",
+        "meta model.input_dim 7",
+        "meta model.units 32",
+    ]

@@ -13,6 +13,7 @@ from conftest import (
     oracle_read_scene,
     oracle_states,
     oracle_write_scene,
+    synthetic_params,
 )
 
 from polytraj.config import load_config
@@ -322,14 +323,14 @@ def test_curved_count_preserved_in_mixed_set(rng):
 
 
 def test_const_vel_span():
-    params = {"speed_min": 10.0, "speed_max": 10.0}
-    (scene,) = gen_synthetic("const_vel", params, 1, np.random.default_rng(0), n_frames=51, history_len=20)
+    params = synthetic_params(kind="const_vel", frames=51, speed_min=10.0, speed_max=10.0)
+    (scene,) = gen_synthetic(params, 1, np.random.default_rng(0), history_len=20)
     assert scene.ego.positions[0, 1] == 0.0
     assert scene.ego.positions[-1, 1] == pytest.approx(50.0)
 
 
 def test_const_acc_exact_quadratic(rng):
-    scenes = gen_synthetic("const_acc", {}, 3, rng, n_frames=120, history_len=20)
+    scenes = gen_synthetic(synthetic_params(kind="const_acc", frames=120), 3, rng, history_len=20)
     for scene in scenes:
         t = np.arange(120, dtype=float)
         for axis in (0, 1):
@@ -338,7 +339,7 @@ def test_const_acc_exact_quadratic(rng):
 
 
 def test_lane_change_profile(rng):
-    scenes = gen_synthetic("lane_change", {}, 4, rng, n_frames=200, history_len=50)
+    scenes = gen_synthetic(synthetic_params(kind="lane_change", frames=200), 4, rng, history_len=50)
     for scene in scenes:
         lateral = scene.ego.positions[:, 0]
         assert lateral[0] == 0.0
@@ -348,7 +349,7 @@ def test_lane_change_profile(rng):
 
 
 def test_arc_constant_curvature(rng):
-    (scene,) = gen_synthetic("arc", {}, 1, rng, n_frames=100, history_len=20)
+    (scene,) = gen_synthetic(synthetic_params(kind="arc", frames=100), 1, rng, history_len=20)
     positions = scene.ego.positions
     x, y = positions[:, 0], positions[:, 1]
     sign = 1.0 if x[-1] >= 0 else -1.0
@@ -362,8 +363,9 @@ def test_arc_constant_curvature(rng):
 
 @pytest.mark.parametrize("n_frames, history_len", [(200, 1), (200, 200), (20, 50), (0, 50)])
 def test_gen_synthetic_rejects_history_len_outside_the_frames(rng, n_frames, history_len):
+    params = synthetic_params(kind="const_vel", frames=n_frames, neighbors=1)
     with pytest.raises(ConfigError, match=f"history_len must be >= 2 and below the frame count {n_frames}"):
-        gen_synthetic("const_vel", {"neighbors": 1}, 1, rng, n_frames=n_frames, history_len=history_len)
+        gen_synthetic(params, 1, rng, history_len=history_len)
 
 
 def test_invalid_kind_names_valid_kinds():
@@ -381,17 +383,17 @@ def test_out_of_range_params_rejected():
 @pytest.mark.parametrize("params", [{"speed_min": 12.0, "speed_max": 10.0}, {"lane_mid_min": 0.7, "lane_mid_max": 0.6}])
 def test_range_minimum_above_its_maximum_rejected(rng, params):
     with pytest.raises(ConfigError, match="exceeds"):
-        gen_synthetic("lane_change", params, 1, rng, history_len=50)
+        gen_synthetic(synthetic_params(kind="lane_change", **params), 1, rng, history_len=50)
 
 
 def test_const_acc_below_half_a_metre_per_second_never_brakes(rng):
-    params = {"speed_min": 0.0, "speed_max": 0.4, "accel_max": 1e-3}
-    for scene in gen_synthetic("const_acc", params, 20, rng, n_frames=100, history_len=20):
+    params = synthetic_params(kind="const_acc", frames=100, speed_min=0.0, speed_max=0.4, accel_max=1e-3)
+    for scene in gen_synthetic(params, 20, rng, history_len=20):
         assert np.all(np.diff(scene.ego.positions[:, 1]) > 0.0)
 
 
 def test_mixed_cycles_through_kinds(rng):
-    scenes = gen_synthetic("mixed", {}, 8, rng, n_frames=100, history_len=20)
+    scenes = gen_synthetic(synthetic_params(frames=100), 8, rng, history_len=20)
     assert len(scenes) == 8
 
 
@@ -399,7 +401,7 @@ def test_mixed_cycles_through_kinds(rng):
 
 
 def test_sample_future_origin_is_zero(rng):
-    scenes = gen_synthetic("mixed", {"neighbors": 2}, 4, rng, n_frames=80, history_len=20)
+    scenes = gen_synthetic(synthetic_params(frames=80, neighbors=2), 4, rng, history_len=20)
     for sample in build_samples(scenes, history_len=20):
         np.testing.assert_array_equal(sample.future[0], [0.0, 0.0])
         assert sample.states.shape == (3, 19, 7)
@@ -407,7 +409,7 @@ def test_sample_future_origin_is_zero(rng):
 
 
 def test_sample_rejects_scene_without_future(rng):
-    (scene,) = gen_synthetic("const_vel", {}, 1, rng, n_frames=20, history_len=19)
+    (scene,) = gen_synthetic(synthetic_params(kind="const_vel", frames=20), 1, rng, history_len=19)
     with pytest.raises(DataError):
         build_sample(scene, history_len=20)
 
@@ -492,10 +494,10 @@ def _without_accels(scene):
 
 
 def test_build_sample_equals_per_frame_oracle_bitwise(tmp_path, rng):
-    noisy = {"noise": 0.05}
+    noisy = synthetic_params(frames=30, noise=0.05)
     families = {
-        "5-agent": gen_synthetic("mixed", {**noisy, "neighbors": 4}, 200, rng, n_frames=30, history_len=20),
-        "1-agent": gen_synthetic("mixed", noisy, 100, rng, n_frames=30, history_len=20),
+        "5-agent": gen_synthetic({**noisy, "neighbors": 4}, 200, rng, history_len=20),
+        "1-agent": gen_synthetic(noisy, 100, rng, history_len=20),
     }
     ngsim = _ngsim_scenes(tmp_path, rng)
     families["ngsim"] = ngsim
@@ -630,12 +632,11 @@ def _scene_pairs(rng):
     """Each family's scenes as (scene, the same scene over the full window)
     pairs: neighbours are cut at t_0 in the first and not in the second.
     Holes fall on the same frames of both."""
-    tiny = {"noise": 0.05}
+    tiny = synthetic_params(frames=90, noise=0.05)
     synthetic = {
-        "tiny": gen_synthetic("mixed", tiny, 8, rng, n_frames=90, history_len=HISTORY_LEN),
-        "tiny-neighbours": gen_synthetic("mixed", {**tiny, "neighbors": 2}, 8, rng, n_frames=90,
-                                         history_len=HISTORY_LEN),
-        "mixed-4": gen_synthetic("mixed", {"neighbors": 4}, 12, rng, n_frames=60, history_len=HISTORY_LEN),
+        "tiny": gen_synthetic(tiny, 8, rng, history_len=HISTORY_LEN),
+        "tiny-neighbours": gen_synthetic({**tiny, "neighbors": 2}, 8, rng, history_len=HISTORY_LEN),
+        "mixed-4": gen_synthetic(synthetic_params(frames=60, neighbors=4), 12, rng, history_len=HISTORY_LEN),
     }
     pairs = {name: [(scene, _full_window(scene)) for scene in scenes] for name, scenes in synthetic.items()}
     tracks = ingest_ngsim(NGSIM_FIXTURE)

@@ -5,14 +5,14 @@ import re
 
 import numpy as np
 import pytest
-from conftest import oracle_ingest_ngsim, oracle_read_scene
+from conftest import model_config, oracle_ingest_ngsim, oracle_read_scene
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polytraj.autodiff import load_checkpoint
 from polytraj.data import ingest_ngsim, read_scene
 from polytraj.errors import DataError, NumericalError, PolytrajError
-from polytraj.model import ModelConfig, TrajectoryModel, load_model, save_model
+from polytraj.model import TrajectoryModel, load_model, save_model
 
 NGSIM_TEXT = (
     "Vehicle_ID,Frame_ID,Total_Frames,Local_X,Local_Y,v_Vel,v_Acc\n"
@@ -44,7 +44,7 @@ HOSTILE = ["", "x", "nan", "inf", "-inf", "1e400", "1e300", "-1", "0", "9" * 30,
 
 @pytest.fixture(scope="module")
 def checkpoint_text(tmp_path_factory) -> str:
-    cfg = ModelConfig(units=2, encoder_layers=1, decoder_layers=1, decoder_steps=1, d_x=1, d_y=1)
+    cfg = model_config(units=2, encoder_layers=1, decoder_layers=1, decoder_steps=1, d_x=1, d_y=1)
     path = tmp_path_factory.mktemp("ckpt") / "model.txt"
     save_model(TrajectoryModel(cfg, seed=0), path)
     return path.read_text()
@@ -121,6 +121,14 @@ def test_non_finite_value_is_numerical_error(tmp_path, checkpoint_text):
 def test_oversized_meta_allocates_nothing(tmp_path, checkpoint_text):
     text = checkpoint_text.replace("meta model.units 2", "meta model.units 1000000000")
     with pytest.raises(DataError, match="enc0.w_x"):
+        load_model(_corrupt(tmp_path, text))
+
+
+@pytest.mark.parametrize("horizon", ["-5", "0"])
+def test_meta_outside_its_config_domain_is_data_error(tmp_path, checkpoint_text, horizon):
+    assert "meta model.horizon 50\n" in checkpoint_text
+    text = checkpoint_text.replace("meta model.horizon 50\n", f"meta model.horizon {horizon}\n")
+    with pytest.raises(DataError, match=r"'horizon_frames' must lie in \[1, inf\)"):
         load_model(_corrupt(tmp_path, text))
 
 

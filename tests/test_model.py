@@ -12,21 +12,21 @@ from conftest import (
     assert_close_to_fd,
     central_difference,
     make_moderate_samples,
+    model_config,
     oracle_forward,
     oracle_gru_cell,
     oracle_loss,
+    train_settings,
     zero_head,
 )
 
 from polytraj.autodiff import Tensor
-from polytraj.data import Sample, gen_synthetic, build_samples
+from polytraj.data import Sample, build_samples
 from polytraj.errors import ConfigError, DataError, NumericalError, ShapeError
 from polytraj.model import (
     COORDINATES,
     POLYNOMIAL,
     GRUWeights,
-    ModelConfig,
-    TrainSettings,
     TrajectoryModel,
     attention,
     batch_loss,
@@ -207,11 +207,11 @@ def test_attention_absent_slot_gets_zero_weight(rng):
 
 def test_coordinate_head_rejects_random_anchoring():
     with pytest.raises(ConfigError):
-        ModelConfig(head=COORDINATES, anchor_mode="random")
+        model_config(head=COORDINATES, anchor_mode="random")
 
 
 def test_head_offsets_for_coordinates():
-    cfg = ModelConfig(head=COORDINATES, anchor_mode="fixed", anchor_count=2, horizon=50)
+    cfg = model_config(head=COORDINATES, anchor_mode="fixed", anchor_count=2, horizon=50)
     assert cfg.head_offsets == (25, 50)
     assert cfg.output_dim == 8
 
@@ -224,7 +224,7 @@ def _forward(model, sample):
 
 def test_zero_head_polynomial_is_origin_everywhere(rng):
     samples = make_moderate_samples(rng, 1)
-    model = TrajectoryModel(ModelConfig(units=6, d_x=3, d_y=2), seed=3)
+    model = TrajectoryModel(model_config(units=6, d_x=3, d_y=2), seed=3)
     zero_head(model)
     raw = _forward(model, samples[0])[np.newaxis]
     for mean, var in moments(model.config, raw, [[1, 10, 50]]):
@@ -236,7 +236,7 @@ def test_zero_head_polynomial_is_origin_everywhere(rng):
 
 def test_zero_head_coordinates_all_zero(rng):
     samples = make_moderate_samples(rng, 1)
-    cfg = ModelConfig(head=COORDINATES, anchor_mode="fixed", anchor_count=3, horizon=30, units=6)
+    cfg = model_config(head=COORDINATES, anchor_mode="fixed", anchor_count=3, horizon=30, units=6)
     model = TrajectoryModel(cfg, seed=3)
     zero_head(model)
     points = model.predict_positions(samples, cfg.head_offsets)
@@ -245,7 +245,7 @@ def test_zero_head_coordinates_all_zero(rng):
 
 def test_coordinate_moments_select_requested_offsets(rng):
     samples = make_moderate_samples(rng, 2)
-    cfg = ModelConfig(head=COORDINATES, anchor_mode="fixed", anchor_count=5, horizon=50, units=6)
+    cfg = model_config(head=COORDINATES, anchor_mode="fixed", anchor_count=5, horizon=50, units=6)
     model = TrajectoryModel(cfg, seed=3)
     every = model.predict_positions(samples, cfg.head_offsets)
     np.testing.assert_array_equal(model.predict_positions(samples, [50, 20]), every[:, [4, 1]])
@@ -257,14 +257,14 @@ def test_batched_prediction_matches_single_samples(rng):
     # padded agent slots change nothing; only the BLAS kernel choice for a
     # batch of one differs, at the last bits
     samples = [make_moderate_samples(rng, 1, agents=n)[0] for n in (1, 3, 2)]
-    model = TrajectoryModel(ModelConfig(units=6), seed=4)
+    model = TrajectoryModel(model_config(units=6), seed=4)
     batched = model.predict_positions(samples, [5, 25, 50])
     for i, sample in enumerate(samples):
         np.testing.assert_allclose(batched[i], model.predict_positions([sample], [5, 25, 50])[0], rtol=1e-12, atol=1e-14)
 
 
 def test_history_length_one_and_five_both_accepted(rng):
-    model = TrajectoryModel(ModelConfig(units=5), seed=0)
+    model = TrajectoryModel(model_config(units=5), seed=0)
     for steps in (1, 5):
         sample = Sample(
             states=rng.normal(0, 1, size=(1, steps, 7)),
@@ -276,7 +276,7 @@ def test_history_length_one_and_five_both_accepted(rng):
 
 
 def test_empty_history_rejected(rng):
-    model = TrajectoryModel(ModelConfig(units=5), seed=0)
+    model = TrajectoryModel(model_config(units=5), seed=0)
     sample = Sample(states=np.zeros((1, 0, 7)), mask=np.zeros((1, 0)), future=np.zeros((60, 2)))
     with pytest.raises(DataError):
         _forward(model, sample)
@@ -284,15 +284,15 @@ def test_empty_history_rejected(rng):
 
 def test_forward_deterministic_across_rebuilds(rng):
     samples = make_moderate_samples(rng, 1, agents=3)
-    out1 = _forward(TrajectoryModel(ModelConfig(units=8), seed=(7, 7)), samples[0])
-    out2 = _forward(TrajectoryModel(ModelConfig(units=8), seed=(7, 7)), samples[0])
+    out1 = _forward(TrajectoryModel(model_config(units=8), seed=(7, 7)), samples[0])
+    out2 = _forward(TrajectoryModel(model_config(units=8), seed=(7, 7)), samples[0])
     np.testing.assert_array_equal(out1, out2)
 
 
 def test_neighbor_permutation_invariance(rng):
     samples = make_moderate_samples(rng, 1, agents=4)
     sample = samples[0]
-    model = TrajectoryModel(ModelConfig(units=8), seed=11)
+    model = TrajectoryModel(model_config(units=8), seed=11)
     base = _forward(model, sample)
     order = [0, 3, 1, 2]  # reference agent stays in slot 0
     shuffled = Sample(
@@ -305,7 +305,7 @@ def test_neighbor_permutation_invariance(rng):
 
 def test_train_and_inference_paths_agree(rng):
     samples = make_moderate_samples(rng, 3, agents=2)
-    model = TrajectoryModel(ModelConfig(units=6), seed=5)
+    model = TrajectoryModel(model_config(units=6), seed=5)
     states, mask = collate(samples)
     graph_out = model.forward_batch(states, mask, train=True)
     numpy_out = model.forward_batch(states, mask, train=False)
@@ -314,7 +314,7 @@ def test_train_and_inference_paths_agree(rng):
 
 def test_inference_memory_does_not_grow_with_history(rng):
     # step-major inference holds one state per layer, not one per step
-    model = TrajectoryModel(ModelConfig(), seed=0)
+    model = TrajectoryModel(model_config(), seed=0)
 
     def peak_bytes(steps):
         states = rng.normal(0, 1, size=(4, 2, steps, 7))
@@ -337,7 +337,7 @@ def test_batch_loss_equals_trajectory_loss_contract(rng):
     # the batched loss equals the per-anchor scalar definition on the
     # model's own head output, decoded to per-frame coefficients here
     samples = make_moderate_samples(rng, 1)
-    model = TrajectoryModel(ModelConfig(units=6, d_x=3, d_y=3), seed=9)
+    model = TrajectoryModel(model_config(units=6, d_x=3, d_y=3), seed=9)
     schedule = [7, 21, 42]
     loss, _ = batch_loss(model, samples, np.array([schedule]), train=False)
     raw = _forward(model, samples[0])
@@ -354,7 +354,7 @@ def test_batch_loss_equals_trajectory_loss_contract(rng):
 
 def test_coordinate_loss_only_sees_its_offsets(rng):
     samples = make_moderate_samples(rng, 1)
-    cfg = ModelConfig(head=COORDINATES, anchor_mode="fixed", anchor_count=2, horizon=50, units=6)
+    cfg = model_config(head=COORDINATES, anchor_mode="fixed", anchor_count=2, horizon=50, units=6)
     model = TrajectoryModel(cfg, seed=1)
     t_matrix = np.array([cfg.head_offsets])
     base, _ = batch_loss(model, samples, t_matrix, train=False)
@@ -373,14 +373,14 @@ def test_coordinate_loss_only_sees_its_offsets(rng):
 
 def test_batch_loss_rejects_offsets_beyond_future(rng):
     samples = make_moderate_samples(rng, 1, horizon=30)
-    model = TrajectoryModel(ModelConfig(units=4), seed=0)
+    model = TrajectoryModel(model_config(units=4), seed=0)
     with pytest.raises(DataError, match="sample 0"):
         batch_loss(model, samples, np.array([[10, 31]]), train=False)
 
 
 def test_whole_model_gradient_check_mini(rng):
     samples = make_moderate_samples(rng, 2, agents=2, steps=4)
-    cfg = ModelConfig(units=3, d_x=2, d_y=2, decoder_steps=2)
+    cfg = model_config(units=3, d_x=2, d_y=2, decoder_steps=2)
     model = TrajectoryModel(cfg, seed=13)
     t_matrix = np.array([[5, 20, 50], [5, 20, 50]])
 
@@ -409,7 +409,7 @@ def test_batch_loss_and_gradients_match_unrolled_oracle(rng, monkeypatch, agents
     samples = _with_masks(make_moderate_samples(rng, 4, agents=agents, steps=5), full)
     if agents > 1:
         samples.append(make_moderate_samples(rng, 1, agents=2, steps=5)[0])  # padded slots
-    model = TrajectoryModel(ModelConfig(units=4, d_x=2, d_y=2, decoder_steps=3), seed=17)
+    model = TrajectoryModel(model_config(units=4, d_x=2, d_y=2, decoder_steps=3), seed=17)
     t_matrix = np.tile([5, 20, 50], (len(samples), 1))
 
     def run():
@@ -445,7 +445,7 @@ def _interior_nodes(root: Tensor, leaves) -> list:
 
 def test_backward_frees_the_graph_without_gc(rng):
     samples = make_moderate_samples(rng, 3, agents=3)
-    model = TrajectoryModel(ModelConfig(units=4), seed=3)
+    model = TrajectoryModel(model_config(units=4), seed=3)
     gc.disable()
     try:
         loss, per_sample = batch_loss(model, samples, np.tile([10, 30, 50], (3, 1)))
@@ -460,12 +460,12 @@ def test_backward_frees_the_graph_without_gc(rng):
 
 def test_training_leaves_no_tensor_for_the_cyclic_gc(rng):
     samples = make_moderate_samples(rng, 4, agents=2)
-    model = TrajectoryModel(ModelConfig(units=4), seed=2)
+    model = TrajectoryModel(model_config(units=4), seed=2)
     gc.collect()
     gc.disable()
     gc.set_debug(gc.DEBUG_SAVEALL)  # keep what the collector finds in gc.garbage
     try:
-        train(model, samples, TrainSettings(lr=0.01, epochs=1, batch=2, seed=(0, 0)))
+        train(model, samples, train_settings(lr=0.01, epochs=1, batch=2, seed=(0, 0)))
         gc.collect()
         assert not [obj for obj in gc.garbage if isinstance(obj, Tensor)]
     finally:
@@ -480,9 +480,9 @@ def test_training_leaves_no_tensor_for_the_cyclic_gc(rng):
 def test_degenerate_random_range_reproduces_fixed_training(rng):
     samples = make_moderate_samples(rng, 8)
     common = dict(units=5, d_x=2, d_y=2, anchor_count=5, horizon=50)
-    random_cfg = ModelConfig(anchor_mode="random", anchor_min=50, anchor_max=50, **common)
-    fixed_cfg = ModelConfig(anchor_mode="fixed", **common)
-    settings = TrainSettings(lr=0.01, epochs=2, batch=4, seed=(3, 4))
+    random_cfg = model_config(anchor_mode="random", anchor_min=50, anchor_max=50, **common)
+    fixed_cfg = model_config(anchor_mode="fixed", **common)
+    settings = train_settings(lr=0.01, epochs=2, batch=4, seed=(3, 4))
 
     model_r = TrajectoryModel(random_cfg, seed=(3, 4))
     curve_r = train(model_r, samples, settings).loss_curve
@@ -496,10 +496,10 @@ def test_degenerate_random_range_reproduces_fixed_training(rng):
 
 def test_training_is_bit_deterministic(rng):
     samples = make_moderate_samples(rng, 6)
-    settings = TrainSettings(lr=0.01, epochs=1, batch=3, seed=(0, 1))
+    settings = train_settings(lr=0.01, epochs=1, batch=3, seed=(0, 1))
 
     def run():
-        model = TrajectoryModel(ModelConfig(units=4), seed=(0, 1))
+        model = TrajectoryModel(model_config(units=4), seed=(0, 1))
         train(model, samples, settings)
         return {name: node.data.copy() for name, node in model.params.items()}
 
@@ -510,39 +510,39 @@ def test_training_is_bit_deterministic(rng):
 
 def test_lr_zero_keeps_parameters(rng):
     samples = make_moderate_samples(rng, 4)
-    model = TrajectoryModel(ModelConfig(units=4), seed=2)
+    model = TrajectoryModel(model_config(units=4), seed=2)
     before = {name: node.data.copy() for name, node in model.params.items()}
-    train(model, samples, TrainSettings(lr=0.0, epochs=1, batch=2, seed=(0, 0)))
+    train(model, samples, train_settings(lr=0.0, epochs=1, batch=2, seed=(0, 0)))
     for name, node in model.params.items():
         np.testing.assert_array_equal(node.data, before[name])
 
 
 def test_empty_dataset_rejected():
-    model = TrajectoryModel(ModelConfig(units=4), seed=0)
+    model = TrajectoryModel(model_config(units=4), seed=0)
     with pytest.raises(DataError):
-        train(model, [], TrainSettings())
+        train(model, [], train_settings())
 
 
 def test_nan_loss_aborts_with_sample_id(rng):
     samples = make_moderate_samples(rng, 4)
     samples[2].future[:] = np.nan
-    model = TrajectoryModel(ModelConfig(units=4), seed=2)
+    model = TrajectoryModel(model_config(units=4), seed=2)
     with pytest.raises(NumericalError, match=r"sample\(s\) \[2\]"):
-        train(model, samples, TrainSettings(lr=0.01, epochs=1, batch=4, seed=(0, 0)))
+        train(model, samples, train_settings(lr=0.01, epochs=1, batch=4, seed=(0, 0)))
 
 
 def test_anchor_range_must_fit_future(rng):
     samples = make_moderate_samples(rng, 2, horizon=40)
-    model = TrajectoryModel(ModelConfig(units=4, anchor_mode="random", anchor_min=35, anchor_max=55), seed=0)
+    model = TrajectoryModel(model_config(units=4, anchor_mode="random", anchor_min=35, anchor_max=55), seed=0)
     with pytest.raises(DataError, match="55"):
-        train(model, samples, TrainSettings(epochs=1))
+        train(model, samples, train_settings(epochs=1))
 
 
 def test_sgd_optimizer_also_trains(rng):
     samples = make_moderate_samples(rng, 4)
-    model = TrajectoryModel(ModelConfig(units=4), seed=2)
+    model = TrajectoryModel(model_config(units=4), seed=2)
     before = model.params["head.w"].data.copy()
-    train(model, samples, TrainSettings(lr=0.01, epochs=1, batch=2, optimizer="sgd", seed=(0, 0)))
+    train(model, samples, train_settings(lr=0.01, epochs=1, batch=2, optimizer="sgd", seed=(0, 0)))
     assert not np.array_equal(model.params["head.w"].data, before)
 
 
@@ -551,7 +551,7 @@ def test_sgd_optimizer_also_trains(rng):
 
 def test_save_load_round_trip_preserves_predictions(tmp_path, rng):
     samples = make_moderate_samples(rng, 1)
-    model = TrajectoryModel(ModelConfig(units=6, d_x=2, d_y=3), seed=21)
+    model = TrajectoryModel(model_config(units=6, d_x=2, d_y=3), seed=21)
     path = tmp_path / "model.ckpt"
     save_model(model, path, extra_meta={"fingerprint": "abc"})
     restored, meta = load_model(path)

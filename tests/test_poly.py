@@ -5,13 +5,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import make_moderate_samples, oracle_loss, zero_head
+from conftest import make_moderate_samples, model_config, oracle_loss, zero_head
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polytraj.autodiff import Tensor
 from polytraj.errors import DataError, NumericalError
-from polytraj.model import ModelConfig, TrajectoryModel, batch_loss
+from polytraj.model import TrajectoryModel, batch_loss
 from polytraj.poly import VAR_FLOOR, gaussian_nll, moments
 
 
@@ -46,7 +46,7 @@ def test_rejects_non_finite(rng):
     # the finite guard on decoded predictions: a non-finite coefficient
     # anywhere in the head stops evaluation with the sample named
     samples = make_moderate_samples(rng, 2)
-    model = TrajectoryModel(ModelConfig(units=4), seed=0)
+    model = TrajectoryModel(model_config(units=4), seed=0)
     model.predict_positions(samples, [1, 10])
     model.params["head.b"].data[0] = math.nan
     with pytest.raises(NumericalError, match=r"sample\(s\) \[0, 1\]"):
@@ -174,7 +174,7 @@ def _traj(a, b, sa=None, sb=None):
 def _model_emitting(traj):
     """A polynomial model whose head outputs `traj` for every input: the head
     weights are zero and the bias holds the raw scaled coefficients."""
-    cfg = ModelConfig(units=3, d_x=traj.a.size, d_y=traj.b.size, decoder_steps=1)
+    cfg = model_config(units=3, d_x=traj.a.size, d_y=traj.b.size, decoder_steps=1)
     model = TrajectoryModel(cfg, seed=0)
     zero_head(model)
     unscale_x = cfg.time_scale ** (np.arange(1, cfg.d_x + 1) - 1.0)

@@ -2,14 +2,13 @@
 
 import pytest
 
-from conftest import make_moderate_samples
+from conftest import make_moderate_samples, model_config, train_settings
 
 from polytraj.errors import DataError
-from polytraj.model import ModelConfig, TrainSettings
 from polytraj.studies import extrapolation_study
 
-BASE = ModelConfig(units=3, decoder_steps=1, d_x=2, d_y=2)
-SETTINGS = TrainSettings(lr=0.01, epochs=1, batch=4, seed=(0, 0))
+BASE = model_config(units=3, decoder_steps=1, d_x=2, d_y=2)
+SETTINGS = train_settings(lr=0.01, epochs=1, batch=4, seed=(0, 0))
 
 
 def test_extrapolation_skips_short_samples_for_every_curve(rng):
