@@ -1,8 +1,10 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
 Everything the trajectory models need and nothing more: elementwise
-arithmetic with numpy broadcasting, 2-D matrix products, the usual
-activations, reductions, concatenation, basic slicing and softmax.
+arithmetic with numpy broadcasting, 2-D matrix products, exp and log,
+reductions, concatenation, basic slicing and softmax.  The GRU cell's
+gates are a hand-written graph node (`model.gru_cell`), so its sigmoid
+and tanh are array functions only.
 A ``Tensor`` wraps a numpy array and remembers the operation that
 produced it; calling ``backward()`` on a scalar result accumulates
 ``d(result)/d(node)`` into every reachable node, visiting each node
@@ -12,9 +14,10 @@ has passed its gradient on, so the graph is freed by reference counting
 as soon as the caller drops the result, not by Python's cyclic gc.  A
 second ``backward()`` through a consumed node raises ``GraphError``.
 
-The module-level helpers (``sigmoid``, ``tanh``, ``concat``, ...)
+The module-level helpers ``exp``, ``log``, ``softmax`` and ``concat``
 dispatch on input type, so the same model code can also run on plain
-numpy arrays as a graph-free inference path.
+numpy arrays as a graph-free inference path; ``sigmoid`` takes arrays
+alone.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ __all__ = [
     "Adam",
     "sgd_step",
     "sigmoid",
-    "tanh",
     "exp",
     "log",
     "softmax",
@@ -118,8 +120,6 @@ class Tensor:
         out._backward = _backward
         return out
 
-    __radd__ = __add__
-
     def __sub__(self, other) -> "Tensor":
         other = self._wrap(other)
         self._broadcast_check(other, "subtract")
@@ -131,9 +131,6 @@ class Tensor:
 
         out._backward = _backward
         return out
-
-    def __rsub__(self, other) -> "Tensor":
-        return self._wrap(other) - self
 
     def __mul__(self, other) -> "Tensor":
         other = self._wrap(other)
@@ -190,41 +187,7 @@ class Tensor:
         out._backward = _backward
         return out
 
-    def __rmatmul__(self, other) -> "Tensor":
-        # constant left operand: no gradient flows into it
-        a = _as_array(other)
-        b = self.data
-        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-            raise ShapeError(f"cannot matmul shapes {a.shape} and {b.shape}")
-        out = Tensor(a @ b, (self,))
-
-        def _backward():
-            self._accumulate(a.T @ out.grad)
-
-        out._backward = _backward
-        return out
-
-    # -- activations -----------------------------------------------------
-
-    def sigmoid(self) -> "Tensor":
-        y = 1.0 / (1.0 + np.exp(-self.data))
-        out = Tensor(y, (self,))
-
-        def _backward():
-            self._accumulate(out.grad * y * (1.0 - y))
-
-        out._backward = _backward
-        return out
-
-    def tanh(self) -> "Tensor":
-        y = np.tanh(self.data)
-        out = Tensor(y, (self,))
-
-        def _backward():
-            self._accumulate(out.grad * (1.0 - y * y))
-
-        out._backward = _backward
-        return out
+    # -- exp and log -------------------------------------------------------
 
     def exp(self) -> "Tensor":
         y = np.exp(self.data)
@@ -365,17 +328,10 @@ def concat(parts: Sequence, axis: int = 0):
 # -- dual-mode helpers: Tensor builds the graph, ndarray stays numpy ------
 
 
-def sigmoid(x):
-    if isinstance(x, Tensor):
-        return x.sigmoid()
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """The logistic function of an array, for the GRU cell's gates; no graph op."""
     with np.errstate(over="ignore"):  # exp(-x) = inf gives the right limit, 0
         return 1.0 / (1.0 + np.exp(-x))
-
-
-def tanh(x):
-    if isinstance(x, Tensor):
-        return x.tanh()
-    return np.tanh(x)
 
 
 def exp(x):

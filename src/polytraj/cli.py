@@ -194,13 +194,13 @@ def cmd_train(cfg: RunConfig) -> int:
     samples = _load_samples(cfg, "train")
     settings = TrainSettings.from_config(cfg)
     model = TrajectoryModel(ModelConfig.from_config(cfg), seed=settings.seed)
-    result = train(model, samples, settings)
+    loss_curve = train(model, samples, settings)
     fingerprint = cfg.fingerprint()
     checkpoint = out_dir / "checkpoint.txt"
     save_model(model, checkpoint, extra_meta={"fingerprint": fingerprint})
-    write_loss_csv(result.loss_curve, out_dir / f"loss_{fingerprint}.csv")
-    if result.loss_curve:
-        print(f"trained {len(result.loss_curve)} steps, final loss {result.final_loss:.6f}")
+    write_loss_csv(loss_curve, out_dir / f"loss_{fingerprint}.csv")
+    if loss_curve:
+        print(f"trained {len(loss_curve)} steps, final loss {loss_curve[-1][1]:.6f}")
     else:
         print("trained 0 steps (checkpoint equals initialization)")
     print(f"checkpoint: {checkpoint}")
@@ -255,7 +255,7 @@ def cmd_study(cfg: RunConfig, name: str) -> int:
         "anchor_count": studies.anchor_count_study,
         "extrapolation": studies.extrapolation_study,
     }[name]
-    report, _ = study_fn(train_samples, test_samples, base, settings, fingerprint)
+    report = study_fn(train_samples, test_samples, base, settings, fingerprint)
     write_study_csv(report, out_dir / f"{name}_{fingerprint}.csv")
     write_svg_chart(report.series, out_dir / f"{name}_{fingerprint}.svg", title=f"{name} study")
     for series in report.series:

@@ -21,7 +21,8 @@ parses the whole body in one `np.loadtxt`, groups the rows by agent and
 aligns them through `_align`.  Both parsers accept plain comma-separated
 numbers only, with no quoting.  `build_sample` turns a scene into
 per-agent state histories, computed on whole arrays, plus the reference
-agent's future in its own frame at the current time step.  Keyword
+agent's future in its own frame at the current time step, which
+`future_at` reads at frame offsets for the loss and the metrics.  Keyword
 defaults, such as a frame rate or a segment length, read
 `config.DEFAULTS`; none is written here.
 """
@@ -729,3 +730,20 @@ def build_sample(scene: Scene, history_len: int, sample_id: int = 0) -> Sample:
 
 def build_samples(scenes: Sequence[Scene], history_len: int) -> list[Sample]:
     return [build_sample(scene, history_len, sample_id=i) for i, scene in enumerate(scenes)]
+
+
+def future_at(samples: Sequence[Sample], offsets) -> np.ndarray:
+    """Each sample's future positions at frame offsets: (B, T, 2) for a
+    (B, T) offset matrix, one row per sample, or a (T,) row shared by all.
+    An offset past a sample's future is a DataError naming the sample."""
+    offsets = np.asarray(offsets, dtype=np.int64)
+    offsets = np.broadcast_to(offsets, (len(samples), offsets.shape[-1]))
+    truth = np.empty(offsets.shape + (2,))
+    for i, (sample, row) in enumerate(zip(samples, offsets)):
+        horizon = sample.future.shape[0] - 1
+        if row.max() > horizon:
+            raise DataError(
+                f"sample {sample.sample_id}: offset {int(row.max())} beyond available future of {horizon} frames"
+            )
+        truth[i] = sample.future[row]
+    return truth

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Sample
+from .data import Sample, future_at
 from .errors import DataError, NumericalError
 
 RMSE_OFFSETS = (10, 20, 30, 40, 50)  # 1..5 s at 10 Hz
@@ -44,27 +44,6 @@ class FitResult:
         return np.polynomial.polynomial.polyval(t, self.coefficients)
 
 
-def ade(pred: np.ndarray, truth: np.ndarray) -> float:
-    """Mean Euclidean displacement between two equal-length position sequences."""
-    pred = np.asarray(pred, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    if pred.shape != truth.shape:
-        raise DataError(f"position shapes differ: {pred.shape} vs {truth.shape}")
-    if pred.ndim != 2 or pred.shape[1] != 2 or pred.shape[0] < 1:
-        raise DataError(f"positions must be (n >= 1, 2), got {pred.shape}")
-    return float(np.mean(np.hypot(pred[:, 0] - truth[:, 0], pred[:, 1] - truth[:, 1])))
-
-
-def _truth_at(sample: Sample, offsets: np.ndarray) -> np.ndarray:
-    horizon = sample.future.shape[0] - 1
-    if offsets.max() > horizon:
-        raise DataError(
-            f"sample {sample.sample_id}: offset {int(offsets.max())} beyond "
-            f"available future of {horizon} frames"
-        )
-    return sample.future[offsets]
-
-
 def displacement_errors(model, samples: Sequence[Sample], offsets: Sequence[int]) -> np.ndarray:
     """Euclidean displacement per sample per offset, shape (n_samples, n_offsets).
 
@@ -73,7 +52,7 @@ def displacement_errors(model, samples: Sequence[Sample], offsets: Sequence[int]
     if not samples:
         raise DataError("empty test set")
     offsets = np.asarray([int(t) for t in offsets], dtype=np.int64)
-    truth = np.stack([_truth_at(sample, offsets) for sample in samples])
+    truth = future_at(samples, offsets)
     pred = np.concatenate([
         model.predict_positions(samples[start : start + EVAL_CHUNK], offsets)
         for start in range(0, len(samples), EVAL_CHUNK)

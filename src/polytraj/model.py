@@ -21,6 +21,10 @@ plain arrays otherwise, so inference builds no graph.  `Tensor.backward`
 consumes the graph it walks, so a training step's graph is freed as soon
 as its loss is dropped.
 
+`train` supervises each batch at the anchor offsets of `draw_schedules`:
+the fixed offsets over the horizon, or in random mode offsets spread under
+a last offset drawn per sample.  It returns the (step, loss) curve.
+
 `ModelConfig` and `TrainSettings` hold no defaults: `from_config` reads
 each field from its config key (`CONFIG_KEYS`), and `from_meta` sends a
 checkpoint's values through `RunConfig`, so `config.DEFAULTS` alone sets
@@ -30,7 +34,7 @@ each default and domain.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from functools import partial
 from typing import Sequence
 
@@ -38,10 +42,10 @@ import numpy as np
 
 from . import autodiff as ad
 from . import poly
-from .anchoring import AnchorDistribution, fixed_schedule, random_schedule
+from .anchoring import spread
 from .autodiff import Adam, Parameter, Tensor, sgd_step
 from .config import RunConfig
-from .data import STATE_DIM, Sample
+from .data import STATE_DIM, Sample, future_at
 from .errors import ConfigError, DataError, NumericalError, ShapeError
 from .poly import gaussian_nll
 
@@ -106,7 +110,7 @@ class ModelConfig:
                 "coordinate head bakes its offsets into the output layer; "
                 "random anchoring requires the polynomial head"
             )
-        # anchoring.py floors evenly spread offsets: as many frames as anchors are needed
+        # `spread` floors evenly spread offsets: as many frames as anchors are needed
         count, low, high = self.anchor_count, self.anchor_min, self.anchor_max
         if self.anchor_mode == "fixed" and count > self.horizon:
             raise ConfigError(f"fixed anchors need count {count} <= horizon {self.horizon}")
@@ -138,7 +142,7 @@ class ModelConfig:
         """Fixed offsets of the coordinate head (empty for the polynomial head)."""
         if self.head == POLYNOMIAL:
             return ()
-        return fixed_schedule(self.anchor_count, self.horizon).offsets
+        return spread([self.horizon], self.anchor_count)[0]
 
     def to_meta(self) -> dict[str, str]:
         """Every field as `model.<field>`, in field order."""
@@ -414,15 +418,7 @@ def batch_loss(model: TrajectoryModel, batch: Sequence[Sample], t_matrix: np.nda
     batch_size, n_anchors = t_matrix.shape
     if batch_size != len(batch):
         raise ShapeError(f"t_matrix rows {batch_size} != batch size {len(batch)}")
-    truth = np.zeros((batch_size, n_anchors, 2))
-    for i, sample in enumerate(batch):
-        horizon = sample.future.shape[0] - 1
-        if t_matrix[i].max() > horizon:
-            raise DataError(
-                f"sample {sample.sample_id}: anchor offset {int(t_matrix[i].max())} "
-                f"beyond available future of {horizon} frames"
-            )
-        truth[i] = sample.future[t_matrix[i]]
+    truth = future_at(batch, t_matrix)
     states, mask = collate(batch)
     out = model.forward_batch(states, mask, train=train)
     (mean_x, var_x), (mean_y, var_y) = moments(model.config, out, t_matrix)
@@ -468,15 +464,6 @@ class TrainSettings:
         return _from_config(cls, "train", cfg)
 
 
-@dataclass
-class TrainResult:
-    loss_curve: list = field(default_factory=list)  # (step, loss) pairs
-
-    @property
-    def final_loss(self) -> float:
-        return self.loss_curve[-1][1] if self.loss_curve else math.nan
-
-
 def _stream_rng(seed, stream: int) -> np.random.Generator:
     parts = [int(s) for s in (seed if isinstance(seed, (tuple, list)) else (seed,))]
     return np.random.default_rng(parts + [stream])
@@ -485,20 +472,20 @@ def _stream_rng(seed, stream: int) -> np.random.Generator:
 def draw_schedules(
     cfg: ModelConfig, batch_size: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """One anchor schedule per sample: a fresh uniform draw in random mode,
-    the fixed evenly spread offsets otherwise."""
-    if cfg.head == COORDINATES:
-        return np.tile(np.array(cfg.head_offsets, dtype=np.int64), (batch_size, 1))
+    """The (batch_size, anchor_count) anchor offsets, one row per sample: the
+    fixed offsets over the horizon in fixed mode, which the coordinate head
+    always is, else offsets spread under a last offset drawn per sample
+    from U{anchor_min, anchor_max}."""
     if cfg.anchor_mode == "fixed":
-        offsets = fixed_schedule(cfg.anchor_count, cfg.horizon).offsets
-        return np.tile(np.array(offsets, dtype=np.int64), (batch_size, 1))
-    dist = AnchorDistribution(cfg.anchor_min, cfg.anchor_max)
-    rows = [random_schedule(dist, cfg.anchor_count, rng).offsets for _ in range(batch_size)]
-    return np.array(rows, dtype=np.int64)
+        lasts = [cfg.horizon] * batch_size
+    else:
+        lasts = rng.integers(cfg.anchor_min, cfg.anchor_max + 1, size=batch_size).tolist()
+    return np.array(spread(lasts, cfg.anchor_count), dtype=np.int64)
 
 
-def train(model: TrajectoryModel, samples: Sequence[Sample], settings: TrainSettings) -> TrainResult:
-    """Mini-batch NLL training; every epoch reshuffles with its own stream.
+def train(model: TrajectoryModel, samples: Sequence[Sample], settings: TrainSettings) -> list[tuple[int, float]]:
+    """Mini-batch NLL training; returns the (step, loss) pair of every step.
+    Every epoch reshuffles with its own stream.
 
     Anchor draws use a stream independent of shuffling, so a degenerate
     random range U{c, c} reproduces fixed-anchor training exactly.
@@ -514,13 +501,13 @@ def train(model: TrajectoryModel, samples: Sequence[Sample], settings: TrainSett
         if settings.optimizer == "adam"
         else None
     )
-    result = TrainResult()
+    loss_curve = []
     step = 0
     for _ in range(settings.epochs):
         order = rng_shuffle.permutation(len(samples))
         for start in range(0, len(order), settings.batch):
             if settings.steps and step >= settings.steps:
-                return result
+                return loss_curve
             batch = [samples[i] for i in order[start : start + settings.batch]]
             t_matrix = draw_schedules(model.config, len(batch), rng_anchor)
             with np.errstate(all="ignore"):  # a non-finite loss raises below, a non-finite gradient in the step
@@ -536,16 +523,13 @@ def train(model: TrajectoryModel, samples: Sequence[Sample], settings: TrainSett
                 adam.step()
             else:
                 sgd_step(params, lr=settings.lr, grad_clip=settings.grad_clip)
-            result.loss_curve.append((step, float(loss.data)))
+            loss_curve.append((step, float(loss.data)))
             step += 1
-    return result
+    return loss_curve
 
 
 def _check_supervision_range(cfg: ModelConfig, samples: Sequence[Sample]) -> None:
-    if cfg.head == COORDINATES or cfg.anchor_mode == "fixed":
-        needed = max(cfg.head_offsets or fixed_schedule(cfg.anchor_count, cfg.horizon).offsets)
-    else:
-        needed = cfg.anchor_max
+    needed = cfg.horizon if cfg.anchor_mode == "fixed" else cfg.anchor_max
     available = min(s.future.shape[0] - 1 for s in samples)
     if needed > available:
         raise DataError(

@@ -52,7 +52,7 @@ def anchoring_study(
     base: ModelConfig,
     settings: TrainSettings,
     fingerprint: str = "",
-) -> tuple[StudyReport, dict[str, TrajectoryModel]]:
+) -> StudyReport:
     """Fixed-2 vs fixed-25 vs random-2 anchoring, polynomial head.
 
     With horizon 50 the fixed-2 schedule lands on offsets 25 and 50; the
@@ -68,13 +68,11 @@ def anchoring_study(
     }
     offsets = tuple(sorted(set(even_offsets(base.horizon)) | {25, 50}))
     report = StudyReport(name="anchoring", fingerprint=fingerprint, sample_count=len(test_samples))
-    models = {}
     for label, config in configs.items():
         model = _fit_model(config, train_samples, settings)
         curve = displacement_errors(model, test_samples, offsets).mean(axis=0)
         report.series.append(Series(label, offsets, tuple(float(v) for v in curve)))
-        models[label] = model
-    return report, models
+    return report
 
 
 def anchor_count_study(
@@ -83,14 +81,13 @@ def anchor_count_study(
     base: ModelConfig,
     settings: TrainSettings,
     fingerprint: str = "",
-) -> tuple[StudyReport, dict[str, TrajectoryModel]]:
+) -> StudyReport:
     """Both heads trained with 5 and with 25 evenly spread anchors.
 
     Coordinate models are evaluated on their own offsets; polynomial
     models on the dense even grid (a superset of both anchor grids).
     """
     report = StudyReport(name="anchor_count", fingerprint=fingerprint, sample_count=len(test_samples))
-    models = {}
     for head in (POLYNOMIAL, COORDINATES):
         for count in (25, 5):
             label = f"{'poly' if head == POLYNOMIAL else 'coord'}-{count}"
@@ -99,8 +96,7 @@ def anchor_count_study(
             offsets = config.head_offsets if head == COORDINATES else even_offsets(base.horizon)
             curve = displacement_errors(model, test_samples, offsets).mean(axis=0)
             report.series.append(Series(label, tuple(offsets), tuple(float(v) for v in curve)))
-            models[label] = model
-    return report, models
+    return report
 
 
 def extrapolation_study(
@@ -109,7 +105,7 @@ def extrapolation_study(
     base: ModelConfig,
     settings: TrainSettings,
     fingerprint: str = "",
-) -> tuple[StudyReport, dict[str, TrajectoryModel]]:
+) -> StudyReport:
     """Train on four seconds with four anchors, evaluate out to six seconds.
 
     The polynomial model is evaluated directly at the extended offsets;
@@ -164,7 +160,7 @@ def extrapolation_study(
                 tuple(float(v) for v in curve),
             )
         )
-    return report, {"poly": poly_model, "coord": coord_model}
+    return report
 
 
 def table1_protocol(

@@ -1,7 +1,7 @@
 """Shared test helpers: the default model, training and synthetic settings
-with some fields replaced, finite-difference, loss, state, forward-pass and
-row-wise data-path oracles, hand-built samples, an anchor histogram and a
-zeroed model head."""
+with some fields replaced, finite-difference, loss, state, forward-pass,
+per-sample anchor-draw and row-wise data-path oracles, hand-built samples,
+an anchor histogram and a zeroed model head."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from polytraj import autodiff as ad
-from polytraj.anchoring import AnchorDistribution, random_schedule
+from polytraj.autodiff import Tensor
 from polytraj.config import RunConfig
 from polytraj.data import (
     DEFAULT_FRAME_RATE,
@@ -29,7 +29,15 @@ from polytraj.data import (
     _align,
 )
 from polytraj.errors import DataError
-from polytraj.model import INPUT_SCALE, GRUWeights, ModelConfig, TrainSettings, TrajectoryModel, attention
+from polytraj.model import (
+    INPUT_SCALE,
+    GRUWeights,
+    ModelConfig,
+    TrainSettings,
+    TrajectoryModel,
+    attention,
+    draw_schedules,
+)
 from polytraj.poly import VAR_FLOOR
 
 
@@ -85,14 +93,19 @@ def make_moderate_samples(rng: np.random.Generator, n: int, agents: int = 2, ste
     return samples
 
 
-def schedule_histogram(
-    dist: AnchorDistribution, count: int, n_draws: int, rng: np.random.Generator
-) -> dict[int, int]:
-    """Frequency of each supervised offset over n_draws random schedules."""
-    counts: Counter[int] = Counter()
-    for _ in range(n_draws):
-        counts.update(random_schedule(dist, count, rng).offsets)
-    return dict(sorted(counts.items()))
+def schedule_histogram(cfg: ModelConfig, n_draws: int, rng: np.random.Generator) -> dict[int, int]:
+    """Frequency of each supervised offset over n_draws anchor rows of `cfg`."""
+    return dict(sorted(Counter(draw_schedules(cfg, n_draws, rng).ravel().tolist()).items()))
+
+
+def oracle_random_schedules(low: int, high: int, count: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Random anchor rows drawn one sample at a time: each last offset r by
+    its own `rng.integers` call over U{low, high}, spread as (r * k) // count."""
+    rows = []
+    for _ in range(n):
+        r = int(rng.integers(low, high + 1))
+        rows.append(tuple((r * k) // count for k in range(1, count + 1)))
+    return np.array(rows, dtype=np.int64)
 
 
 def zero_head(model: TrajectoryModel) -> None:
@@ -155,17 +168,37 @@ def oracle_states(scene: Scene, history_len: int) -> tuple[np.ndarray, np.ndarra
     return states, mask
 
 
+def _oracle_sigmoid(x):
+    """Logistic function: `ad.sigmoid` on arrays, 1 / (1 + exp(-x)) from
+    graph ops on a Tensor."""
+    if isinstance(x, Tensor):
+        return ((x * -1.0).exp() + 1.0) ** -1
+    return ad.sigmoid(x)
+
+
+def _oracle_tanh(x):
+    """`np.tanh` on arrays, 2 sigmoid(2x) - 1 on a Tensor."""
+    if isinstance(x, Tensor):
+        return _oracle_sigmoid(x * 2.0) * 2.0 - 1.0
+    return np.tanh(x)
+
+
+def _oracle_matmul(a, b):
+    """a @ b, with an array `a` lifted into a Tensor when `b` is one."""
+    return (Tensor(a) if isinstance(b, Tensor) and not isinstance(a, Tensor) else a) @ b
+
+
 def oracle_gru_cell(x, h, weights: GRUWeights):
-    """Independent GRU step on elementwise graph ops, about 20 nodes a step:
+    """Independent GRU step on elementwise graph ops, about 30 nodes a step:
     the reset gate scales h before the candidate matmul, and the update gate
     interpolates between old state and candidate (Cho et al. 2014)."""
     units = weights.u_c.shape[0]
-    gx = x @ weights.w_x + weights.b
-    gh = h @ weights.u_zr
-    z = ad.sigmoid(gx[:, :units] + gh[:, :units])
-    r = ad.sigmoid(gx[:, units : 2 * units] + gh[:, units:])
-    c = ad.tanh(gx[:, 2 * units :] + (r * h) @ weights.u_c)
-    return z * h + (1.0 - z) * c
+    gx = _oracle_matmul(x, weights.w_x) + weights.b
+    gh = _oracle_matmul(h, weights.u_zr)
+    z = _oracle_sigmoid(gx[:, :units] + gh[:, :units])
+    r = _oracle_sigmoid(gx[:, units : 2 * units] + gh[:, units:])
+    c = _oracle_tanh(gx[:, 2 * units :] + _oracle_matmul(r * h, weights.u_c))
+    return z * h + (z * -1.0 + 1.0) * c  # z * -1.0 + 1.0 is 1 - z to the bit
 
 
 def _oracle_weights(params: dict, prefix: str) -> GRUWeights:

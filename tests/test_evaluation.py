@@ -7,7 +7,6 @@ from polytraj.data import Sample
 from polytraj.errors import DataError
 from polytraj.evaluation import (
     EvalReport,
-    ade,
     displacement_errors,
     least_squares_fit,
     rmse_at_offsets,
@@ -19,29 +18,6 @@ from polytraj.report import (
     write_study_csv,
     write_svg_chart,
 )
-
-# -- ade -----------------------------------------------------------------------
-
-
-def test_ade_identical_sequences_is_zero():
-    points = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert ade(points, points) == 0.0
-
-
-def test_ade_constant_offset():
-    truth = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-    pred = truth + np.array([1.0, 0.0])
-    assert ade(pred, truth) == pytest.approx(1.0)
-
-
-def test_ade_three_four_five():
-    assert ade(np.array([[3.0, 4.0]]), np.array([[0.0, 0.0]])) == pytest.approx(5.0)
-
-
-def test_ade_rejects_length_mismatch():
-    with pytest.raises(DataError):
-        ade(np.zeros((2, 2)), np.zeros((3, 2)))
-
 
 # -- stub predictors -----------------------------------------------------------------
 
@@ -66,6 +42,35 @@ def _samples_with_futures(rng, n, horizon=55):
             Sample(states=np.zeros((1, 3, 7)), mask=np.ones((1, 3)), future=future, sample_id=i)
         )
     return samples
+
+
+# -- ade: the mean over samples of `displacement_errors` --------------------------
+
+
+def _ade(shifts, samples, offsets=(10, 20, 30)):
+    return displacement_errors(_OffsetPredictor(np.asarray(shifts, dtype=float)), samples, offsets).mean(axis=0)
+
+
+def test_ade_identical_sequences_is_zero(rng):
+    samples = _samples_with_futures(rng, 2)
+    assert _ade(np.zeros((2, 2)), samples).tolist() == [0.0, 0.0, 0.0]
+
+
+def test_ade_constant_offset(rng):
+    samples = _samples_with_futures(rng, 3)
+    np.testing.assert_allclose(_ade([[1.0, 0.0]] * 3, samples), 1.0)
+
+
+def test_ade_three_four_five(rng):
+    samples = _samples_with_futures(rng, 1)
+    np.testing.assert_allclose(_ade([[3.0, 4.0]], samples, (10,)), [5.0])
+
+
+def test_ade_rejects_length_mismatch(rng):
+    samples = _samples_with_futures(rng, 2)
+    samples[1].future = samples[1].future[:21]  # shorter than the offsets
+    with pytest.raises(DataError, match="sample 1: offset 30 beyond available future of 20 frames"):
+        _ade(np.zeros((2, 2)), samples)
 
 
 def test_perfect_predictor_gives_zero_rmse(rng):

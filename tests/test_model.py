@@ -1,6 +1,8 @@
 """Tests for the GRU cell, attention, the full model, and training."""
 
 import gc
+import inspect
+import sys
 import tracemalloc
 import weakref
 from types import SimpleNamespace
@@ -20,6 +22,7 @@ from conftest import (
     zero_head,
 )
 
+from polytraj import autodiff as ad
 from polytraj.autodiff import Tensor
 from polytraj.data import Sample, build_samples
 from polytraj.errors import ConfigError, DataError, NumericalError, ShapeError
@@ -144,7 +147,7 @@ def test_gru_cell_chain_gradients_match_finite_differences(rng):
     mix = rng.normal(0, 1, size=(steps, rows, units))
 
     def forward():
-        loss = 0.0
+        loss = Tensor(0.0)
         for t, h in enumerate(_gru_chain(xs, h0, weights, mask)):
             loss = loss + (h * mix[t]).sum()
         return loss
@@ -485,9 +488,9 @@ def test_degenerate_random_range_reproduces_fixed_training(rng):
     settings = train_settings(lr=0.01, epochs=2, batch=4, seed=(3, 4))
 
     model_r = TrajectoryModel(random_cfg, seed=(3, 4))
-    curve_r = train(model_r, samples, settings).loss_curve
+    curve_r = train(model_r, samples, settings)
     model_f = TrajectoryModel(fixed_cfg, seed=(3, 4))
-    curve_f = train(model_f, samples, settings).loss_curve
+    curve_f = train(model_f, samples, settings)
 
     assert curve_r == curve_f
     for name in model_r.params:
@@ -544,6 +547,56 @@ def test_sgd_optimizer_also_trains(rng):
     before = model.params["head.w"].data.copy()
     train(model, samples, train_settings(lr=0.01, epochs=1, batch=2, optimizer="sgd", seed=(0, 0)))
     assert not np.array_equal(model.params["head.w"].data, before)
+
+
+def _called_code(run) -> set:
+    """The code objects of every Python function called while `run()` runs."""
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return called
+
+
+def test_training_and_inference_reach_every_graph_op_and_helper(rng):
+    """What the model does not use is not in autodiff: one training step of
+    each head and anchor mode and one prediction call every Tensor method
+    but the plumbing, and every helper but checkpoint I/O."""
+    samples = make_moderate_samples(rng, 4, agents=3)
+    runs = [
+        (model_config(units=4, decoder_steps=2, anchor_mode="random"), "adam"),
+        (model_config(units=4, decoder_steps=2, anchor_mode="fixed", anchor_count=5), "adam"),
+        (model_config(units=4, decoder_steps=2, head=COORDINATES, anchor_mode="fixed", anchor_count=5), "sgd"),
+    ]
+
+    def run():
+        for cfg, optimizer in runs:
+            model = TrajectoryModel(cfg, seed=0)
+            train(model, samples, train_settings(lr=0.01, epochs=1, steps=1, batch=4, optimizer=optimizer, seed=(0, 0)))
+        model.predict_positions(samples, cfg.head_offsets)
+
+    called = _called_code(run)
+    methods = {
+        name: getattr(member, "fget", getattr(member, "__func__", member)).__code__
+        for name, member in vars(Tensor).items()
+        if inspect.isfunction(member) or isinstance(member, (property, staticmethod))
+    }
+    helpers = {
+        name: member.__code__
+        for name, member in vars(ad).items()
+        if inspect.isfunction(member) and member.__module__ == ad.__name__ and not name.startswith("_")
+    }
+    plumbing = {"item", "__repr__", "zero_grad", "save_checkpoint", "load_checkpoint"}
+    unreached = sorted(name for name, code in {**methods, **helpers}.items() if code not in called and name not in plumbing)
+    assert unreached == []
 
 
 # -- persistence ----------------------------------------------------------------------

@@ -17,8 +17,8 @@ def test_extrapolation_skips_short_samples_for_every_curve(rng):
     short_samples = make_moderate_samples(rng, 2, horizon=45)
     mixed = [short_samples[0], *long_samples[:2], short_samples[1], long_samples[2]]
 
-    report, _ = extrapolation_study(train_samples, mixed, BASE, SETTINGS)
-    expected, _ = extrapolation_study(train_samples, long_samples, BASE, SETTINGS)
+    report = extrapolation_study(train_samples, mixed, BASE, SETTINGS)
+    expected = extrapolation_study(train_samples, long_samples, BASE, SETTINGS)
     assert [s.label for s in report.series] == ["poly", "coord-fit-deg1", "coord-fit-deg2"]
     assert report.sample_count == expected.sample_count == 3
     for got, want in zip(report.series, expected.series):
