@@ -20,7 +20,6 @@ from .config import RunConfig, defaults_help, load_config
 from .errors import ConfigError, DataError, PolytrajError
 from .evaluation import RMSE_OFFSETS, rmse_at_offsets
 from .model import (
-    COORDINATES,
     ModelConfig,
     TrainSettings,
     TrajectoryModel,
@@ -29,6 +28,7 @@ from .model import (
     train,
 )
 from .report import (
+    HEADS,
     Series,
     format_summary_table,
     write_eval_csv,
@@ -37,7 +37,17 @@ from .report import (
     write_svg_chart,
 )
 
-STUDIES = ("anchoring", "anchor_count", "extrapolation", "table1")
+STUDIES = {
+    "anchoring": studies.anchoring_study,
+    "anchor_count": studies.anchor_count_study,
+    "extrapolation": studies.extrapolation_study,
+    "table1": studies.table1_protocol,
+}
+
+GENERATED_KEYS = ("data.history_len", "data.frame_rate")
+"""Keys the scenes of a data dir are built with, recorded in its manifest:
+neighbours are kept over history_len frames, and the frame rate scales the
+speed and acceleration features."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,35 +102,37 @@ def _prepare_out_dir(cfg: RunConfig) -> Path:
     return out_dir
 
 
-def _generated_history_len(data_dir: Path) -> int:
-    """The data.history_len a data dir was generated with: its scenes hold
-    neighbours over that many history frames only."""
-    try:
-        return json.loads((data_dir / "manifest.json").read_text())["history_len"]
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise DataError(f"{data_dir} has no readable manifest.json with a history_len ({exc!r}); "
-                        "run generate again") from None
-
-
 def _load_samples(cfg: RunConfig, split: str) -> list:
     data_dir = Path(cfg["data.dir"])
     split_dir = data_dir / split
     if not split_dir.is_dir():
         raise DataError(f"no {split} split under {data_dir}; run generate first")
-    history_len = cfg["data.history_len"]
-    generated = _generated_history_len(data_dir)
-    if history_len != generated:
-        raise ConfigError(f"data.history_len is {history_len}, but {data_dir} was generated with "
-                          f"data.history_len={generated}; use that or run generate again")
+    try:
+        manifest = json.loads((data_dir / "manifest.json").read_text())
+        generated = {key: manifest[key.removeprefix("data.")] for key in GENERATED_KEYS}
+        count = manifest["scenes"][split]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"{data_dir} has no readable manifest.json with a history_len, frame_rate and "
+                        f"{split} scene count ({exc!r}); run generate again") from None
+    for key, value in generated.items():
+        if cfg[key] != value:
+            raise ConfigError(f"{key} is {cfg[key]}, but {data_dir} was generated with "
+                              f"{key}={value}; use that or run generate again")
     scene_files = sorted(split_dir.glob("scene_*.csv"))
     if not scene_files:
         raise DataError(f"no scene files in {split_dir}")
+    if len(scene_files) != count:
+        raise DataError(f"{split_dir} holds {len(scene_files)} scene files, but its manifest lists {count}; "
+                        "run generate again")
     scenes = [datamod.read_scene(path, frame_rate=cfg["data.frame_rate"]) for path in scene_files]
-    return datamod.build_samples(scenes, history_len=history_len)
+    return datamod.build_samples(scenes, history_len=cfg["data.history_len"])
 
 
 def _write_scene_split(scenes, split_dir: Path) -> list[str]:
+    """Write a split's scene files in place of any the directory holds."""
     split_dir.mkdir(parents=True, exist_ok=True)
+    for stale in split_dir.glob("scene_*.csv"):
+        stale.unlink()
     names = []
     for i, scene in enumerate(scenes):
         name = f"scene_{i:05d}.csv"
@@ -171,6 +183,7 @@ def cmd_generate(cfg: RunConfig) -> int:
             speed_std=cfg["data.straight.speed_std"],
         )
         detail = {"ngsim_csv": str(csv_path), "tracks": len(tracks)}
+    (out_dir / "manifest.json").unlink(missing_ok=True)  # written last, so a failed write leaves none
     train_names = _write_scene_split(train_scenes, out_dir / "train")
     test_names = _write_scene_split(test_scenes, out_dir / "test")
     manifest = {
@@ -178,6 +191,7 @@ def cmd_generate(cfg: RunConfig) -> int:
         "seed": seed,
         "fingerprint": cfg.fingerprint(),
         "history_len": history_len,
+        "frame_rate": frame_rate,
         "scenes": {"train": len(train_names), "test": len(test_names),
                    "total": len(train_names) + len(test_names)},
         **detail,
@@ -219,9 +233,9 @@ def cmd_eval(cfg: RunConfig, checkpoint_path: str) -> int:
     samples = _load_samples(cfg, "test")
     fingerprint = cfg.fingerprint()
     offsets = cfg.eval_offsets()
-    report = rmse_at_offsets(model, samples, offsets, fingerprint=fingerprint)
+    report = rmse_at_offsets(model, samples, offsets)
     write_eval_csv(report, out_dir / f"eval_{fingerprint}.csv")
-    label = "Poly (ours)" if model.config.head != COORDINATES else "Coords baseline"
+    label, _ = HEADS[model.config.head]
     series = [Series(label, report.rmse_offsets, tuple(float(v) for v in report.ade_curve))]
     write_svg_chart(series, out_dir / f"eval_{fingerprint}.svg", title=f"ADE, {label}")
     if offsets == RMSE_OFFSETS:
@@ -242,20 +256,13 @@ def cmd_study(cfg: RunConfig, name: str) -> int:
     base = ModelConfig.from_config(cfg)
     settings = TrainSettings.from_config(cfg)
     fingerprint = cfg.fingerprint()
+    report = STUDIES[name](train_samples, test_samples, base, settings)
     if name == "table1":
-        reports = studies.table1_protocol(train_samples, test_samples, base, settings, fingerprint)
-        for label, report in reports.items():
-            slug = "poly" if "Poly" in label else "coords"
-            write_eval_csv(report, out_dir / f"table1_{slug}_{fingerprint}.csv")
-        print(format_summary_table({label: r.rmse for label, r in reports.items()}))
+        for head, head_report in report.items():
+            write_eval_csv(head_report, out_dir / f"table1_{HEADS[head][1]}_{fingerprint}.csv")
+        print(format_summary_table({HEADS[head][0]: r.rmse for head, r in report.items()}))
         print(f"fingerprint: {fingerprint}")
         return 0
-    study_fn = {
-        "anchoring": studies.anchoring_study,
-        "anchor_count": studies.anchor_count_study,
-        "extrapolation": studies.extrapolation_study,
-    }[name]
-    report = study_fn(train_samples, test_samples, base, settings, fingerprint)
     write_study_csv(report, out_dir / f"{name}_{fingerprint}.csv")
     write_svg_chart(report.series, out_dir / f"{name}_{fingerprint}.svg", title=f"{name} study")
     for series in report.series:

@@ -1,9 +1,10 @@
-"""Displacement metrics and least-squares polynomial fitting.
+"""Displacement metrics and batched least-squares polynomial fitting.
 
 RMSE and ADE are over the joint 2-D Euclidean displacement at each frame
-offset.  The least-squares fit solves the Vandermonde system directly
-(with a constant term, unlike the prediction head, because fitted
-coordinate outputs need not pass through the origin).
+offset.  `fit_polynomials` fits many series through the same time points
+with one solve of their shared Vandermonde system (with a constant term,
+unlike the prediction head, because fitted coordinate outputs need not
+pass through the origin).
 """
 
 from __future__ import annotations
@@ -30,42 +31,32 @@ class EvalReport:
     rmse: np.ndarray
     ade_curve: np.ndarray  # mean displacement at each offset
     sample_count: int
-    fingerprint: str = ""
 
 
-@dataclass(frozen=True)
-class FitResult:
-    """Least-squares polynomial: coefficients [c_0 .. c_D], residual norm."""
+def predict_chunked(model, samples: Sequence[Sample], offsets) -> np.ndarray:
+    """`model.predict_positions` on chunks of EVAL_CHUNK samples, shape
+    (n_samples, n_offsets, 2)."""
+    return np.concatenate([
+        model.predict_positions(samples[start : start + EVAL_CHUNK], offsets)
+        for start in range(0, len(samples), EVAL_CHUNK)
+    ])
 
-    coefficients: np.ndarray
-    residual: float
 
-    def __call__(self, t):
-        return np.polynomial.polynomial.polyval(t, self.coefficients)
+def displacement(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """Euclidean distance between (..., 2) predicted and true positions."""
+    return np.hypot(pred[..., 0] - truth[..., 0], pred[..., 1] - truth[..., 1])
 
 
 def displacement_errors(model, samples: Sequence[Sample], offsets: Sequence[int]) -> np.ndarray:
-    """Euclidean displacement per sample per offset, shape (n_samples, n_offsets).
-
-    `model.predict_positions` runs on chunks of EVAL_CHUNK samples.
-    """
+    """Euclidean displacement per sample per offset, shape (n_samples, n_offsets)."""
     if not samples:
         raise DataError("empty test set")
     offsets = np.asarray([int(t) for t in offsets], dtype=np.int64)
     truth = future_at(samples, offsets)
-    pred = np.concatenate([
-        model.predict_positions(samples[start : start + EVAL_CHUNK], offsets)
-        for start in range(0, len(samples), EVAL_CHUNK)
-    ])
-    return np.hypot(pred[:, :, 0] - truth[:, :, 0], pred[:, :, 1] - truth[:, :, 1])
+    return displacement(predict_chunked(model, samples, offsets), truth)
 
 
-def rmse_at_offsets(
-    model,
-    samples: Sequence[Sample],
-    offsets: Sequence[int] = RMSE_OFFSETS,
-    fingerprint: str = "",
-) -> EvalReport:
+def rmse_at_offsets(model, samples: Sequence[Sample], offsets: Sequence[int] = RMSE_OFFSETS) -> EvalReport:
     """Per-offset root-mean-square Euclidean displacement over the test set;
     a non-finite RMSE or ADE, as an error too large to square, is a
     NumericalError."""
@@ -80,30 +71,24 @@ def rmse_at_offsets(
         rmse=rmse,
         ade_curve=ade_curve,
         sample_count=len(samples),
-        fingerprint=fingerprint,
     )
 
 
-def least_squares_fit(points, degree: int) -> FitResult:
-    """Ordinary least squares on the Vandermonde system.
+def fit_polynomials(t, series, degree: int) -> np.ndarray:
+    """Ordinary least squares of each column of `series` (points, K) on the
+    times `t` (points,): coefficients [c_0 .. c_D] as a (degree + 1, K)
+    matrix, for `np.polynomial.polynomial.polyval`.
 
-    `points` is a sequence of (t, value) pairs; needs at least degree + 1
-    points with distinct t values, otherwise the system is rank deficient.
+    Needs at least degree + 1 points with distinct t values, otherwise the
+    system is rank deficient.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise DataError(f"points must be (n, 2) pairs of (t, value), got {pts.shape}")
-    degree = int(degree)
-    if degree < 0:
-        raise DataError(f"degree must be >= 0, got {degree}")
-    if pts.shape[0] < degree + 1:
-        raise DataError(f"need at least {degree + 1} points for degree {degree}, got {pts.shape[0]}")
-    t = pts[:, 0]
+    t = np.asarray(t, dtype=np.float64)
+    if t.size < degree + 1:
+        raise DataError(f"need at least {degree + 1} points for degree {degree}, got {t.size}")
     vandermonde = t[:, np.newaxis] ** np.arange(degree + 1, dtype=np.float64)
-    coeffs, _, rank, _ = np.linalg.lstsq(vandermonde, pts[:, 1], rcond=None)
+    coeffs, _, rank, _ = np.linalg.lstsq(vandermonde, np.asarray(series, dtype=np.float64), rcond=None)
     if rank < degree + 1:
         raise DataError(
             f"rank-deficient fit: rank {rank} < {degree + 1} unknowns (duplicate t values?)"
         )
-    residual = float(np.linalg.norm(vandermonde @ coeffs - pts[:, 1]))
-    return FitResult(coefficients=coeffs, residual=residual)
+    return coeffs

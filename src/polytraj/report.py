@@ -1,5 +1,7 @@
-"""Report emission: CSV tables, static SVG line charts, summary tables.
+"""Report emission: CSV tables, static SVG line charts of ADE against
+offset, and the five-second RMSE summary table.
 
+`HEADS` is the one home of each head's table label and file-name slug.
 Everything here is deterministic: fixed field order, repr-formatted
 floats, no timestamps, so identical runs produce byte-identical files.
 """
@@ -7,17 +9,21 @@ floats, no timestamps, so identical runs produce byte-identical files.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .evaluation import EvalReport
+from .model import COORDINATES, POLYNOMIAL
+
+HEADS = {POLYNOMIAL: ("Poly (ours)", "poly"), COORDINATES: ("Coords baseline", "coords")}
+"""Each `model.head`'s summary-table label and output file-name slug."""
 
 # Published NGSim five-second RMSE benchmarks quoted for the summary table.
 REFERENCE_COLUMNS = (
-    ("Coords baseline", (0.43, 1.00, 1.72, 2.76, 3.98)),
-    ("Poly (ours)", (0.55, 0.93, 1.64, 2.64, 3.85)),
+    (HEADS[COORDINATES][0], (0.43, 1.00, 1.72, 2.76, 3.98)),
+    (HEADS[POLYNOMIAL][0], (0.55, 0.93, 1.64, 2.64, 3.85)),
     ("CS-LSTM (M)", (0.62, 1.27, 2.09, 3.10, 4.37)),
     ("MFP-1", (0.54, 1.16, 1.90, 2.78, 3.83)),
 )
@@ -34,14 +40,12 @@ class Series:
     values: tuple[float, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class StudyReport:
     """Curves produced by one experimental study."""
 
-    name: str
-    fingerprint: str
-    series: list[Series] = field(default_factory=list)
-    sample_count: int = 0  # test samples every curve averages over
+    series: list[Series]
+    sample_count: int  # test samples every curve averages over
 
 
 def write_study_csv(report: StudyReport, path) -> None:
@@ -82,14 +86,9 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return [lo + i * step for i in range(n)]
 
 
-def write_svg_chart(
-    series: Sequence[Series],
-    path,
-    title: str,
-    x_label: str = "offset (frames)",
-    y_label: str = "ADE (m)",
-) -> None:
-    """Minimal static line chart; hand-rolled so output is byte-stable."""
+def write_svg_chart(series: Sequence[Series], path, title: str) -> None:
+    """Minimal static line chart of ADE against offset; hand-rolled so output
+    is byte-stable."""
     width, height = 640, 420
     left, right, top, bottom = 60, 200, 40, 50
     plot_w = width - left - right
@@ -134,11 +133,11 @@ def write_svg_chart(
         )
     parts.append(
         f'<text x="{left + plot_w / 2:.2f}" y="{height - 10}" font-family="sans-serif" '
-        f'font-size="12" text-anchor="middle">{x_label}</text>'
+        f'font-size="12" text-anchor="middle">offset (frames)</text>'
     )
     parts.append(
         f'<text x="16" y="{top + plot_h / 2:.2f}" font-family="sans-serif" font-size="12" '
-        f'text-anchor="middle" transform="rotate(-90 16 {top + plot_h / 2:.2f})">{y_label}</text>'
+        f'text-anchor="middle" transform="rotate(-90 16 {top + plot_h / 2:.2f})">ADE (m)</text>'
     )
     for i, s in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]

@@ -2,8 +2,9 @@
 and the five-second benchmark protocol.
 
 Each study trains the models it needs from scratch (deterministically,
-given the seed), evaluates ADE against frame offset on the test set, and
-returns labelled curves ready for CSV/SVG emission.
+given the seed) and evaluates them on the test set: the first three
+return ADE-against-offset curves as a `StudyReport`, `table1_protocol`
+returns one RMSE `EvalReport` per head.
 """
 
 from __future__ import annotations
@@ -13,13 +14,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Sample
-from .errors import DataError
+from .data import Sample, future_at
+from .errors import ConfigError, DataError
 from .evaluation import (
     RMSE_OFFSETS,
     EvalReport,
+    displacement,
     displacement_errors,
-    least_squares_fit,
+    fit_polynomials,
+    predict_chunked,
     rmse_at_offsets,
 )
 from .model import (
@@ -33,6 +36,7 @@ from .model import (
 from .report import Series, StudyReport
 
 EXTRAPOLATION_TRAIN_HORIZON = 40
+EXTRAPOLATION_ANCHORS = 4  # also the coordinate head's points that the fits go through
 EXTRAPOLATION_EVAL_OFFSETS = tuple(range(2, 61, 2))  # 6 s at five points per second
 
 
@@ -40,6 +44,11 @@ def _fit_model(config: ModelConfig, train_samples: Sequence[Sample], settings: T
     model = TrajectoryModel(config, seed=settings.seed)
     train(model, train_samples, settings)
     return model
+
+
+def _series(label: str, offsets, errors: np.ndarray) -> Series:
+    """The curve of mean displacement per offset over the samples (rows) of `errors`."""
+    return Series(label, tuple(int(t) for t in offsets), tuple(float(v) for v in errors.mean(axis=0)))
 
 
 def even_offsets(horizon: int) -> tuple[int, ...]:
@@ -51,7 +60,6 @@ def anchoring_study(
     test_samples: Sequence[Sample],
     base: ModelConfig,
     settings: TrainSettings,
-    fingerprint: str = "",
 ) -> StudyReport:
     """Fixed-2 vs fixed-25 vs random-2 anchoring, polynomial head.
 
@@ -67,12 +75,11 @@ def anchoring_study(
         ),
     }
     offsets = tuple(sorted(set(even_offsets(base.horizon)) | {25, 50}))
-    report = StudyReport(name="anchoring", fingerprint=fingerprint, sample_count=len(test_samples))
+    series = []
     for label, config in configs.items():
         model = _fit_model(config, train_samples, settings)
-        curve = displacement_errors(model, test_samples, offsets).mean(axis=0)
-        report.series.append(Series(label, offsets, tuple(float(v) for v in curve)))
-    return report
+        series.append(_series(label, offsets, displacement_errors(model, test_samples, offsets)))
+    return StudyReport(series, len(test_samples))
 
 
 def anchor_count_study(
@@ -80,23 +87,21 @@ def anchor_count_study(
     test_samples: Sequence[Sample],
     base: ModelConfig,
     settings: TrainSettings,
-    fingerprint: str = "",
 ) -> StudyReport:
     """Both heads trained with 5 and with 25 evenly spread anchors.
 
     Coordinate models are evaluated on their own offsets; polynomial
     models on the dense even grid (a superset of both anchor grids).
     """
-    report = StudyReport(name="anchor_count", fingerprint=fingerprint, sample_count=len(test_samples))
+    series = []
     for head in (POLYNOMIAL, COORDINATES):
         for count in (25, 5):
             label = f"{'poly' if head == POLYNOMIAL else 'coord'}-{count}"
             config = replace(base, head=head, anchor_mode="fixed", anchor_count=count)
             model = _fit_model(config, train_samples, settings)
             offsets = config.head_offsets if head == COORDINATES else even_offsets(base.horizon)
-            curve = displacement_errors(model, test_samples, offsets).mean(axis=0)
-            report.series.append(Series(label, tuple(offsets), tuple(float(v) for v in curve)))
-    return report
+            series.append(_series(label, offsets, displacement_errors(model, test_samples, offsets)))
+    return StudyReport(series, len(test_samples))
 
 
 def extrapolation_study(
@@ -104,63 +109,52 @@ def extrapolation_study(
     test_samples: Sequence[Sample],
     base: ModelConfig,
     settings: TrainSettings,
-    fingerprint: str = "",
 ) -> StudyReport:
     """Train on four seconds with four anchors, evaluate out to six seconds.
 
     The polynomial model is evaluated directly at the extended offsets;
     the coordinate model's four predicted points are extended by least
-    squares, once linear and once at the polynomial head's degree.  All
-    three curves average over the same test samples: those whose future
-    covers the six seconds, counted in the report's `sample_count`.
+    squares, once linear and once at the polynomial head's degree, with
+    one batched fit of every sample's x and y per degree.  All three
+    curves average over the same test samples: those whose future covers
+    the six seconds, counted in the report's `sample_count`.
     """
+    if base.d_x >= EXTRAPOLATION_ANCHORS:
+        raise ConfigError(
+            f"model.d_x={base.d_x} needs {base.d_x + 1} points, but the extrapolation study fits the "
+            f"coordinate head's {EXTRAPOLATION_ANCHORS}; use model.d_x <= {EXTRAPOLATION_ANCHORS - 1}"
+        )
+    offsets = np.asarray(EXTRAPOLATION_EVAL_OFFSETS, dtype=np.int64)
+    kept = [s for s in test_samples if s.future.shape[0] - 1 >= int(offsets.max())]
+    if not kept:
+        raise DataError("no test sample covers the six-second evaluation span")
     horizon = EXTRAPOLATION_TRAIN_HORIZON
     poly_cfg = replace(
         base,
         head=POLYNOMIAL,
         horizon=horizon,
-        anchor_count=4,
+        anchor_count=EXTRAPOLATION_ANCHORS,
         anchor_mode="random",
         # production range proportions (0.7 .. 1.1 of the horizon) scaled to 40
         anchor_min=28,
         anchor_max=44,
     )
     coord_cfg = replace(
-        base, head=COORDINATES, horizon=horizon, anchor_count=4, anchor_mode="fixed"
+        base, head=COORDINATES, horizon=horizon, anchor_count=EXTRAPOLATION_ANCHORS, anchor_mode="fixed"
     )
     poly_model = _fit_model(poly_cfg, train_samples, settings)
     coord_model = _fit_model(coord_cfg, train_samples, settings)
 
-    offsets = np.asarray(EXTRAPOLATION_EVAL_OFFSETS, dtype=np.int64)
-    kept = [s for s in test_samples if s.future.shape[0] - 1 >= int(offsets.max())]
-    if not kept:
-        raise DataError("no test sample covers the six-second evaluation span")
-    poly_curve = displacement_errors(poly_model, kept, offsets).mean(axis=0)
-
-    anchor_offsets = np.asarray(coord_cfg.head_offsets, dtype=np.float64)
-    degrees = (1, base.d_x)
-    fit_errors = {d: np.zeros((len(kept), offsets.size)) for d in degrees}
-    points = coord_model.predict_positions(kept, coord_cfg.head_offsets)
-    for i, sample in enumerate(kept):
-        truth = sample.future[offsets]
-        for degree in degrees:
-            fit_x = least_squares_fit(np.stack([anchor_offsets, points[i, :, 0]], axis=1), degree)
-            fit_y = least_squares_fit(np.stack([anchor_offsets, points[i, :, 1]], axis=1), degree)
-            pred = np.stack([fit_x(offsets.astype(np.float64)), fit_y(offsets.astype(np.float64))], axis=1)
-            fit_errors[degree][i] = np.hypot(pred[:, 0] - truth[:, 0], pred[:, 1] - truth[:, 1])
-
-    report = StudyReport(name="extrapolation", fingerprint=fingerprint, sample_count=len(kept))
-    report.series.append(Series("poly", tuple(int(t) for t in offsets), tuple(float(v) for v in poly_curve)))
-    for degree in degrees:
-        curve = fit_errors[degree].mean(axis=0)
-        report.series.append(
-            Series(
-                f"coord-fit-deg{degree}",
-                tuple(int(t) for t in offsets),
-                tuple(float(v) for v in curve),
-            )
-        )
-    return report
+    truth = future_at(kept, offsets)
+    series = [_series("poly", offsets, displacement(predict_chunked(poly_model, kept, offsets), truth))]
+    points = predict_chunked(coord_model, kept, coord_cfg.head_offsets)
+    columns = np.moveaxis(points, 1, 0).reshape(EXTRAPOLATION_ANCHORS, -1)  # one per sample and axis
+    for degree in (1, base.d_x):
+        coeffs = fit_polynomials(coord_cfg.head_offsets, columns, degree)
+        fitted = np.polynomial.polynomial.polyval(offsets.astype(np.float64), coeffs)
+        pred = np.moveaxis(fitted.reshape(len(kept), 2, -1), 1, 2)
+        series.append(_series(f"coord-fit-deg{degree}", offsets, displacement(pred, truth)))
+    return StudyReport(series, len(kept))
 
 
 def table1_protocol(
@@ -168,11 +162,10 @@ def table1_protocol(
     test_samples: Sequence[Sample],
     base: ModelConfig,
     settings: TrainSettings,
-    fingerprint: str = "",
 ) -> dict[str, EvalReport]:
     """The five-second benchmark: production polynomial model (25 random
     anchors over U{35, 55}) against the 25-fixed-anchor coordinate baseline,
-    both reported as per-offset RMSE at 1..5 s."""
+    both reported as per-offset RMSE at 1..5 s, keyed by `model.head`."""
     poly_cfg = replace(
         base,
         head=POLYNOMIAL,
@@ -184,7 +177,7 @@ def table1_protocol(
     )
     coord_cfg = replace(base, head=COORDINATES, horizon=50, anchor_count=25, anchor_mode="fixed")
     reports = {}
-    for label, config in (("Poly (ours)", poly_cfg), ("Coords baseline", coord_cfg)):
+    for config in (poly_cfg, coord_cfg):
         model = _fit_model(config, train_samples, settings)
-        reports[label] = rmse_at_offsets(model, test_samples, RMSE_OFFSETS, fingerprint=fingerprint)
+        reports[config.head] = rmse_at_offsets(model, test_samples, RMSE_OFFSETS)
     return reports

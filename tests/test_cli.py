@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import shutil
 import warnings
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polytraj import cli
+from polytraj import cli, studies
 from polytraj.autodiff import load_checkpoint
 from polytraj.cli import main
 from polytraj.config import DEFAULTS, RunConfig, load_config
@@ -183,8 +184,11 @@ def test_eval_at_another_history_len_than_generated_exits_1(tmp_path, capsys):
         lambda manifest: manifest.write_text(
             json.dumps({k: v for k, v in json.loads(manifest.read_text()).items() if k != "history_len"})
         ),
+        lambda manifest: manifest.write_text(
+            json.dumps({k: v for k, v in json.loads(manifest.read_text()).items() if k != "frame_rate"})
+        ),
     ],
-    ids=["deleted", "unreadable", "without-history-len"],
+    ids=["deleted", "unreadable", "without-history-len", "without-frame-rate"],
 )
 def test_train_without_a_manifest_history_len_exits_2(tmp_path, capsys, spoil):
     data_dir = _generate(tmp_path)
@@ -217,6 +221,45 @@ def test_train_at_frame_rate_zero_exits_1(tmp_path, capsys):
     args = ["train", *_sets(*TINY, f"data.dir={data_dir}", f"out.dir={tmp_path / 'run'}", "data.frame_rate=0")]
     assert main(args) == 1
     assert "data.frame_rate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "study"])
+def test_command_at_another_frame_rate_than_generated_exits_1(tmp_path, capsys, command):
+    data_dir = _generate(tmp_path)
+    assert json.loads((data_dir / "manifest.json").read_text())["frame_rate"] == 10.0
+    out_dir = tmp_path / "run"
+    sets = _sets(*TINY, f"data.dir={data_dir}", f"out.dir={out_dir}", "train.steps=1")
+    assert main(["train", *sets]) == 0
+    before = _hash_tree(out_dir)
+    capsys.readouterr()
+    args = {"train": ["train"], "eval": ["eval", "--checkpoint", str(out_dir / "checkpoint.txt")],
+            "study": ["study", "anchoring"]}[command]
+    assert main([*args, *sets, "--set", "data.frame_rate=1"]) == 1
+    err = capsys.readouterr().err
+    assert "data.frame_rate is 1.0," in err and "data.frame_rate=10.0" in err
+    assert _hash_tree(out_dir) == before
+
+
+def test_regenerating_a_data_dir_leaves_no_stale_scenes(tmp_path, capsys):
+    _generate(tmp_path, ["synthetic.n=16"])
+    data_dir = _generate(tmp_path, ["synthetic.n=4"])
+    manifest = json.loads((data_dir / "manifest.json").read_text())
+    assert manifest["scenes"] == {"train": 3, "test": 1, "total": 4}
+    for split in ("train", "test"):
+        assert len(list((data_dir / split).glob("scene_*.csv"))) == manifest["scenes"][split]
+    capsys.readouterr()
+    assert main(["train", *_sets(*TINY, f"data.dir={data_dir}", f"out.dir={tmp_path / 'run'}")]) == 0
+    assert "trained 1 steps" in capsys.readouterr().out  # 3 scenes in batches of 4
+
+
+def test_scene_file_not_in_the_manifest_exits_2(tmp_path, capsys):
+    data_dir = _generate(tmp_path)
+    shutil.copy(data_dir / "train" / "scene_00000.csv", data_dir / "train" / "scene_00099.csv")
+    capsys.readouterr()
+    assert main(["train", *_sets(*TINY, f"data.dir={data_dir}", f"out.dir={tmp_path / 'run'}")]) == 2
+    err = capsys.readouterr().err
+    assert "holds 7 scene files, but its manifest lists 6" in err
+    assert not (tmp_path / "run" / "checkpoint.txt").exists()
 
 
 def test_train_epochs_zero_equals_initialization(tmp_path):
@@ -371,27 +414,42 @@ def test_train_rerun_is_byte_identical(tmp_path):
     assert _hash_tree(out_dir) == first
 
 
-def test_study_anchoring_runs_small(tmp_path, capsys):
+STUDY_FILES = {
+    "anchoring": ("anchoring_{}.csv", "anchoring_{}.svg"),
+    "anchor_count": ("anchor_count_{}.csv", "anchor_count_{}.svg"),
+    "extrapolation": ("extrapolation_{}.csv", "extrapolation_{}.svg"),
+    "table1": ("table1_coords_{}.csv", "table1_poly_{}.csv"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STUDY_FILES))
+def test_study_runs_small(tmp_path, capsys, name):
     data_dir = _generate(tmp_path)
     out_dir = tmp_path / "study"
-    code = main(
-        [
-            "study",
-            "anchoring",
-            *_sets(
-                *TINY,
-                f"data.dir={data_dir}",
-                f"out.dir={out_dir}",
-                "train.steps=2",
-                "horizon_frames=50",
-            ),
-        ]
-    )
-    assert code == 0
+    args = ["study", name, *_sets(*TINY, f"data.dir={data_dir}", f"out.dir={out_dir}", "train.steps=2",
+                                  "horizon_frames=50")]
+    assert main(args) == 0
     out = capsys.readouterr().out
-    assert "fixed-2" in out and "random-2" in out
-    assert "samples: 2 of 2" in out
-    assert list(out_dir.glob("anchoring_*.csv")) and list(out_dir.glob("anchoring_*.svg"))
+    if name == "anchoring":
+        assert "fixed-2" in out and "random-2" in out
+        assert "samples: 2 of 2" in out
+    fingerprint = out.splitlines()[-1].removeprefix("fingerprint: ")
+    first = _hash_tree(out_dir)
+    assert sorted(first) == [pattern.format(fingerprint) for pattern in STUDY_FILES[name]]
+    assert main(args) == 0
+    assert _hash_tree(out_dir) == first
+
+
+def test_extrapolation_degree_above_the_coordinate_points_exits_1_before_training(tmp_path, capsys, monkeypatch):
+    data_dir = _generate(tmp_path)
+    calls = []
+    monkeypatch.setattr(studies, "train", lambda *args: calls.append(args))
+    capsys.readouterr()
+    args = ["study", "extrapolation", *_sets(*TINY, f"data.dir={data_dir}", f"out.dir={tmp_path / 'study'}",
+                                             "model.d_x=4")]
+    assert main(args) == 1
+    assert "model.d_x=4" in capsys.readouterr().err
+    assert calls == []
 
 
 def _write_ngsim(path, vehicles=3, frames=60):

@@ -37,7 +37,7 @@ from polytraj.data import (
     write_scene,
 )
 from polytraj.errors import ConfigError, DataError
-from polytraj.evaluation import least_squares_fit
+from polytraj.evaluation import fit_polynomials
 
 NGSIM_HEADER = "Vehicle_ID,Frame_ID,Total_Frames,Local_X,Local_Y,v_Vel,v_Acc\n"
 # 12 vehicles with staggered entries, rows interleaved by frame, CRLF line
@@ -331,11 +331,13 @@ def test_const_vel_span():
 
 def test_const_acc_exact_quadratic(rng):
     scenes = gen_synthetic(synthetic_params(kind="const_acc", frames=120), 3, rng, history_len=20)
+    t = np.arange(120, dtype=float)
+    vandermonde = t[:, np.newaxis] ** np.arange(3, dtype=float)
     for scene in scenes:
-        t = np.arange(120, dtype=float)
         for axis in (0, 1):
-            fit = least_squares_fit(np.stack([t, scene.ego.positions[:, axis]], axis=1), 2)
-            assert fit.residual < 1e-9
+            values = scene.ego.positions[:, axis]
+            coefficients = fit_polynomials(t, values[:, np.newaxis], 2)[:, 0]
+            assert np.linalg.norm(vandermonde @ coefficients - values) < 1e-9
 
 
 def test_lane_change_profile(rng):

@@ -8,7 +8,7 @@ from polytraj.errors import DataError
 from polytraj.evaluation import (
     EvalReport,
     displacement_errors,
-    least_squares_fit,
+    fit_polynomials,
     rmse_at_offsets,
 )
 from polytraj.report import (
@@ -123,44 +123,53 @@ def test_offsets_beyond_future_rejected(rng):
 # -- least squares ---------------------------------------------------------------------
 
 
+def _fit(points, degree):
+    """`fit_polynomials` of one series given as (t, value) pairs: its
+    coefficients and the norm of its residual on the Vandermonde system."""
+    t, y = np.asarray(points, dtype=np.float64).T
+    coefficients = fit_polynomials(t, y[:, np.newaxis], degree)[:, 0]
+    vandermonde = t[:, np.newaxis] ** np.arange(degree + 1, dtype=np.float64)
+    return coefficients, float(np.linalg.norm(vandermonde @ coefficients - y))
+
+
 def test_fit_exact_line():
     points = [(t, 2.0 * t) for t in range(5)]
-    fit = least_squares_fit(points, 1)
-    np.testing.assert_allclose(fit.coefficients, [0.0, 2.0], atol=1e-12)
-    assert fit.residual == pytest.approx(0.0, abs=1e-12)
+    coefficients, residual = _fit(points, 1)
+    np.testing.assert_allclose(coefficients, [0.0, 2.0], atol=1e-12)
+    assert residual == pytest.approx(0.0, abs=1e-12)
 
 
 def test_fit_exact_parabola_interpolation():
     points = [(t, float(t) ** 2) for t in (1, 2, 3)]
-    fit = least_squares_fit(points, 2)
-    np.testing.assert_allclose(fit.coefficients, [0.0, 0.0, 1.0], atol=1e-10)
+    coefficients, _ = _fit(points, 2)
+    np.testing.assert_allclose(coefficients, [0.0, 0.0, 1.0], atol=1e-10)
 
 
 def test_fit_matches_normal_equations_oracle(rng):
     t = rng.uniform(0, 10, size=12)
     y = 1.5 - 0.3 * t + rng.normal(0, 0.2, size=12)
-    fit = least_squares_fit(np.stack([t, y], axis=1), 1)
+    coefficients, _ = _fit(np.stack([t, y], axis=1), 1)
     # oracle: explicit normal equations solve
     vandermonde = np.stack([np.ones_like(t), t], axis=1)
     oracle = np.linalg.solve(vandermonde.T @ vandermonde, vandermonde.T @ y)
-    np.testing.assert_allclose(fit.coefficients, oracle, atol=1e-9)
+    np.testing.assert_allclose(coefficients, oracle, atol=1e-9)
 
 
 def test_fit_rejects_duplicate_t():
     with pytest.raises(DataError, match="rank"):
-        least_squares_fit([(1.0, 0.0), (1.0, 1.0), (1.0, 2.0)], 2)
+        _fit([(1.0, 0.0), (1.0, 1.0), (1.0, 2.0)], 2)
 
 
 def test_fit_rejects_too_few_points():
     with pytest.raises(DataError):
-        least_squares_fit([(0.0, 0.0), (1.0, 1.0)], 2)
+        _fit([(0.0, 0.0), (1.0, 1.0)], 2)
 
 
 def test_fit_residual_monotone_in_degree(rng):
     t = np.arange(8, dtype=float)
     y = np.sin(t)
     points = np.stack([t, y], axis=1)
-    residuals = [least_squares_fit(points, d).residual for d in range(5)]
+    residuals = [_fit(points, d)[1] for d in range(5)]
     for lower, higher in zip(residuals, residuals[1:]):
         assert higher <= lower + 1e-12
 
@@ -168,9 +177,19 @@ def test_fit_residual_monotone_in_degree(rng):
 def test_fit_self_consistency_at_training_offsets(rng):
     t = np.array([10.0, 20.0, 30.0, 40.0])
     y = rng.normal(0, 5, size=4)
-    fit = least_squares_fit(np.stack([t, y], axis=1), 1)
-    restricted = float(np.linalg.norm(fit(t) - y))
-    assert restricted == pytest.approx(fit.residual, abs=1e-12)
+    coefficients, residual = _fit(np.stack([t, y], axis=1), 1)
+    restricted = float(np.linalg.norm(np.polynomial.polynomial.polyval(t, coefficients) - y))
+    assert restricted == pytest.approx(residual, abs=1e-12)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_batched_fit_equals_per_column_fits_bitwise(rng, degree):
+    t = np.array([10.0, 20.0, 30.0, 40.0])  # the extrapolation study's coordinate offsets
+    series = rng.normal(0, 20, size=(4, 400))
+    batched = fit_polynomials(t, series, degree)
+    assert batched.shape == (degree + 1, 400)
+    for k in range(series.shape[1]):
+        np.testing.assert_array_equal(batched[:, k], fit_polynomials(t, series[:, k : k + 1], degree)[:, 0])
 
 
 # -- reports ----------------------------------------------------------------------------
@@ -178,12 +197,11 @@ def test_fit_self_consistency_at_training_offsets(rng):
 
 def _report():
     return StudyReport(
-        name="anchoring",
-        fingerprint="cafe01234567",
         series=[
             Series("fixed-2", (2, 4, 25), (0.5, 0.4, 0.1)),
             Series("random-2", (2, 4, 25), (0.2, 0.25, 0.3)),
         ],
+        sample_count=2,
     )
 
 
