@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -43,6 +44,8 @@ STUDIES = {
     "extrapolation": studies.extrapolation_study,
     "table1": studies.table1_protocol,
 }
+
+BROKEN_PIPE_EXIT = 141  # 128 + SIGPIPE, as a shell reports a process that a closed pipe ended
 
 GENERATED_KEYS = ("data.history_len", "data.frame_rate")
 """Keys the scenes of a data dir are built with, recorded in its manifest:
@@ -279,15 +282,21 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         cfg = load_config(args.config, args.overrides)
         if args.command == "generate":
-            return cmd_generate(cfg)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "eval":
-            return cmd_eval(cfg, args.checkpoint)
-        return cmd_study(cfg, args.name)
+            code = cmd_generate(cfg)
+        elif args.command == "train":
+            code = cmd_train(cfg)
+        elif args.command == "eval":
+            code = cmd_eval(cfg, args.checkpoint)
+        else:
+            code = cmd_study(cfg, args.name)
+        sys.stdout.flush()  # so that a closed stdout shows here, not at interpreter exit
+        return code
     except PolytrajError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except BrokenPipeError:  # the reader of stdout has gone, as in `polytraj ... | head -1`
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the exit flush writes nowhere
+        return BROKEN_PIPE_EXIT
 
 
 if __name__ == "__main__":

@@ -16,10 +16,15 @@ agent covers the whole window, each neighbour only
 agent's history but the future of the reference agent alone, so a
 neighbour's future would be written, parsed and never used.  Scenes go
 to disk and back as CSV files: `write_scene` joins each agent block's
-columns of repr strings and writes the file at once, and `read_scene`
-parses the whole body in one `np.loadtxt`, groups the rows by agent and
-aligns them through `_align`.  Both parsers accept plain comma-separated
-numbers only, with no quoting.  `build_sample` turns a scene into
+columns of repr strings and writes the file at once.  `read_scene` checks
+the lines and fields on the file's bytes, parses the whole body in one
+`np.loadtxt` (a v or a column empty on every line is skipped), and then
+treats the table as one array: agents numbered by first appearance, each
+row's window slot found by one `searchsorted`, all rows checked at once
+and scattered into one present, one position and, for the agents that
+record them, one speed and one accel block per scene, whose rows the
+agents take.  Both parsers accept plain comma-separated numbers only,
+with no quoting.  `build_sample` turns a scene into
 per-agent state histories, computed on whole arrays, plus the reference
 agent's future in its own frame at the current time step, which
 `future_at` reads at frame offsets for the loss and the metrics.  Keyword
@@ -32,7 +37,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
-import io
 import logging
 import math
 import re
@@ -60,7 +64,8 @@ SCENE_DTYPE = np.dtype([("agent_id", np.int64), ("frame", np.int64), ("x", np.fl
 LF, CR = b"\n", b"\r"
 # an agent id or frame is an integer: ASCII digits with an optional sign and blanks around
 SCENE_INT_FIELD = re.compile(r"[ \t]*[+-]?[0-9]+[ \t]*")
-INT_FIELD_BYTES = np.isin(np.arange(256), list(b"0123456789+- \t"))
+# the bytes of a line's id and frame fields and the comma between them
+INT_FIELD_BYTES = b"0123456789+- \t,"
 
 STATE_DIM = 7
 
@@ -214,11 +219,9 @@ def ingest_ngsim(csv_path, frame_rate: float = DEFAULT_FRAME_RATE) -> TrackList:
     (vehicle, frame); a vehicle's track is split wherever its frame step
     exceeds its smallest step, and pieces shorter than 2 frames are
     dropped.  The tracks come as a `TrackList`, which `build_scene` indexes
-    once by frame.
+    once by frame.  A file that cannot be read is a DataError.
     """
     path = Path(csv_path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
     header, has_rows, plain = _ngsim_header(path)
     if not header:
         raise DataError(f"empty CSV: {path}")
@@ -276,7 +279,7 @@ def _ngsim_header(path: Path) -> tuple[list[str], bool, bool]:
     """An NGSim CSV's header fields, read with the csv module, whether a
     non-blank line follows the header, and whether the lines after it are
     plain ASCII without quotes; the file must be UTF-8."""
-    raw = path.read_bytes()
+    raw = _read_bytes(path)
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -344,42 +347,77 @@ def read_scene(path, frame_rate: float = DEFAULT_FRAME_RATE) -> Scene:
     fraction or an exponent is a DataError, whatever numpy's version and
     warning filters).  An empty v or a field means "not recorded", and the
     agent then has no speeds or accels; every other value must be a finite
-    number.  Rows are grouped by agent id in order of first appearance.
+    number.  Rows are grouped by agent id in order of first appearance; an
+    agent's rows need not be adjacent.  A file that cannot be read is a
+    DataError.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
     table, v_empty, a_empty = _scene_table(path)
-    _, first, group = np.unique(table["agent_id"], return_index=True, return_inverse=True)
-    group = np.argsort(np.argsort(first))[group]  # agents numbered by first appearance
-    window = None
-    agents = []
-    for rows in np.split(np.argsort(group, kind="stable"), np.cumsum(np.bincount(group))[:-1]):
-        agent_id = int(table["agent_id"][rows[0]])
-        frames = table["frame"][rows]
-        if window is None:
-            if np.any(np.diff(frames) <= 0):
-                raise DataError(f"{path}: reference agent's frames are not strictly increasing")
-            window = frames
-        agent, landed = _align(
-            window, agent_id, frames, np.stack([table["x"][rows], table["y"][rows]], axis=1),
-            None if v_empty[rows].any() else table["v"][rows], None if a_empty[rows].any() else table["a"][rows],
-        )
-        if not landed.all():
-            outside = int(frames[np.argmin(landed)])
-            raise DataError(f"{path}: scene agent {agent_id} has frame {outside} outside the window")
-        if np.count_nonzero(agent.present) < frames.size:
-            raise DataError(f"{path}: scene agent {agent_id} has a duplicate frame")
-        if not all(np.isfinite(v).all() for v in (agent.positions, agent.speeds, agent.accels) if v is not None):
-            raise DataError(f"{path}: scene agent {agent_id} has a non-finite value")
-        agents.append(agent)
+    ids, frames = table["agent_id"], table["frame"]
+    new_run = np.concatenate([[True], ids[1:] != ids[:-1]])  # runs of rows of one agent
+    run_ids = ids[new_run]
+    agent_ids = list(dict.fromkeys(run_ids.tolist()))  # agents numbered by first appearance
+    agent = np.cumsum(new_run) - 1  # each row's run
+    if len(agent_ids) < run_ids.size:  # some agent's rows come in more than one run
+        by_id = np.argsort(agent_ids)
+        agent = by_id[np.searchsorted(agent_ids, run_ids, sorter=by_id)][agent]
+    window = frames[agent == 0]
+    if np.any(window[1:] <= window[:-1]):
+        raise DataError(f"{path}: reference agent's frames are not strictly increasing")
+    slot = np.minimum(np.searchsorted(window, frames), window.size - 1)
+    present = np.zeros((len(agent_ids), window.size), dtype=bool)
+    present[agent, slot] = True
+    positions = np.zeros(present.shape + (2,))
+    positions[agent, slot, 0] = table["x"]
+    positions[agent, slot, 1] = table["y"]
+    recorded = np.ones((2, len(agent_ids)), dtype=bool)  # v and a: if every row of the agent records it
+    recorded[0, agent[v_empty]] = False
+    recorded[1, agent[a_empty]] = False
+    speeds, accels = (_on_window(table[name], kept, agent, slot, present.shape) for name, kept in zip("va", recorded))
+    # every row on a window frame of its own, and every recorded value finite
+    if (np.any(window[slot] != frames) or np.count_nonzero(present) < frames.size
+            or not all(np.isfinite(block).all() for block in (positions, speeds, accels))):
+        raise _scene_fault(path, table, agent_ids, agent, window, slot, present, recorded)
+    speeds, accels = iter(speeds), iter(accels)
+    agents = [SceneAgent(agent_id, present[k], positions[k], next(speeds) if v else None, next(accels) if a else None)
+              for k, (agent_id, v, a) in enumerate(zip(agent_ids, *recorded.tolist()))]
     return Scene(frames=window, agents=agents, frame_rate=frame_rate)
+
+
+def _on_window(column, recorded, agent, slot, shape) -> np.ndarray:
+    """A column placed on the window, one row for each agent that records it."""
+    if not recorded.any():
+        return np.zeros((0, shape[1]))
+    placed = np.zeros(shape)
+    placed[agent, slot] = column
+    return placed[recorded]
+
+
+def _scene_fault(path, table, agent_ids, agent, window, slot, present, recorded) -> DataError:
+    """The error of the first agent with a fault, for its first fault in
+    this order: a frame outside the window (its first such frame in file
+    order), a duplicate frame, a non-finite value."""
+    frames = table["frame"]
+    outside = window[slot] != frames
+    finite = np.isfinite(table["x"]) & np.isfinite(table["y"])
+    finite &= (np.isfinite(table["v"]) | ~recorded[0][agent]) & (np.isfinite(table["a"]) | ~recorded[1][agent])
+    duplicate = np.count_nonzero(present, axis=1) < np.bincount(agent, minlength=len(agent_ids))
+    faulty = duplicate.copy()
+    faulty[agent[outside | ~finite]] = True
+    k = int(np.argmax(faulty))
+    outside = outside[agent == k]
+    if outside.any():
+        frame = int(frames[agent == k][np.argmax(outside)])
+        return DataError(f"{path}: scene agent {agent_ids[k]} has frame {frame} outside the window")
+    if duplicate[k]:
+        return DataError(f"{path}: scene agent {agent_ids[k]} has a duplicate frame")
+    return DataError(f"{path}: scene agent {agent_ids[k]} has a non-finite value")
 
 
 def _scene_table(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A scene file's rows as a SCENE_DTYPE table, with per-row flags for
-    an empty v and an empty a field (parsed as 0)."""
-    raw = path.read_bytes()
+    an empty v and an empty a field (read as 0)."""
+    raw = _read_bytes(path)
     if not raw.isascii():  # numpy's text parser misreads, or crashes on, some non-ASCII characters
         at = int(np.argmax(np.frombuffer(raw, dtype=np.uint8) >= 0x80))
         raise DataError(f"{path}, line {raw.count(LF, 0, at) + 1}: non-ASCII byte 0x{raw[at]:02x}")
@@ -391,55 +429,93 @@ def _scene_table(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if not body.endswith(LF):
         body += LF
     chars = np.frombuffer(body, dtype=np.uint8)
-    ends = np.flatnonzero(chars == LF[0])
-    crlf = chars[ends - 1] == CR[0]
-    if body.count(CR) > np.count_nonzero(crlf):
-        returns = np.flatnonzero(chars == CR[0])
-        line = int(np.searchsorted(ends, returns[chars[returns + 1] != LF[0]][0])) + 2
-        raise DataError(f"{path}, line {line}: carriage return without a line feed")
+    ends = (chars == LF[0]).nonzero()[0]
     starts = np.concatenate([[0], ends[:-1] + 1])
+    crlf = chars[ends - 1] == CR[0]
     ends = ends - crlf  # where each line's last field ends
-    commas = np.flatnonzero(chars == ord(","))
-    fields = np.diff(np.searchsorted(commas, ends), prepend=0) + 1
-    if np.any(fields != len(SCENE_HEADER)):
-        i = int(np.argmax(fields != len(SCENE_HEADER)))
-        raise DataError(f"{path}, line {i + 2}: expected {len(SCENE_HEADER)} fields, got {fields[i]}")
+    commas = (chars == ord(",")).nonzero()[0]
+    # every carriage return ends a line, and each line holds its own five commas
+    if (np.count_nonzero(chars == CR[0]) > np.count_nonzero(crlf) or commas.size != ends.size * 5
+            or np.any(commas[::5] < starts) or np.any(commas[4::5] > ends)):
+        raise _scene_line_error(path, chars, ends, commas)
     commas = commas.reshape(ends.size, len(SCENE_HEADER) - 1)
     # numpy releases that still carry the 1.23 deprecation parse an int64
     # field that is not an integer as a float and truncate it, with only a
     # DeprecationWarning; an id or frame of other bytes than digits, signs
     # and blanks, or over 18 bytes wide, goes to the line-wise check
-    first = np.stack([starts, commas[:, 0] + 1])
-    width = np.stack([commas[:, 0], commas[:, 1]]) - first
-    widest = int(width.max())
-    offsets = np.arange(widest)
-    at = np.minimum(first[..., None] + offsets, chars.size - 1)
-    suspect = widest > 18 or not np.all(INT_FIELD_BYTES[chars[at]] | (offsets >= width[..., None]))
+    ints_end = commas[:, 1]  # a line's id, comma and frame end here
+    widest = int(np.max(ints_end - starts))
+    wide = widest > 18 and max(np.max(commas[:, 0] - starts), np.max(ints_end - commas[:, 0]) - 1) > 18
+    at = np.minimum(starts[:, None] + np.arange(widest), ints_end[:, None])  # past the frame: its comma
+    suspect = wide or bool(chars[at].tobytes().translate(None, INT_FIELD_BYTES))
     v_empty = commas[:, -1] == commas[:, -2] + 1
     a_empty = ends == commas[:, -1] + 1
-    if v_empty.any() or a_empty.any():
-        body = np.insert(chars, np.concatenate([commas[v_empty, -1], ends[a_empty]]), ord("0")).tobytes()
-    text = body.decode()
+    # a v or an a column empty on every line is not parsed; any other empty v or a reads as 0
+    v_parsed, a_parsed = not v_empty.all(), not a_empty.all()
+    zeros = [where[empty] for parsed, empty, where in ((v_parsed, v_empty, commas[:, -1]), (a_parsed, a_empty, ends))
+             if parsed and empty.any()]
+    if zeros:
+        body = np.insert(chars, np.concatenate(zeros), ord("0")).tobytes()
+    lines = body.decode().split("\n")[:-1]
+    dtype, usecols = _scene_columns(v_parsed, a_parsed)
+    read = functools.partial(np.loadtxt, delimiter=",", dtype=dtype, usecols=usecols, comments=None)
     if suspect:
-        _check_scene_lines(path, text)
+        _check_scene_lines(path, lines, read)
     try:
-        table = np.loadtxt(io.StringIO(text), delimiter=",", dtype=SCENE_DTYPE, comments=None, ndmin=1)
+        parsed = read(lines, ndmin=1)
     except ValueError as exc:
-        _check_scene_lines(path, text)
+        _check_scene_lines(path, lines, read)
         raise DataError(f"{path}: {exc}") from None
+    if len(usecols) == len(SCENE_DTYPE):
+        return parsed, v_empty, a_empty
+    table = np.zeros(parsed.size, dtype=SCENE_DTYPE)
+    for name in dtype.names:
+        table[name] = parsed[name]
     return table, v_empty, a_empty
 
 
-def _check_scene_lines(path: Path, text: str) -> None:
-    """Raise the DataError of the first scene body line that does not parse."""
-    for number, line in enumerate(text.split("\n")[:-1], start=2):
+@functools.cache
+def _scene_columns(v_parsed: bool, a_parsed: bool) -> tuple[np.dtype, tuple[int, ...]]:
+    """The dtype and column numbers of the scene fields that are parsed."""
+    skipped = {name for name, parsed in (("v", v_parsed), ("a", a_parsed)) if not parsed}
+    names = [name for name in SCENE_DTYPE.names if name not in skipped]
+    return np.dtype([(name, SCENE_DTYPE[name]) for name in names]), tuple(SCENE_DTYPE.names.index(n) for n in names)
+
+
+def _scene_line_error(path: Path, chars: np.ndarray, ends: np.ndarray, commas: np.ndarray) -> DataError:
+    """The error of the first scene body line with a carriage return before
+    its end, or else of the first line without six fields."""
+    returns = np.flatnonzero(chars == CR[0])
+    bare = returns[chars[returns + 1] != LF[0]]
+    if bare.size:
+        line = int(np.searchsorted(ends, bare[0])) + 2
+        return DataError(f"{path}, line {line}: carriage return without a line feed")
+    fields = np.diff(np.searchsorted(commas, ends), prepend=0) + 1
+    i = int(np.argmax(fields != len(SCENE_HEADER)))
+    return DataError(f"{path}, line {i + 2}: expected {len(SCENE_HEADER)} fields, got {fields[i]}")
+
+
+def _check_scene_lines(path: Path, lines: list[str], read) -> None:
+    """Raise the DataError of the first scene body line that `read` (a
+    loadtxt call) or the integer check of its id and frame rejects."""
+    for number, line in enumerate(lines, start=2):
         try:
             for field in line.split(",", 2)[:2]:
                 if not (SCENE_INT_FIELD.fullmatch(field) and -(2**63) <= int(field) < 2**63):
                     raise ValueError(f"could not convert string {field!r} to int64")
-            np.loadtxt([line], delimiter=",", dtype=SCENE_DTYPE, comments=None)
+            read([line])
         except ValueError as exc:
             raise DataError(f"{path}, line {number}: {exc}") from None
+
+
+def _read_bytes(path: Path) -> bytes:
+    """A file's bytes; a file that cannot be read is a DataError."""
+    try:
+        return path.read_bytes()
+    except FileNotFoundError:
+        raise DataError(f"no such file: {path}") from None
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
 # -- segmentation, splitting, filtering -----------------------------------------

@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto process exit codes: configuration / usage
-problems exit 1, data problems exit 2, numerical failures exit 3.
+problems exit 1, data problems exit 2, numerical failures exit 3.  A
+command whose standard output is closed before it ends, as by
+`polytraj ... | head -1`, stops quietly with exit code 141 (128 + SIGPIPE).
 """
 
 

@@ -114,10 +114,11 @@ def extrapolation_study(
 
     The polynomial model is evaluated directly at the extended offsets;
     the coordinate model's four predicted points are extended by least
-    squares, once linear and once at the polynomial head's degree, with
-    one batched fit of every sample's x and y per degree.  All three
-    curves average over the same test samples: those whose future covers
-    the six seconds, counted in the report's `sample_count`.
+    squares, once linear and once at the polynomial head's degree (one
+    curve when that degree is 1), with one batched fit of every sample's x
+    and y per degree.  All curves average over the same test samples:
+    those whose future covers the six seconds, counted in the report's
+    `sample_count`.
     """
     if base.d_x >= EXTRAPOLATION_ANCHORS:
         raise ConfigError(
@@ -149,7 +150,7 @@ def extrapolation_study(
     series = [_series("poly", offsets, displacement(predict_chunked(poly_model, kept, offsets), truth))]
     points = predict_chunked(coord_model, kept, coord_cfg.head_offsets)
     columns = np.moveaxis(points, 1, 0).reshape(EXTRAPOLATION_ANCHORS, -1)  # one per sample and axis
-    for degree in (1, base.d_x):
+    for degree in dict.fromkeys((1, base.d_x)):  # one linear curve when the head's degree is 1
         coeffs = fit_polynomials(coord_cfg.head_offsets, columns, degree)
         fitted = np.polynomial.polynomial.polyval(offsets.astype(np.float64), coeffs)
         pred = np.moveaxis(fitted.reshape(len(kept), 2, -1), 1, 2)

@@ -343,6 +343,21 @@ def oracle_read_scene(path, frame_rate: float = DEFAULT_FRAME_RATE) -> Scene:
     return Scene(frames=window, agents=agents, frame_rate=frame_rate)
 
 
+def assert_same_scene(scene: Scene, expected: Scene) -> None:
+    """Equal frames, frame rate and agents, bit for bit, dtypes and `None`s included."""
+    assert scene.frames.dtype == expected.frames.dtype
+    assert scene.frames.tobytes() == expected.frames.tobytes()
+    assert scene.frame_rate == expected.frame_rate
+    assert [a.agent_id for a in scene.agents] == [a.agent_id for a in expected.agents]
+    for agent, oracle in zip(scene.agents, expected.agents):
+        assert type(agent.agent_id) is type(oracle.agent_id)
+        for name in ("present", "positions", "speeds", "accels"):
+            a, b = getattr(agent, name), getattr(oracle, name)
+            assert (a is None) == (b is None), name
+            if a is not None:
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
 def oracle_build_scene(segment, tracks, history_len: int, max_neighbors: int) -> Scene:
     """Neighbours found by a binary search of every track for t_0."""
     track = segment.track

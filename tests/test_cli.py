@@ -1,8 +1,12 @@
 """End-to-end CLI tests on desk-scale synthetic data."""
 
+import csv
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -262,6 +266,46 @@ def test_scene_file_not_in_the_manifest_exits_2(tmp_path, capsys):
     assert not (tmp_path / "run" / "checkpoint.txt").exists()
 
 
+def test_eval_with_a_directory_for_a_scene_file_exits_2(tmp_path, capsys):
+    data_dir = _generate(tmp_path)
+    out_dir = tmp_path / "run"
+    assert main(["train", *_sets(*TINY, f"data.dir={data_dir}", f"out.dir={out_dir}", "train.steps=1")]) == 0
+    scene = data_dir / "test" / "scene_00001.csv"
+    scene.unlink()
+    scene.mkdir()  # the split keeps the scene count its manifest lists
+    capsys.readouterr()
+    args = ["eval", "--checkpoint", str(out_dir / "checkpoint.txt"),
+            *_sets(*TINY, f"data.dir={data_dir}", f"out.dir={out_dir}")]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {scene}: ")
+    assert not list(out_dir.glob("eval_*"))
+
+
+def test_generate_from_an_ngsim_csv_that_is_a_directory_exits_2(tmp_path, capsys):
+    csv_dir = tmp_path / "ngsim.csv"
+    csv_dir.mkdir()
+    args = ["generate", *_sets("data.source=ngsim", f"data.ngsim_csv={csv_dir}", f"out.dir={tmp_path / 'data'}")]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {csv_dir}: ")
+
+
+def test_closed_stdout_exits_141_without_a_traceback(tmp_path):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails with EPIPE
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(cli.__file__).parents[1]),
+                                                        os.environ.get("PYTHONPATH", "")])}
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "polytraj.cli", "generate", *_sets(*TINY, f"out.dir={tmp_path / 'data'}")],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120, check=False,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == cli.BROKEN_PIPE_EXIT == 141
+    assert b"Traceback" not in result.stderr and b"BrokenPipeError" not in result.stderr
+    assert (tmp_path / "data" / "manifest.json").exists()
+
+
 def test_train_epochs_zero_equals_initialization(tmp_path):
     data_dir = _generate(tmp_path)
     out_dir = tmp_path / "run"
@@ -450,6 +494,22 @@ def test_extrapolation_degree_above_the_coordinate_points_exits_1_before_trainin
     assert main(args) == 1
     assert "model.d_x=4" in capsys.readouterr().err
     assert calls == []
+
+
+def test_extrapolation_at_degree_1_writes_one_linear_curve(tmp_path, capsys):
+    data_dir = _generate(tmp_path)
+    out_dir = tmp_path / "study"
+    capsys.readouterr()
+    args = ["study", "extrapolation", *_sets(*TINY, f"data.dir={data_dir}", f"out.dir={out_dir}", "train.steps=2",
+                                             "model.d_x=1")]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert out.count("coord-fit-deg1:") == 1
+    (path,) = out_dir.glob("extrapolation_*.csv")
+    with open(path, newline="") as fh:
+        methods = [row["method"] for row in csv.DictReader(fh)]
+    assert methods.count("coord-fit-deg1") == 30
+    assert sorted(set(methods)) == ["coord-fit-deg1", "poly"]
 
 
 def _write_ngsim(path, vehicles=3, frames=60):

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import (
+    assert_same_scene,
     cut_neighbours_at_t0,
     oracle_build_scene,
     oracle_ingest_ngsim,
@@ -528,20 +529,6 @@ def _assert_same_tracks(tracks, expected):
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
-def _assert_same_scene(scene, expected):
-    assert scene.frames.dtype == expected.frames.dtype
-    assert scene.frames.tobytes() == expected.frames.tobytes()
-    assert scene.frame_rate == expected.frame_rate
-    assert [a.agent_id for a in scene.agents] == [a.agent_id for a in expected.agents]
-    for agent, oracle in zip(scene.agents, expected.agents):
-        assert type(agent.agent_id) is type(oracle.agent_id)
-        for name in ("present", "positions", "speeds", "accels"):
-            a, b = getattr(agent, name), getattr(oracle, name)
-            assert (a is None) == (b is None), name
-            if a is not None:
-                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
-
-
 def _fixture_scenes(history_len=20, neighbors=8):
     tracks = ingest_ngsim(NGSIM_FIXTURE)
     train, test = segment_and_split(tracks, segment_len=40)
@@ -587,8 +574,8 @@ def test_build_scene_matches_row_wise_oracle(history_len, neighbors):
     train, test = segment_and_split(tracks, segment_len=40)
     for segment in train + test:
         expected = cut_neighbours_at_t0(oracle_build_scene(segment, tracks, history_len, neighbors), history_len)
-        _assert_same_scene(build_scene(segment, tracks, history_len, neighbors), expected)
-        _assert_same_scene(build_scene(segment, list(tracks), history_len, neighbors), expected)
+        assert_same_scene(build_scene(segment, tracks, history_len, neighbors), expected)
+        assert_same_scene(build_scene(segment, list(tracks), history_len, neighbors), expected)
 
 
 def test_build_scene_breaks_distance_ties_by_agent_id_then_list_order():
@@ -600,7 +587,7 @@ def test_build_scene_breaks_distance_ties_by_agent_id_then_list_order():
     scene = build_scene(Segment(ego, 0, 10), tracks, history_len=4, max_neighbors=3)
     expected = oracle_build_scene(Segment(ego, 0, 10), tracks, history_len=4, max_neighbors=3)
     expected = cut_neighbours_at_t0(expected, history_len=4)
-    _assert_same_scene(scene, expected)
+    assert_same_scene(scene, expected)
     assert [a.agent_id for a in scene.agents] == [5, 2, 2, 7]
     assert scene.agents[1].positions[0, 0] == -3.0
 
@@ -683,14 +670,57 @@ def test_write_scene_bytes_match_csv_writer(tmp_path, rng):
             assert path.read_bytes() == expected.read_bytes(), (name, i)
 
 
+def _random_scene(rng, n_agents):
+    """A scene of `n_agents` on an uneven window: each neighbour absent at
+    random frames (present at one at least), and each agent's v and a
+    recorded or not at random."""
+    n = int(rng.integers(2, 30))
+    frames = int(rng.integers(-1000, 1000)) + np.cumsum(rng.integers(1, 4, size=n))
+    agents = []
+    for a in range(n_agents):
+        present = np.ones(n, dtype=bool) if a == 0 else rng.uniform(size=n) < rng.uniform(0.1, 1.0)
+        present[rng.integers(n)] = True
+
+        def column(*shape):
+            return np.where(np.reshape(present, (n,) + (1,) * len(shape)), rng.normal(size=(n, *shape)), 0.0)
+
+        recorded = rng.uniform(size=2) < 0.5
+        agents.append(SceneAgent(10 * a + int(rng.integers(10)), present, column(2),
+                                 column() if recorded[0] else None, column() if recorded[1] else None))
+    return Scene(frames=frames, agents=agents)
+
+
+def _interleaved_rows(text, rng):
+    """A scene file's rows shuffled, the reference agent's first row first
+    and its rows in their order."""
+    header, first, *rest = text.split("\r\n")[:-1]
+    reference = first.split(",")[0]
+    shuffled = [rest[i] for i in rng.permutation(len(rest))]
+    slots = [k for k, line in enumerate(shuffled) if line.split(",")[0] == reference]
+    for k, line in zip(slots, [line for line in rest if line.split(",")[0] == reference]):
+        shuffled[k] = line
+    return "\n".join([header, first, *shuffled]) + "\n"
+
+
 def test_read_scene_matches_row_wise_oracle(tmp_path, rng):
     for name, scenes in _scene_families(rng).items():
         for i, scene in enumerate(scenes):
             path = tmp_path / f"{name}_{i}.csv"
             write_scene(scene, path)
-            _assert_same_scene(read_scene(path, frame_rate=12.5), oracle_read_scene(path, frame_rate=12.5))
+            assert_same_scene(read_scene(path, frame_rate=12.5), oracle_read_scene(path, frame_rate=12.5))
+    # 1 to 9 agents with absent frames and v and a recorded for some agents
+    # only, in agent blocks as written and with the rows interleaved
+    for n_agents in range(1, 10):
+        for i in range(4):
+            scene = _random_scene(rng, n_agents)
+            path = tmp_path / f"random_{n_agents}_{i}.csv"
+            write_scene(scene, path)
+            assert_same_scene(read_scene(path), scene)
+            assert_same_scene(read_scene(path), oracle_read_scene(path))
+            path.write_text(_interleaved_rows(path.read_bytes().decode(), rng))
+            assert_same_scene(read_scene(path), oracle_read_scene(path))
     # LF line ends, interleaved agents, padded fields and a last row without
     # a line break are read alike too
     path = tmp_path / "interleaved.csv"
     path.write_text("agent_id,frame,x_m,y_m,v,a\n4,0,1.5,2,,\n8,1,0.25,-1e-300,3,\n4,1,1,1,,\n4,2, 7 ,-0.0,,")
-    _assert_same_scene(read_scene(path), oracle_read_scene(path))
+    assert_same_scene(read_scene(path), oracle_read_scene(path))

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from conftest import model_config, oracle_ingest_ngsim, oracle_read_scene
+from conftest import assert_same_scene, model_config, oracle_ingest_ngsim, oracle_read_scene
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -260,6 +260,43 @@ def test_scene_duplicate_frame_is_data_error(tmp_path):
 def test_scene_frame_outside_window_is_data_error(tmp_path):
     with pytest.raises(DataError, match="frame 7 outside"):
         read_scene(_scene_file(tmp_path, SCENE_TEXT.replace("5,3,", "5,7,")))
+
+
+def test_scene_error_names_the_first_faulty_agent(tmp_path):
+    # agent 2's non-finite value comes before agent 3's frame outside the window
+    text = (
+        "agent_id,frame,x_m,y_m,v,a\n"
+        "1,0,0.0,0.0,,\n"
+        "1,1,0.0,1.0,,\n"
+        "1,2,0.0,2.0,,\n"
+        "2,0,3.5,0.0,nan,\n"
+        "2,1,3.5,1.0,9.0,\n"
+        "3,1,-3.5,1.0,,\n"
+        "3,9,-3.5,2.0,,\n"
+    )
+    for read in (read_scene, oracle_read_scene):
+        with pytest.raises(DataError, match="scene agent 2 has a non-finite value"):
+            read(_scene_file(tmp_path, text))
+
+
+def test_scene_frame_outside_window_wins_over_duplicate_frame(tmp_path):
+    # agent 5 repeats frame 1, then has frames 9 and 7 outside the window:
+    # the error names the first of those in file order
+    text = SCENE_TEXT.replace("5,2,", "5,1,").replace("5,3,", "5,9,") + "5,7,3.5,7.0,9.0,\n"
+    for read in (read_scene, oracle_read_scene):
+        with pytest.raises(DataError, match="scene agent 5 has frame 9 outside the window"):
+            read(_scene_file(tmp_path, text))
+
+
+def test_scene_agent_rows_in_two_blocks_read_as_one_agent(tmp_path):
+    lines = SCENE_TEXT.splitlines()
+    text = "\n".join([*lines[:3], lines[5], *lines[3:5], *lines[6:]]) + "\n"  # agent 5's frame 1 between 3's
+    path = _scene_file(tmp_path, text)
+    scene = read_scene(path)
+    assert [agent.agent_id for agent in scene.agents] == [3, 5]
+    np.testing.assert_array_equal(scene.agents[1].present, [False, True, True, True])
+    assert_same_scene(scene, oracle_read_scene(path))
+    assert_same_scene(scene, read_scene(_scene_file(tmp_path, SCENE_TEXT)))
 
 
 def test_scene_reads_crlf_line_ends(tmp_path):
