@@ -18,7 +18,7 @@ neighbour's future would be written, parsed and never used.  Scenes go
 to disk and back as CSV files: `write_scene` joins each agent block's
 columns of repr strings and writes the file at once.  `read_scene` checks
 the lines and fields on the file's bytes, parses the whole body in one
-`np.loadtxt` (a v or a column empty on every line is skipped), and then
+`np.loadtxt` (an empty v or a field reads as 0), and then
 treats the table as one array: agents numbered by first appearance, each
 row's window slot found by one `searchsorted`, all rows checked at once
 and scattered into one present, one position and, for the agents that
@@ -37,6 +37,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
+import io
 import logging
 import math
 import re
@@ -357,10 +358,8 @@ def read_scene(path, frame_rate: float = DEFAULT_FRAME_RATE) -> Scene:
     new_run = np.concatenate([[True], ids[1:] != ids[:-1]])  # runs of rows of one agent
     run_ids = ids[new_run]
     agent_ids = list(dict.fromkeys(run_ids.tolist()))  # agents numbered by first appearance
-    agent = np.cumsum(new_run) - 1  # each row's run
-    if len(agent_ids) < run_ids.size:  # some agent's rows come in more than one run
-        by_id = np.argsort(agent_ids)
-        agent = by_id[np.searchsorted(agent_ids, run_ids, sorter=by_id)][agent]
+    by_id = np.argsort(agent_ids)
+    agent = by_id[np.searchsorted(agent_ids, run_ids, sorter=by_id)][np.cumsum(new_run) - 1]
     window = frames[agent == 0]
     if np.any(window[1:] <= window[:-1]):
         raise DataError(f"{path}: reference agent's frames are not strictly increasing")
@@ -386,8 +385,6 @@ def read_scene(path, frame_rate: float = DEFAULT_FRAME_RATE) -> Scene:
 
 def _on_window(column, recorded, agent, slot, shape) -> np.ndarray:
     """A column placed on the window, one row for each agent that records it."""
-    if not recorded.any():
-        return np.zeros((0, shape[1]))
     placed = np.zeros(shape)
     placed[agent, slot] = column
     return placed[recorded]
@@ -450,36 +447,17 @@ def _scene_table(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     suspect = wide or bool(chars[at].tobytes().translate(None, INT_FIELD_BYTES))
     v_empty = commas[:, -1] == commas[:, -2] + 1
     a_empty = ends == commas[:, -1] + 1
-    # a v or an a column empty on every line is not parsed; any other empty v or a reads as 0
-    v_parsed, a_parsed = not v_empty.all(), not a_empty.all()
-    zeros = [where[empty] for parsed, empty, where in ((v_parsed, v_empty, commas[:, -1]), (a_parsed, a_empty, ends))
-             if parsed and empty.any()]
-    if zeros:
-        body = np.insert(chars, np.concatenate(zeros), ord("0")).tobytes()
-    lines = body.decode().split("\n")[:-1]
-    dtype, usecols = _scene_columns(v_parsed, a_parsed)
-    read = functools.partial(np.loadtxt, delimiter=",", dtype=dtype, usecols=usecols, comments=None)
+    if v_empty.any() or a_empty.any():  # an empty v or a reads as 0
+        body = np.insert(chars, np.concatenate([commas[v_empty, -1], ends[a_empty]]), ord("0")).tobytes()
+    text = body.decode()
     if suspect:
-        _check_scene_lines(path, lines, read)
+        _check_scene_lines(path, text)
     try:
-        parsed = read(lines, ndmin=1)
+        table = np.loadtxt(io.StringIO(text), delimiter=",", dtype=SCENE_DTYPE, comments=None, ndmin=1)
     except ValueError as exc:
-        _check_scene_lines(path, lines, read)
+        _check_scene_lines(path, text)
         raise DataError(f"{path}: {exc}") from None
-    if len(usecols) == len(SCENE_DTYPE):
-        return parsed, v_empty, a_empty
-    table = np.zeros(parsed.size, dtype=SCENE_DTYPE)
-    for name in dtype.names:
-        table[name] = parsed[name]
     return table, v_empty, a_empty
-
-
-@functools.cache
-def _scene_columns(v_parsed: bool, a_parsed: bool) -> tuple[np.dtype, tuple[int, ...]]:
-    """The dtype and column numbers of the scene fields that are parsed."""
-    skipped = {name for name, parsed in (("v", v_parsed), ("a", a_parsed)) if not parsed}
-    names = [name for name in SCENE_DTYPE.names if name not in skipped]
-    return np.dtype([(name, SCENE_DTYPE[name]) for name in names]), tuple(SCENE_DTYPE.names.index(n) for n in names)
 
 
 def _scene_line_error(path: Path, chars: np.ndarray, ends: np.ndarray, commas: np.ndarray) -> DataError:
@@ -495,15 +473,14 @@ def _scene_line_error(path: Path, chars: np.ndarray, ends: np.ndarray, commas: n
     return DataError(f"{path}, line {i + 2}: expected {len(SCENE_HEADER)} fields, got {fields[i]}")
 
 
-def _check_scene_lines(path: Path, lines: list[str], read) -> None:
-    """Raise the DataError of the first scene body line that `read` (a
-    loadtxt call) or the integer check of its id and frame rejects."""
-    for number, line in enumerate(lines, start=2):
+def _check_scene_lines(path: Path, text: str) -> None:
+    """Raise the DataError of the first scene body line that does not parse."""
+    for number, line in enumerate(text.split("\n")[:-1], start=2):
         try:
             for field in line.split(",", 2)[:2]:
                 if not (SCENE_INT_FIELD.fullmatch(field) and -(2**63) <= int(field) < 2**63):
                     raise ValueError(f"could not convert string {field!r} to int64")
-            read([line])
+            np.loadtxt([line], delimiter=",", dtype=SCENE_DTYPE, comments=None)
         except ValueError as exc:
             raise DataError(f"{path}, line {number}: {exc}") from None
 
