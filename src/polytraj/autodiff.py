@@ -23,8 +23,7 @@ alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,7 +31,6 @@ from .errors import DataError, GraphError, NumericalError, ShapeError
 
 __all__ = [
     "Tensor",
-    "Parameter",
     "Adam",
     "sgd_step",
     "sigmoid",
@@ -68,11 +66,11 @@ class Tensor:
     # keep numpy from hijacking `ndarray <op> Tensor` into elementwise object ops
     __array_ufunc__ = None
 
-    def __init__(self, data, _parents: tuple[Tensor, ...] = (), _backward=None):
+    def __init__(self, data, _parents: tuple[Tensor, ...] = ()):
         self.data = _as_array(data)
         self.grad: np.ndarray | None = None
         self._parents = _parents
-        self._backward = _backward
+        self._backward = None
 
     # -- plumbing ------------------------------------------------------
 
@@ -354,75 +352,63 @@ def softmax(x, axis: int = -1):
     return e / e.sum(axis=axis, keepdims=True)
 
 
-# -- parameters and optimizers ---------------------------------------------
+# -- optimizers -------------------------------------------------------------------
+# Both take a model's parameters as a dict of name -> Tensor; the names
+# label the errors.
 
 
-@dataclass
-class Parameter:
-    """A named trainable tensor; names are unique within one model."""
-
-    name: str
-    node: Tensor
-
-
-def _clipped_grad(param: Parameter, grad_clip: float | None) -> np.ndarray:
-    g = param.node.grad
+def _clipped_grad(name: str, node: Tensor, grad_clip: float | None) -> np.ndarray:
+    g = node.grad
     if not np.all(np.isfinite(g)):
-        raise NumericalError(f"non-finite gradient in parameter '{param.name}'")
+        raise NumericalError(f"non-finite gradient in parameter '{name}'")
     if grad_clip is not None:
         g = np.clip(g, -grad_clip, grad_clip)
     return g
 
 
-def _check_finite(param: Parameter) -> None:
-    if not np.all(np.isfinite(param.node.data)):
-        raise NumericalError(f"optimizer step left parameter '{param.name}' non-finite")
+def _check_finite(name: str, node: Tensor) -> None:
+    if not np.all(np.isfinite(node.data)):
+        raise NumericalError(f"optimizer step left parameter '{name}' non-finite")
 
 
-def sgd_step(params: Iterable[Parameter], lr: float, grad_clip: float | None = None) -> None:
+def sgd_step(params: dict[str, Tensor], lr: float, grad_clip: float | None = None) -> None:
     """p <- p - lr * clip(g), then reset gradients to zero; a step that
     leaves a parameter non-finite raises NumericalError."""
-    for p in params:
-        if p.node.grad is None:
+    for name, node in params.items():
+        if node.grad is None:
             continue
         with np.errstate(over="ignore", invalid="ignore"):  # _check_finite reports it
-            p.node.data -= lr * _clipped_grad(p, grad_clip)
-        _check_finite(p)
-        p.node.zero_grad()
+            node.data -= lr * _clipped_grad(name, node, grad_clip)
+        _check_finite(name, node)
+        node.zero_grad()
 
 
 class Adam:
     """Adam with elementwise gradient clipping; resets gradients each step.
     A step that leaves a parameter non-finite raises NumericalError."""
 
-    def __init__(
-        self,
-        params: Sequence[Parameter],
-        lr: float,
-        grad_clip: float | None = None,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
-        self.params = list(params)
+    # the published defaults of Kingma & Ba (arXiv:1412.6980)
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict[str, Tensor], lr: float, grad_clip: float | None = None):
+        self.params = dict(params)
         self.lr = lr
         self.grad_clip = grad_clip
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self._m = {p.name: np.zeros_like(p.node.data) for p in self.params}
-        self._v = {p.name: np.zeros_like(p.node.data) for p in self.params}
+        self._m = {name: np.zeros_like(node.data) for name, node in self.params.items()}
+        self._v = {name: np.zeros_like(node.data) for name, node in self.params.items()}
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        for p in self.params:
+        b1, b2 = self.BETA1, self.BETA2
+        for name, node in self.params.items():
             g = (
-                _clipped_grad(p, self.grad_clip)
-                if p.node.grad is not None
-                else np.zeros_like(p.node.data)
+                _clipped_grad(name, node, self.grad_clip)
+                if node.grad is not None
+                else np.zeros_like(node.data)
             )
-            m = self._m[p.name]
-            v = self._v[p.name]
+            m = self._m[name]
+            v = self._v[name]
             m *= b1
             m += (1.0 - b1) * g
             v *= b2
@@ -430,9 +416,9 @@ class Adam:
             m_hat = m / (1.0 - b1**self.t)
             v_hat = v / (1.0 - b2**self.t)
             with np.errstate(over="ignore", invalid="ignore"):  # _check_finite reports it
-                p.node.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-            _check_finite(p)
-            p.node.zero_grad()
+                node.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
+            _check_finite(name, node)
+            node.zero_grad()
 
 
 # -- checkpoint files --------------------------------------------------------
@@ -440,7 +426,7 @@ class Adam:
 _MAGIC = "polytraj-checkpoint 1"
 
 
-def save_checkpoint(path, params: Sequence[Parameter], meta: dict | None = None) -> None:
+def save_checkpoint(path, params: dict[str, Tensor], meta: dict | None = None) -> None:
     """Write parameters as text; floats use repr so values round-trip exactly."""
     lines = [_MAGIC]
     for key in sorted(meta or {}):
@@ -448,10 +434,10 @@ def save_checkpoint(path, params: Sequence[Parameter], meta: dict | None = None)
         if any(ch.isspace() for ch in value):
             raise ValueError(f"meta value for '{key}' must not contain whitespace")
         lines.append(f"meta {key} {value}")
-    for p in params:
-        dims = " ".join(str(d) for d in p.node.data.shape)
-        lines.append(f"param {p.name} {p.node.data.ndim} {dims}".rstrip())
-        lines.append(" ".join(repr(v) for v in p.node.data.reshape(-1).tolist()))
+    for name, node in params.items():
+        dims = " ".join(str(d) for d in node.data.shape)
+        lines.append(f"param {name} {node.data.ndim} {dims}".rstrip())
+        lines.append(" ".join(repr(v) for v in node.data.reshape(-1).tolist()))
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -570,8 +570,8 @@ def is_straight_constant_velocity(
 
 def filter_straight(
     scenes: Sequence[Scene],
-    fraction: float = default("data.straight.fraction"),
-    rng: np.random.Generator | None = None,
+    fraction: float,
+    rng: np.random.Generator,
     lateral_range_m: float = default("data.straight.lateral_range_m"),
     speed_std: float = default("data.straight.speed_std"),
 ) -> list[Scene]:
@@ -584,7 +584,6 @@ def filter_straight(
     keep_count = int(len(straight) * fraction + 0.5)
     if keep_count == len(straight):
         return list(scenes)
-    rng = rng if rng is not None else np.random.default_rng(0)
     kept = rng.choice(len(straight), size=keep_count, replace=False)
     dropped = set(straight) - {straight[j] for j in kept.tolist()}
     return [scene for i, scene in enumerate(scenes) if i not in dropped]

@@ -34,7 +34,7 @@ each default and domain.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, fields
 from functools import partial
 from typing import Sequence
 
@@ -43,7 +43,7 @@ import numpy as np
 from . import autodiff as ad
 from . import poly
 from .anchoring import spread
-from .autodiff import Adam, Parameter, Tensor, sgd_step
+from .autodiff import Adam, Tensor, sgd_step
 from .config import RunConfig
 from .data import STATE_DIM, Sample, future_at
 from .errors import ConfigError, DataError, NumericalError, ShapeError
@@ -58,8 +58,7 @@ INPUT_SCALE = np.array([1.0, 1.0, 0.1, 0.5, 1.0, 0.05, 1.0])
 
 
 # the config key of every ModelConfig and TrainSettings field that is not
-# named as the field under its class's section ("model" or "train"); a field
-# with a default of its own, as `input_dim`, is no config key
+# named as the field under its class's section ("model" or "train")
 CONFIG_KEYS: dict[str, str | tuple[str, ...]] = {
     "horizon": "horizon_frames",
     "anchor_count": "anchors.count",
@@ -72,16 +71,16 @@ CONFIG_KEYS: dict[str, str | tuple[str, ...]] = {
 
 def _config_keys(cls, section: str) -> dict[str, str | tuple[str, ...]]:
     """Field name -> config key, or keys for a tuple field, of `cls`."""
-    return {f.name: CONFIG_KEYS.get(f.name, f"{section}.{f.name}") for f in fields(cls) if f.default is MISSING}
+    return {f.name: CONFIG_KEYS.get(f.name, f"{section}.{f.name}") for f in fields(cls)}
 
 
-def _from_config(cls, section: str, cfg: RunConfig, **extra):
-    """A `cls` with every config-key field read from `cfg`, plus `extra` fields."""
+def _from_config(cls, section: str, cfg: RunConfig):
+    """A `cls` with every field read from `cfg`."""
 
     def read(key):
         return tuple(cfg[k] for k in key) if isinstance(key, tuple) else cfg[key]
 
-    return cls(**{name: read(key) for name, key in _config_keys(cls, section).items()}, **extra)
+    return cls(**{name: read(key) for name, key in _config_keys(cls, section).items()})
 
 
 @dataclass(frozen=True)
@@ -101,7 +100,6 @@ class ModelConfig:
     anchor_mode: str
     anchor_min: int
     anchor_max: int
-    input_dim: int = STATE_DIM
 
     def __post_init__(self):
         """The rules across keys; `RunConfig` checks each key's own domain."""
@@ -154,7 +152,7 @@ class ModelConfig:
         its config key's domain; a missing or bad value is a DataError."""
         try:
             cfg = RunConfig({key: meta[f"model.{name}"] for name, key in _config_keys(cls, "model").items()})
-            return _from_config(cls, "model", cfg, input_dim=int(meta["model.input_dim"]))
+            return _from_config(cls, "model", cfg)
         except KeyError as exc:
             raise DataError(f"model meta key {exc} missing") from None
         except (ValueError, ConfigError) as exc:
@@ -163,7 +161,7 @@ class ModelConfig:
     def param_shapes(self):
         """Yield (name, shape) of every parameter in creation order."""
         for prefix, layers, in_dim in (
-            ("enc", self.encoder_layers, self.input_dim),
+            ("enc", self.encoder_layers, STATE_DIM),
             ("dec", self.decoder_layers, self.units),
         ):
             for layer in range(layers):
@@ -297,9 +295,6 @@ class TrajectoryModel:
             bound = 1.0 / math.sqrt(shape[-1] if name == "dec.x0" else shape[0])
             self.params[name] = Tensor(rng.uniform(-bound, bound, size=shape))
 
-    def parameters(self) -> list[Parameter]:
-        return [Parameter(name, node) for name, node in self.params.items()]
-
     # -- forward -----------------------------------------------------------
 
     def _param_values(self, train: bool) -> dict:
@@ -311,7 +306,7 @@ class TrajectoryModel:
     def forward_batch(self, states: np.ndarray, mask: np.ndarray, train: bool = True):
         """Batched forward pass.
 
-        states: (B, A, S, input_dim) with agent slot 0 the reference agent;
+        states: (B, A, S, STATE_DIM) with agent slot 0 the reference agent;
         mask: (B, A, S) with 1.0 where a state is valid.  Returns the raw
         head output, (B, output_dim): a Tensor when `train`, else an array.
         The encoder runs once over all A·B agent rows, agent-major, so slot
@@ -319,20 +314,19 @@ class TrajectoryModel:
         step-major: each step goes up through every layer, one `gru_cell`
         each, before the next step starts, so one state per layer is held.
         """
-        if states.ndim != 4 or states.shape[3] != self.config.input_dim:
-            raise ShapeError(f"states must be (B, A, S, {self.config.input_dim}), got {states.shape}")
+        if states.ndim != 4 or states.shape[3] != STATE_DIM:
+            raise ShapeError(f"states must be (B, A, S, {STATE_DIM}), got {states.shape}")
         batch, n_agents, steps, _ = states.shape
         if steps < 1:
             raise DataError("empty history: at least one state frame is required")
         cfg = self.config
-        scale = INPUT_SCALE if cfg.input_dim == INPUT_SCALE.size else 1.0
         params = self._param_values(train)
         rows = n_agents * batch
         all_present = bool(np.all(mask == 1.0))
         layers = [_weights(params, f"enc{layer}") for layer in range(cfg.encoder_layers)]
         hidden = [np.zeros((rows, cfg.units))] * cfg.encoder_layers
         for t in range(steps):
-            x = states[:, :, t].swapaxes(0, 1).reshape(rows, -1) * scale
+            x = states[:, :, t].swapaxes(0, 1).reshape(rows, -1) * INPUT_SCALE
             present = None if all_present else mask[:, :, t].T.reshape(rows)
             for layer, weights in enumerate(layers):
                 hidden[layer] = x = gru_cell(x, hidden[layer], weights, present)
@@ -495,9 +489,8 @@ def train(model: TrajectoryModel, samples: Sequence[Sample], settings: TrainSett
     _check_supervision_range(model.config, samples)
     rng_shuffle = _stream_rng(settings.seed, 1)
     rng_anchor = _stream_rng(settings.seed, 2)
-    params = model.parameters()
     adam = (
-        Adam(params, lr=settings.lr, grad_clip=settings.grad_clip)
+        Adam(model.params, lr=settings.lr, grad_clip=settings.grad_clip)
         if settings.optimizer == "adam"
         else None
     )
@@ -522,7 +515,7 @@ def train(model: TrajectoryModel, samples: Sequence[Sample], settings: TrainSett
             if adam is not None:
                 adam.step()
             else:
-                sgd_step(params, lr=settings.lr, grad_clip=settings.grad_clip)
+                sgd_step(model.params, lr=settings.lr, grad_clip=settings.grad_clip)
             loss_curve.append((step, float(loss.data)))
             step += 1
     return loss_curve
@@ -543,7 +536,7 @@ def _check_supervision_range(cfg: ModelConfig, samples: Sequence[Sample]) -> Non
 def save_model(model: TrajectoryModel, path, extra_meta: dict | None = None) -> None:
     meta = model.config.to_meta()
     meta.update(extra_meta or {})
-    ad.save_checkpoint(path, model.parameters(), meta)
+    ad.save_checkpoint(path, model.params, meta)
 
 
 def load_model(path) -> tuple[TrajectoryModel, dict[str, str]]:

@@ -41,16 +41,16 @@ def moments(coeffs, coeff_var, t, scale: float = 1.0):
     return mean, var
 
 
-def gaussian_nll(pred, var, target, var_floor: float = VAR_FLOOR):
+def gaussian_nll(pred, var, target):
     """Negative log of an axis-wise Gaussian density.
 
-    0.5 * (pred - target)^2 / v + 0.5 * ln(2*pi*v) with v = var + var_floor.
+    0.5 * (pred - target)^2 / v + 0.5 * ln(2*pi*v) with v = var + VAR_FLOOR.
     Accepts floats, numpy arrays, or autodiff Tensors for `pred` and `var`,
     so the same definition serves evaluation and training.
     """
     raw = var.data if isinstance(var, Tensor) else np.asarray(var, dtype=np.float64)
-    if np.any(raw + var_floor <= 0.0):
+    if np.any(raw + VAR_FLOOR <= 0.0):
         raise NumericalError(f"variance {raw!r} not positive after flooring")
-    v = var + var_floor
+    v = var + VAR_FLOOR
     residual = pred - target
     return 0.5 * (residual**2) / v + 0.5 * ad.log(2.0 * math.pi * v)

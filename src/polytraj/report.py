@@ -48,32 +48,33 @@ class StudyReport:
     sample_count: int  # test samples every curve averages over
 
 
-def write_study_csv(report: StudyReport, path) -> None:
-    """One row per offset per method."""
+def _write_csv(path, header: list[str], rows) -> None:
+    """The one CSV row writer: a header, then each row."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["method", "offset_frames", "ade_m"])
-        for series in report.series:
-            for offset, value in zip(series.offsets, series.values):
-                writer.writerow([series.label, str(int(offset)), repr(float(value))])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_study_csv(report: StudyReport, path) -> None:
+    """One row per offset per method."""
+    _write_csv(path, ["method", "offset_frames", "ade_m"], (
+        [series.label, str(int(offset)), repr(float(value))]
+        for series in report.series
+        for offset, value in zip(series.offsets, series.values)
+    ))
 
 
 def write_eval_csv(report: EvalReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "offset_frames", "value_m"])
-        for offset, value in zip(report.rmse_offsets, report.rmse):
-            writer.writerow(["rmse", str(int(offset)), repr(float(value))])
-        for offset, value in zip(report.rmse_offsets, report.ade_curve):
-            writer.writerow(["ade", str(int(offset)), repr(float(value))])
+    _write_csv(path, ["metric", "offset_frames", "value_m"], (
+        [metric, str(int(offset)), repr(float(value))]
+        for metric, values in (("rmse", report.rmse), ("ade", report.ade_curve))
+        for offset, value in zip(report.rmse_offsets, values)
+    ))
 
 
 def write_loss_csv(loss_curve: Sequence[tuple[int, float]], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "loss"])
-        for step, loss in loss_curve:
-            writer.writerow([str(int(step)), repr(float(loss))])
+    _write_csv(path, ["step", "loss"], ([str(int(step)), repr(float(loss))] for step, loss in loss_curve))
 
 
 # -- SVG charts ---------------------------------------------------------------

@@ -212,10 +212,9 @@ def oracle_forward(model, states: np.ndarray, mask: np.ndarray, train: bool = Tr
     cfg = model.config
     batch, n_agents, steps, _ = states.shape
     params = model.params if train else {name: node.data for name, node in model.params.items()}
-    scale = INPUT_SCALE if cfg.input_dim == INPUT_SCALE.size else 1.0
     finals = []
     for a in range(n_agents):
-        x_seq = states[:, a] * scale
+        x_seq = states[:, a] * INPUT_SCALE
         all_present = bool(np.all(mask[:, a] == 1.0))
         hidden = [np.zeros((batch, cfg.units)) for _ in range(cfg.encoder_layers)]
         for t in range(steps):

@@ -6,7 +6,7 @@ import pytest
 from conftest import assert_close_to_fd, central_difference
 
 from polytraj import autodiff as ad
-from polytraj.autodiff import Adam, Parameter, Tensor, load_checkpoint, save_checkpoint, sgd_step
+from polytraj.autodiff import Adam, Tensor, load_checkpoint, save_checkpoint, sgd_step
 from polytraj.errors import DataError, GraphError, NumericalError, ShapeError
 
 
@@ -153,75 +153,75 @@ def test_log_rejects_non_positive():
 
 
 def test_sgd_step_basics():
-    p = Parameter("p", Tensor([1.0]))
-    p.node.grad = np.array([1.0])
-    sgd_step([p], lr=0.1)
-    np.testing.assert_allclose(p.node.data, [0.9])
-    assert p.node.grad is None
+    p = Tensor([1.0])
+    p.grad = np.array([1.0])
+    sgd_step({"p": p}, lr=0.1)
+    np.testing.assert_allclose(p.data, [0.9])
+    assert p.grad is None
 
 
 def test_sgd_clip_clamps_elementwise():
-    p = Parameter("p", Tensor([0.0]))
-    p.node.grad = np.array([100.0])
-    sgd_step([p], lr=1.0, grad_clip=1.0)
-    np.testing.assert_allclose(p.node.data, [-1.0])
+    p = Tensor([0.0])
+    p.grad = np.array([100.0])
+    sgd_step({"p": p}, lr=1.0, grad_clip=1.0)
+    np.testing.assert_allclose(p.data, [-1.0])
 
 
 def test_sgd_zero_gradient_leaves_parameter_unchanged():
-    p = Parameter("p", Tensor([2.5]))
-    sgd_step([p], lr=0.1)
-    np.testing.assert_array_equal(p.node.data, [2.5])
+    p = Tensor([2.5])
+    sgd_step({"p": p}, lr=0.1)
+    np.testing.assert_array_equal(p.data, [2.5])
 
 
 def test_sgd_rejects_non_finite_gradient():
-    p = Parameter("theta", Tensor([1.0]))
-    p.node.grad = np.array([np.nan])
+    p = Tensor([1.0])
+    p.grad = np.array([np.nan])
     with pytest.raises(NumericalError, match="theta"):
-        sgd_step([p], lr=0.1)
+        sgd_step({"theta": p}, lr=0.1)
 
 
 def test_adam_lr_zero_keeps_parameters():
-    p = Parameter("p", Tensor([3.0]))
-    opt = Adam([p], lr=0.0)
-    p.node.grad = np.array([5.0])
+    p = Tensor([3.0])
+    opt = Adam({"p": p}, lr=0.0)
+    p.grad = np.array([5.0])
     opt.step()
-    np.testing.assert_array_equal(p.node.data, [3.0])
+    np.testing.assert_array_equal(p.data, [3.0])
 
 
 @pytest.mark.parametrize("lr", [np.nan, np.inf, 1e308])
 def test_optimizer_step_leaving_a_parameter_non_finite_raises(lr):
-    p = Parameter("theta", Tensor([1.0, -1e308]))
-    p.node.grad = np.array([1.0, 1.0])
+    p = Tensor([1.0, -1e308])
+    p.grad = np.array([1.0, 1.0])
     with pytest.raises(NumericalError, match="left parameter 'theta' non-finite"):
-        sgd_step([p], lr=lr)
-    q = Parameter("theta", Tensor([1.0, -1e308]))
-    opt = Adam([q], lr=lr)
-    q.node.grad = np.array([1.0, 1.0])
+        sgd_step({"theta": p}, lr=lr)
+    q = Tensor([1.0, -1e308])
+    opt = Adam({"theta": q}, lr=lr)
+    q.grad = np.array([1.0, 1.0])
     with pytest.raises(NumericalError, match="left parameter 'theta' non-finite"):
         opt.step()
 
 
 def test_adam_moves_against_gradient():
-    p = Parameter("p", Tensor([1.0]))
-    opt = Adam([p], lr=0.1)
-    p.node.grad = np.array([1.0])
+    p = Tensor([1.0])
+    opt = Adam({"p": p}, lr=0.1)
+    p.grad = np.array([1.0])
     opt.step()
-    assert p.node.data[0] < 1.0
+    assert p.data[0] < 1.0
 
 
 def test_checkpoint_round_trip_exact(tmp_path, rng):
-    params = [
-        Parameter("layer.w", Tensor(rng.normal(0, 1, size=(3, 4)) * np.pi)),
-        Parameter("layer.b", Tensor(rng.normal(0, 1e-17, size=4))),
-        Parameter("scalar", Tensor(1.0 / 3.0)),
-    ]
+    params = {
+        "layer.w": Tensor(rng.normal(0, 1, size=(3, 4)) * np.pi),
+        "layer.b": Tensor(rng.normal(0, 1e-17, size=4)),
+        "scalar": Tensor(1.0 / 3.0),
+    }
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, params, meta={"model.head": "polynomial", "model.units": "4"})
     meta, arrays = load_checkpoint(path)
     assert meta == {"model.head": "polynomial", "model.units": "4"}
-    for p in params:
-        assert arrays[p.name].shape == p.node.data.shape
-        np.testing.assert_array_equal(arrays[p.name], p.node.data)
+    for name, node in params.items():
+        assert arrays[name].shape == node.data.shape
+        np.testing.assert_array_equal(arrays[name], node.data)
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
@@ -234,13 +234,13 @@ def test_checkpoint_rejects_garbage(tmp_path):
 def test_seeded_step_is_bit_identical(rng):
     def run_once():
         gen = np.random.default_rng(99)
-        w = Parameter("w", Tensor(gen.normal(0, 1, size=(3, 3))))
+        w = Tensor(gen.normal(0, 1, size=(3, 3)))
         x = gen.normal(0, 1, size=(2, 3))
-        loss = ((Tensor(x) @ w.node) ** 2).mean()
+        loss = ((Tensor(x) @ w) ** 2).mean()
         loss.backward()
-        opt = Adam([w], lr=0.01, grad_clip=1.0)
+        opt = Adam({"w": w}, lr=0.01, grad_clip=1.0)
         opt.step()
-        return w.node.data.copy()
+        return w.data.copy()
 
     first = run_once()
     second = run_once()

@@ -795,6 +795,5 @@ def test_model_meta_round_trips_and_pins_the_default_checkpoint_lines(tmp_path):
         "meta model.encoder_layers 2",
         "meta model.head polynomial",
         "meta model.horizon 50",
-        "meta model.input_dim 7",
         "meta model.units 32",
     ]
