@@ -352,9 +352,7 @@ def softmax(x, axis: int = -1):
     return e / e.sum(axis=axis, keepdims=True)
 
 
-# -- optimizers -------------------------------------------------------------------
-# Both take a model's parameters as a dict of name -> Tensor; the names
-# label the errors.
+# -- optimizers: over a model's parameters, a dict of name -> Tensor ---------------
 
 
 def _clipped_grad(name: str, node: Tensor, grad_clip: float | None) -> np.ndarray:
@@ -427,7 +425,14 @@ _MAGIC = "polytraj-checkpoint 1"
 
 
 def save_checkpoint(path, params: dict[str, Tensor], meta: dict | None = None) -> None:
-    """Write parameters as text; floats use repr so values round-trip exactly."""
+    """Write parameters as text; floats use repr so values round-trip exactly.
+
+    The layout, which `load_checkpoint` enforces line by line: the magic
+    line `polytraj-checkpoint 1`; one `meta KEY VALUE` line per meta key,
+    keys in sorted order; then for each parameter a `param NAME NDIM DIM...`
+    line (no DIM for a scalar) followed by one line of its values in C
+    order, space-separated floats in repr form.
+    """
     lines = [_MAGIC]
     for key in sorted(meta or {}):
         value = str((meta or {})[key])
@@ -445,7 +450,8 @@ def save_checkpoint(path, params: dict[str, Tensor], meta: dict | None = None) -
 def load_checkpoint(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
     """Read a checkpoint written by save_checkpoint; returns (meta, name -> array).
 
-    A malformed file raises DataError and a non-finite value NumericalError.
+    A file off the layout of `save_checkpoint` raises DataError naming the
+    line, a non-finite value NumericalError.
     """
     try:
         with open(path, "r", encoding="ascii") as fh:
@@ -458,24 +464,32 @@ def load_checkpoint(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
     arrays: dict[str, np.ndarray] = {}
     i = 1
     try:
+        while i < len(lines) and lines[i].startswith("meta "):
+            tokens = lines[i].split(" ")
+            if len(tokens) != 3:
+                raise ValueError(f"expected 'meta KEY VALUE', got {len(tokens)} tokens")
+            if meta and tokens[1] <= next(reversed(meta)):
+                raise ValueError(f"meta key '{tokens[1]}' repeated or out of sorted order")
+            meta[tokens[1]] = tokens[2]
+            i += 1
         while i < len(lines):
             tokens = lines[i].split(" ")
-            if tokens[0] == "meta":
-                meta[tokens[1]] = tokens[2]
-                i += 1
-            elif tokens[0] == "param":
-                name = tokens[1]
-                ndim = int(tokens[2])
-                shape = tuple(int(d) for d in tokens[3 : 3 + ndim])
-                values = np.array([float(v) for v in lines[i + 1].split()], dtype=np.float64)
-                if len(shape) != ndim or values.size != math.prod(shape):
-                    raise DataError(f"checkpoint value count mismatch for '{name}'")
-                if not np.all(np.isfinite(values)):
-                    raise NumericalError(f"non-finite value in checkpoint parameter '{name}'")
-                arrays[name] = values.reshape(shape)
-                i += 2
-            else:
+            if tokens[0] != "param":
                 raise DataError(f"unrecognized checkpoint line: {lines[i]!r}")
+            name = tokens[1]
+            ndim = int(tokens[2])
+            if len(tokens) != 3 + ndim:
+                raise ValueError(f"'{name}' has {ndim} dims but {len(tokens) - 3} sizes")
+            if name in arrays:
+                raise ValueError(f"parameter '{name}' repeated")
+            shape = tuple(int(d) for d in tokens[3:])
+            values = np.array([float(v) for v in lines[i + 1].split()], dtype=np.float64)
+            if values.size != math.prod(shape):
+                raise DataError(f"checkpoint value count mismatch for '{name}'")
+            if not np.all(np.isfinite(values)):
+                raise NumericalError(f"non-finite value in checkpoint parameter '{name}'")
+            arrays[name] = values.reshape(shape)
+            i += 2
     except (IndexError, ValueError) as exc:
         raise DataError(f"malformed checkpoint line {i + 1} of {path}: {exc}") from None
     return meta, arrays

@@ -101,6 +101,8 @@ class RunConfig:
         domain = DEFAULTS[key][1]
         if domain is not None and not _in_domain(coerced, domain):
             raise ConfigError(f"config key {key!r} must lie in {domain}, got {value!r}")
+        if key in PARSERS:
+            PARSERS[key](coerced)
         self._values[key] = coerced
 
     def __getitem__(self, key: str):
@@ -123,15 +125,38 @@ class RunConfig:
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
     def eval_offsets(self) -> tuple[int, ...]:
-        try:
-            offsets = tuple(int(part) for part in str(self["eval.offsets"]).split(",") if part)
-        except ValueError:
-            raise ConfigError(f"eval.offsets must be comma-separated integers, got {self['eval.offsets']!r}") from None
-        if not offsets:
-            raise ConfigError("eval.offsets must name at least one offset")
-        if min(offsets) < 1:
-            raise ConfigError(f"eval.offsets must be frame offsets of at least 1, got {min(offsets)}")
-        return offsets
+        return parse_offsets(self["eval.offsets"])
+
+
+def parse_offsets(text: str) -> tuple[int, ...]:
+    """The frame offsets of an `eval.offsets` value."""
+    try:
+        offsets = tuple(int(part) for part in text.split(",") if part)
+    except ValueError:
+        raise ConfigError(f"eval.offsets must be comma-separated integers, got {text!r}") from None
+    if not offsets:
+        raise ConfigError("eval.offsets must name at least one offset")
+    if min(offsets) < 1:
+        raise ConfigError(f"eval.offsets must be frame offsets of at least 1, got {min(offsets)}")
+    return offsets
+
+
+def parse_ratio(ratio: str) -> tuple[int, int]:
+    """The (train, test) shares of a `data.split_ratio` value such as '3:1'."""
+    parts = ratio.split(":")
+    if len(parts) != 2:
+        raise ConfigError(f"data.split_ratio must look like '3:1', got {ratio!r}")
+    try:
+        train, test = (int(p) for p in parts)
+    except ValueError:
+        raise ConfigError(f"data.split_ratio parts must be integers, got {ratio!r}") from None
+    if train < 1 or test < 1:
+        raise ConfigError(f"data.split_ratio parts must be positive, got {ratio!r}")
+    return train, test
+
+
+PARSERS = {"eval.offsets": parse_offsets, "data.split_ratio": parse_ratio}
+"""The parser of each free-text key; `RunConfig.set` rejects a value it rejects."""
 
 
 def default(key: str):

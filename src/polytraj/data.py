@@ -48,7 +48,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import sigmoid
-from .config import default
+from .config import default, parse_ratio
 from .errors import ConfigError, DataError
 
 log = logging.getLogger(__name__)
@@ -505,19 +505,6 @@ class Segment:
     track: Track
     start: int
     length: int
-
-
-def parse_ratio(ratio: str) -> tuple[int, int]:
-    parts = ratio.split(":")
-    if len(parts) != 2:
-        raise ConfigError(f"ratio must look like '3:1', got {ratio!r}")
-    try:
-        train, test = (int(p) for p in parts)
-    except ValueError:
-        raise ConfigError(f"ratio parts must be integers, got {ratio!r}") from None
-    if train < 1 or test < 1:
-        raise ConfigError(f"ratio parts must be positive, got {ratio!r}")
-    return train, test
 
 
 def segment_and_split(

@@ -142,6 +142,20 @@ def test_train_nan_learning_rate_exits_1_without_checkpoint(tmp_path, capsys):
     assert not (out_dir / "checkpoint.txt").exists()
 
 
+@pytest.mark.parametrize("key, value", [("eval.offsets", "abc"), ("data.split_ratio", "x:y")])
+def test_bad_eval_offsets_or_split_ratio_exits_1_on_every_command(tmp_path, capsys, key, value):
+    data_dir = _generate(tmp_path)
+    checkpoint = tmp_path / "run" / "checkpoint.txt"
+    assert main(["train", *_sets(*TINY, f"data.dir={data_dir}", f"out.dir={checkpoint.parent}", "train.steps=1")]) == 0
+    capsys.readouterr()
+    for command in (["generate"], ["train"], ["eval", "--checkpoint", str(checkpoint)], ["study", "table1"]):
+        out_dir = tmp_path / command[0]
+        args = [*command, *_sets(*TINY, f"data.dir={data_dir}", f"out.dir={out_dir}", "train.steps=1", f"{key}={value}")]
+        assert main(args) == 1, command
+        assert key in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
 def test_train_non_finite_loss_exits_3_without_checkpoint(tmp_path, capsys):
     data_dir = _generate(tmp_path)
     for scene in (data_dir / "train").glob("scene_*.csv"):  # every future y 1e160 m away: the NLL overflows

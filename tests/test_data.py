@@ -17,7 +17,7 @@ from conftest import (
     synthetic_params,
 )
 
-from polytraj.config import load_config
+from polytraj.config import load_config, parse_ratio
 from polytraj.data import (
     FEET_TO_METRES,
     Scene,
@@ -32,7 +32,6 @@ from polytraj.data import (
     gen_synthetic,
     ingest_ngsim,
     is_straight_constant_velocity,
-    parse_ratio,
     read_scene,
     segment_and_split,
     write_scene,

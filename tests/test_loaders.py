@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polytraj.autodiff import load_checkpoint
+from polytraj.cli import main
 from polytraj.data import ingest_ngsim, read_scene
 from polytraj.errors import DataError, NumericalError, PolytrajError
 from polytraj.model import TrajectoryModel, load_model, save_model
@@ -130,6 +131,34 @@ def test_meta_outside_its_config_domain_is_data_error(tmp_path, checkpoint_text,
     text = checkpoint_text.replace("meta model.horizon 50\n", f"meta model.horizon {horizon}\n")
     with pytest.raises(DataError, match=r"'horizon_frames' must lie in \[1, inf\)"):
         load_model(_corrupt(tmp_path, text))
+
+
+def _extra_meta_token(lines):
+    i = lines.index("meta model.units 2")
+    return lines[:i] + ["meta model.units 2 3"] + lines[i + 1 :], i + 1
+
+
+def _extra_param_size(lines):
+    i = lines.index("param head.b 1 4")
+    return lines[:i] + ["param head.b 1 4 99"] + lines[i + 1 :], i + 1
+
+
+def _repeated_param(lines):
+    return lines + lines[-2:], len(lines) + 1
+
+
+def _repeated_meta_key(lines):
+    i = lines.index("meta model.units 2")
+    return lines[: i + 1] + ["meta model.units 3"] + lines[i + 1 :], i + 2
+
+
+@pytest.mark.parametrize("edit", [_extra_meta_token, _extra_param_size, _repeated_param, _repeated_meta_key])
+def test_checkpoint_off_the_saved_layout_is_data_error_naming_the_line(tmp_path, checkpoint_text, edit):
+    lines, bad_line = edit(checkpoint_text.splitlines())
+    path = _corrupt(tmp_path, "\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=f"malformed checkpoint line {bad_line} of"):
+        load_checkpoint(path)
+    assert main(["eval", "--checkpoint", str(path), "--set", f"out.dir={tmp_path / 'out'}"]) == 2
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)

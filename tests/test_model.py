@@ -613,6 +613,23 @@ def test_save_load_round_trip_preserves_predictions(tmp_path, rng):
     np.testing.assert_array_equal(_forward(restored, samples[0]), _forward(model, samples[0]))
 
 
+def test_checkpoint_with_the_older_input_dim_meta_line_loads_to_the_same_predictions(tmp_path, rng):
+    # checkpoints written before `model.input_dim` was dropped carry it as a meta line
+    samples = make_moderate_samples(rng, 3)
+    model = TrajectoryModel(model_config(units=6, d_x=2, d_y=3), seed=21)
+    path = tmp_path / "model.ckpt"
+    save_model(model, path)
+    lines = path.read_text().splitlines()
+    lines.insert(lines.index("meta model.units 6"), "meta model.input_dim 7")  # its sorted place
+    path.write_text("\n".join(lines) + "\n")
+    restored, meta = load_model(path)
+    assert meta["model.input_dim"] == "7"
+    assert restored.config == model.config
+    np.testing.assert_array_equal(
+        restored.predict_positions(samples, [1, 10, 50]), model.predict_positions(samples, [1, 10, 50])
+    )
+
+
 def test_collate_pads_variable_agent_counts(rng):
     a = make_moderate_samples(rng, 1, agents=1)[0]
     b = make_moderate_samples(rng, 1, agents=3)[0]
