@@ -17,7 +17,7 @@ import numpy as np
 
 from . import data as datamod
 from . import studies
-from .config import RunConfig, defaults_help, load_config
+from .config import RunConfig, defaults_help, load_config, parse_offsets
 from .errors import ConfigError, DataError, PolytrajError
 from .evaluation import RMSE_OFFSETS, rmse_at_offsets
 from .model import (
@@ -235,7 +235,7 @@ def cmd_eval(cfg: RunConfig, checkpoint_path: str) -> int:
         )
     samples = _load_samples(cfg, "test")
     fingerprint = cfg.fingerprint()
-    offsets = cfg.eval_offsets()
+    offsets = parse_offsets(cfg["eval.offsets"])
     report = rmse_at_offsets(model, samples, offsets)
     write_eval_csv(report, out_dir / f"eval_{fingerprint}.csv")
     label, _ = HEADS[model.config.head]

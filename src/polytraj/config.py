@@ -124,9 +124,6 @@ class RunConfig:
         )
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
-    def eval_offsets(self) -> tuple[int, ...]:
-        return parse_offsets(self["eval.offsets"])
-
 
 def parse_offsets(text: str) -> tuple[int, ...]:
     """The frame offsets of an `eval.offsets` value."""
