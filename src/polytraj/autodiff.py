@@ -1,10 +1,10 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
 Everything the trajectory models need and nothing more: elementwise
-arithmetic with numpy broadcasting, 2-D matrix products, exp and log,
-reductions, concatenation, basic slicing and softmax.  The GRU cell's
-gates are a hand-written graph node (`model.gru_cell`), so its sigmoid
-and tanh are array functions only.
+arithmetic with numpy broadcasting, 2-D matrix products and transposes,
+exp and log, reductions, concatenation, basic slicing and softmax.  The
+GRU cell's gates are a hand-written graph node (`model.gru_cell`), so its
+sigmoid and tanh are array functions only.
 A ``Tensor`` wraps a numpy array and remembers the operation that
 produced it; calling ``backward()`` on a scalar result accumulates
 ``d(result)/d(node)`` into every reachable node, visiting each node
@@ -14,10 +14,10 @@ has passed its gradient on, so the graph is freed by reference counting
 as soon as the caller drops the result, not by Python's cyclic gc.  A
 second ``backward()`` through a consumed node raises ``GraphError``.
 
-The module-level helpers ``exp``, ``log``, ``softmax`` and ``concat``
-dispatch on input type, so the same model code can also run on plain
-numpy arrays as a graph-free inference path; ``sigmoid`` takes arrays
-alone.
+The module-level helpers ``transpose``, ``exp``, ``log``, ``softmax``
+and ``concat`` dispatch on input type, so the same model code can also
+run on plain numpy arrays as a graph-free inference path; ``sigmoid``
+takes arrays alone.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ __all__ = [
     "Adam",
     "sgd_step",
     "sigmoid",
+    "transpose",
     "exp",
     "log",
     "softmax",
@@ -185,6 +186,17 @@ class Tensor:
         out._backward = _backward
         return out
 
+    @property
+    def T(self) -> "Tensor":
+        """The transpose, copied into C order (see `transpose`)."""
+        out = Tensor(np.ascontiguousarray(self.data.T), (self,))
+
+        def _backward():
+            self._accumulate(out.grad.T)
+
+        out._backward = _backward
+        return out
+
     # -- exp and log -------------------------------------------------------
 
     def exp(self) -> "Tensor":
@@ -326,10 +338,22 @@ def concat(parts: Sequence, axis: int = 0):
 # -- dual-mode helpers: Tensor builds the graph, ndarray stays numpy ------
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """The logistic function of an array, for the GRU cell's gates; no graph op."""
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The logistic function of an array, 1 / (1 + exp(-x)), for the GRU
+    cell's gates; no graph op.  Written into `out` when given, which may be
+    `x` itself."""
     with np.errstate(over="ignore"):  # exp(-x) = inf gives the right limit, 0
-        return 1.0 / (1.0 + np.exp(-x))
+        y = np.exp(np.negative(x, out=out), out=out)
+        return np.divide(1.0, np.add(1.0, y, out=out), out=out)
+
+
+def transpose(x):
+    """The transpose of a 2-D Tensor or array, in C order: a product on a
+    transposed view can round differently from one on the same values laid
+    out row by row."""
+    if isinstance(x, Tensor):
+        return x.T
+    return np.ascontiguousarray(x.T)
 
 
 def exp(x):

@@ -148,7 +148,6 @@ def _write_scene_split(scenes, split_dir: Path) -> list[str]:
 
 
 def cmd_generate(cfg: RunConfig) -> int:
-    out_dir = _prepare_out_dir(cfg)
     source = cfg["data.source"]
     seed = cfg["run.seed"]
     frame_rate = cfg["data.frame_rate"]
@@ -185,7 +184,11 @@ def cmd_generate(cfg: RunConfig) -> int:
             lateral_range_m=cfg["data.straight.lateral_range_m"],
             speed_std=cfg["data.straight.speed_std"],
         )
+        if not train_scenes and not test_scenes:
+            raise DataError(f"no scene from {csv_path} ({len(tracks)} tracks) at "
+                            f"data.segment_len={cfg['data.segment_len']}; nothing written")
         detail = {"ngsim_csv": str(csv_path), "tracks": len(tracks)}
+    out_dir = _prepare_out_dir(cfg)
     (out_dir / "manifest.json").unlink(missing_ok=True)  # written last, so a failed write leaves none
     train_names = _write_scene_split(train_scenes, out_dir / "train")
     test_names = _write_scene_split(test_scenes, out_dir / "test")

@@ -12,6 +12,13 @@ it step-major, one call per layer and step, holding one state per layer.
 When training, each call is one graph node with a hand-written backward
 pass, so the graph unrolls backpropagation through time step by step.
 
+The GRU runs feature-major: its inputs and states are (features, rows)
+arrays, one column per agent row, so each gate z, r and c is a contiguous
+row block of one (3·units, rows) array and the gate math runs in place on
+whole blocks.  The parameters keep their row-major shapes and enter the
+products as transposed views.  Attention, the head and the loss are
+row-major, (rows, features); `forward_batch` transposes between the two.
+
 `moments` is the one decoding path: it turns a batch of raw head outputs
 and a (B, T) matrix of frame offsets into the per-axis predicted mean and
 variance.  The loss (`batch_loss`), prediction (`predict_positions`) and
@@ -187,78 +194,98 @@ class GRUWeights:
 
 
 def gru_cell(x, h, weights: GRUWeights, mask=None):
-    """One GRU step: the (N, units) state after the (N, F) input `x` from
-    the (N, units) state `h`.
+    """One GRU step, feature-major: the (units, N) state after the (F, N)
+    input `x` from the (units, N) state `h`, one column per row of the batch.
 
-    `mask` is None when every row is present, else an (N,) 0/1 row; an
-    absent row keeps its state.  When `x`, `h` or a weight is a Tensor, the
-    result is one graph node whose backward pass is written by hand from
-    the cached gates; on plain arrays no graph is built.
+    The weights keep their row-major shapes (see `GRUWeights`) and enter
+    through transposed views, so each gate is a contiguous row block of
+    the (3·units, N) pre-activations.  `mask` is None when every column is
+    present, else an (N,) 0/1 row; an absent column keeps its state.  When
+    `x`, `h` or a weight is a Tensor, the result is one graph node whose
+    backward pass is written by hand from the cached gates; on plain arrays
+    no graph is built.
     """
     inputs = (x, h, weights.w_x, weights.u_zr, weights.u_c, weights.b)
     # lists, not tuples built from generators: those leave a resized tuple
     # on the interpreter's free list per call, which reads as memory growth
     arrays = [v.data if isinstance(v, Tensor) else v for v in inputs]
     _, h_prev, w_x, u_zr, u_c, _ = arrays
-    rows, units, in_dim = len(h_prev), u_c.shape[0], w_x.shape[0]
+    units, rows, in_dim = u_c.shape[0], h_prev.shape[-1], w_x.shape[0]
     shapes = [v.shape for v in arrays]
-    if shapes != [(rows, in_dim), (rows, units), (in_dim, 3 * units), (units, 2 * units), (units, units), (3 * units,)]:
+    if shapes != [(in_dim, rows), (units, rows), (in_dim, 3 * units), (units, 2 * units), (units, units), (3 * units,)]:
         raise ShapeError(f"GRU input, state and weights {shapes} do not fit {units} units")
     parents = tuple(v for v in inputs if isinstance(v, Tensor))
-    gates = np.empty((rows, 3 * units)) if parents else None  # [z | r | c]
+    gates = np.empty((3 * units, rows))  # [z; r; c]
     h_new = _gru_step(*arrays, gates)
-    m = None if mask is None else mask[:, np.newaxis]
-    if m is not None:
-        h_new = m * h_new + (1.0 - m) * h_prev
+    if mask is not None:
+        h_new = mask * h_new + (1.0 - mask) * h_prev
     if not parents:
         return h_new
     out = Tensor(h_new, parents)
     # the node's cache goes to the backward pass as one partial, not as a
     # closure's cells, so each node adds two gc-tracked objects, not fifteen
-    out._backward = partial(_gru_cell_backward, out, inputs, arrays, gates, m)
+    out._backward = partial(_gru_cell_backward, out, inputs, arrays, gates, mask)
     return out
 
 
-def _gru_cell_backward(out: Tensor, inputs: tuple, arrays: list, gates: np.ndarray, m) -> None:
-    """Backward pass of one `gru_cell` node from its cached [z | r | c] gates;
-    `m` is the (N, 1) row mask, or None when every row is present."""
+def _gru_cell_backward(out: Tensor, inputs: tuple, arrays: list, gates: np.ndarray, mask) -> None:
+    """Backward pass of one `gru_cell` node from its cached [z; r; c] gates;
+    `mask` is the (N,) column mask, or None when every column is present."""
     x_in, h_prev, w_x, u_zr, u_c, _ = arrays
-    rows, units = len(h_prev), u_c.shape[0]
-    z, r, c = (gates[:, k * units : (k + 1) * units] for k in range(3))
-    d_new, d_kept = (out.grad, 0.0) if m is None else (m * out.grad, (1.0 - m) * out.grad)
-    d_pre = np.empty((rows, 3 * units))  # gradient of the gate pre-activations
-    d_pre[:, :units] = d_new * (h_prev - c) * z * (1.0 - z)
-    d_pre[:, 2 * units :] = d_new * (1.0 - z) * (1.0 - c * c)
-    d_rh = d_pre[:, 2 * units :] @ u_c.T
-    d_pre[:, units : 2 * units] = d_rh * h_prev * r * (1.0 - r)
-    d_h = d_kept + d_new * z + d_rh * r + d_pre[:, : 2 * units] @ u_zr.T
-    d_x = d_pre @ w_x.T if isinstance(inputs[0], Tensor) else None
+    units, rows = h_prev.shape
+    z, r, c = gates[:units], gates[units : 2 * units], gates[2 * units :]
+    d_new = out.grad if mask is None else mask * out.grad
+    one_z = 1.0 - z
+    d_pre = np.empty((3 * units, rows))  # gradient of the gate pre-activations
+    d_z, d_r, d_c = d_pre[:units], d_pre[units : 2 * units], d_pre[2 * units :]
+    np.subtract(h_prev, c, out=d_z)
+    d_z *= d_new
+    d_z *= z
+    d_z *= one_z
+    np.multiply(d_new, one_z, out=d_c)
+    d_c *= 1.0 - c * c
+    d_rh = u_c @ d_c
+    np.multiply(d_rh, h_prev, out=d_r)
+    d_r *= r
+    d_r *= 1.0 - r
+    d_h = d_new * z
+    if mask is not None:
+        d_h += (1.0 - mask) * out.grad  # an absent column passes its gradient on
+    d_rh *= r
+    d_h += d_rh
+    d_h += u_zr @ d_pre[: 2 * units]
+    d_x = w_x @ d_pre if isinstance(inputs[0], Tensor) else None
     grads = (
         d_x,
         d_h,
-        x_in.T @ d_pre,
-        h_prev.T @ d_pre[:, : 2 * units],
-        (r * h_prev).T @ d_pre[:, 2 * units :],
-        d_pre.sum(axis=0),
+        x_in @ d_pre.T,
+        h_prev @ d_pre[: 2 * units].T,
+        (r * h_prev) @ d_c.T,
+        d_pre.sum(axis=1),
     )
     for node, grad in zip(inputs, grads):
         if isinstance(node, Tensor):
             node._accumulate(grad)
 
 
-def _gru_step(x, h, w_x, u_zr, u_c, b, gates=None):
-    """Classic GRU update (Cho et al. 2014): the reset gate scales h before the
-    candidate matmul, and the update gate interpolates between old state and
-    candidate.  Stores [z | r | c] in `gates` when given."""
+def _gru_step(x, h, w_x, u_zr, u_c, b, gates):
+    """Classic GRU update (Cho et al. 2014), feature-major: the reset gate
+    scales h before the candidate matmul, and the update gate interpolates
+    between old state and candidate.  Writes [z; r; c] into `gates`."""
     units = u_c.shape[0]
-    gx = x @ w_x + b
-    zr = ad.sigmoid(gx[:, : 2 * units] + h @ u_zr)
-    z, r = zr[:, :units], zr[:, units:]
-    c = np.tanh(gx[:, 2 * units :] + (r * h) @ u_c)
-    if gates is not None:
-        gates[:, : 2 * units] = zr
-        gates[:, 2 * units :] = c
-    return z * h + (1.0 - z) * c
+    gx = w_x.T @ x
+    gx += b[:, np.newaxis]
+    zr, c = gates[: 2 * units], gates[2 * units :]
+    np.matmul(u_zr.T, h, out=zr)
+    zr += gx[: 2 * units]
+    ad.sigmoid(zr, out=zr)
+    z, r = gates[:units], gates[units : 2 * units]
+    np.matmul(u_c.T, r * h, out=c)
+    c += gx[2 * units :]
+    np.tanh(c, out=c)
+    h_new = z * h
+    h_new += (1.0 - z) * c
+    return h_new
 
 
 def attention(query, keys: Sequence, values: Sequence, present: np.ndarray):
@@ -313,6 +340,10 @@ class TrajectoryModel:
         a's final state is rows a·B to (a+1)·B.  Encoder and decoder run
         step-major: each step goes up through every layer, one `gru_cell`
         each, before the next step starts, so one state per layer is held.
+        The GRU inputs and states are feature-major, (features, rows);
+        attention, the head and the loss are row-major, so the encoder's
+        last state, the context, the decoder's last state and the learned
+        (1, units) decoder input are transposed between them.
         """
         if states.ndim != 4 or states.shape[3] != STATE_DIM:
             raise ShapeError(f"states must be (B, A, S, {STATE_DIM}), got {states.shape}")
@@ -324,22 +355,23 @@ class TrajectoryModel:
         rows = n_agents * batch
         all_present = bool(np.all(mask == 1.0))
         layers = [_weights(params, f"enc{layer}") for layer in range(cfg.encoder_layers)]
-        hidden = [np.zeros((rows, cfg.units))] * cfg.encoder_layers
+        hidden = [np.zeros((cfg.units, rows))] * cfg.encoder_layers
         for t in range(steps):
-            x = states[:, :, t].swapaxes(0, 1).reshape(rows, -1) * INPUT_SCALE
+            x = states[:, :, t].T.reshape(STATE_DIM, rows) * INPUT_SCALE[:, np.newaxis]
             present = None if all_present else mask[:, :, t].T.reshape(rows)
             for layer, weights in enumerate(layers):
                 hidden[layer] = x = gru_cell(x, hidden[layer], weights, present)
-        finals = [hidden[-1][a * batch : (a + 1) * batch] for a in range(n_agents)]
+        final = ad.transpose(hidden[-1])
+        finals = [final[a * batch : (a + 1) * batch] for a in range(n_agents)]
         context = attention(finals[0], finals, finals, mask.any(axis=2))
-        x0 = params["dec.x0"] + np.zeros((batch, cfg.units))  # the learned constant input
+        x0 = ad.transpose(params["dec.x0"]) + np.zeros((cfg.units, batch))  # the learned constant input
         layers = [_weights(params, f"dec{layer}") for layer in range(cfg.decoder_layers)]
-        hidden = [context] * cfg.decoder_layers
+        hidden = [ad.transpose(context)] * cfg.decoder_layers
         for _ in range(cfg.decoder_steps):
             x = x0
             for layer, weights in enumerate(layers):
                 hidden[layer] = x = gru_cell(x, hidden[layer], weights)
-        return hidden[-1] @ params["head.w"] + params["head.b"]
+        return ad.transpose(hidden[-1]) @ params["head.w"] + params["head.b"]
 
     def predict_positions(self, samples: Sequence[Sample], offsets: Sequence[int]) -> np.ndarray:
         """Predicted (x, y) of every sample at the given frame offsets: (B, T, 2)."""

@@ -98,6 +98,7 @@ def test_two_layer_net_matches_finite_differences(rng):
         ("mul", lambda a, b: a * b),
         ("div", lambda a, b: a / (b * b + 1.0)),
         ("matmul", lambda a, b: a @ b),
+        ("transpose", lambda a, b: a.T @ b),
         ("exp", lambda a, b: (a - b).exp()),
         ("log", lambda a, b: (a * a + b * b + 0.5).log()),
         ("power", lambda a, b: (a * a + 1.0) ** 1.5 + b),

@@ -303,6 +303,21 @@ def test_generate_from_an_ngsim_csv_that_is_a_directory_exits_2(tmp_path, capsys
     assert capsys.readouterr().err.startswith(f"error: cannot read {csv_dir}: ")
 
 
+def test_generate_of_no_scenes_exits_2_and_writes_nothing(tmp_path, capsys):
+    # every track of the fixture is shorter than the default data.segment_len of 200 frames
+    csv_path = Path(__file__).parent / "fixtures" / "ngsim_small.csv"
+    ngsim = _sets("data.source=ngsim", f"data.ngsim_csv={csv_path}")
+    fresh = tmp_path / "fresh"
+    assert main(["generate", *ngsim, *_sets(f"out.dir={fresh}")]) == 2
+    assert "no scene from" in capsys.readouterr().err
+    assert not fresh.exists()
+    data_dir = _generate(tmp_path)  # an earlier dataset is neither deleted nor overwritten
+    before = _hash_tree(data_dir)
+    assert main(["generate", *ngsim, *_sets(f"out.dir={data_dir}")]) == 2
+    assert _hash_tree(data_dir) == before
+    assert json.loads((data_dir / "manifest.json").read_text())["source"] == "synthetic"
+
+
 def test_closed_stdout_exits_141_without_a_traceback(tmp_path):
     read_end, write_end = os.pipe()
     os.close(read_end)  # every write to the pipe now fails with EPIPE

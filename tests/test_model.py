@@ -54,16 +54,16 @@ def _zero_weights(in_dim, units):
 
 
 def test_gru_zero_weights_zero_state():
-    out = gru_cell(np.ones((1, 4)), np.zeros((1, 3)), _zero_weights(4, 3))
-    np.testing.assert_array_equal(out, np.zeros((1, 3)))
+    out = gru_cell(np.ones((4, 1)), np.zeros((3, 1)), _zero_weights(4, 3))
+    np.testing.assert_array_equal(out, np.zeros((3, 1)))
 
 
 def test_gru_saturated_update_gate_keeps_state():
     units = 3
     weights = _zero_weights(2, units)
     weights.b[:units] = 50.0  # update gate saturates toward keeping h
-    h = np.array([[0.3, -0.7, 1.2]])
-    out = gru_cell(np.ones((1, 2)), h, weights)
+    h = np.array([[0.3], [-0.7], [1.2]])
+    out = gru_cell(np.ones((2, 1)), h, weights)
     np.testing.assert_allclose(out, h, atol=1e-12)
 
 
@@ -75,9 +75,9 @@ def test_gru_gradients_match_finite_differences(rng):
         u_c=Tensor(rng.normal(0, 0.5, size=(units, units))),
         b=Tensor(rng.normal(0, 0.2, size=3 * units)),
     )
-    h = Tensor(rng.normal(0, 1, size=(2, units)))
-    x = rng.normal(0, 1, size=(2, in_dim))
-    mix = rng.normal(0, 1, size=(2, units))
+    h = Tensor(rng.normal(0, 1, size=(units, 2)))
+    x = rng.normal(0, 1, size=(in_dim, 2))
+    mix = rng.normal(0, 1, size=(units, 2))
 
     def forward():
         return (gru_cell(x, h, weights) * mix).sum()
@@ -88,12 +88,42 @@ def test_gru_gradients_match_finite_differences(rng):
         assert_close_to_fd(param.grad, numeric)
 
 
+def test_gru_partial_mask_matches_transposed_oracle_and_finite_differences(rng):
+    in_dim, units, rows = 3, 4, 5
+    weights = _random_weights(rng, in_dim, units, wrap=Tensor)
+    x = Tensor(rng.normal(0, 1, size=(in_dim, rows)))
+    h = Tensor(rng.normal(0, 1, size=(units, rows)))
+    mask = np.array([1.0, 0.0, 1.0, 0.0, 1.0])  # columns 1 and 3 keep their state
+    mix = rng.normal(0, 1, size=(units, rows))
+
+    def forward(cell):
+        return (cell() * mix).sum()
+
+    def oracle():
+        new_h = oracle_gru_cell(x.T, h.T, weights).T
+        return new_h * mask + h * (1.0 - mask)
+
+    out = gru_cell(x, h, weights, mask)
+    np.testing.assert_allclose(out.data, oracle().data, rtol=1e-14, atol=1e-15)
+    np.testing.assert_array_equal(out.data[:, mask == 0.0], h.data[:, mask == 0.0])
+    nodes = (x, h, weights.w_x, weights.u_zr, weights.u_c, weights.b)
+    forward(oracle).backward()
+    oracle_grads = [node.grad for node in nodes]
+    for node in nodes:
+        node.zero_grad()
+    forward(lambda: gru_cell(x, h, weights, mask)).backward()
+    for node, expected in zip(nodes, oracle_grads):
+        np.testing.assert_allclose(node.grad, expected, rtol=1e-12, atol=1e-14)
+        numeric = central_difference(lambda: float(forward(lambda: gru_cell(x, h, weights, mask)).data), node.data)
+        assert_close_to_fd(node.grad, numeric)
+
+
 def test_gru_shape_mismatch_raises():
     with pytest.raises(ShapeError):
-        gru_cell(np.ones((1, 5)), np.zeros((1, 3)), _zero_weights(4, 3))
+        gru_cell(np.ones((5, 1)), np.zeros((3, 1)), _zero_weights(4, 3))
     with pytest.raises(ShapeError):
         weights = _zero_weights(4, 3)
-        gru_cell(np.ones((1, 5)), Tensor(np.zeros((1, 3))), GRUWeights(
+        gru_cell(np.ones((5, 1)), Tensor(np.zeros((3, 1))), GRUWeights(
             w_x=Tensor(weights.w_x), u_zr=Tensor(weights.u_zr),
             u_c=Tensor(weights.u_c), b=Tensor(weights.b),
         ))
@@ -123,15 +153,15 @@ def _gru_chain(xs, h, weights, mask=None):
 def test_gru_cell_chain_matches_iterated_oracle_cell(rng):
     steps, rows, in_dim, units = 5, 4, 3, 2
     weights = _random_weights(rng, in_dim, units)
-    xs = rng.normal(0, 1, size=(steps, rows, in_dim))
-    h0 = rng.normal(0, 1, size=(rows, units))
+    xs = rng.normal(0, 1, size=(steps, in_dim, rows))
+    h0 = rng.normal(0, 1, size=(units, rows))
     mask = (rng.uniform(size=(steps, rows)) < 0.6).astype(float)
     h = h0
     for t in range(steps):
-        new_h = oracle_gru_cell(xs[t], h, weights)
-        h = mask[t][:, None] * new_h + (1.0 - mask[t][:, None]) * h
+        new_h = oracle_gru_cell(xs[t].T, h.T, weights).T
+        h = mask[t] * new_h + (1.0 - mask[t]) * h
     np.testing.assert_array_equal(_gru_chain(xs, h0, weights, mask)[-1], h)
-    np.testing.assert_array_equal(gru_cell(xs[0], h0, weights), oracle_gru_cell(xs[0], h0, weights))
+    np.testing.assert_array_equal(gru_cell(xs[0], h0, weights), oracle_gru_cell(xs[0].T, h0.T, weights).T)
     # the graph path computes the same states as the array path
     graph_weights = GRUWeights(*(Tensor(w) for w in (weights.w_x, weights.u_zr, weights.u_c, weights.b)))
     np.testing.assert_array_equal(_gru_chain(Tensor(xs), Tensor(h0), graph_weights, mask)[-1].data, h)
@@ -140,11 +170,11 @@ def test_gru_cell_chain_matches_iterated_oracle_cell(rng):
 def test_gru_cell_chain_gradients_match_finite_differences(rng):
     steps, rows, in_dim, units = 4, 3, 2, 3
     weights = _random_weights(rng, in_dim, units, wrap=Tensor)
-    xs = Tensor(rng.normal(0, 1, size=(steps, rows, in_dim)))
-    h0 = Tensor(rng.normal(0, 1, size=(rows, units)))
+    xs = Tensor(rng.normal(0, 1, size=(steps, in_dim, rows)))
+    h0 = Tensor(rng.normal(0, 1, size=(units, rows)))
     mask = np.ones((steps, rows))
     mask[:2, 1] = 0.0  # row 1 enters late
-    mix = rng.normal(0, 1, size=(steps, rows, units))
+    mix = rng.normal(0, 1, size=(steps, units, rows))
 
     def forward():
         loss = Tensor(0.0)
@@ -156,6 +186,29 @@ def test_gru_cell_chain_gradients_match_finite_differences(rng):
     for node in (weights.w_x, weights.u_zr, weights.u_c, weights.b, h0, xs):
         numeric = central_difference(lambda: float(forward().data), node.data)
         assert_close_to_fd(node.grad, numeric)
+
+
+@pytest.mark.parametrize("agents", [1, 5])
+def test_forward_batch_makes_one_gru_cell_call_per_layer_and_step(rng, monkeypatch, agents):
+    # the benchmark's traced `model.gru_cell_calls_per_step` counts these calls
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].shape)
+        return gru_cell(*args, **kwargs)
+
+    monkeypatch.setattr("polytraj.model.gru_cell", counted)
+    steps, batch = 6, 3
+    cfg = model_config(units=4, encoder_layers=2, decoder_layers=3, decoder_steps=4)
+    samples = make_moderate_samples(rng, batch, agents=agents, steps=steps)
+    states, mask = collate(samples)
+    for train_mode in (True, False):
+        calls.clear()
+        TrajectoryModel(cfg, seed=0).forward_batch(states, mask, train=train_mode)
+        assert len(calls) == steps * cfg.encoder_layers + cfg.decoder_steps * cfg.decoder_layers
+        assert calls == [(cfg.units, agents * batch)] * (steps * cfg.encoder_layers) + [
+            (cfg.units, batch)
+        ] * (cfg.decoder_steps * cfg.decoder_layers)
 
 
 # -- attention ------------------------------------------------------------------
