@@ -96,26 +96,26 @@ def test_gru_partial_mask_matches_transposed_oracle_and_finite_differences(rng):
     mask = np.array([1.0, 0.0, 1.0, 0.0, 1.0])  # columns 1 and 3 keep their state
     mix = rng.normal(0, 1, size=(units, rows))
 
-    def forward(cell):
-        return (cell() * mix).sum()
+    def loss(step):
+        return (step() * mix).sum()
+
+    def cell():
+        return gru_cell(x, h, weights, mask)
 
     def oracle():
-        new_h = oracle_gru_cell(x.T, h.T, weights).T
-        return new_h * mask + h * (1.0 - mask)
+        return oracle_gru_cell(x.T, h.T, weights).T * mask + h * (1.0 - mask)
 
-    out = gru_cell(x, h, weights, mask)
-    np.testing.assert_allclose(out.data, oracle().data, rtol=1e-14, atol=1e-15)
-    np.testing.assert_array_equal(out.data[:, mask == 0.0], h.data[:, mask == 0.0])
+    np.testing.assert_allclose(cell().data, oracle().data, rtol=1e-14, atol=1e-15)
+    np.testing.assert_array_equal(cell().data[:, mask == 0.0], h.data[:, mask == 0.0])
     nodes = (x, h, weights.w_x, weights.u_zr, weights.u_c, weights.b)
-    forward(oracle).backward()
-    oracle_grads = [node.grad for node in nodes]
+    loss(oracle).backward()
+    expected = [node.grad for node in nodes]
     for node in nodes:
         node.zero_grad()
-    forward(lambda: gru_cell(x, h, weights, mask)).backward()
-    for node, expected in zip(nodes, oracle_grads):
-        np.testing.assert_allclose(node.grad, expected, rtol=1e-12, atol=1e-14)
-        numeric = central_difference(lambda: float(forward(lambda: gru_cell(x, h, weights, mask)).data), node.data)
-        assert_close_to_fd(node.grad, numeric)
+    loss(cell).backward()
+    for node, grad in zip(nodes, expected):
+        np.testing.assert_allclose(node.grad, grad, rtol=1e-12, atol=1e-14)
+        assert_close_to_fd(node.grad, central_difference(lambda: float(loss(cell).data), node.data))
 
 
 def test_gru_shape_mismatch_raises():
