@@ -18,10 +18,17 @@ The module-level helpers ``transpose``, ``exp``, ``log``, ``softmax``
 and ``concat`` dispatch on input type, so the same model code can also
 run on plain numpy arrays as a graph-free inference path; ``sigmoid``
 takes arrays alone.
+
+``save_checkpoint`` and ``load_checkpoint`` keep parameters in a
+line-based ASCII file: readable meta and shape lines, and each
+parameter's values as one line of base64 over their little-endian
+float64 bytes, so values round-trip bit for bit with no float text to
+format or parse.
 """
 
 from __future__ import annotations
 
+import base64
 import math
 from typing import Sequence
 
@@ -445,17 +452,19 @@ class Adam:
 
 # -- checkpoint files --------------------------------------------------------
 
-_MAGIC = "polytraj-checkpoint 1"
+_MAGIC = "polytraj-checkpoint 2"
+_FORMAT_1 = "polytraj-checkpoint 1"  # values as float text; no longer read
+_VALUE = np.dtype("<f8")
 
 
 def save_checkpoint(path, params: dict[str, Tensor], meta: dict | None = None) -> None:
-    """Write parameters as text; floats use repr so values round-trip exactly.
+    """Write parameters to a line-based ASCII file; values round-trip exactly.
 
     The layout, which `load_checkpoint` enforces line by line: the magic
-    line `polytraj-checkpoint 1`; one `meta KEY VALUE` line per meta key,
+    line `polytraj-checkpoint 2`; one `meta KEY VALUE` line per meta key,
     keys in sorted order; then for each parameter a `param NAME NDIM DIM...`
-    line (no DIM for a scalar) followed by one line of its values in C
-    order, space-separated floats in repr form.
+    line (no DIM for a scalar) followed by one line of its values: the
+    base64 of their little-endian float64 bytes in C order.
     """
     lines = [_MAGIC]
     for key in sorted(meta or {}):
@@ -466,7 +475,7 @@ def save_checkpoint(path, params: dict[str, Tensor], meta: dict | None = None) -
     for name, node in params.items():
         dims = " ".join(str(d) for d in node.data.shape)
         lines.append(f"param {name} {node.data.ndim} {dims}".rstrip())
-        lines.append(" ".join(repr(v) for v in node.data.reshape(-1).tolist()))
+        lines.append(base64.b64encode(np.ascontiguousarray(node.data, dtype=_VALUE).tobytes()).decode("ascii"))
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -475,13 +484,19 @@ def load_checkpoint(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
     """Read a checkpoint written by save_checkpoint; returns (meta, name -> array).
 
     A file off the layout of `save_checkpoint` raises DataError naming the
-    line, a non-finite value NumericalError.
+    line, as does a format-1 file; a non-finite value raises NumericalError.
+    The arrays are writable, C-contiguous float64 copies.
     """
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = fh.read().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from None
+    if lines and lines[0] == _FORMAT_1:
+        raise DataError(
+            f"{path} is a format 1 checkpoint (values as float text), which this version "
+            "no longer reads; run `train` again to write a format 2 checkpoint"
+        )
     if not lines or lines[0] != _MAGIC:
         raise DataError(f"not a checkpoint file: {path}")
     meta: dict[str, str] = {}
@@ -507,9 +522,12 @@ def load_checkpoint(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
             if name in arrays:
                 raise ValueError(f"parameter '{name}' repeated")
             shape = tuple(int(d) for d in tokens[3:])
-            values = np.array([float(v) for v in lines[i + 1].split()], dtype=np.float64)
-            if values.size != math.prod(shape):
-                raise DataError(f"checkpoint value count mismatch for '{name}'")
+            raw = base64.b64decode(lines[i + 1], validate=True)  # binascii.Error is a ValueError
+            if len(raw) != _VALUE.itemsize * math.prod(shape):
+                raise DataError(
+                    f"checkpoint value count mismatch for '{name}': {len(raw)} bytes for shape {shape}"
+                )
+            values = np.frombuffer(raw, dtype=_VALUE).astype(np.float64)  # a writable copy
             if not np.all(np.isfinite(values)):
                 raise NumericalError(f"non-finite value in checkpoint parameter '{name}'")
             arrays[name] = values.reshape(shape)

@@ -46,6 +46,7 @@ STUDIES = {
 }
 
 BROKEN_PIPE_EXIT = 141  # 128 + SIGPIPE, as a shell reports a process that a closed pipe ended
+OUT_OF_MEMORY_EXIT = 4
 
 GENERATED_KEYS = ("data.history_len", "data.frame_rate")
 """Keys the scenes of a data dir are built with, recorded in its manifest:
@@ -300,6 +301,9 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # the reader of stdout has gone, as in `polytraj ... | head -1`
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the exit flush writes nowhere
         return BROKEN_PIPE_EXIT
+    except MemoryError as exc:  # as from a size key set beyond what the host holds
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return OUT_OF_MEMORY_EXIT
 
 
 if __name__ == "__main__":

@@ -2,7 +2,9 @@
 
 The CLI maps these onto process exit codes: configuration / usage
 problems exit 1, data problems exit 2, numerical failures exit 3.  A
-command whose standard output is closed before it ends, as by
+command that runs out of memory, as when a size key asks for more than
+the host holds, prints one `error: out of memory ...` line and exits 4.
+A command whose standard output is closed before it ends, as by
 `polytraj ... | head -1`, stops quietly with exit code 141 (128 + SIGPIPE).
 """
 

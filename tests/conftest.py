@@ -1,10 +1,12 @@
 """Shared test helpers: the default model, training and synthetic settings
 with some fields replaced, finite-difference, loss, state, forward-pass,
 per-sample anchor-draw and row-wise data-path oracles, hand-built samples,
-an anchor histogram and a zeroed model head."""
+an anchor histogram, a zeroed model head and a checkpoint values-line
+editor."""
 
 from __future__ import annotations
 
+import base64
 import csv
 import dataclasses
 import math
@@ -398,6 +400,14 @@ def cut_neighbours_at_t0(scene: Scene, history_len: int) -> Scene:
         for agent in scene.agents[1:]
     ]
     return dataclasses.replace(scene, agents=[scene.ego, *neighbours])
+
+
+def with_first_value(values_line: str, value: float) -> str:
+    """A checkpoint values line (base64 of little-endian float64s) with its
+    first value replaced by `value`."""
+    values = np.frombuffer(base64.b64decode(values_line, validate=True), dtype="<f8").copy()
+    values[0] = value
+    return base64.b64encode(values.tobytes()).decode("ascii")
 
 
 @pytest.fixture

@@ -215,6 +215,8 @@ def test_checkpoint_round_trip_exact(tmp_path, rng):
         "layer.w": Tensor(rng.normal(0, 1, size=(3, 4)) * np.pi),
         "layer.b": Tensor(rng.normal(0, 1e-17, size=4)),
         "scalar": Tensor(1.0 / 3.0),
+        # negative zero, the smallest subnormal and the largest finite magnitudes
+        "edges": Tensor([-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]),
     }
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, params, meta={"model.head": "polynomial", "model.units": "4"})
@@ -223,6 +225,7 @@ def test_checkpoint_round_trip_exact(tmp_path, rng):
     for name, node in params.items():
         assert arrays[name].shape == node.data.shape
         np.testing.assert_array_equal(arrays[name], node.data)
+        assert arrays[name].tobytes() == node.data.tobytes()  # -0.0 keeps its sign bit
 
 
 def test_checkpoint_rejects_garbage(tmp_path):

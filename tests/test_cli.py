@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import with_first_value
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -335,6 +336,18 @@ def test_closed_stdout_exits_141_without_a_traceback(tmp_path):
     assert (tmp_path / "data" / "manifest.json").exists()
 
 
+def test_out_of_memory_exits_4_with_one_error_line(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000,)")
+
+    monkeypatch.setattr(cli.datamod, "gen_synthetic", exhausted)
+    capsys.readouterr()
+    assert main(["generate", *_sets(*TINY, f"out.dir={tmp_path / 'data'}")]) == cli.OUT_OF_MEMORY_EXIT == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: Unable to allocate") and err.count("\n") == 1
+    assert not (tmp_path / "data" / "manifest.json").exists()
+
+
 def test_train_epochs_zero_equals_initialization(tmp_path):
     data_dir = _generate(tmp_path)
     out_dir = tmp_path / "run"
@@ -398,7 +411,7 @@ def test_eval_corrupt_checkpoint_exit_codes(tmp_path, capsys):
     lines = (out_dir / "checkpoint.txt").read_text().splitlines()
     cases = {
         2: [line for line in lines if not line.startswith("meta model.head ")],
-        3: lines[:-1] + [" ".join(["nan"] + lines[-1].split()[1:])],
+        3: lines[:-1] + [with_first_value(lines[-1], np.nan)],
     }
     for code, corrupt in cases.items():
         path = tmp_path / f"corrupt_{code}.txt"

@@ -1,11 +1,12 @@
 """Loaders of outside input: corrupt checkpoints, NGSim files and scene
 files end in a typed PolytrajError, never in a raw exception."""
 
+import base64
 import re
 
 import numpy as np
 import pytest
-from conftest import assert_same_scene, model_config, oracle_ingest_ngsim, oracle_read_scene
+from conftest import assert_same_scene, model_config, oracle_ingest_ngsim, oracle_read_scene, with_first_value
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -103,20 +104,38 @@ def test_truncated_param_line_is_data_error(tmp_path, checkpoint_text):
         load_checkpoint(_corrupt(tmp_path, "\n".join(lines[:-1] + ["param head.b"])))
     with pytest.raises(DataError):
         load_checkpoint(_corrupt(tmp_path, "\n".join(lines[:-1])))  # values line missing
+    short = base64.b64encode(base64.b64decode(lines[-1])[:-8]).decode("ascii")  # valid base64, one value short
+    with pytest.raises(DataError):
+        load_checkpoint(_corrupt(tmp_path, "\n".join(lines[:-1] + [short])))
 
 
 def test_non_numeric_value_is_data_error(tmp_path, checkpoint_text):
     lines = checkpoint_text.splitlines()
-    lines[-1] = " ".join(["zero"] + lines[-1].split()[1:])
+    lines[-1] = "*" + lines[-1][1:]  # outside the base64 alphabet
     with pytest.raises(DataError):
         load_checkpoint(_corrupt(tmp_path, "\n".join(lines)))
 
 
 def test_non_finite_value_is_numerical_error(tmp_path, checkpoint_text):
     lines = checkpoint_text.splitlines()
-    lines[-1] = " ".join(["nan"] + lines[-1].split()[1:])
+    lines[-1] = with_first_value(lines[-1], np.nan)
     with pytest.raises(NumericalError, match="head.b"):
         load_model(_corrupt(tmp_path, "\n".join(lines)))
+
+
+def test_format_1_checkpoint_is_data_error_through_eval(tmp_path, checkpoint_text, capsys):
+    # format 1 held each parameter's values as space-separated float text
+    lines = ["polytraj-checkpoint 1"]
+    for line in checkpoint_text.splitlines()[1:]:
+        if line.startswith(("meta ", "param ")):
+            lines.append(line)
+        else:
+            lines.append(" ".join(repr(v) for v in np.frombuffer(base64.b64decode(line), dtype="<f8").tolist()))
+    path = _corrupt(tmp_path, "\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(path), "--set", f"out.dir={tmp_path / 'out'}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "format 1" in err and "run `train` again" in err
 
 
 def test_oversized_meta_allocates_nothing(tmp_path, checkpoint_text):

@@ -5,6 +5,7 @@ import inspect
 import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -664,6 +665,41 @@ def test_save_load_round_trip_preserves_predictions(tmp_path, rng):
     assert meta["fingerprint"] == "abc"
     assert restored.config == model.config
     np.testing.assert_array_equal(_forward(restored, samples[0]), _forward(model, samples[0]))
+
+
+def test_loaded_parameters_are_bit_identical_and_writable(tmp_path):
+    model = TrajectoryModel(model_config(units=4, d_x=2, d_y=2), seed=5)
+    path = tmp_path / "model.ckpt"
+    save_model(model, path)
+    restored, _ = load_model(path)
+    for name, node in restored.params.items():
+        assert node.data.dtype == np.float64 and node.data.flags.c_contiguous and node.data.flags.writeable
+        assert node.data.tobytes() == model.params[name].data.tobytes()
+    before = {name: node.data.copy() for name, node in restored.params.items()}
+    for node in restored.params.values():
+        node.grad = np.ones_like(node.data)
+    ad.Adam(restored.params, lr=0.01).step()
+    assert all(np.all(node.data != before[name]) for name, node in restored.params.items())
+
+
+TINY_CHECKPOINT = Path(__file__).parent / "fixtures" / "checkpoint_tiny.txt"
+
+
+def _tiny_checkpoint_model() -> TrajectoryModel:
+    cfg = model_config(units=1, encoder_layers=1, decoder_layers=1, decoder_steps=1, d_x=1, d_y=1)
+    return TrajectoryModel(cfg, seed=7)
+
+
+def test_golden_checkpoint_loads_bit_exactly_and_saving_reproduces_it(tmp_path):
+    # pins the file format: magic, meta and param lines, and base64 little-endian float64 values
+    model = _tiny_checkpoint_model()
+    restored, _ = load_model(TINY_CHECKPOINT)
+    assert restored.config == model.config
+    assert list(restored.params) == list(model.params)
+    for name, node in model.params.items():
+        assert restored.params[name].data.tobytes() == node.data.tobytes()
+    save_model(model, tmp_path / "checkpoint.txt")
+    assert (tmp_path / "checkpoint.txt").read_bytes() == TINY_CHECKPOINT.read_bytes()
 
 
 def test_checkpoint_with_the_older_input_dim_meta_line_loads_to_the_same_predictions(tmp_path, rng):
