@@ -2,7 +2,7 @@
 
 Everything the trajectory models need and nothing more: elementwise
 arithmetic with numpy broadcasting, 2-D matrix products and transposes,
-exp and log, reductions, concatenation, basic slicing and softmax.  The
+exp and log, reductions, reshapes, basic slicing and softmax.  The
 GRU cell's gates are a hand-written graph node (`model.gru_cell`), so its
 sigmoid and tanh are array functions only.
 A ``Tensor`` wraps a numpy array and remembers the operation that
@@ -14,10 +14,11 @@ has passed its gradient on, so the graph is freed by reference counting
 as soon as the caller drops the result, not by Python's cyclic gc.  A
 second ``backward()`` through a consumed node raises ``GraphError``.
 
-The module-level helpers ``transpose``, ``exp``, ``log``, ``softmax``
-and ``concat`` dispatch on input type, so the same model code can also
-run on plain numpy arrays as a graph-free inference path; ``sigmoid``
-takes arrays alone.
+The module-level helpers ``transpose``, ``exp``, ``log`` and ``softmax``
+dispatch on input type, and ``Tensor``'s ``sum``, ``reshape`` and
+indexing take numpy's signatures, so the same model code can also run on
+plain numpy arrays as a graph-free inference path; ``sigmoid`` takes
+arrays alone.
 
 ``save_checkpoint`` and ``load_checkpoint`` keep parameters in a
 line-based ASCII file: readable meta and shape lines, and each
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import base64
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -45,7 +45,6 @@ __all__ = [
     "exp",
     "log",
     "softmax",
-    "concat",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -251,6 +250,15 @@ class Tensor:
         out._backward = _backward
         return out
 
+    def reshape(self, *shape) -> "Tensor":
+        out = Tensor(self.data.reshape(*shape), (self,))
+
+        def _backward():
+            self._accumulate(out.grad.reshape(self.data.shape))
+
+        out._backward = _backward
+        return out
+
     def __getitem__(self, key) -> "Tensor":
         # basic indexing only (ints and slices): the gradient is written
         # back through the same view, which requires non-overlapping targets
@@ -318,28 +326,6 @@ class Tensor:
 def _consumed() -> None:
     """Stands in for the backward closure of a node that has propagated;
     `backward()` refuses to walk through it."""
-
-
-def concat(parts: Sequence, axis: int = 0):
-    """Concatenate Tensors (graph op) or numpy arrays along `axis`."""
-    if not parts:
-        raise ShapeError("concat of an empty sequence")
-    if not isinstance(parts[0], Tensor):
-        return np.concatenate(parts, axis=axis)
-    parts = list(parts)
-    out = Tensor(np.concatenate([p.data for p in parts], axis=axis), tuple(parts))
-    sizes = [p.data.shape[axis] for p in parts]
-
-    def _backward():
-        offset = 0
-        for p, size in zip(parts, sizes):
-            index = [slice(None)] * out.data.ndim
-            index[axis] = slice(offset, offset + size)
-            p._accumulate(out.grad[tuple(index)])
-            offset += size
-
-    out._backward = _backward
-    return out
 
 
 # -- dual-mode helpers: Tensor builds the graph, ndarray stays numpy ------

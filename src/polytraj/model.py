@@ -16,8 +16,11 @@ The GRU runs feature-major: its inputs and states are (features, rows)
 arrays, one column per agent row, so each gate z, r and c is a contiguous
 row block of one (3·units, rows) array and the gate math runs in place on
 whole blocks.  The parameters keep their row-major shapes and enter the
-products as transposed views.  Attention, the head and the loss are
-row-major, (rows, features); `forward_batch` transposes between the two.
+products as transposed views.  Attention works on a feature-major
+(units, agents, B) view of the encoder's last state and returns the
+decoder's (units, B) initial state.  The head and the loss are row-major,
+(rows, features), so only the decoder's last state and the learned
+decoder input `dec.x0` are transposed.
 
 `moments` is the one decoding path: it turns a batch of raw head outputs
 and a (B, T) matrix of frame offsets into the per-axis predicted mean and
@@ -288,24 +291,22 @@ def _gru_step(x, h, w_x, u_zr, u_c, b, gates):
     return h_new
 
 
-def attention(query, keys: Sequence, values: Sequence, present: np.ndarray):
-    """Scaled dot-product attention of each sample's query over its agent slots.
+def attention(slots, present: np.ndarray):
+    """Scaled dot-product attention of each sample's reference agent over all
+    its agent slots.
 
-    `query` is (B, d); `keys` and `values` hold one (B, d) entry per slot;
-    `present` is the (B, A) slot mask.  An absent slot gets exactly zero
-    weight, so padding a batch with empty slots leaves every output unchanged.
+    `slots` is the feature-major (d, A, B) stack of final states, slot 0 the
+    reference agent, whose state is the query; every slot is a key and a
+    value.  `present` is the (B, A) slot mask.  Returns the (d, B) context.
+    An absent slot gets exactly zero weight, so padding a batch with empty
+    slots leaves every output unchanged.
     """
-    if not keys or len(keys) != len(values):
-        raise ShapeError(f"attention needs matching non-empty slots, got {len(keys)} keys, {len(values)} values")
-    if len(keys) == 1:
-        return values[0]  # the softmax of a single score is exactly 1
-    scale = 1.0 / math.sqrt(query.shape[1])
-    scores = ad.concat([(query * k).sum(axis=1, keepdims=True) * scale for k in keys], axis=1)
-    weights = ad.softmax(scores + np.where(present, 0.0, -1e9), axis=1)
-    context = weights[:, 0:1] * values[0]
-    for a in range(1, len(values)):
-        context = context + weights[:, a : a + 1] * values[a]
-    return context
+    if len(slots.shape) != 3 or slots.shape[1] == 0:
+        raise ShapeError(f"attention needs (d, A, B) slots with A >= 1, got {slots.shape}")
+    scale = 1.0 / math.sqrt(slots.shape[0])
+    scores = (slots * slots[:, 0:1]).sum(axis=0) * scale
+    weights = ad.softmax(scores + np.where(present.T, 0.0, -1e9), axis=0)
+    return (slots * weights).sum(axis=1)
 
 
 class TrajectoryModel:
@@ -336,14 +337,15 @@ class TrajectoryModel:
         states: (B, A, S, STATE_DIM) with agent slot 0 the reference agent;
         mask: (B, A, S) with 1.0 where a state is valid.  Returns the raw
         head output, (B, output_dim): a Tensor when `train`, else an array.
-        The encoder runs once over all A·B agent rows, agent-major, so slot
-        a's final state is rows a·B to (a+1)·B.  Encoder and decoder run
-        step-major: each step goes up through every layer, one `gru_cell`
-        each, before the next step starts, so one state per layer is held.
-        The GRU inputs and states are feature-major, (features, rows);
-        attention, the head and the loss are row-major, so the encoder's
-        last state, the context, the decoder's last state and the learned
-        (1, units) decoder input are transposed between them.
+        The encoder runs once over all A·B agent rows, agent-major, so its
+        (units, A·B) last state is a (units, A, B) stack of slots, which
+        attention pools into the decoder's initial state; one agent is its
+        own context.  Encoder and decoder run step-major: each step goes up
+        through every layer, one `gru_cell` each, before the next step
+        starts, so one state per layer is held.  The GRU inputs and states
+        are feature-major, (features, rows); the head and the loss are
+        row-major, so only the decoder's last state and the learned
+        (1, units) decoder input are transposed.
         """
         if states.ndim != 4 or states.shape[3] != STATE_DIM:
             raise ShapeError(f"states must be (B, A, S, {STATE_DIM}), got {states.shape}")
@@ -361,12 +363,12 @@ class TrajectoryModel:
             present = None if all_present else mask[:, :, t].T.reshape(rows)
             for layer, weights in enumerate(layers):
                 hidden[layer] = x = gru_cell(x, hidden[layer], weights, present)
-        final = ad.transpose(hidden[-1])
-        finals = [final[a * batch : (a + 1) * batch] for a in range(n_agents)]
-        context = attention(finals[0], finals, finals, mask.any(axis=2))
+        context = hidden[-1]  # the softmax of a single slot's score is exactly 1
+        if n_agents > 1:
+            context = attention(context.reshape(cfg.units, n_agents, batch), mask.any(axis=2))
         x0 = ad.transpose(params["dec.x0"]) + np.zeros((cfg.units, batch))  # the learned constant input
         layers = [_weights(params, f"dec{layer}") for layer in range(cfg.decoder_layers)]
-        hidden = [ad.transpose(context)] * cfg.decoder_layers
+        hidden = [context] * cfg.decoder_layers
         for _ in range(cfg.decoder_steps):
             x = x0
             for layer, weights in enumerate(layers):
@@ -582,7 +584,8 @@ def load_model(path) -> tuple[TrajectoryModel, dict[str, str]]:
         names.append(name)
     if len(names) != len(arrays):
         raise DataError(f"checkpoint parameters {sorted(arrays)} do not match model {names}")
-    model = TrajectoryModel(config, seed=0)
-    for name, node in model.params.items():
-        node.data = arrays[name]
+    # the loaded arrays, in `param_shapes` order, are the parameters: skip __init__'s random draw
+    model = TrajectoryModel.__new__(TrajectoryModel)
+    model.config = config
+    model.params = {name: Tensor(arrays[name]) for name in names}
     return model, meta

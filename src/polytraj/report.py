@@ -163,8 +163,8 @@ def write_svg_chart(series: Sequence[Series], path, title: str) -> None:
 def format_summary_table(measured: dict[str, np.ndarray]) -> str:
     """Five-second RMSE table with the published reference columns.
 
-    `measured` maps a column label (e.g. 'Poly (ours)') to five RMSE values
-    at 1..5 s; measured columns replace the matching reference column.
+    `measured` maps a `HEADS` label (e.g. 'Poly (ours)') to five RMSE values
+    at 1..5 s, which replace that label's reference column.
     """
     columns = []
     for label, reference in REFERENCE_COLUMNS:
@@ -172,9 +172,6 @@ def format_summary_table(measured: dict[str, np.ndarray]) -> str:
             columns.append((label, tuple(float(v) for v in measured[label]), False))
         else:
             columns.append((label, reference, True))
-    for label in measured:
-        if label not in [c[0] for c in columns]:
-            columns.append((label, tuple(float(v) for v in measured[label]), False))
     header = ["Offset (sec)"] + [c[0] + (" [ref]" if c[2] else "") for c in columns]
     widths = [len(h) for h in header]
     rows = []

@@ -1,8 +1,8 @@
 """Shared test helpers: the default model, training and synthetic settings
-with some fields replaced, finite-difference, loss, state, forward-pass,
-per-sample anchor-draw and row-wise data-path oracles, hand-built samples,
-an anchor histogram, a zeroed model head and a checkpoint values-line
-editor."""
+with some fields replaced, finite-difference, loss, state, attention,
+forward-pass, per-sample anchor-draw and row-wise data-path oracles,
+hand-built samples, an anchor histogram, a zeroed model head and a
+checkpoint values-line editor."""
 
 from __future__ import annotations
 
@@ -37,7 +37,6 @@ from polytraj.model import (
     ModelConfig,
     TrainSettings,
     TrajectoryModel,
-    attention,
     draw_schedules,
 )
 from polytraj.poly import VAR_FLOOR
@@ -207,6 +206,28 @@ def _oracle_weights(params: dict, prefix: str) -> GRUWeights:
     return GRUWeights(*(params[f"{prefix}.{key}"] for key in ("w_x", "u_zr", "u_c", "b")))
 
 
+def oracle_attention(slots: list, present: np.ndarray):
+    """Per-slot scaled dot-product attention: slot 0 of the row-major (B, d)
+    `slots` queries every slot, each a key and a value, under the (B, A)
+    `present` mask.  The softmax is built from exp, sums and one division
+    per slot, unshifted: GRU states lie in (-1, 1), so no score exceeds
+    sqrt(d) and exp cannot overflow."""
+    if len(slots) == 1:
+        return slots[0]
+    scale = 1.0 / math.sqrt(slots[0].shape[1])
+    exps = [
+        ad.exp((slots[0] * slot).sum(axis=1, keepdims=True) * scale + np.where(present[:, a : a + 1], 0.0, -1e9))
+        for a, slot in enumerate(slots)
+    ]
+    total = exps[0]
+    for e in exps[1:]:
+        total = total + e
+    context = exps[0] / total * slots[0]
+    for e, slot in zip(exps[1:], slots[1:]):
+        context = context + e / total * slot
+    return context
+
+
 def oracle_forward(model, states: np.ndarray, mask: np.ndarray, train: bool = True):
     """Unrolled forward pass with the signature of `TrajectoryModel.forward_batch`:
     each agent slot runs through the encoder on its own, and every layer and
@@ -228,7 +249,7 @@ def oracle_forward(model, states: np.ndarray, mask: np.ndarray, train: bool = Tr
                     new_h = m * new_h + (1.0 - m) * hidden[layer]
                 hidden[layer] = x = new_h
         finals.append(hidden[-1])
-    context = attention(finals[0], finals, finals, mask.any(axis=2))
+    context = oracle_attention(finals, mask.any(axis=2))
     dec_in = params["dec.x0"] + np.zeros((batch, cfg.units))
     hidden = [context for _ in range(cfg.decoder_layers)]
     for _ in range(cfg.decoder_steps):

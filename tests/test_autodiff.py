@@ -103,6 +103,7 @@ def test_two_layer_net_matches_finite_differences(rng):
         ("log", lambda a, b: (a * a + b * b + 0.5).log()),
         ("power", lambda a, b: (a * a + 1.0) ** 1.5 + b),
         ("softmax", lambda a, b: (a + b).softmax(axis=1)),
+        ("reshape", lambda a, b: (a.reshape(2, 8) * b.reshape(2, 2, 4).reshape(2, 8)).reshape(4, 4)),
     ],
 )
 def test_op_gradients_match_finite_differences(name, build, rng):
@@ -119,16 +120,16 @@ def test_op_gradients_match_finite_differences(name, build, rng):
         assert_close_to_fd(param.grad if param.grad is not None else np.zeros_like(param.data), numeric)
 
 
-def test_reduction_slice_concat_gradients(rng):
-    a = Tensor(rng.normal(0, 1, size=(3, 5)))
-    b = Tensor(rng.normal(0, 1, size=(3, 2)))
-    weights = rng.normal(0, 1, size=(3, 7))
+def test_reduction_slice_reshape_gradients(rng):
+    a = Tensor(rng.normal(0, 1, size=(3, 10)))
+    b = Tensor(rng.normal(0, 1, size=(15,)))
+    weights = rng.normal(0, 1, size=(3, 2, 5))
 
     def forward():
-        joined = ad.concat([a, b], axis=1)
-        picked = joined[:, 1:6]
-        partial = picked.sum(axis=1, keepdims=True)
-        return ((joined * weights).mean() + partial.sum()) * 0.5
+        joined = a.reshape(3, 2, 5) + b.reshape(3, 1, 5)
+        picked = joined[:, 1:, 1:4]
+        partial = picked.sum(axis=2, keepdims=True)
+        return ((joined * weights).mean() + partial.sum(axis=0).sum()) * 0.5
 
     forward().backward()
     for param in (a, b):

@@ -216,47 +216,44 @@ def test_forward_batch_makes_one_gru_cell_call_per_layer_and_step(rng, monkeypat
 
 
 def _slots(stack):
-    """(n, d) stack -> per-slot list of (1, d) batches."""
-    return [row[np.newaxis] for row in np.asarray(stack, dtype=float)]
+    """(A, B, d) per-slot stack -> the feature-major (d, A, B) slots of `attention`."""
+    return np.asarray(stack, dtype=float).transpose(2, 0, 1).copy()
 
 
 def test_attention_singleton_returns_value(rng):
-    value = rng.normal(0, 1, size=(1, 4))
-    out = attention(rng.normal(0, 1, size=(1, 4)), _slots(rng.normal(0, 1, size=(1, 4))), _slots(value), np.ones((1, 1)))
-    np.testing.assert_allclose(out, value)
+    value = rng.normal(0, 1, size=(1, 3, 4))
+    out = attention(_slots(value), np.ones((3, 1)))
+    np.testing.assert_allclose(out, value[0].T)
 
 
 def test_attention_identical_keys_average_values(rng):
-    key = rng.normal(0, 1, size=4)
-    values = rng.normal(0, 1, size=(2, 4))
-    out = attention(rng.normal(0, 1, size=(1, 4)), _slots([key, key]), _slots(values), np.ones((1, 2)))
-    np.testing.assert_allclose(out[0], values.mean(axis=0))
+    # every slot equal in each sample -> uniform softmax over copies of one state
+    value = rng.normal(0, 1, size=(3, 4))
+    values = np.stack([value, value])
+    out = attention(_slots(values), np.ones((3, 2)))
+    np.testing.assert_allclose(out.T, values.mean(axis=0))
 
 
 def test_attention_orthogonal_query_gives_mean(rng):
-    # all scores equal -> uniform softmax
-    query = np.array([[0.0, 0.0, 1.0]])
-    keys = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 2.0, 0.0]])
-    values = rng.normal(0, 1, size=(3, 3))
-    out = attention(query, _slots(keys), _slots(values), np.ones((1, 3)))
-    np.testing.assert_allclose(out[0], values.mean(axis=0))
+    # every slot has the same dot product with slot 0 -> equal scores, uniform softmax
+    slots = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [-1.0, 2.0, 1.0]])
+    out = attention(_slots(slots[:, np.newaxis]), np.ones((1, 3)))
+    np.testing.assert_allclose(out[:, 0], slots.mean(axis=0))
 
 
 def test_attention_rejects_empty_keys():
     with pytest.raises(ShapeError):
-        attention(np.zeros((1, 3)), [], [], np.zeros((1, 0)))
+        attention(np.zeros((3, 0, 1)), np.zeros((1, 0)))
 
 
 def test_attention_absent_slot_gets_zero_weight(rng):
     # a padded slot, even with a huge value, changes no bit of the output
-    query = rng.normal(0, 1, size=(2, 4))
-    keys = rng.normal(0, 1, size=(3, 2, 4))
     values = rng.normal(0, 1, size=(3, 2, 4))
     values[1, 0] = 1e6
     present = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
-    out = attention(query, list(keys), list(values), present)
-    without = attention(query[:1], [keys[0, :1], keys[2, :1]], [values[0, :1], values[2, :1]], np.ones((1, 2)))
-    np.testing.assert_array_equal(out[:1], without)
+    out = attention(_slots(values), present)
+    without = attention(_slots(values[[0, 2], :1]), np.ones((1, 2)))
+    np.testing.assert_array_equal(out[:, :1], without)
 
 
 # -- config and forward ------------------------------------------------------------
@@ -460,7 +457,7 @@ def _with_masks(samples, full: bool):
     return samples
 
 
-@pytest.mark.parametrize("agents", [1, 5])
+@pytest.mark.parametrize("agents", [1, 5, 9])  # from 8 slots numpy's pairwise sum regroups the normaliser
 @pytest.mark.parametrize("full", [True, False], ids=["full-masks", "late-neighbours"])
 def test_batch_loss_and_gradients_match_unrolled_oracle(rng, monkeypatch, agents, full):
     samples = _with_masks(make_moderate_samples(rng, 4, agents=agents, steps=5), full)
@@ -498,6 +495,17 @@ def _interior_nodes(root: Tensor, leaves) -> list:
                 if id(parent) not in keep:
                     found.append(parent)
     return found
+
+
+def test_graph_size_does_not_grow_with_agent_count(rng):
+    # attention is one batched expression over the agent axis, not a few nodes per agent
+    model = TrajectoryModel(model_config(units=4, d_x=2, d_y=2, decoder_steps=3), seed=17)
+    sizes = []
+    for agents in (5, 9):
+        samples = make_moderate_samples(rng, 3, agents=agents, steps=5)
+        loss, _ = batch_loss(model, samples, np.tile([5, 20, 50], (3, 1)))
+        sizes.append(len(_interior_nodes(loss, model.params.values())))
+    assert sizes[0] == sizes[1]
 
 
 def test_backward_frees_the_graph_without_gc(rng):
@@ -680,6 +688,18 @@ def test_loaded_parameters_are_bit_identical_and_writable(tmp_path):
         node.grad = np.ones_like(node.data)
     ad.Adam(restored.params, lr=0.01).step()
     assert all(np.all(node.data != before[name]) for name, node in restored.params.items())
+
+
+def test_load_model_draws_no_random_initialisation(tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    save_model(TrajectoryModel(model_config(units=4, d_x=2, d_y=2), seed=5), path)
+
+    def no_draw(*args):
+        raise AssertionError("load_model drew a random initialisation")
+
+    monkeypatch.setattr("polytraj.model._stream_rng", no_draw)
+    restored, _ = load_model(path)
+    assert list(restored.params) == [name for name, _ in restored.config.param_shapes()]
 
 
 TINY_CHECKPOINT = Path(__file__).parent / "fixtures" / "checkpoint_tiny.txt"
