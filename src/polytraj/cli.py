@@ -47,6 +47,7 @@ STUDIES = {
 
 BROKEN_PIPE_EXIT = 141  # 128 + SIGPIPE, as a shell reports a process that a closed pipe ended
 OUT_OF_MEMORY_EXIT = 4
+INTERRUPTED_EXIT = 130  # 128 + SIGINT, as a shell reports a process that Ctrl-C ended
 
 GENERATED_KEYS = ("data.history_len", "data.frame_rate")
 """Keys the scenes of a data dir are built with, recorded in its manifest:
@@ -304,6 +305,13 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # as from a size key set beyond what the host holds
         print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return OUT_OF_MEMORY_EXIT
+    except OSError as exc:  # as from a full disk while an output is written
+        where = f"{exc.filename}: " if exc.filename is not None else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return DataError.exit_code
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return INTERRUPTED_EXIT
 
 
 if __name__ == "__main__":

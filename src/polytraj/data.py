@@ -8,26 +8,27 @@ splits each vehicle's rows into tracks at frame gaps.  Tracks are cut
 into fixed-length segments, split temporally into train and test, and
 turned into scenes by `build_scene`: a window of frames with one
 reference agent and its nearest neighbours at t_0, found through a
-frame-sorted index of every track row, each agent aligned on the window
-by `_align` and masked where absent.  `gen_synthetic` builds scenes
-directly from the `synthetic` section of a run config.  The reference
-agent covers the whole window, each neighbour only
+frame-sorted index of every track row.  `gen_synthetic` builds scenes
+directly from the `synthetic` section of a run config.  A `Scene` holds
+arrays over (agent, frame), the reference agent in row 0: presence,
+positions, speeds and accels, zero where the agent is absent, and a
+per-agent flag for whether it records its speed and its acceleration.
+The reference agent covers the whole window, each neighbour only
 `frames[:history_len]`, up to and including t_0: the model reads every
 agent's history but the future of the reference agent alone, so a
 neighbour's future would be written, parsed and never used.  Scenes go
-to disk and back as CSV files: `write_scene` joins each agent block's
-columns of repr strings and writes the file at once.  `read_scene` checks
-the lines and fields on the file's bytes, parses the whole body in one
-`np.loadtxt` (an empty v or a field reads as 0), and then
-treats the table as one array: agents numbered by first appearance, each
-row's window slot found by one `searchsorted`, all rows checked at once
-and scattered into one present, one position and, for the agents that
-record them, one speed and one accel block per scene, whose rows the
-agents take.  Both parsers accept plain comma-separated numbers only,
-with no quoting.  `build_sample` turns a scene into
-per-agent state histories, computed on whole arrays, plus the reference
-agent's future in its own frame at the current time step, which
-`future_at` reads at frame offsets for the loss and the metrics.  Keyword
+to disk and back as CSV files, one row per present (agent, frame), an
+empty v or a field for a value the agent does not record: `write_scene`
+turns whole columns into strings and writes the file at once.
+`read_scene` checks the lines and fields on the file's bytes, parses the
+whole body in one `np.loadtxt` (an empty field reads as 0), numbers the
+agents by first appearance, finds each row's window slot by one
+`searchsorted`, checks all rows at once and scatters them into the
+scene's arrays.  Both parsers accept plain comma-separated numbers only,
+with no quoting.  `build_sample` turns a scene into per-agent state
+histories, computed on the whole arrays, plus the reference agent's
+future in its own frame at the current time step, which `future_at`
+reads at frame offsets for the loss and the metrics.  Keyword
 defaults, such as a frame rate or a segment length, read
 `config.DEFAULTS`; none is written here.
 """
@@ -126,46 +127,41 @@ class _FrameIndex:
         self.positions = np.concatenate([track.positions for track in self.tracks] or [np.empty((0, 2))])[order]
 
 
-@dataclass
-class SceneAgent:
-    """One agent's view of a scene window; absent frames are masked."""
-
-    agent_id: int
-    present: np.ndarray
-    positions: np.ndarray
-    speeds: np.ndarray | None = None
-    accels: np.ndarray | None = None
+SCENE_ARRAYS = ("frames", "agent_ids", "present", "positions", "speeds", "accels", "recorded")
 
 
 @dataclass
 class Scene:
-    """A fixed window of frames with one reference agent (index 0) and
-    neighbors aligned on those frames.
+    """A fixed window of frames with arrays over (agent, frame), the
+    reference agent in row 0.
 
-    The reference agent is present at every frame.  `build_scene` and
-    `gen_synthetic` leave each neighbor absent after t_0, the last of the
-    `history_len` history frames, since a sample never reads a neighbor's
-    future."""
+    `frames` (W,) and `agent_ids` (A,) are int64; `present` (A, W) is bool,
+    `positions` (A, W, 2), `speeds` (A, W) and `accels` (A, W) are float64.
+    `recorded` (2, A) is bool and says whether an agent records its speed
+    (row 0) and its acceleration (row 1); values an agent does not record
+    are 0, and every value is 0 where its agent is absent.  The reference
+    agent is present at every frame.  `build_scene` and `gen_synthetic`
+    leave each neighbor absent after t_0, the last of the `history_len`
+    history frames, since a sample never reads a neighbor's future."""
 
     frames: np.ndarray
-    agents: list[SceneAgent]
+    agent_ids: np.ndarray
+    present: np.ndarray
+    positions: np.ndarray
+    speeds: np.ndarray
+    accels: np.ndarray
+    recorded: np.ndarray
     frame_rate: float = DEFAULT_FRAME_RATE
 
     def __post_init__(self):
-        if not self.agents:
+        a, w = self.agent_ids.size, self.frames.size
+        shapes = tuple(np.shape(getattr(self, name)) for name in SCENE_ARRAYS)
+        if shapes != ((w,), (a,), (a, w), (a, w, 2), (a, w), (a, w), (2, a)):
+            raise DataError(f"scene arrays {dict(zip(SCENE_ARRAYS, shapes))} do not fit {a} agents on {w} frames")
+        if a == 0:
             raise DataError("scene has no agents")
-        n = self.frames.size
-        for agent in self.agents:
-            if agent.present.size != n or agent.positions.shape != (n, 2):
-                raise DataError(
-                    f"scene agent {agent.agent_id} does not cover the frame range"
-                )
-        if not bool(np.all(self.agents[0].present)):
+        if not bool(np.all(self.present[0])):
             raise DataError("reference agent must be present at every frame")
-
-    @property
-    def ego(self) -> SceneAgent:
-        return self.agents[0]
 
     def __len__(self) -> int:
         return self.frames.size
@@ -182,28 +178,13 @@ class Sample:
     sample_id: int = 0
 
 
-def _align(window: np.ndarray, agent_id: int, frames, positions, speeds=None, accels=None):
-    """Place an agent's rows on a sorted window of frames.
-
-    Returns the SceneAgent, zero and absent at window frames it has no row
-    for, and a boolean mask over the rows marking those that landed on a
-    window frame.
-    """
+def _align(window: np.ndarray, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Place rows at `frames` on a sorted window of frames: the window slots
+    of the rows that land on a window frame, and a boolean mask over the
+    rows marking those."""
     slot = np.minimum(np.searchsorted(window, frames), window.size - 1)
     landed = window[slot] == frames
-    slot = slot[landed]
-    present = np.zeros(window.size, dtype=bool)
-    present[slot] = True
-
-    def place(values):
-        if values is None:
-            return None
-        values = np.asarray(values)
-        placed = np.zeros((window.size,) + values.shape[1:], dtype=np.float64)
-        placed[slot] = values[landed]
-        return placed
-
-    return SceneAgent(agent_id, present, place(positions), place(speeds), place(accels)), landed
+    return slot[landed], landed
 
 
 # -- ingestion ----------------------------------------------------------------
@@ -316,22 +297,27 @@ def _ngsim_line_error(path: Path, columns: list[int]) -> DataError:
 
 
 def write_scene(scene: Scene, path) -> None:
-    """Write one scene: reference agent's rows first, then each neighbor's,
-    with absent frames simply omitted and "\\r\\n" line ends, in one write.
+    """Write one scene: the reference agent's rows first, then each
+    neighbor's, with absent frames omitted and "\\r\\n" line ends, in one
+    write.
 
-    Each agent block is built as column lists of strings; floats use repr
-    so they round-trip, and a missing speed or accel column is empty.
+    The rows are `np.nonzero(scene.present)`, agent by agent.  Each column
+    is turned into strings whole, floats by repr so that they round-trip,
+    except v and a: those start empty, and the rows of each agent that
+    records the value are filled in.
     """
-    lines = [",".join(SCENE_HEADER)]
-    for agent in scene.agents:
-        rows = np.flatnonzero(agent.present)
-        columns = [[str(int(agent.agent_id))] * rows.size, [*map(str, scene.frames[rows].tolist())]]
-        for values in (agent.positions[:, 0], agent.positions[:, 1], agent.speeds, agent.accels):
-            columns.append(
-                [""] * rows.size if values is None else [*map(repr, values[rows].astype(float).tolist())]
-            )
-        lines.extend(map(",".join, zip(*columns)))
-    lines.append("")
+    agent, slot = np.nonzero(scene.present)
+    ends = np.cumsum(np.count_nonzero(scene.present, axis=1)).tolist()  # where each agent's rows end
+    x, y = scene.positions[agent, slot].T
+    columns = [scene.agent_ids.astype(str)[agent].tolist(), map(str, scene.frames[slot].tolist()),
+               map(repr, x.tolist()), map(repr, y.tolist())]
+    for values, recorded in zip((scene.speeds, scene.accels), scene.recorded.tolist()):
+        column = [""] * agent.size
+        for k, (start, end) in enumerate(zip([0, *ends], ends)):
+            if recorded[k]:
+                column[start:end] = map(repr, values[k, slot[start:end]].tolist())
+        columns.append(column)
+    lines = [",".join(SCENE_HEADER), *map(",".join, zip(*columns)), ""]
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join(lines))
 
@@ -346,8 +332,9 @@ def read_scene(path, frame_rate: float = DEFAULT_FRAME_RATE) -> Scene:
     blank line, a bare "\\r", a quoted field or a non-ASCII byte is a
     DataError.  The agent id and frame must be integers within int64 (a
     fraction or an exponent is a DataError, whatever numpy's version and
-    warning filters).  An empty v or a field means "not recorded", and the
-    agent then has no speeds or accels; every other value must be a finite
+    warning filters).  An empty v or a field means "not recorded": an
+    agent with one such field in a column does not record that value, and
+    it reads 0 at each of its frames.  Every other value must be a finite
     number.  Rows are grouped by agent id in order of first appearance; an
     agent's rows need not be adjacent.  A file that cannot be read is a
     DataError.
@@ -372,22 +359,14 @@ def read_scene(path, frame_rate: float = DEFAULT_FRAME_RATE) -> Scene:
     recorded = np.ones((2, len(agent_ids)), dtype=bool)  # v and a: if every row of the agent records it
     recorded[0, agent[v_empty]] = False
     recorded[1, agent[a_empty]] = False
-    speeds, accels = (_on_window(table[name], kept, agent, slot, present.shape) for name, kept in zip("va", recorded))
+    speeds, accels = np.zeros(present.shape), np.zeros(present.shape)
+    for block, name, kept in zip((speeds, accels), "va", recorded):
+        block[agent, slot] = np.where(kept[agent], table[name], 0.0)
     # every row on a window frame of its own, and every recorded value finite
     if (np.any(window[slot] != frames) or np.count_nonzero(present) < frames.size
             or not all(np.isfinite(block).all() for block in (positions, speeds, accels))):
         raise _scene_fault(path, table, agent_ids, agent, window, slot, present, recorded)
-    speeds, accels = iter(speeds), iter(accels)
-    agents = [SceneAgent(agent_id, present[k], positions[k], next(speeds) if v else None, next(accels) if a else None)
-              for k, (agent_id, v, a) in enumerate(zip(agent_ids, *recorded.tolist()))]
-    return Scene(frames=window, agents=agents, frame_rate=frame_rate)
-
-
-def _on_window(column, recorded, agent, slot, shape) -> np.ndarray:
-    """A column placed on the window, one row for each agent that records it."""
-    placed = np.zeros(shape)
-    placed[agent, slot] = column
-    return placed[recorded]
+    return Scene(window, np.array(agent_ids, dtype=np.int64), present, positions, speeds, accels, recorded, frame_rate)
 
 
 def _scene_fault(path, table, agent_ids, agent, window, slot, present, recorded) -> DataError:
@@ -549,9 +528,9 @@ def is_straight_constant_velocity(
     speed_std: float = default("data.straight.speed_std"),
 ) -> bool:
     """Reference agent stays within a small lateral band at near-constant speed."""
-    positions = scene.ego.positions
+    positions = scene.positions[0]
     lateral_span = float(positions[:, 0].max() - positions[:, 0].min())
-    speeds = _speed(positions, scene.frame_rate) if scene.ego.speeds is None else scene.ego.speeds
+    speeds = scene.speeds[0] if scene.recorded[0, 0] else _speed(positions, scene.frame_rate)
     return lateral_span < lateral_range_m and float(np.std(speeds)) < speed_std
 
 
@@ -602,20 +581,30 @@ def build_scene(segment: Segment, tracks: Sequence[Track], history_len: int, max
     offset = index.positions[rows][others] - track.positions[segment.start + history_len - 1]
     distance = np.hypot(offset[:, 0], offset[:, 1])
     nearest = owner[np.lexsort((owner, agent_ids, distance))[:max_neighbors]]
-    agents = []
-    for kept, last in [(track, frames[-1])] + [(index.tracks[k], t0_frame) for k in nearest.tolist()]:
-        rows = slice(*np.searchsorted(kept.frames, (frames[0], last + 1)))
-        columns = (None if c is None else c[rows] for c in (kept.positions, kept.speeds, kept.accels))
-        agents.append(_align(frames, kept.agent_id, kept.frames[rows], *columns)[0])
-    return Scene(frames=frames, agents=agents, frame_rate=track.frame_rate)
+    kept = [track, *(index.tracks[k] for k in nearest.tolist())]
+    shape = (len(kept), frames.size)
+    present, positions = np.zeros(shape, dtype=bool), np.zeros(shape + (2,))
+    speeds, accels = np.zeros(shape), np.zeros(shape)
+    for k, (agent, last) in enumerate(zip(kept, [frames[-1]] + [t0_frame] * nearest.size)):
+        rows = slice(*np.searchsorted(agent.frames, (frames[0], last + 1)))
+        slot, landed = _align(frames, agent.frames[rows])
+        present[k, slot] = True
+        positions[k, slot] = agent.positions[rows][landed]
+        for block, values in ((speeds, agent.speeds), (accels, agent.accels)):
+            if values is not None:
+                block[k, slot] = values[rows][landed]
+    agent_ids = np.array([agent.agent_id for agent in kept], dtype=np.int64)
+    recorded = np.array([[agent.speeds is not None for agent in kept], [agent.accels is not None for agent in kept]])
+    return Scene(frames, agent_ids, present, positions, speeds, accels, recorded, track.frame_rate)
 
 
 # -- synthetic scenes -------------------------------------------------------------
 
 
-def _synthetic_ego(kind: str, p: dict, rng: np.random.Generator, n_frames: int, frame_rate: float):
-    """Closed-form ego positions (n_frames, 2) for one synthetic scene."""
-    tau = np.arange(n_frames, dtype=np.float64) / frame_rate
+def _synthetic_ego(kind: str, p: dict, rng: np.random.Generator, tau: np.ndarray):
+    """Closed-form ego positions (n_frames, 2) at times `tau` (n_frames,) for
+    one synthetic scene."""
+    n_frames = tau.size
     accel_max = p["accel_max"]
     vy = float(rng.uniform(p["speed_min"], p["speed_max"]))
     if kind == "const_vel":
@@ -662,10 +651,12 @@ def gen_synthetic(
     logistic lateral profile and arc a constant-curvature path; mixed
     cycles through the four.  Optional additive Gaussian observation noise
     via params['noise'].  params['neighbors'] parallel constant-velocity
-    neighbors are present over the first `history_len` frames only, up to
-    and including t_0, and zero elsewhere, as `read_scene` leaves absent
-    rows.  Each range's minimum must not exceed its maximum (the config
-    bounds each value).
+    neighbors, agents 1 and up, are present over the first `history_len`
+    frames only, up to and including t_0, and zero elsewhere, as
+    `read_scene` leaves absent frames.  No agent records speeds or accels.
+    The scenes share their frames, agent_ids, present and recorded arrays.
+    Each range's minimum must not exceed its maximum (the config bounds each
+    value).
     """
     kind, n_frames, noise, n_neighbors = params["kind"], params["frames"], params["noise"], params["neighbors"]
     if not 2 <= history_len < n_frames:
@@ -674,39 +665,27 @@ def gen_synthetic(
         if params[low] > params[high]:
             raise ConfigError(f"synthetic.{low} {params[low]} exceeds synthetic.{high} {params[high]}")
     cycle = ("const_vel", "const_acc", "lane_change", "arc")
-    in_history = np.arange(n_frames) < history_len
+    tau = np.arange(n_frames, dtype=np.float64) / frame_rate
+    frames = np.arange(n_frames, dtype=np.int64)
+    agent_ids = np.arange(1 + n_neighbors, dtype=np.int64)
+    present = np.zeros((agent_ids.size, n_frames), dtype=bool)
+    present[0] = True
+    present[1:, :history_len] = True
+    recorded = np.zeros((2, agent_ids.size), dtype=bool)
+    j = np.arange(n_neighbors)  # neighbour j, in row j + 1, drives j // 2 + 1 lanes right or left
+    lateral = np.where(j % 2 == 0, 1.0, -1.0) * 3.5 * (j // 2 + 1)
     scenes = []
     for i in range(int(n)):
         scene_kind = cycle[i % len(cycle)] if kind == "mixed" else kind
-        positions = _synthetic_ego(scene_kind, params, rng, n_frames, frame_rate)
+        positions = np.zeros(present.shape + (2,))
+        positions[0] = _synthetic_ego(scene_kind, params, rng, tau)
         if noise > 0.0:
-            positions = positions + rng.normal(0.0, noise, size=positions.shape)
-        frames = np.arange(n_frames, dtype=np.int64)
-        agents = [
-            SceneAgent(
-                agent_id=0,
-                present=np.ones(n_frames, dtype=bool),
-                positions=positions,
-            )
-        ]
-        for j in range(n_neighbors):
-            side = 1.0 if j % 2 == 0 else -1.0
-            lateral = side * 3.5 * (j // 2 + 1)
-            speed = float(rng.uniform(8.0, 16.0))
-            gap = float(rng.uniform(-30.0, 30.0))
-            tau = np.arange(n_frames, dtype=np.float64) / frame_rate
-            neighbor_pos = np.stack(
-                [np.full(n_frames, positions[0, 0] + lateral), gap + speed * tau], axis=1
-            )
-            neighbor_pos[history_len:] = 0.0
-            agents.append(
-                SceneAgent(
-                    agent_id=j + 1,
-                    present=in_history.copy(),
-                    positions=neighbor_pos,
-                )
-            )
-        scenes.append(Scene(frames=frames, agents=agents, frame_rate=frame_rate))
+            positions[0] += rng.normal(0.0, noise, size=(n_frames, 2))
+        speed, gap = rng.uniform((8.0, -30.0), (16.0, 30.0), size=(n_neighbors, 2)).T  # speed, gap per neighbour
+        positions[1:, :history_len, 0] = positions[0, 0, 0] + lateral[:, None]
+        positions[1:, :history_len, 1] = gap[:, None] + speed[:, None] * tau[:history_len]
+        scenes.append(Scene(frames, agent_ids, present, positions, np.zeros(present.shape), np.zeros(present.shape),
+                            recorded, frame_rate))
     return scenes
 
 
@@ -734,7 +713,8 @@ def build_sample(scene: Scene, history_len: int, sample_id: int = 0) -> Sample:
     the recorded acceleration or else the change of v from t - 1, with v
     from the same source at both frames (0 when the agent is absent at
     t - 2), theta the increment's heading, and (l, phi) the polar offset
-    from the reference agent (phi 0 at l = 0).
+    from the reference agent (phi 0 at l = 0).  Each agent's recorded
+    values are picked by its `scene.recorded` flag, for all agents at once.
     """
     if len(scene) <= history_len:
         raise DataError(
@@ -742,18 +722,14 @@ def build_sample(scene: Scene, history_len: int, sample_id: int = 0) -> Sample:
         )
     n = history_len
     rate = scene.frame_rate
-    present = np.stack([agent.present[:n] for agent in scene.agents]).astype(bool)
-    positions = np.stack([agent.positions[:n] for agent in scene.agents])  # (A, n, 2)
+    present = scene.present[:, :n]
+    positions = scene.positions[:, :n]  # (A, n, 2)
     delta = np.diff(positions, axis=1)
     derived = _speed(positions, rate)  # (A, n - 1), the speed at frames 1 .. n - 1
-    speed = np.stack(
-        [d if agent.speeds is None else agent.speeds[1:n] for d, agent in zip(derived, scene.agents)]
-    )
+    speed = np.where(scene.recorded[0, :, None], scene.speeds[:, 1:n], derived)
     accel = np.zeros_like(derived)
     accel[:, 1:] = np.where(present[:, : n - 2], np.diff(speed, axis=1) * rate, 0.0)
-    for a, agent in enumerate(scene.agents):
-        if agent.accels is not None:
-            accel[a] = agent.accels[1:n]
+    accel = np.where(scene.recorded[1, :, None], scene.accels[:, 1:n], accel)
     rel = positions[:, 1:] - positions[0, 1:]
     distance = np.hypot(rel[..., 0], rel[..., 1])
     bearing = np.where(distance == 0.0, 0.0, _heading(rel[..., 1], rel[..., 0]))
@@ -763,7 +739,7 @@ def build_sample(scene: Scene, history_len: int, sample_id: int = 0) -> Sample:
     )
     valid = present[:, 1:] & present[:, :-1]
     states = np.where(valid[..., None], features, 0.0)
-    future = scene.ego.positions[n - 1 :] - scene.ego.positions[n - 1]
+    future = scene.positions[0, n - 1 :] - scene.positions[0, n - 1]
     return Sample(states=states, mask=valid.astype(np.float64), future=future, sample_id=sample_id)
 
 

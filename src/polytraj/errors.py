@@ -6,6 +6,10 @@ command that runs out of memory, as when a size key asks for more than
 the host holds, prints one `error: out of memory ...` line and exits 4.
 A command whose standard output is closed before it ends, as by
 `polytraj ... | head -1`, stops quietly with exit code 141 (128 + SIGPIPE).
+Any other `OSError`, as from a full disk while an output is written, prints
+one `error: PATH: REASON` line and exits 2, as a data problem does.  A
+command stopped by Ctrl-C prints `error: interrupted` and exits 130
+(128 + SIGINT).
 """
 
 

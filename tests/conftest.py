@@ -1,8 +1,8 @@
 """Shared test helpers: the default model, training and synthetic settings
 with some fields replaced, finite-difference, loss, state, attention,
 forward-pass, per-sample anchor-draw and row-wise data-path oracles,
-hand-built samples, an anchor histogram, a zeroed model head and a
-checkpoint values-line editor."""
+hand-built samples, a scene built from per-agent rows, an anchor
+histogram, a zeroed model head and a checkpoint values-line editor."""
 
 from __future__ import annotations
 
@@ -23,12 +23,12 @@ from polytraj.data import (
     DEFAULT_FRAME_RATE,
     FEET_TO_METRES,
     NGSIM_COLUMNS,
+    SCENE_ARRAYS,
     SCENE_HEADER,
     STATE_DIM,
     Sample,
     Scene,
     Track,
-    _align,
 )
 from polytraj.errors import DataError
 from polytraj.model import (
@@ -135,33 +135,48 @@ def _wrap_angle(angle: float) -> float:
     return math.pi if wrapped == -math.pi else wrapped
 
 
+def scene_of(frames, agents, frame_rate: float = DEFAULT_FRAME_RATE) -> Scene:
+    """A Scene from per-agent rows `(agent_id, present, positions[, speeds[,
+    accels]])`, the reference agent first; a speeds or accels row left out or
+    None is not recorded."""
+    ids, present, positions, speeds, accels = zip(*((*agent, None, None)[:5] for agent in agents))
+    recorded = np.array([[v is not None for v in speeds], [a is not None for a in accels]])
+
+    def block(rows):
+        return np.array([np.zeros(len(frames)) if row is None else row for row in rows], dtype=np.float64)
+
+    return Scene(np.asarray(frames, dtype=np.int64), np.array(ids, dtype=np.int64), np.array(present, dtype=bool),
+                 np.array(positions, dtype=np.float64), block(speeds), block(accels), recorded, frame_rate)
+
+
 def oracle_states(scene: Scene, history_len: int) -> tuple[np.ndarray, np.ndarray]:
     """Independent reimplementation of the sample states: one scalar state
     vector per agent and frame, math-module angles."""
 
-    def speed(agent, t):
-        if agent.speeds is not None:
-            return float(agent.speeds[t])
-        delta = agent.positions[t] - agent.positions[t - 1]
+    def speed(a, t):
+        if scene.recorded[0, a]:
+            return float(scene.speeds[a, t])
+        delta = scene.positions[a, t] - scene.positions[a, t - 1]
         return float(np.hypot(delta[0], delta[1])) * scene.frame_rate
 
-    n_agents = len(scene.agents)
+    n_agents = scene.agent_ids.size
     states = np.zeros((n_agents, history_len - 1, STATE_DIM))
     mask = np.zeros((n_agents, history_len - 1))
     for t in range(1, history_len):
-        for a, agent in enumerate(scene.agents):
-            if not (agent.present[t] and agent.present[t - 1]):
+        for a in range(n_agents):
+            present = scene.present[a]
+            if not (present[t] and present[t - 1]):
                 continue
-            delta = agent.positions[t] - agent.positions[t - 1]
-            v = speed(agent, t)
-            if agent.accels is not None:
-                alpha = float(agent.accels[t])
-            elif t >= 2 and agent.present[t - 2]:
-                alpha = (v - speed(agent, t - 1)) * scene.frame_rate
+            delta = scene.positions[a, t] - scene.positions[a, t - 1]
+            v = speed(a, t)
+            if scene.recorded[1, a]:
+                alpha = float(scene.accels[a, t])
+            elif t >= 2 and present[t - 2]:
+                alpha = (v - speed(a, t - 1)) * scene.frame_rate
             else:
                 alpha = 0.0
             theta = _wrap_angle(math.atan2(delta[1], delta[0]))
-            rel = agent.positions[t] - scene.ego.positions[t]
+            rel = scene.positions[a, t] - scene.positions[0, t]
             l = float(np.hypot(rel[0], rel[1]))
             phi = 0.0 if l == 0.0 else _wrap_angle(math.atan2(rel[1], rel[0]))
             states[a, t - 1] = [delta[0], delta[1], v, alpha, theta, l, phi]
@@ -310,12 +325,13 @@ def oracle_write_scene(scene: Scene, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SCENE_HEADER)
-        for agent in scene.agents:
-            rows = np.flatnonzero(agent.present)
-            columns = [[int(agent.agent_id)] * rows.size, scene.frames[rows].tolist()]
-            for values in (agent.positions[:, 0], agent.positions[:, 1], agent.speeds, agent.accels):
-                columns.append([""] * rows.size if values is None else values[rows].astype(float).tolist())
-            writer.writerows(zip(*columns))
+        for a, agent_id in enumerate(scene.agent_ids.tolist()):
+            for t, frame in enumerate(scene.frames.tolist()):
+                if scene.present[a, t]:
+                    x, y = scene.positions[a, t].tolist()
+                    v, acc = (float(values[a, t]) if kept[a] else "" for values, kept in
+                              zip((scene.speeds, scene.accels), scene.recorded))
+                    writer.writerow([agent_id, frame, x, y, v, acc])
 
 
 def oracle_read_scene(path, frame_rate: float = DEFAULT_FRAME_RATE) -> Scene:
@@ -339,9 +355,9 @@ def oracle_read_scene(path, frame_rate: float = DEFAULT_FRAME_RATE) -> Scene:
     if not rows_by_agent:
         raise DataError(f"scene file {path} has no rows")
     window = None
-    agents = []
+    ids, recorded, blocks = [], [], []
     for agent_id, rows in rows_by_agent.items():
-        frames, xs, ys, speeds, accels = zip(*rows)
+        frames, xs, ys, vs, acs = zip(*rows)
         try:
             frames = np.array(frames, dtype=np.int64)
         except OverflowError:
@@ -350,38 +366,42 @@ def oracle_read_scene(path, frame_rate: float = DEFAULT_FRAME_RATE) -> Scene:
             if np.any(np.diff(frames) <= 0):
                 raise DataError(f"{path}: reference agent's frames are not strictly increasing")
             window = frames
-        agent, landed = _align(
-            window, agent_id, frames, np.stack([xs, ys], axis=1),
-            None if None in speeds else speeds, None if None in accels else accels,
-        )
-        if not landed.all():
-            outside = int(frames[np.argmin(landed)])
-            raise DataError(f"{path}: scene agent {agent_id} has frame {outside} outside the window")
-        if np.count_nonzero(agent.present) < frames.size:
+            slot_of = {frame: slot for slot, frame in enumerate(window.tolist())}
+        outside = [frame for frame in frames.tolist() if frame not in slot_of]
+        if outside:
+            raise DataError(f"{path}: scene agent {agent_id} has frame {outside[0]} outside the window")
+        slots = [slot_of[frame] for frame in frames.tolist()]
+        if len(set(slots)) < len(slots):
             raise DataError(f"{path}: scene agent {agent_id} has a duplicate frame")
-        if not all(np.isfinite(v).all() for v in (agent.positions, agent.speeds, agent.accels) if v is not None):
+        kept = (None not in vs, None not in acs)
+        present, positions = np.zeros(window.size, dtype=bool), np.zeros((window.size, 2))
+        speeds, accels = np.zeros(window.size), np.zeros(window.size)
+        for slot, x, y, v, a in zip(slots, xs, ys, vs, acs):
+            present[slot] = True
+            positions[slot] = (x, y)
+            speeds[slot] = v if kept[0] else 0.0
+            accels[slot] = a if kept[1] else 0.0
+        if not all(np.isfinite(values).all() for values in (positions, speeds, accels)):
             raise DataError(f"{path}: scene agent {agent_id} has a non-finite value")
-        agents.append(agent)
-    return Scene(frames=window, agents=agents, frame_rate=frame_rate)
+        ids.append(agent_id)
+        recorded.append(kept)
+        blocks.append((present, positions, speeds, accels))
+    present, positions, speeds, accels = map(np.array, zip(*blocks))
+    return Scene(window, np.array(ids, dtype=np.int64), present, positions, speeds, accels, np.array(recorded).T,
+                 frame_rate)
 
 
 def assert_same_scene(scene: Scene, expected: Scene) -> None:
-    """Equal frames, frame rate and agents, bit for bit, dtypes and `None`s included."""
-    assert scene.frames.dtype == expected.frames.dtype
-    assert scene.frames.tobytes() == expected.frames.tobytes()
+    """Equal frame rate and arrays, bit for bit, dtypes and shapes included."""
     assert scene.frame_rate == expected.frame_rate
-    assert [a.agent_id for a in scene.agents] == [a.agent_id for a in expected.agents]
-    for agent, oracle in zip(scene.agents, expected.agents):
-        assert type(agent.agent_id) is type(oracle.agent_id)
-        for name in ("present", "positions", "speeds", "accels"):
-            a, b = getattr(agent, name), getattr(oracle, name)
-            assert (a is None) == (b is None), name
-            if a is not None:
-                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    for name in SCENE_ARRAYS:
+        a, b = getattr(scene, name), getattr(expected, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 def oracle_build_scene(segment, tracks, history_len: int, max_neighbors: int) -> Scene:
-    """Neighbours found by a binary search of every track for t_0."""
+    """Neighbours found by a binary search of every track for t_0, and
+    placed on the window one row at a time."""
     track = segment.track
     frames = track.frames[segment.start : segment.start + segment.length]
     t0_frame = frames[history_len - 1]
@@ -396,31 +416,35 @@ def oracle_build_scene(segment, tracks, history_len: int, max_neighbors: int) ->
         distance = float(np.hypot(*(other.positions[row] - ego_t0)))
         candidates.append((distance, other.agent_id, other))
     candidates.sort(key=lambda c: (c[0], c[1]))
-    agents = []
-    for kept in [track] + [other for _, _, other in candidates[:max_neighbors]]:
-        rows = slice(*np.searchsorted(kept.frames, (frames[0], frames[-1] + 1)))
-        columns = (None if c is None else c[rows] for c in (kept.positions, kept.speeds, kept.accels))
-        agents.append(_align(frames, kept.agent_id, kept.frames[rows], *columns)[0])
-    return Scene(frames=frames, agents=agents, frame_rate=track.frame_rate)
+    kept = [track] + [other for _, _, other in candidates[:max_neighbors]]
+    slot_of = {frame: slot for slot, frame in enumerate(frames.tolist())}
+    shape = (len(kept), frames.size)
+    present, positions, speeds, accels = np.zeros(shape, dtype=bool), np.zeros(shape + (2,)), np.zeros(shape), np.zeros(shape)
+    for a, agent in enumerate(kept):
+        for row, frame in enumerate(agent.frames.tolist()):
+            slot = slot_of.get(frame)
+            if slot is None:
+                continue
+            present[a, slot] = True
+            positions[a, slot] = agent.positions[row]
+            if agent.speeds is not None:
+                speeds[a, slot] = agent.speeds[row]
+            if agent.accels is not None:
+                accels[a, slot] = agent.accels[row]
+    recorded = np.array([[agent.speeds is not None for agent in kept], [agent.accels is not None for agent in kept]])
+    agent_ids = np.array([agent.agent_id for agent in kept], dtype=np.int64)
+    return Scene(frames, agent_ids, present, positions, speeds, accels, recorded, track.frame_rate)
 
 
 def cut_neighbours_at_t0(scene: Scene, history_len: int) -> Scene:
     """A scene with each neighbour absent, and zero, after t_0, the last of
     the `history_len` history frames; the reference agent is kept whole."""
-
-    def cut(values):
-        if values is None:
-            return None
-        values = values.copy()
-        values[history_len:] = 0.0
-        return values
-
-    neighbours = [
-        dataclasses.replace(agent, present=cut(agent.present), positions=cut(agent.positions),
-                            speeds=cut(agent.speeds), accels=cut(agent.accels))
-        for agent in scene.agents[1:]
-    ]
-    return dataclasses.replace(scene, agents=[scene.ego, *neighbours])
+    kept = np.ones(scene.present.shape, dtype=bool)
+    kept[1:, history_len:] = False
+    return dataclasses.replace(
+        scene, present=scene.present & kept, positions=np.where(kept[..., None], scene.positions, 0.0),
+        speeds=np.where(kept, scene.speeds, 0.0), accels=np.where(kept, scene.accels, 0.0),
+    )
 
 
 def with_first_value(values_line: str, value: float) -> str:

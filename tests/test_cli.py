@@ -1,6 +1,7 @@
 """End-to-end CLI tests on desk-scale synthetic data."""
 
 import csv
+import errno
 import hashlib
 import json
 import os
@@ -16,7 +17,7 @@ from conftest import with_first_value
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polytraj import cli, studies
+from polytraj import autodiff, cli, studies
 from polytraj.autodiff import load_checkpoint
 from polytraj.cli import main
 from polytraj.config import DEFAULTS, RunConfig, load_config
@@ -346,6 +347,36 @@ def test_out_of_memory_exits_4_with_one_error_line(tmp_path, capsys, monkeypatch
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory: Unable to allocate") and err.count("\n") == 1
     assert not (tmp_path / "data" / "manifest.json").exists()
+
+
+def test_failed_checkpoint_write_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch):
+    data_dir = _generate(tmp_path)
+
+    def full_disk(file, *args, **kwargs):
+        if Path(file).name == "checkpoint.txt":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(file))
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(autodiff, "open", full_disk, raising=False)
+    capsys.readouterr()
+    out_dir = tmp_path / "run"
+    assert main(["train", *_sets(*TINY, f"data.dir={data_dir}", f"out.dir={out_dir}")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {out_dir / 'checkpoint.txt'}: {os.strerror(errno.ENOSPC)}\n"
+
+
+def test_interrupt_exits_130_with_one_error_line(tmp_path, capsys, monkeypatch):
+    data_dir = _generate(tmp_path)
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "train", interrupted)
+    capsys.readouterr()
+    out_dir = tmp_path / "run"
+    assert main(["train", *_sets(*TINY, f"data.dir={data_dir}", f"out.dir={out_dir}")]) == cli.INTERRUPTED_EXIT == 130
+    assert capsys.readouterr().err == "error: interrupted\n"
+    assert not (out_dir / "checkpoint.txt").exists()
 
 
 def test_train_epochs_zero_equals_initialization(tmp_path):

@@ -14,14 +14,13 @@ from conftest import (
     oracle_read_scene,
     oracle_states,
     oracle_write_scene,
+    scene_of,
     synthetic_params,
 )
 
 from polytraj.config import load_config, parse_ratio
 from polytraj.data import (
     FEET_TO_METRES,
-    Scene,
-    SceneAgent,
     Segment,
     Track,
     TrackList,
@@ -122,49 +121,51 @@ def test_frame_gap_drops_single_frame_piece(tmp_path):
 
 
 def test_scene_round_trip_bit_exact(tmp_path, rng):
-    # frames, pi-scaled positions and speeds come back bit for bit; a
-    # neighbour absent at one frame keeps zeros there, and agents without
-    # speeds keep speeds None
+    # frames, pi-scaled positions, speeds and accels come back bit for bit; a
+    # neighbour absent at one frame keeps zeros there, and a value an agent
+    # does not record stays unrecorded, and zero; writing the scene read back
+    # gives the same bytes
     frames = np.arange(5) + 10
-    agents = []
-    for i in range(1, 4):
-        present = (np.arange(5) != i) | (i == 1)  # agent 1, the reference, is always present
-        positions = rng.normal(0, 100, size=(5, 2)) * math.pi * present[:, None]
-        speeds = rng.uniform(0, 30, size=5) * present if i % 2 else None
-        agents.append(SceneAgent(agent_id=i, present=present, positions=positions, speeds=speeds))
-    scene = Scene(frames=frames, agents=agents)
-    path = tmp_path / "scene.csv"
-    write_scene(scene, path)
-    restored = read_scene(path)
-    assert len(restored.agents) == len(agents)
-    np.testing.assert_array_equal(restored.frames, frames)
-    for before, after in zip(agents, restored.agents):
-        assert after.agent_id == before.agent_id
-        np.testing.assert_array_equal(after.present, before.present)
-        np.testing.assert_array_equal(after.positions, before.positions)
-        if before.speeds is None:
-            assert after.speeds is None
-        else:
-            np.testing.assert_array_equal(after.speeds, before.speeds)
+    for records in (
+        ((True, False), (False, False), (True, False)),
+        ((True, True), (True, False), (True, True)),  # a neighbour records v but not a, beside agents that record both
+    ):
+        agents = []
+        for i, (v, a) in enumerate(records, start=1):
+            present = (np.arange(5) != i) | (i == 1)  # agent 1, the reference, is always present
+            positions = rng.normal(0, 100, size=(5, 2)) * math.pi * present[:, None]
+            speeds = rng.uniform(0, 30, size=5) * present if v else None
+            accels = rng.normal(0, 3, size=5) * present if a else None
+            agents.append((i, present, positions, speeds, accels))
+        scene = scene_of(frames, agents)
+        path, again = tmp_path / "scene.csv", tmp_path / "again.csv"
+        write_scene(scene, path)
+        restored = read_scene(path)
+        assert restored.agent_ids.tolist() == [1, 2, 3]
+        np.testing.assert_array_equal(restored.frames, frames)
+        for name in ("present", "positions", "speeds", "accels"):
+            np.testing.assert_array_equal(getattr(restored, name), getattr(scene, name))
+        np.testing.assert_array_equal(restored.recorded, np.array(records).T)
+        write_scene(restored, again)
+        assert again.read_bytes() == path.read_bytes()
+        np.testing.assert_array_equal(read_scene(again).recorded, restored.recorded)
+
+
+def test_scene_arrays_that_do_not_fit_are_data_error():
+    scene = scene_of(np.arange(4), [(0, np.ones(4, dtype=bool), np.zeros((4, 2)))])
+    for name, bad in (("speeds", np.zeros((1, 3))), ("accels", np.zeros(4)), ("recorded", np.zeros((1, 2), dtype=bool)),
+                      ("positions", np.zeros((1, 4, 3))), ("agent_ids", np.zeros(2, dtype=np.int64))):
+        with pytest.raises(DataError, match="do not fit"):
+            dataclasses.replace(scene, **{name: bad})
 
 
 # -- states -----------------------------------------------------------------------
 
 
 def _two_agent_scene():
-    frames = np.arange(4)
-    ego = SceneAgent(
-        agent_id=0,
-        present=np.ones(4, dtype=bool),
-        positions=np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]),
-    )
-    neighbor_positions = np.array([[0.0, 0.0], [4.0, 3.0], [5.0, 4.0], [6.0, 5.0]])
-    neighbor = SceneAgent(
-        agent_id=1,
-        present=np.array([False, True, True, True]),
-        positions=neighbor_positions,
-    )
-    return Scene(frames=frames, agents=[ego, neighbor], frame_rate=10.0)
+    ego = (0, np.ones(4, dtype=bool), np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]))
+    neighbor = (1, np.array([False, True, True, True]), np.array([[0.0, 0.0], [4.0, 3.0], [5.0, 4.0], [6.0, 5.0]]))
+    return scene_of(np.arange(4), [ego, neighbor], frame_rate=10.0)
 
 
 def test_state_increments_speed_heading():
@@ -205,7 +206,7 @@ def test_state_vector_order():
     scene = _two_agent_scene()
     vec = build_sample(scene, history_len=3).states[1, 1]
     assert vec.shape == (7,)
-    delta = scene.agents[1].positions[2] - scene.agents[1].positions[1]
+    delta = scene.positions[1, 2] - scene.positions[1, 1]
     assert vec[0] == delta[0] and vec[1] == delta[1]
     assert vec[4] == pytest.approx(math.atan2(delta[1], delta[0]))
 
@@ -215,8 +216,8 @@ def test_constant_recorded_speed_gives_zero_alpha(rng):
     # the recorded speed, so position noise does not enter it
     frames = np.arange(12)
     positions = np.stack([np.zeros(12), frames * 1.0], axis=1) + rng.normal(0.0, 0.05, size=(12, 2))
-    ego = SceneAgent(agent_id=1, present=np.ones(12, dtype=bool), positions=positions, speeds=np.full(12, 10.0))
-    sample = build_sample(Scene(frames=frames, agents=[ego], frame_rate=10.0), history_len=8)
+    ego = (1, np.ones(12, dtype=bool), positions, np.full(12, 10.0))
+    sample = build_sample(scene_of(frames, [ego], frame_rate=10.0), history_len=8)
     np.testing.assert_array_equal(sample.states[0, :, 2], 10.0)
     np.testing.assert_array_equal(sample.states[0, :, 3], 0.0)
 
@@ -271,18 +272,7 @@ def test_parse_ratio_rejects_garbage():
 
 
 def _scene_from_positions(positions, frame_rate=10.0):
-    positions = np.asarray(positions, dtype=float)
-    return Scene(
-        frames=np.arange(len(positions)),
-        agents=[
-            SceneAgent(
-                agent_id=0,
-                present=np.ones(len(positions), dtype=bool),
-                positions=positions,
-            )
-        ],
-        frame_rate=frame_rate,
-    )
+    return scene_of(np.arange(len(positions)), [(0, np.ones(len(positions), dtype=bool), positions)], frame_rate)
 
 
 def _straight_scene(n=50):
@@ -297,6 +287,10 @@ def _curved_scene(n=50):
 def test_straightness_classifier():
     assert is_straight_constant_velocity(_straight_scene())
     assert not is_straight_constant_velocity(_curved_scene())
+    # recorded speeds, where the reference agent has them, stand in for the derived ones
+    speeding_up = dataclasses.replace(_straight_scene(), speeds=np.linspace(0.0, 30.0, 50)[None],
+                                      recorded=np.array([[True], [False]]))
+    assert not is_straight_constant_velocity(speeding_up)
 
 
 def test_all_curved_input_unchanged(rng):
@@ -325,8 +319,8 @@ def test_curved_count_preserved_in_mixed_set(rng):
 def test_const_vel_span():
     params = synthetic_params(kind="const_vel", frames=51, speed_min=10.0, speed_max=10.0)
     (scene,) = gen_synthetic(params, 1, np.random.default_rng(0), history_len=20)
-    assert scene.ego.positions[0, 1] == 0.0
-    assert scene.ego.positions[-1, 1] == pytest.approx(50.0)
+    assert scene.positions[0][0, 1] == 0.0
+    assert scene.positions[0][-1, 1] == pytest.approx(50.0)
 
 
 def test_const_acc_exact_quadratic(rng):
@@ -335,7 +329,7 @@ def test_const_acc_exact_quadratic(rng):
     vandermonde = t[:, np.newaxis] ** np.arange(3, dtype=float)
     for scene in scenes:
         for axis in (0, 1):
-            values = scene.ego.positions[:, axis]
+            values = scene.positions[0][:, axis]
             coefficients = fit_polynomials(t, values[:, np.newaxis], 2)[:, 0]
             assert np.linalg.norm(vandermonde @ coefficients - values) < 1e-9
 
@@ -343,7 +337,7 @@ def test_const_acc_exact_quadratic(rng):
 def test_lane_change_profile(rng):
     scenes = gen_synthetic(synthetic_params(kind="lane_change", frames=200), 4, rng, history_len=50)
     for scene in scenes:
-        lateral = scene.ego.positions[:, 0]
+        lateral = scene.positions[0][:, 0]
         assert lateral[0] == 0.0
         assert abs(abs(lateral[-1]) - 3.5) < 0.05
         steps = np.diff(lateral)
@@ -352,7 +346,7 @@ def test_lane_change_profile(rng):
 
 def test_arc_constant_curvature(rng):
     (scene,) = gen_synthetic(synthetic_params(kind="arc", frames=100), 1, rng, history_len=20)
-    positions = scene.ego.positions
+    positions = scene.positions[0]
     x, y = positions[:, 0], positions[:, 1]
     sign = 1.0 if x[-1] >= 0 else -1.0
     # the center is at (sign * R, 0), so x^2 + y^2 = 2 R sign x on the circle
@@ -391,7 +385,7 @@ def test_range_minimum_above_its_maximum_rejected(rng, params):
 def test_const_acc_below_half_a_metre_per_second_never_brakes(rng):
     params = synthetic_params(kind="const_acc", frames=100, speed_min=0.0, speed_max=0.4, accel_max=1e-3)
     for scene in gen_synthetic(params, 20, rng, history_len=20):
-        assert np.all(np.diff(scene.ego.positions[:, 1]) > 0.0)
+        assert np.all(np.diff(scene.positions[0][:, 1]) > 0.0)
 
 
 def test_mixed_cycles_through_kinds(rng):
@@ -421,12 +415,10 @@ def test_scene_round_trip_with_masked_neighbor(tmp_path):
     path = tmp_path / "scene.csv"
     write_scene(scene, path)
     restored = read_scene(path)
-    assert [a.agent_id for a in restored.agents] == [0, 1]
-    np.testing.assert_array_equal(restored.agents[1].present, scene.agents[1].present)
-    np.testing.assert_array_equal(
-        restored.agents[1].positions[1:], scene.agents[1].positions[1:]
-    )
-    np.testing.assert_array_equal(restored.ego.positions, scene.ego.positions)
+    assert restored.agent_ids.tolist() == [0, 1]
+    np.testing.assert_array_equal(restored.present[1], scene.present[1])
+    np.testing.assert_array_equal(restored.positions[1, 1:], scene.positions[1, 1:])
+    np.testing.assert_array_equal(restored.positions[0], scene.positions[0])
 
 
 def test_build_scene_selects_nearest_neighbors():
@@ -447,9 +439,9 @@ def test_build_scene_selects_nearest_neighbors():
         positions=np.stack([np.zeros(400), np.arange(400, dtype=float)], axis=1),
     )
     scene = build_scene(Segment(ego, 0, 200), [ego, near, far, elsewhere], history_len=50, max_neighbors=1)
-    assert [a.agent_id for a in scene.agents] == [1, 2]
-    assert bool(np.all(scene.agents[1].present[:50]))
-    assert not scene.agents[1].present[50:].any()
+    assert scene.agent_ids.tolist() == [1, 2]
+    assert bool(np.all(scene.present[1, :50]))
+    assert not scene.present[1, 50:].any()
 
 
 # -- whole-array states against the per-frame oracle -----------------------------------
@@ -474,25 +466,15 @@ def _ngsim_scenes(tmp_path, rng, n_vehicles=40, frames=160):
 
 
 def _with_holes(scene, rng, share=0.2):
-    agents = [scene.ego]
-    for agent in scene.agents[1:]:
-        present = agent.present & (rng.uniform(size=agent.present.size) >= share)
-        agents.append(
-            dataclasses.replace(
-                agent,
-                present=present,
-                positions=agent.positions * present[:, None],
-                speeds=None if agent.speeds is None else agent.speeds * present,
-                accels=None if agent.accels is None else agent.accels * present,
-            )
-        )
-    return dataclasses.replace(scene, agents=agents)
+    present = scene.present.copy()
+    present[1:] &= rng.uniform(size=present[1:].shape) >= share
+    return dataclasses.replace(scene, present=present, positions=scene.positions * present[..., None],
+                               speeds=scene.speeds * present, accels=scene.accels * present)
 
 
 def _without_accels(scene):
-    return dataclasses.replace(
-        scene, agents=[dataclasses.replace(agent, accels=None) for agent in scene.agents]
-    )
+    return dataclasses.replace(scene, accels=np.zeros_like(scene.accels),
+                               recorded=np.stack([scene.recorded[0], np.zeros_like(scene.recorded[1])]))
 
 
 def test_build_sample_equals_per_frame_oracle_bitwise(tmp_path, rng):
@@ -506,8 +488,8 @@ def test_build_sample_equals_per_frame_oracle_bitwise(tmp_path, rng):
     families["ngsim-holes"] = [_with_holes(scene, rng) for scene in ngsim]
     families["ngsim-no-accels"] = [_without_accels(scene) for scene in families["ngsim-holes"]]
     assert len(ngsim) == 160
-    assert max(len(scene.agents) for scene in ngsim) == 9
-    assert any(not agent.present.all() for scene in ngsim for agent in scene.agents)
+    assert max(scene.agent_ids.size for scene in ngsim) == 9
+    assert any(not scene.present.all() for scene in ngsim)
     for name, scenes in families.items():
         for scene in scenes:
             sample = build_sample(scene, history_len=20)
@@ -537,8 +519,8 @@ def _fixture_scenes(history_len=20, neighbors=8):
 def test_ngsim_fixture_has_gaps_staggered_entries_and_masked_neighbours():
     scenes = _fixture_scenes()
     assert len(ingest_ngsim(NGSIM_FIXTURE)) == 13  # vehicle 5 splits in two; its isolated frame is dropped
-    assert len(scenes) == 23 and max(len(scene.agents) for scene in scenes) == 9
-    assert any(not agent.present.all() for scene in scenes for agent in scene.agents)
+    assert len(scenes) == 23 and max(scene.agent_ids.size for scene in scenes) == 9
+    assert any(not scene.present.all() for scene in scenes)
 
 
 def test_ingest_ngsim_matches_row_wise_oracle(tmp_path):
@@ -587,8 +569,8 @@ def test_build_scene_breaks_distance_ties_by_agent_id_then_list_order():
     expected = oracle_build_scene(Segment(ego, 0, 10), tracks, history_len=4, max_neighbors=3)
     expected = cut_neighbours_at_t0(expected, history_len=4)
     assert_same_scene(scene, expected)
-    assert [a.agent_id for a in scene.agents] == [5, 2, 2, 7]
-    assert scene.agents[1].positions[0, 0] == -3.0
+    assert scene.agent_ids.tolist() == [5, 2, 2, 7]
+    assert scene.positions[1, 0, 0] == -3.0
 
 
 def test_track_list_is_immutable_and_builds_its_frame_index_once():
@@ -608,12 +590,9 @@ def _full_window(scene):
     past its history at its first step's velocity, as the generator's
     constant-velocity neighbours drive."""
     steps = np.arange(len(scene))[:, None]
-    agents = [scene.ego]
-    for agent in scene.agents[1:]:
-        carried = agent.positions[0] + (agent.positions[1] - agent.positions[0]) * steps
-        agents.append(dataclasses.replace(agent, present=np.ones(len(scene), dtype=bool),
-                                          positions=np.where(agent.present[:, None], agent.positions, carried)))
-    return dataclasses.replace(scene, agents=agents)
+    carried = scene.positions[:, :1] + (scene.positions[:, 1:2] - scene.positions[:, :1]) * steps
+    return dataclasses.replace(scene, present=np.ones_like(scene.present),
+                               positions=np.where(scene.present[..., None], scene.positions, carried))
 
 
 def _scene_pairs(rng):
@@ -648,7 +627,7 @@ def test_scene_cut_at_t0_gives_the_full_window_sample(tmp_path, rng):
     pairs = _scene_pairs(rng)
     for name, scene_pairs in pairs.items():
         for i, (scene, full) in enumerate(scene_pairs):
-            assert not any(agent.present[HISTORY_LEN:].any() for agent in scene.agents[1:]), (name, i)
+            assert not scene.present[1:, HISTORY_LEN:].any(), (name, i)
             expected = build_sample(full, HISTORY_LEN)
             path = tmp_path / f"{name}_{i}.csv"
             write_scene(scene, path)
@@ -657,7 +636,7 @@ def test_scene_cut_at_t0_gives_the_full_window_sample(tmp_path, rng):
                 for field in ("states", "mask", "future"):
                     assert getattr(sample, field).tobytes() == getattr(expected, field).tobytes(), (name, i, field)
         if name != "tiny":  # the full window holds neighbour rows past t_0 that the cut scene drops
-            assert any(agent.present[HISTORY_LEN:].any() for _, full in scene_pairs for agent in full.agents[1:])
+            assert any(full.present[1:, HISTORY_LEN:].any() for _, full in scene_pairs)
 
 
 def test_write_scene_bytes_match_csv_writer(tmp_path, rng):
@@ -684,9 +663,9 @@ def _random_scene(rng, n_agents):
             return np.where(np.reshape(present, (n,) + (1,) * len(shape)), rng.normal(size=(n, *shape)), 0.0)
 
         recorded = rng.uniform(size=2) < 0.5
-        agents.append(SceneAgent(10 * a + int(rng.integers(10)), present, column(2),
-                                 column() if recorded[0] else None, column() if recorded[1] else None))
-    return Scene(frames=frames, agents=agents)
+        agents.append((10 * a + int(rng.integers(10)), present, column(2),
+                       column() if recorded[0] else None, column() if recorded[1] else None))
+    return scene_of(frames, agents)
 
 
 def _interleaved_rows(text, rng):

@@ -258,11 +258,17 @@ def _scene_file(tmp_path, text: str):
 
 def test_scene_reads_empty_field_as_not_recorded(tmp_path):
     scene = read_scene(_scene_file(tmp_path, SCENE_TEXT))
-    assert [agent.agent_id for agent in scene.agents] == [3, 5]
-    np.testing.assert_array_equal(scene.agents[1].present, [False, True, True, True])
-    np.testing.assert_array_equal(scene.agents[1].speeds, [0.0, 9.0, 9.0, 9.0])
-    assert scene.agents[1].accels is None
-    np.testing.assert_array_equal(scene.ego.accels, [0.5] * 4)
+    assert scene.agent_ids.tolist() == [3, 5]
+    np.testing.assert_array_equal(scene.present[1], [False, True, True, True])
+    np.testing.assert_array_equal(scene.speeds[1], [0.0, 9.0, 9.0, 9.0])
+    assert not scene.recorded[1, 1]
+    np.testing.assert_array_equal(scene.accels[0], [0.5] * 4)
+    # one empty v field makes the whole agent unrecorded, and its other v values read 0
+    path = _scene_file(tmp_path, SCENE_TEXT.replace("5,2,3.5,5.0,9.0,", "5,2,3.5,5.0,,"))
+    scene = read_scene(path)
+    assert not scene.recorded[:, 1].any()
+    np.testing.assert_array_equal(scene.speeds[1], [0.0] * 4)
+    assert_same_scene(scene, oracle_read_scene(path))
 
 
 @pytest.mark.parametrize(
@@ -341,8 +347,8 @@ def test_scene_agent_rows_in_two_blocks_read_as_one_agent(tmp_path):
     text = "\n".join([*lines[:3], lines[5], *lines[3:5], *lines[6:]]) + "\n"  # agent 5's frame 1 between 3's
     path = _scene_file(tmp_path, text)
     scene = read_scene(path)
-    assert [agent.agent_id for agent in scene.agents] == [3, 5]
-    np.testing.assert_array_equal(scene.agents[1].present, [False, True, True, True])
+    assert scene.agent_ids.tolist() == [3, 5]
+    np.testing.assert_array_equal(scene.present[1], [False, True, True, True])
     assert_same_scene(scene, oracle_read_scene(path))
     assert_same_scene(scene, read_scene(_scene_file(tmp_path, SCENE_TEXT)))
 
@@ -353,8 +359,8 @@ def test_scene_reads_crlf_line_ends(tmp_path):
     path.write_bytes(SCENE_TEXT.replace("\n", "\r\n", 4).encode())
     crlf = read_scene(path)
     plain = read_scene(_scene_file(tmp_path, SCENE_TEXT))
-    np.testing.assert_array_equal(crlf.agents[1].positions, plain.agents[1].positions)
-    assert crlf.agents[1].accels is None
+    np.testing.assert_array_equal(crlf.positions[1], plain.positions[1])
+    assert not crlf.recorded[1, 1]
 
 
 @pytest.mark.parametrize("text, line", [
@@ -366,14 +372,14 @@ def test_scene_bare_carriage_return_is_data_error(tmp_path, text, line):
     # accepts CR only right before LF
     path = tmp_path / "scene.csv"
     path.write_bytes(text.encode())
-    assert len(oracle_read_scene(path).agents) == 2
+    assert oracle_read_scene(path).agent_ids.size == 2
     with pytest.raises(DataError, match="bad scene header" if line is None else f"line {line}: carriage return"):
         read_scene(path)
 
 
 def test_scene_blank_line_in_body_is_data_error(tmp_path):
     text = SCENE_TEXT.replace("3,3,0.0", "\n3,3,0.0")
-    assert len(oracle_read_scene(_scene_file(tmp_path, text)).agents) == 2  # the csv reader skipped it
+    assert oracle_read_scene(_scene_file(tmp_path, text)).agent_ids.size == 2  # the csv reader skipped it
     with pytest.raises(DataError, match="line 5: expected 6 fields, got 1"):
         read_scene(_scene_file(tmp_path, text))
 
@@ -422,9 +428,9 @@ def test_scene_int_fields_with_signs_blanks_and_leading_zeros_read(tmp_path, mon
     monkeypatch.setattr(np, "loadtxt", loadtxt)
     text = SCENE_TEXT.replace("5,1,", " +5,\t1 ,").replace("3,2,", f"3,{'0' * 20}2,")
     scene = read_scene(_scene_file(tmp_path, text))
-    assert [agent.agent_id for agent in scene.agents] == [3, 5]
+    assert scene.agent_ids.tolist() == [3, 5]
     assert scene.frames.tolist() == [0, 1, 2, 3]
-    assert scene.agents[1].present.tolist() == [False, True, True, True]
+    assert scene.present[1].tolist() == [False, True, True, True]
 
 
 def test_scene_frames_beyond_2_to_the_53_are_exact(tmp_path):
@@ -435,7 +441,7 @@ def test_scene_frames_beyond_2_to_the_53_are_exact(tmp_path):
         lines[i] = f"{agent},{base + int(frame)},{rest}"
     scene = read_scene(_scene_file(tmp_path, "\n".join(lines)))
     assert scene.frames.tolist() == [base, base + 1, base + 2, base + 3]
-    assert scene.agents[1].present.tolist() == [False, True, True, True]
+    assert scene.present[1].tolist() == [False, True, True, True]
 
 
 def test_scene_trailing_invalid_utf8_is_data_error(tmp_path):
@@ -469,7 +475,7 @@ def test_ngsim_non_ascii_field_is_data_error(tmp_path, field):
 def test_scene_quoted_field_is_data_error(tmp_path):
     # the csv module unquoted fields; the column-wise parse reads plain numbers only
     text = SCENE_TEXT.replace("3,2,0.0,2.0", '3,"2",0.0,2.0')
-    assert len(oracle_read_scene(_scene_file(tmp_path, text)).agents) == 2
+    assert oracle_read_scene(_scene_file(tmp_path, text)).agent_ids.size == 2
     with pytest.raises(DataError, match="line 4"):
         read_scene(_scene_file(tmp_path, text))
 
@@ -485,6 +491,5 @@ def test_fuzzed_scene_raises_only_polytraj_errors(tmp_path_factory, edits, raw):
         scene = read_scene(path)
     except PolytrajError:
         return
-    for agent in scene.agents:
-        for values in (agent.positions, agent.speeds, agent.accels):
-            assert values is None or np.all(np.isfinite(values))
+    for values in (scene.positions, scene.speeds, scene.accels):
+        assert np.all(np.isfinite(values))
