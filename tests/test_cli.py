@@ -320,6 +320,21 @@ def test_generate_of_no_scenes_exits_2_and_writes_nothing(tmp_path, capsys):
     assert json.loads((data_dir / "manifest.json").read_text())["source"] == "synthetic"
 
 
+NGSIM_GOLDEN = "898fd0af7d2babe51c89bbef9d7db91fe00558d43268eef07dfd03eb2cb2ba83"
+
+
+def test_ngsim_scene_files_match_their_golden_digest(tmp_path):
+    # the sha256 of every scene file of the NGSim fixture's data path, pinned;
+    # manifest.json is left out, as it holds the CSV's absolute path
+    csv_path = Path(__file__).parent / "fixtures" / "ngsim_small.csv"
+    data_dir = tmp_path / "data"
+    assert main(["generate", *_sets("data.source=ngsim", f"data.ngsim_csv={csv_path}", "data.segment_len=30",
+                                    "data.history_len=10", "data.split_ratio=1:1", f"out.dir={data_dir}")]) == 0
+    scenes = {name: digest for name, digest in _hash_tree(data_dir).items() if Path(name).name.startswith("scene_")}
+    assert len(scenes) == 33
+    assert hashlib.sha256(json.dumps(scenes, sort_keys=True).encode()).hexdigest() == NGSIM_GOLDEN
+
+
 def test_closed_stdout_exits_141_without_a_traceback(tmp_path):
     read_end, write_end = os.pipe()
     os.close(read_end)  # every write to the pipe now fails with EPIPE
