@@ -35,6 +35,7 @@ import math
 import numpy as np
 
 from .errors import DataError, GraphError, NumericalError, ShapeError
+from .files import write_text
 
 __all__ = [
     "Tensor",
@@ -462,8 +463,7 @@ def save_checkpoint(path, params: dict[str, Tensor], meta: dict | None = None) -
         dims = " ".join(str(d) for d in node.data.shape)
         lines.append(f"param {name} {node.data.ndim} {dims}".rstrip())
         lines.append(base64.b64encode(np.ascontiguousarray(node.data, dtype=_VALUE).tobytes()).decode("ascii"))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n", encoding="ascii")
 
 
 def load_checkpoint(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:

@@ -20,6 +20,7 @@ from . import studies
 from .config import RunConfig, defaults_help, load_config, parse_offsets
 from .errors import ConfigError, DataError, PolytrajError
 from .evaluation import RMSE_OFFSETS, rmse_at_offsets
+from .files import write_text
 from .model import (
     ModelConfig,
     TrainSettings,
@@ -204,7 +205,7 @@ def cmd_generate(cfg: RunConfig) -> int:
                    "total": len(train_names) + len(test_names)},
         **detail,
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    write_text(out_dir / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     print(f"wrote {manifest['scenes']['total']} scenes "
           f"({len(train_names)} train, {len(test_names)} test) to {out_dir}")
     print(f"fingerprint: {manifest['fingerprint']}")

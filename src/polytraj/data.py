@@ -3,12 +3,12 @@ and model-ready samples.
 
 A track is one agent's fixed-rate sequence of 2-D positions (x lateral,
 y longitudinal, metres); `ingest_ngsim` parses an NGSim CSV's six used
-columns in one `np.loadtxt`, sorts the rows by (vehicle, frame) and
-splits each vehicle's rows into tracks at frame gaps.  Tracks are cut
-into fixed-length segments, split temporally into train and test, and
-turned into scenes by `build_scene`: a window of frames with one
-reference agent and its nearest neighbours at t_0, found through a
-frame-sorted index of every track row.  `gen_synthetic` builds scenes
+columns in one `np.loadtxt`, sorts the rows by (vehicle, frame),
+cuts each vehicle's rows into tracks at frame gaps and returns them as
+one `Tracks` row table.  Tracks are cut into fixed-length segments, split
+temporally into train and test, and turned into scenes by `build_scene`:
+a window of frames with one reference agent and its nearest neighbours
+at t_0, found in the table's frame order.  `gen_synthetic` builds scenes
 directly from the `synthetic` section of a run config.  A `Scene` holds
 arrays over (agent, frame), the reference agent in row 0: presence,
 positions, speeds and accels, zero where the agent is absent, and a
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import functools
 import io
 import logging
 import math
@@ -51,6 +50,7 @@ import numpy as np
 from .autodiff import sigmoid
 from .config import default, parse_ratio
 from .errors import ConfigError, DataError
+from .files import write_text
 
 log = logging.getLogger(__name__)
 
@@ -72,59 +72,43 @@ INT_FIELD_BYTES = b"0123456789+- \t,"
 STATE_DIM = 7
 
 
-@dataclass
-class Track:
-    """One agent's fixed-rate position sequence with optional kinematics."""
+TRACK_ARRAYS = ("agent_ids", "bounds", "frames", "positions", "speeds", "accels", "recorded")
 
-    agent_id: int
+
+@dataclass
+class Tracks:
+    """Every track as one row table: track k holds rows
+    `bounds[k]:bounds[k + 1]`, its frames increasing.
+
+    `agent_ids` (T,), `bounds` (T + 1,) and `frames` (R,) are int64;
+    `positions` (R, 2), `speeds` (R,) and `accels` (R,) float64; `recorded`
+    (2, T) bool, as `Scene.recorded`, with 0 for a value not recorded.
+    Derived: `owner` (R,), each row's track, and `by_frame` (R,), the rows
+    in frame order, ties in table order.  The rules for one track (2 rows
+    or more, one frame step, finite values) are checked by `ingest_ngsim`."""
+
+    agent_ids: np.ndarray
+    bounds: np.ndarray
     frames: np.ndarray
     positions: np.ndarray
-    speeds: np.ndarray | None = None
-    accels: np.ndarray | None = None
+    speeds: np.ndarray
+    accels: np.ndarray
+    recorded: np.ndarray
     frame_rate: float = DEFAULT_FRAME_RATE
 
     def __post_init__(self):
-        self.frames = np.asarray(self.frames, dtype=np.int64)
-        self.positions = np.asarray(self.positions, dtype=np.float64)
-        n = self.frames.size
-        if n < 2:
-            raise DataError(f"track {self.agent_id}: needs >= 2 frames, got {n}")
-        if self.positions.shape != (n, 2):
-            raise DataError(
-                f"track {self.agent_id}: positions shape {self.positions.shape} != ({n}, 2)"
-            )
-        if not np.all(np.isfinite(self.positions)):
-            raise DataError(f"track {self.agent_id}: non-finite coordinates")
-        steps = np.diff(self.frames)
-        if np.any(steps <= 0):
-            raise DataError(f"track {self.agent_id}: non-monotone frames")
-        if np.any(steps != steps[0]):
-            raise DataError(f"track {self.agent_id}: non-uniform frame spacing")
+        t, r = self.agent_ids.size, self.frames.size
+        shapes = tuple(np.shape(getattr(self, name)) for name in TRACK_ARRAYS)
+        if shapes != ((t,), (t + 1,), (r,), (r, 2), (r,), (r,), (2, t)):
+            raise DataError(f"track arrays {dict(zip(TRACK_ARRAYS, shapes))} do not fit {t} tracks of {r} rows")
+        lengths = np.diff(self.bounds)
+        if self.bounds[0] != 0 or self.bounds[-1] != r or np.any(lengths < 0):
+            raise DataError(f"track bounds must run from 0 to {r} without decreasing")
+        self.owner = np.repeat(np.arange(t), lengths)
+        self.by_frame = np.argsort(self.frames, kind="stable")
 
     def __len__(self) -> int:
-        return self.frames.size
-
-
-class TrackList(tuple):
-    """An immutable sequence of tracks with a frame index built on first use."""
-
-    @functools.cached_property
-    def frame_index(self) -> _FrameIndex:
-        return _FrameIndex(self)
-
-
-class _FrameIndex:
-    """Every row of a list of tracks, sorted by frame (ties in list order):
-    which tracks are present at a frame, and where they are."""
-
-    def __init__(self, tracks: Sequence[Track]):
-        self.tracks = tracks
-        frames = np.concatenate([track.frames for track in self.tracks] or [np.empty(0, dtype=np.int64)])
-        order = np.argsort(frames, kind="stable")
-        self.frames = frames[order]
-        self.owner = np.repeat(np.arange(len(self.tracks)), [len(track) for track in self.tracks])[order]
-        self.agent_ids = np.array([track.agent_id for track in self.tracks], dtype=np.int64)[self.owner]
-        self.positions = np.concatenate([track.positions for track in self.tracks] or [np.empty((0, 2))])[order]
+        return self.agent_ids.size
 
 
 SCENE_ARRAYS = ("frames", "agent_ids", "present", "positions", "speeds", "accels", "recorded")
@@ -178,30 +162,22 @@ class Sample:
     sample_id: int = 0
 
 
-def _align(window: np.ndarray, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Place rows at `frames` on a sorted window of frames: the window slots
-    of the rows that land on a window frame, and a boolean mask over the
-    rows marking those."""
-    slot = np.minimum(np.searchsorted(window, frames), window.size - 1)
-    landed = window[slot] == frames
-    return slot[landed], landed
-
-
 # -- ingestion ----------------------------------------------------------------
 
 
-def ingest_ngsim(csv_path, frame_rate: float = DEFAULT_FRAME_RATE) -> TrackList:
-    """Read an NGSim-format CSV into per-vehicle tracks (feet -> metres).
+def ingest_ngsim(csv_path, frame_rate: float = DEFAULT_FRAME_RATE) -> Tracks:
+    """Read an NGSim-format CSV into one `Tracks` table (feet -> metres).
 
     The header is read with the csv module; the body is parsed by one
     `np.loadtxt` over the six `NGSIM_COLUMNS`, so it must be plain
     comma-separated ASCII: a quoted field or a non-ASCII character is a
     DataError.  Vehicle ids and frames are truncated to integers as
     `int(float(...))` does and must lie within 2**53.  Rows are sorted by
-    (vehicle, frame); a vehicle's track is split wherever its frame step
-    exceeds its smallest step, and pieces shorter than 2 frames are
-    dropped.  The tracks come as a `TrackList`, which `build_scene` indexes
-    once by frame.  A file that cannot be read is a DataError.
+    (vehicle, frame); a repeated frame or a non-finite value is a
+    DataError.  A vehicle's rows are cut into tracks wherever its frame
+    step exceeds its smallest step, so each track has one frame step, and
+    tracks shorter than 2 frames are dropped.  Every track records its
+    speed and acceleration.  A file that cannot be read is a DataError.
     """
     path = Path(csv_path)
     header, has_rows, plain = _ngsim_header(path)
@@ -211,12 +187,10 @@ def ingest_ngsim(csv_path, frame_rate: float = DEFAULT_FRAME_RATE) -> TrackList:
         if column not in header:
             raise DataError(f"missing column '{column}' in {path}")
     columns = [header.index(column) for column in NGSIM_COLUMNS]
-    if not has_rows:
-        return TrackList()
-    values = None
+    values = None if has_rows else np.empty((0, len(columns)))
     # a quoted comma would shift the columns read, and numpy's text parser
     # misreads, or crashes on, some non-ASCII characters
-    if plain:
+    if plain and has_rows:
         with contextlib.suppress(ValueError):
             values = np.loadtxt(path, delimiter=",", skiprows=1, usecols=columns, comments=None, ndmin=2,
                                 encoding="utf-8")
@@ -241,20 +215,18 @@ def ingest_ngsim(csv_path, frame_rate: float = DEFAULT_FRAME_RATE) -> TrackList:
     np.minimum.at(smallest, vehicle_of_step, steps[same_vehicle])
     gap = np.zeros(steps.size, dtype=bool)
     gap[same_vehicle] = steps[same_vehicle] > smallest[vehicle_of_step]
-    bounds = [0, *(np.flatnonzero(gap | ~same_vehicle) + 1).tolist(), frames.size]
-    tracks = []
-    dropped = 0
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        if stop - start < 2:
-            dropped += 1
-            continue
-        piece = data[start:stop]
-        tracks.append(Track(int(vehicles[start]), frames[start:stop], piece[:, :2], piece[:, 2], piece[:, 3],
-                            frame_rate))
-    splits = int(np.count_nonzero(gap))
+    new_piece = np.ones(frames.size, dtype=bool)  # a track starts at row 0, a new vehicle and a gap
+    new_piece[1:] = gap | ~same_vehicle
+    starts = np.flatnonzero(new_piece)
+    lengths = np.diff(starts, append=frames.size)
+    kept = lengths >= 2
+    splits, dropped = int(np.count_nonzero(gap)), int(np.count_nonzero(~kept))
     if splits or dropped:
         log.warning("split tracks at %d frame gap(s); dropped %d piece(s) shorter than 2 frames", splits, dropped)
-    return TrackList(tracks)
+    rows = np.repeat(kept, lengths)
+    data = data[rows]
+    return Tracks(vehicles[starts[kept]], np.concatenate([[0], np.cumsum(lengths[kept])]), frames[rows],
+                  data[:, :2], data[:, 2], data[:, 3], np.ones((2, np.count_nonzero(kept)), dtype=bool), frame_rate)
 
 
 def _ngsim_header(path: Path) -> tuple[list[str], bool, bool]:
@@ -318,8 +290,7 @@ def write_scene(scene: Scene, path) -> None:
                 column[start:end] = map(repr, values[k, slot[start:end]].tolist())
         columns.append(column)
     lines = [",".join(SCENE_HEADER), *map(",".join, zip(*columns)), ""]
-    with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(lines))
+    write_text(path, "\r\n".join(lines))
 
 
 def read_scene(path, frame_rate: float = DEFAULT_FRAME_RATE) -> Scene:
@@ -479,19 +450,21 @@ def _read_bytes(path: Path) -> bytes:
 
 @dataclass(frozen=True)
 class Segment:
-    """A window of `length` frames starting at `start` within one track."""
+    """A window of `length` rows of track `track` of a `Tracks` table,
+    starting at row offset `start` within that track."""
 
-    track: Track
+    track: int
     start: int
     length: int
 
 
 def segment_and_split(
-    tracks: Sequence[Track],
+    tracks: Tracks,
     segment_len: int = default("data.segment_len"),
     ratio: str = default("data.split_ratio"),
 ) -> tuple[list[Segment], list[Segment]]:
-    """Cut tracks into non-overlapping segments and split temporally.
+    """Cut each track of `tracks` into non-overlapping segments and split
+    temporally; a track's length is its row count, `np.diff(tracks.bounds)`.
 
     Within each track the later segments go to test; the test count is
     ceil(total * test_share), so a 3:1 ratio sends the last quarter
@@ -502,8 +475,7 @@ def segment_and_split(
     train: list[Segment] = []
     test: list[Segment] = []
     skipped = 0
-    for track in tracks:
-        total = len(track) // segment_len
+    for track, total in enumerate((np.diff(tracks.bounds) // segment_len).tolist()):
         if total == 0:
             skipped += 1
             continue
@@ -555,47 +527,47 @@ def filter_straight(
     return [scene for i, scene in enumerate(scenes) if i not in dropped]
 
 
-def build_scene(segment: Segment, tracks: Sequence[Track], history_len: int, max_neighbors: int) -> Scene:
-    """Materialize a segment into a scene with its nearest neighbors.
+def build_scene(segment: Segment, tracks: Tracks, history_len: int, max_neighbors: int) -> Scene:
+    """Materialize a segment of `tracks` into a scene with its nearest
+    neighbors.
 
     Neighbors must be present at the reference agent's current frame
     t_0 = start + history_len - 1; the closest `max_neighbors` are kept,
     ties going to the lower agent id, then to the earlier track.  The
-    reference agent covers the whole window and each neighbor only the
-    frames up to and including t_0, the part `build_sample` reads.  The
-    tracks present at t_0 come from a frame index of every track row: a
-    `TrackList` (as `ingest_ngsim` returns) builds it once, any other
-    sequence of tracks on every call.
+    tracks present at t_0 are the rows at that frame, found in the table's
+    frame order `tracks.by_frame`.  The reference agent covers the whole
+    window and each neighbor only the frames up to and including t_0, the
+    part `build_sample` reads.
     """
     if not 2 <= history_len < segment.length:
         raise ConfigError(
             f"history_len must be >= 2 and below the segment length {segment.length}, got {history_len}"
         )
-    track = segment.track
-    frames = track.frames[segment.start : segment.start + segment.length]
-    index = tracks.frame_index if isinstance(tracks, TrackList) else _FrameIndex(tracks)
+    first = int(tracks.bounds[segment.track]) + segment.start  # the segment's first row
+    frames = tracks.frames[first : first + segment.length]
     t0_frame = frames[history_len - 1]
-    rows = slice(*np.searchsorted(index.frames, (t0_frame, t0_frame + 1)))  # the tracks present at t_0
-    others = index.agent_ids[rows] != track.agent_id
-    owner, agent_ids = index.owner[rows][others], index.agent_ids[rows][others]
-    offset = index.positions[rows][others] - track.positions[segment.start + history_len - 1]
+    rows = tracks.by_frame[slice(*np.searchsorted(tracks.frames, (t0_frame, t0_frame + 1), sorter=tracks.by_frame))]
+    rows = rows[tracks.agent_ids[tracks.owner[rows]] != tracks.agent_ids[segment.track]]  # other agents at t_0
+    owner = tracks.owner[rows]
+    offset = tracks.positions[rows] - tracks.positions[first + history_len - 1]
     distance = np.hypot(offset[:, 0], offset[:, 1])
-    nearest = owner[np.lexsort((owner, agent_ids, distance))[:max_neighbors]]
-    kept = [track, *(index.tracks[k] for k in nearest.tolist())]
+    nearest = owner[np.lexsort((owner, tracks.agent_ids[owner], distance))[:max_neighbors]]
+    kept = [segment.track, *nearest.tolist()]
     shape = (len(kept), frames.size)
     present, positions = np.zeros(shape, dtype=bool), np.zeros(shape + (2,))
     speeds, accels = np.zeros(shape), np.zeros(shape)
-    for k, (agent, last) in enumerate(zip(kept, [frames[-1]] + [t0_frame] * nearest.size)):
-        rows = slice(*np.searchsorted(agent.frames, (frames[0], last + 1)))
-        slot, landed = _align(frames, agent.frames[rows])
+    for k, (track, last) in enumerate(zip(kept, [frames[-1]] + [t0_frame] * nearest.size)):
+        start, stop = tracks.bounds[track : track + 2]
+        rows = slice(*start + np.searchsorted(tracks.frames[start:stop], (frames[0], last + 1)))
+        slot = np.minimum(np.searchsorted(frames, tracks.frames[rows]), frames.size - 1)
+        landed = frames[slot] == tracks.frames[rows]  # the rows on a window frame
+        slot = slot[landed]
         present[k, slot] = True
-        positions[k, slot] = agent.positions[rows][landed]
-        for block, values in ((speeds, agent.speeds), (accels, agent.accels)):
-            if values is not None:
-                block[k, slot] = values[rows][landed]
-    agent_ids = np.array([agent.agent_id for agent in kept], dtype=np.int64)
-    recorded = np.array([[agent.speeds is not None for agent in kept], [agent.accels is not None for agent in kept]])
-    return Scene(frames, agent_ids, present, positions, speeds, accels, recorded, track.frame_rate)
+        positions[k, slot] = tracks.positions[rows][landed]
+        speeds[k, slot] = tracks.speeds[rows][landed]
+        accels[k, slot] = tracks.accels[rows][landed]
+    return Scene(frames, tracks.agent_ids[kept], present, positions, speeds, accels, tracks.recorded[:, kept],
+                 tracks.frame_rate)
 
 
 # -- synthetic scenes -------------------------------------------------------------

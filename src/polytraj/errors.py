@@ -9,7 +9,8 @@ A command whose standard output is closed before it ends, as by
 Any other `OSError`, as from a full disk while an output is written, prints
 one `error: PATH: REASON` line and exits 2, as a data problem does.  A
 command stopped by Ctrl-C prints `error: interrupted` and exits 130
-(128 + SIGINT).
+(128 + SIGINT).  Either way no output is left half written:
+`files.write_text` keeps a file's old content until its new one is whole.
 """
 
 

@@ -9,12 +9,14 @@ floats, no timestamps, so identical runs produce byte-identical files.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .evaluation import EvalReport
+from .files import write_text
 from .model import COORDINATES, POLYNOMIAL
 
 HEADS = {POLYNOMIAL: ("Poly (ours)", "poly"), COORDINATES: ("Coords baseline", "coords")}
@@ -50,10 +52,11 @@ class StudyReport:
 
 def _write_csv(path, header: list[str], rows) -> None:
     """The one CSV row writer: a header, then each row."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_text(path, text.getvalue())
 
 
 def write_study_csv(report: StudyReport, path) -> None:
@@ -153,8 +156,7 @@ def write_svg_chart(series: Sequence[Series], path, title: str) -> None:
             f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" font-size="11">{s.label}</text>'
         )
     parts.append("</svg>")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(parts) + "\n")
+    write_text(path, "\n".join(parts) + "\n", encoding="ascii")
 
 
 # -- summary table ----------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Shared test helpers: the default model, training and synthetic settings
 with some fields replaced, finite-difference, loss, state, attention,
 forward-pass, per-sample anchor-draw and row-wise data-path oracles,
-hand-built samples, a scene built from per-agent rows, an anchor
+hand-built samples, a scene built from per-agent rows, a track table
+built from and viewed as per-track rows, an anchor
 histogram, a zeroed model head and a checkpoint values-line editor."""
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import base64
 import csv
 import dataclasses
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from polytraj.data import (
     STATE_DIM,
     Sample,
     Scene,
-    Track,
+    Tracks,
 )
 from polytraj.errors import DataError
 from polytraj.model import (
@@ -147,6 +148,40 @@ def scene_of(frames, agents, frame_rate: float = DEFAULT_FRAME_RATE) -> Scene:
 
     return Scene(np.asarray(frames, dtype=np.int64), np.array(ids, dtype=np.int64), np.array(present, dtype=bool),
                  np.array(positions, dtype=np.float64), block(speeds), block(accels), recorded, frame_rate)
+
+
+TrackRow = namedtuple("TrackRow", "agent_id frames positions speeds accels")
+
+
+def tracks_of(rows, frame_rate: float = DEFAULT_FRAME_RATE) -> Tracks:
+    """A Tracks table from per-track rows `(agent_id, frames, positions[,
+    speeds[, accels]])`, in table order; a speeds or accels row left out or
+    None is not recorded."""
+    rows = [TrackRow(*(*row, None, None)[:5]) for row in rows]
+    lengths = [len(row.frames) for row in rows]
+
+    def column(name, width=()):
+        parts = [np.zeros((n, *width)) if getattr(row, name) is None else getattr(row, name)
+                 for row, n in zip(rows, lengths)]
+        return np.concatenate([np.empty((0, *width)), *parts]).astype(np.float64)
+
+    frames = np.concatenate([np.empty(0, dtype=np.int64), *(np.asarray(row.frames, dtype=np.int64) for row in rows)])
+    recorded = np.array([[row.speeds is not None for row in rows], [row.accels is not None for row in rows]],
+                        dtype=bool).reshape(2, len(rows))
+    return Tracks(np.array([row.agent_id for row in rows], dtype=np.int64), np.cumsum([0, *lengths], dtype=np.int64),
+                  frames, column("positions", (2,)), column("speeds"), column("accels"), recorded, frame_rate)
+
+
+def track_rows(tracks: Tracks) -> list[TrackRow]:
+    """Each track of a Tracks table as a `TrackRow` of views into it, with
+    None for a value the track does not record."""
+    rows = []
+    for k, (start, stop) in enumerate(zip(tracks.bounds[:-1].tolist(), tracks.bounds[1:].tolist())):
+        speeds, accels = (values[start:stop] if kept else None
+                          for values, kept in zip((tracks.speeds, tracks.accels), tracks.recorded[:, k].tolist()))
+        rows.append(TrackRow(int(tracks.agent_ids[k]), tracks.frames[start:stop], tracks.positions[start:stop],
+                             speeds, accels))
+    return rows
 
 
 def oracle_states(scene: Scene, history_len: int) -> tuple[np.ndarray, np.ndarray]:
@@ -278,8 +313,9 @@ def oracle_forward(model, states: np.ndarray, mask: np.ndarray, train: bool = Tr
 # per-track neighbour search that the column-wise data path replaced -------------
 
 
-def oracle_ingest_ngsim(csv_path, frame_rate: float = DEFAULT_FRAME_RATE) -> list[Track]:
-    """NGSim rows parsed one csv row at a time, grouped per vehicle in dicts."""
+def oracle_ingest_ngsim(csv_path, frame_rate: float = DEFAULT_FRAME_RATE) -> Tracks:
+    """NGSim rows parsed one csv row at a time, grouped per vehicle in dicts,
+    each vehicle's rows split with `np.split` at its gaps."""
     path = Path(csv_path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
@@ -316,8 +352,8 @@ def oracle_ingest_ngsim(csv_path, frame_rate: float = DEFAULT_FRAME_RATE) -> lis
         cuts = np.flatnonzero(steps > steps.min()) + 1 if steps.size else []
         for piece_frames, piece in zip(np.split(frames, cuts), np.split(data, cuts)):
             if piece_frames.size >= 2:
-                tracks.append(Track(vid, piece_frames, piece[:, :2], piece[:, 2], piece[:, 3], frame_rate))
-    return tracks
+                tracks.append((vid, piece_frames, piece[:, :2], piece[:, 2], piece[:, 3]))
+    return tracks_of(tracks, frame_rate)
 
 
 def oracle_write_scene(scene: Scene, path) -> None:
@@ -401,17 +437,19 @@ def assert_same_scene(scene: Scene, expected: Scene) -> None:
 
 def oracle_build_scene(segment, tracks, history_len: int, max_neighbors: int) -> Scene:
     """Neighbours found by a binary search of every track for t_0, and
-    placed on the window one row at a time."""
-    track = segment.track
+    placed on the window one row at a time; the tracks are walked as
+    per-track rows."""
+    rows = track_rows(tracks)
+    track = rows[segment.track]
     frames = track.frames[segment.start : segment.start + segment.length]
     t0_frame = frames[history_len - 1]
     ego_t0 = track.positions[segment.start + history_len - 1]
     candidates = []
-    for other in tracks:
+    for other in rows:
         if other.agent_id == track.agent_id:
             continue
         row = int(np.searchsorted(other.frames, t0_frame))
-        if row == len(other) or other.frames[row] != t0_frame:
+        if row == len(other.frames) or other.frames[row] != t0_frame:
             continue
         distance = float(np.hypot(*(other.positions[row] - ego_t0)))
         candidates.append((distance, other.agent_id, other))
@@ -433,7 +471,7 @@ def oracle_build_scene(segment, tracks, history_len: int, max_neighbors: int) ->
                 accels[a, slot] = agent.accels[row]
     recorded = np.array([[agent.speeds is not None for agent in kept], [agent.accels is not None for agent in kept]])
     agent_ids = np.array([agent.agent_id for agent in kept], dtype=np.int64)
-    return Scene(frames, agent_ids, present, positions, speeds, accels, recorded, track.frame_rate)
+    return Scene(frames, agent_ids, present, positions, speeds, accels, recorded, tracks.frame_rate)
 
 
 def cut_neighbours_at_t0(scene: Scene, history_len: int) -> Scene:

@@ -17,7 +17,7 @@ from conftest import with_first_value
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polytraj import autodiff, cli, studies
+from polytraj import cli, files, studies
 from polytraj.autodiff import load_checkpoint
 from polytraj.cli import main
 from polytraj.config import DEFAULTS, RunConfig, load_config
@@ -364,20 +364,99 @@ def test_out_of_memory_exits_4_with_one_error_line(tmp_path, capsys, monkeypatch
     assert not (tmp_path / "data" / "manifest.json").exists()
 
 
+class _FullDisk:
+    """A text file whose `write` fails as on a full disk, after writing half
+    its text: ENOSPC, with no file name."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def _fail_writing(monkeypatch, name: str, stage: str, failure) -> None:
+    """Make the output file `name` fail at `stage`: its `write`, as `_FullDisk`
+    does, or the `os.replace` that puts it in place, raising `failure`."""
+    if stage == "write":
+        def opened(file, *args, **kwargs):
+            fh = open(file, *args, **kwargs)
+            if Path(file).name != f".{name}.tmp":
+                return fh
+            if failure is OSError:
+                return _FullDisk(fh)
+            fh.close()
+            raise failure
+        monkeypatch.setattr(files, "open", opened, raising=False)
+    else:
+        replace = os.replace
+
+        def replaced(src, dst):
+            if Path(dst).name == name:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)) if failure is OSError else failure
+            replace(src, dst)
+        monkeypatch.setattr(os, "replace", replaced)
+
+
+def _temporaries(root: Path) -> list[Path]:
+    return sorted(root.rglob("*.tmp"))
+
+
 def test_failed_checkpoint_write_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch):
     data_dir = _generate(tmp_path)
-
-    def full_disk(file, *args, **kwargs):
-        if Path(file).name == "checkpoint.txt":
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(file))
-        return open(file, *args, **kwargs)
-
-    monkeypatch.setattr(autodiff, "open", full_disk, raising=False)
+    _fail_writing(monkeypatch, "checkpoint.txt", "write", OSError)
     capsys.readouterr()
     out_dir = tmp_path / "run"
     assert main(["train", *_sets(*TINY, f"data.dir={data_dir}", f"out.dir={out_dir}")]) == 2
     err = capsys.readouterr().err
     assert err == f"error: {out_dir / 'checkpoint.txt'}: {os.strerror(errno.ENOSPC)}\n"
+    assert not (out_dir / "checkpoint.txt").exists() and not _temporaries(tmp_path)
+
+
+@pytest.mark.parametrize("command, target, stage, failure", [
+    ("train", "checkpoint.txt", "write", OSError),
+    ("train", "checkpoint.txt", "replace", KeyboardInterrupt),
+    ("train", "loss_*.csv", "replace", OSError),
+    ("train", "loss_*.csv", "write", KeyboardInterrupt),
+    ("eval", "eval_*.csv", "write", OSError),
+    ("eval", "eval_*.svg", "replace", OSError),
+    ("eval", "eval_*.svg", "write", KeyboardInterrupt),
+])
+def test_a_failed_or_interrupted_write_keeps_the_old_file_and_leaves_no_temporary(
+        tmp_path, capsys, monkeypatch, command, target, stage, failure):
+    data_dir, out_dir = _generate(tmp_path), tmp_path / "run"
+    sets = _sets(*TINY, f"data.dir={data_dir}", f"out.dir={out_dir}")
+    args = {"train": ["train", *sets], "eval": ["eval", "--checkpoint", str(out_dir / "checkpoint.txt"), *sets]}
+    assert main(args["train"]) == 0 and main(args["eval"]) == 0
+    (path,) = out_dir.glob(target)
+    path.write_bytes(b"old\n")
+    _fail_writing(monkeypatch, path.name, stage, failure)
+    capsys.readouterr()
+    if failure is OSError:
+        assert main(args[command]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {os.strerror(errno.ENOSPC)}\n"
+    else:
+        assert main(args[command]) == cli.INTERRUPTED_EXIT
+        assert capsys.readouterr().err == "error: interrupted\n"
+    assert path.read_bytes() == b"old\n"
+    assert not _temporaries(tmp_path)
+
+
+@pytest.mark.parametrize("failure, code", [(OSError, 2), (KeyboardInterrupt, cli.INTERRUPTED_EXIT)])
+def test_a_generate_stopped_mid_write_leaves_no_manifest_and_no_temporary(tmp_path, capsys, monkeypatch, failure,
+                                                                          code):
+    data_dir = _generate(tmp_path)
+    _fail_writing(monkeypatch, "scene_00003.csv", "replace", failure)
+    assert main(["generate", *_sets(*TINY, "run.seed=5", f"out.dir={data_dir}")]) == code
+    assert not (data_dir / "manifest.json").exists() and not _temporaries(tmp_path)
+    assert sorted(path.name for path in (data_dir / "train").iterdir()) == [f"scene_{i:05d}.csv" for i in range(3)]
 
 
 def test_interrupt_exits_130_with_one_error_line(tmp_path, capsys, monkeypatch):

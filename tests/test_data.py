@@ -16,14 +16,15 @@ from conftest import (
     oracle_write_scene,
     scene_of,
     synthetic_params,
+    track_rows,
+    tracks_of,
 )
 
 from polytraj.config import load_config, parse_ratio
 from polytraj.data import (
     FEET_TO_METRES,
+    TRACK_ARRAYS,
     Segment,
-    Track,
-    TrackList,
     build_sample,
     build_samples,
     build_scene,
@@ -56,14 +57,15 @@ def test_single_vehicle_three_rows(tmp_path):
     _write_csv(path, [f"7,{100 + i},3,{i}.0,{2 * i}.0,20.0,0.1\n" for i in range(3)])
     tracks = ingest_ngsim(path)
     assert len(tracks) == 1
-    assert tracks[0].agent_id == 7
-    assert len(tracks[0]) == 3
+    (track,) = track_rows(tracks)
+    assert track.agent_id == 7
+    assert len(track.frames) == 3
 
 
 def test_feet_to_metres(tmp_path):
     path = tmp_path / "ngsim.csv"
     _write_csv(path, ["1,10,2,1.0,0.0,10.0,1.0\n", "1,11,2,2.0,0.0,10.0,1.0\n"])
-    track = ingest_ngsim(path)[0]
+    (track,) = track_rows(ingest_ngsim(path))
     assert track.positions[0, 0] == pytest.approx(FEET_TO_METRES)
     assert track.speeds[0] == pytest.approx(10.0 * FEET_TO_METRES)
     assert track.accels[0] == pytest.approx(1.0 * FEET_TO_METRES)
@@ -78,7 +80,7 @@ def test_interleaved_vehicles_grouped_and_sorted(tmp_path):
         "1,101,2,0.0,1.0,1.0,0.0\n",
     ]
     _write_csv(path, rows)
-    tracks = ingest_ngsim(path)
+    tracks = track_rows(ingest_ngsim(path))
     assert [t.agent_id for t in tracks] == [1, 2]
     for track in tracks:
         assert list(track.frames) == [100, 101]
@@ -98,15 +100,28 @@ def test_duplicate_frame_reports_vehicle(tmp_path):
         ingest_ngsim(path)
 
 
-def test_track_rejects_non_uniform_spacing():
-    with pytest.raises(DataError, match="spacing"):
-        Track(agent_id=1, frames=[0, 1, 3], positions=np.zeros((3, 2)))
+@pytest.mark.parametrize("field, value, message", [
+    ("positions", np.zeros((3, 3)), "do not fit 2 tracks of 3 rows"),
+    ("speeds", np.zeros(2), "do not fit"),
+    ("recorded", np.ones((2, 1), dtype=bool), "do not fit"),
+    ("bounds", np.array([0, 3]), "do not fit"),
+    ("bounds", np.array([0, 2, 2]), "bounds must run from 0 to 3 without decreasing"),
+    ("bounds", np.array([1, 2, 3]), "bounds must run from 0 to 3"),
+    ("bounds", np.array([0, 4, 3]), "without decreasing"),
+], ids=["positions", "speeds", "recorded", "bounds-shape", "bounds-end", "bounds-start", "bounds-decreasing"])
+def test_tracks_reject_misfit_shapes_and_bounds(field, value, message):
+    # what one track must be (one frame step, 2 rows or more) is ingest's
+    # check; the table checks that its arrays fit together
+    tracks = tracks_of([(1, [0, 1], np.zeros((2, 2)), np.zeros(2), np.zeros(2)), (2, [5], np.zeros((1, 2)))])
+    assert np.diff(tracks.bounds).tolist() == [2, 1] and tracks.recorded.tolist() == [[True, False], [True, False]]
+    with pytest.raises(DataError, match=message):
+        dataclasses.replace(tracks, **{field: value})
 
 
 def test_frame_gap_splits_track(tmp_path, caplog):
     path = tmp_path / "ngsim.csv"
     _write_csv(path, [f"4,{f},4,0.0,{f}.0,30.0,0.0\n" for f in (10, 11, 13, 14)])
-    tracks = ingest_ngsim(path)
+    tracks = track_rows(ingest_ngsim(path))
     assert [list(t.frames) for t in tracks] == [[10, 11], [13, 14]]
     assert [t.agent_id for t in tracks] == [4, 4]
     assert "1 frame gap" in caplog.text
@@ -115,7 +130,7 @@ def test_frame_gap_splits_track(tmp_path, caplog):
 def test_frame_gap_drops_single_frame_piece(tmp_path):
     path = tmp_path / "ngsim.csv"
     _write_csv(path, [f"4,{f},3,0.0,{f}.0,30.0,0.0\n" for f in (10, 11, 13)])
-    (track,) = ingest_ngsim(path)
+    (track,) = track_rows(ingest_ngsim(path))
     assert list(track.frames) == [10, 11]
     np.testing.assert_array_equal(track.positions[:, 1], np.array([10.0, 11.0]) * FEET_TO_METRES)
 
@@ -226,34 +241,31 @@ def test_constant_recorded_speed_gives_zero_alpha(rng):
 
 
 def _track_of_length(n, agent_id=1):
-    return Track(
-        agent_id=agent_id,
-        frames=np.arange(n),
-        positions=np.stack([np.zeros(n), np.arange(n, dtype=float)], axis=1),
-    )
+    """The row of one track of `n` frames, for `tracks_of`."""
+    return agent_id, np.arange(n), np.stack([np.zeros(n), np.arange(n, dtype=float)], axis=1)
 
 
 def test_800_frames_gives_3_train_1_test():
-    train, test = segment_and_split([_track_of_length(800)], segment_len=200)
+    train, test = segment_and_split(tracks_of([_track_of_length(800)]), segment_len=200)
     assert len(train) == 3 and len(test) == 1
     assert test[0].start == 600
 
 
 def test_short_track_is_skipped():
-    train, test = segment_and_split([_track_of_length(199)], segment_len=200)
+    train, test = segment_and_split(tracks_of([_track_of_length(199)]), segment_len=200)
     assert train == [] and test == []
 
 
 def test_1000_frames_rounding_rule():
     # documented rule: test count = ceil(total / 4)
-    train, test = segment_and_split([_track_of_length(1000)], segment_len=200)
+    train, test = segment_and_split(tracks_of([_track_of_length(1000)]), segment_len=200)
     assert len(train) + len(test) == 5
     assert len(test) == 2
     assert {seg.start for seg in test} == {600, 800}
 
 
 def test_split_is_temporally_disjoint():
-    train, test = segment_and_split([_track_of_length(1600)], segment_len=200)
+    train, test = segment_and_split(tracks_of([_track_of_length(1600)]), segment_len=200)
     train_frames = {f for seg in train for f in range(seg.start, seg.start + seg.length)}
     test_frames = {f for seg in test for f in range(seg.start, seg.start + seg.length)}
     assert not train_frames & test_frames
@@ -423,22 +435,10 @@ def test_scene_round_trip_with_masked_neighbor(tmp_path):
 
 def test_build_scene_selects_nearest_neighbors():
     ego = _track_of_length(400, agent_id=1)
-    near = Track(
-        agent_id=2,
-        frames=np.arange(400),
-        positions=np.stack([np.full(400, 3.0), np.arange(400, dtype=float)], axis=1),
-    )
-    far = Track(
-        agent_id=3,
-        frames=np.arange(400),
-        positions=np.stack([np.full(400, 80.0), np.arange(400, dtype=float)], axis=1),
-    )
-    elsewhere = Track(
-        agent_id=4,
-        frames=np.arange(1000, 1400),
-        positions=np.stack([np.zeros(400), np.arange(400, dtype=float)], axis=1),
-    )
-    scene = build_scene(Segment(ego, 0, 200), [ego, near, far, elsewhere], history_len=50, max_neighbors=1)
+    near = (2, np.arange(400), np.stack([np.full(400, 3.0), np.arange(400, dtype=float)], axis=1))
+    far = (3, np.arange(400), np.stack([np.full(400, 80.0), np.arange(400, dtype=float)], axis=1))
+    elsewhere = (4, np.arange(1000, 1400), np.stack([np.zeros(400), np.arange(400, dtype=float)], axis=1))
+    scene = build_scene(Segment(0, 0, 200), tracks_of([ego, near, far, elsewhere]), history_len=50, max_neighbors=1)
     assert scene.agent_ids.tolist() == [1, 2]
     assert bool(np.all(scene.present[1, :50]))
     assert not scene.present[1, 50:].any()
@@ -502,12 +502,10 @@ def test_build_sample_equals_per_frame_oracle_bitwise(tmp_path, rng):
 
 
 def _assert_same_tracks(tracks, expected):
-    assert len(tracks) == len(expected)
-    for track, oracle in zip(tracks, expected):
-        assert track.agent_id == oracle.agent_id and type(track.agent_id) is type(oracle.agent_id)
-        for name in ("frames", "positions", "speeds", "accels"):
-            a, b = getattr(track, name), getattr(oracle, name)
-            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert len(tracks) == len(expected) and tracks.frame_rate == expected.frame_rate
+    for name in TRACK_ARRAYS:
+        a, b = getattr(tracks, name), getattr(expected, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 def _fixture_scenes(history_len=20, neighbors=8):
@@ -551,35 +549,32 @@ def test_ingest_ngsim_reports_the_fault_a_per_vehicle_pass_finds_first(tmp_path,
 @pytest.mark.parametrize("history_len, neighbors", [(20, 8), (10, 2), (39, 0)])
 def test_build_scene_matches_row_wise_oracle(history_len, neighbors):
     tracks = ingest_ngsim(NGSIM_FIXTURE)
-    assert isinstance(tracks, TrackList)
     train, test = segment_and_split(tracks, segment_len=40)
     for segment in train + test:
         expected = cut_neighbours_at_t0(oracle_build_scene(segment, tracks, history_len, neighbors), history_len)
         assert_same_scene(build_scene(segment, tracks, history_len, neighbors), expected)
-        assert_same_scene(build_scene(segment, list(tracks), history_len, neighbors), expected)
 
 
 def test_build_scene_breaks_distance_ties_by_agent_id_then_list_order():
     def track(agent_id, x):
-        return Track(agent_id, np.arange(10), np.stack([np.full(10, x), np.zeros(10)], axis=1))
+        return agent_id, np.arange(10), np.stack([np.full(10, x), np.zeros(10)], axis=1)
 
-    ego = track(5, 0.0)
-    tracks = [ego, track(9, 3.0), track(2, -3.0), track(7, 3.0), track(2, 3.0)]
-    scene = build_scene(Segment(ego, 0, 10), tracks, history_len=4, max_neighbors=3)
-    expected = oracle_build_scene(Segment(ego, 0, 10), tracks, history_len=4, max_neighbors=3)
+    tracks = tracks_of([track(5, 0.0), track(9, 3.0), track(2, -3.0), track(7, 3.0), track(2, 3.0)])
+    scene = build_scene(Segment(0, 0, 10), tracks, history_len=4, max_neighbors=3)
+    expected = oracle_build_scene(Segment(0, 0, 10), tracks, history_len=4, max_neighbors=3)
     expected = cut_neighbours_at_t0(expected, history_len=4)
     assert_same_scene(scene, expected)
     assert scene.agent_ids.tolist() == [5, 2, 2, 7]
     assert scene.positions[1, 0, 0] == -3.0
 
 
-def test_track_list_is_immutable_and_builds_its_frame_index_once():
-    tracks = ingest_ngsim(NGSIM_FIXTURE)
-    assert tracks.frame_index is tracks.frame_index
-    assert not hasattr(tracks, "append")
-    segment = segment_and_split(tracks, segment_len=40)[0][0]
-    build_scene(segment, tracks, history_len=20, max_neighbors=8)
-    assert tracks.frame_index.tracks is tracks
+def test_tracks_derive_each_rows_track_and_the_frame_order_once():
+    tracks = tracks_of([(4, [3, 5, 7], np.zeros((3, 2))), (2, [], np.zeros((0, 2))), (4, [5, 6], np.ones((2, 2)))])
+    assert tracks.owner.tolist() == [0, 0, 0, 2, 2]
+    assert tracks.by_frame.tolist() == [0, 1, 3, 4, 2]  # frame 5 of track 0 before frame 5 of track 2
+    owner, by_frame = tracks.owner, tracks.by_frame
+    build_scene(Segment(0, 0, 3), tracks, history_len=2, max_neighbors=8)
+    assert tracks.owner is owner and tracks.by_frame is by_frame
 
 
 HISTORY_LEN = 20  # of the scene families

@@ -6,7 +6,14 @@ import re
 
 import numpy as np
 import pytest
-from conftest import assert_same_scene, model_config, oracle_ingest_ngsim, oracle_read_scene, with_first_value
+from conftest import (
+    assert_same_scene,
+    model_config,
+    oracle_ingest_ngsim,
+    oracle_read_scene,
+    track_rows,
+    with_first_value,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -243,8 +250,12 @@ def test_fuzzed_ngsim_raises_only_polytraj_errors(tmp_path_factory, edits, raw):
         tracks = ingest_ngsim(path)
     except PolytrajError:
         return
-    for track in tracks:
-        assert np.all(np.isfinite(track.positions)) and np.all(np.isfinite(track.speeds))
+    # what each track of outside input must be, which ingest alone checks
+    for track in track_rows(tracks):
+        steps = np.diff(track.frames)
+        assert track.frames.size >= 2 and steps[0] > 0 and np.all(steps == steps[0])
+        for values in (track.positions, track.speeds, track.accels):
+            assert np.all(np.isfinite(values))
 
 
 # -- scene files -----------------------------------------------------------------------
