@@ -383,8 +383,10 @@ class _FullDisk:
 
 
 def _fail_writing(monkeypatch, name: str, stage: str, failure) -> None:
-    """Make the output file `name` fail at `stage`: its `write`, as `_FullDisk`
-    does, or the `os.replace` that puts it in place, raising `failure`."""
+    """Make the output file `name` fail at `stage`, raising `failure`: at
+    `write`, an OSError comes as from `_FullDisk` and any other failure once
+    the temporary file exists; at `replace`, from the `os.replace` that puts
+    the file in place."""
     if stage == "write":
         def opened(file, *args, **kwargs):
             fh = open(file, *args, **kwargs)

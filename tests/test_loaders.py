@@ -14,7 +14,7 @@ from conftest import (
     track_rows,
     with_first_value,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polytraj.autodiff import load_checkpoint
@@ -240,6 +240,10 @@ def test_ngsim_id_or_frame_out_of_range_is_data_error_with_line(tmp_path, old, n
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(edits=EDITS, raw=st.binary(max_size=4))
+# vehicle 1 at frames 10, 11 and 14: a gap, and a 1-row piece to drop
+@example(edits=[("replace", 5, 1, "14")], raw=b"")
+# vehicle 1 at frames 10-12, 20 and 21: a gap with 2-row pieces either side
+@example(edits=[("insert", 5, 0, "1 20 3 1.0 9.0 30.0 0.5"), ("insert", 5, 0, "1 21 3 1.0 9.0 30.0 0.5")], raw=b"")
 def test_fuzzed_ngsim_raises_only_polytraj_errors(tmp_path_factory, edits, raw):
     # cells are edited like checkpoint tokens, with commas for spaces
     lines = [line.replace(",", " ") for line in NGSIM_TEXT.splitlines()]
