@@ -116,35 +116,17 @@ def _load_samples(cfg: RunConfig, split: str) -> list:
     try:
         manifest = json.loads((data_dir / "manifest.json").read_text())
         generated = {key: manifest[key.removeprefix("data.")] for key in GENERATED_KEYS}
-        count = manifest["scenes"][split]
+        digests = manifest["files"][split]
+        if not isinstance(digests, dict):
+            raise TypeError(f"files.{split} is not an object")
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise DataError(f"{data_dir} has no readable manifest.json with a history_len, frame_rate and "
-                        f"{split} scene count ({exc!r}); run generate again") from None
+                        f"{split} scene file digests ({exc!r}); run generate again") from None
     for key, value in generated.items():
         if cfg[key] != value:
             raise ConfigError(f"{key} is {cfg[key]}, but {data_dir} was generated with "
                               f"{key}={value}; use that or run generate again")
-    scene_files = sorted(split_dir.glob("scene_*.csv"))
-    if not scene_files:
-        raise DataError(f"no scene files in {split_dir}")
-    if len(scene_files) != count:
-        raise DataError(f"{split_dir} holds {len(scene_files)} scene files, but its manifest lists {count}; "
-                        "run generate again")
-    scenes = [datamod.read_scene(path, frame_rate=cfg["data.frame_rate"]) for path in scene_files]
-    return datamod.build_samples(scenes, history_len=cfg["data.history_len"])
-
-
-def _write_scene_split(scenes, split_dir: Path) -> list[str]:
-    """Write a split's scene files in place of any the directory holds."""
-    split_dir.mkdir(parents=True, exist_ok=True)
-    for stale in split_dir.glob("scene_*.csv"):
-        stale.unlink()
-    names = []
-    for i, scene in enumerate(scenes):
-        name = f"scene_{i:05d}.csv"
-        datamod.write_scene(scene, split_dir / name)
-        names.append(name)
-    return names
+    return datamod.read_split(split_dir, digests, cfg["data.history_len"], cfg["data.frame_rate"])
 
 
 # -- commands ---------------------------------------------------------------------
@@ -193,8 +175,8 @@ def cmd_generate(cfg: RunConfig) -> int:
         detail = {"ngsim_csv": str(csv_path), "tracks": len(tracks)}
     out_dir = _prepare_out_dir(cfg)
     (out_dir / "manifest.json").unlink(missing_ok=True)  # written last, so a failed write leaves none
-    train_names = _write_scene_split(train_scenes, out_dir / "train")
-    test_names = _write_scene_split(test_scenes, out_dir / "test")
+    train_names = datamod.write_split(train_scenes, out_dir / "train")
+    test_names = datamod.write_split(test_scenes, out_dir / "test")
     manifest = {
         "source": source,
         "seed": seed,
@@ -203,6 +185,7 @@ def cmd_generate(cfg: RunConfig) -> int:
         "frame_rate": frame_rate,
         "scenes": {"train": len(train_names), "test": len(test_names),
                    "total": len(train_names) + len(test_names)},
+        "files": {"train": train_names, "test": test_names},
         **detail,
     }
     write_text(out_dir / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")

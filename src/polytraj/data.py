@@ -19,14 +19,20 @@ agent's history but the future of the reference agent alone, so a
 neighbour's future would be written, parsed and never used.  Scenes go
 to disk and back as CSV files, one row per present (agent, frame), an
 empty v or a field for a value the agent does not record: `write_scene`
-turns whole columns into strings and writes the file at once.
-`read_scene` checks the lines and fields on the file's bytes, parses the
-whole body in one `np.loadtxt` (an empty field reads as 0), numbers the
-agents by first appearance, finds each row's window slot by one
-`searchsorted`, checks all rows at once and scatters them into the
-scene's arrays.  Both parsers accept plain comma-separated numbers only,
-with no quoting.  `build_sample` turns a scene into per-agent state
-histories, computed on the whole arrays, plus the reference agent's
+turns whole columns into strings and writes the file at once, and
+`write_split` writes a split's files and returns each one's sha256.
+`read_split` loads a split: it takes only the files the manifest lists,
+and reads them `SPLIT_CHUNK` at a time.  For each chunk it checks each
+file's sha256, ASCII and header, joins the bodies, checks their lines and
+fields at once and parses them in one `np.loadtxt` (an empty field reads
+as 0).  It then numbers each file's agents by first appearance, finds
+every row's window slot by one `searchsorted`, checks all rows at once
+and scatters them into (scene, agent, frame) arrays.  One feature pass
+over those arrays gives the chunk's samples.  `read_scene` and
+`build_sample` are that code's one-file and one-scene case, and a chunk
+with a fault is read again file by file for the first file's error.
+Both parsers accept plain comma-separated numbers only, with no quoting.
+A sample holds per-agent state histories plus the reference agent's
 future in its own frame at the current time step, which `future_at`
 reads at frame offsets for the loss and the metrics.  Keyword
 defaults, such as a frame rate or a segment length, read
@@ -37,6 +43,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import hashlib
 import io
 import logging
 import math
@@ -70,6 +77,11 @@ SCENE_INT_FIELD = re.compile(r"[ \t]*[+-]?[0-9]+[ \t]*")
 INT_FIELD_BYTES = b"0123456789+- \t,"
 
 STATE_DIM = 7
+
+SCENE_GLOB = "scene_*.csv"  # a split's scene files, named by `write_split`
+# scene files `read_split` parses in one pass; a whole split at once held
+# its text and arrays together, which raised the loader's peak memory by half
+SPLIT_CHUNK = 16
 
 
 TRACK_ARRAYS = ("agent_ids", "bounds", "frames", "positions", "speeds", "accels", "recorded")
@@ -268,10 +280,10 @@ def _ngsim_line_error(path: Path, columns: list[int]) -> DataError:
 # -- scene files -----------------------------------------------------------------
 
 
-def write_scene(scene: Scene, path) -> None:
+def write_scene(scene: Scene, path) -> str:
     """Write one scene: the reference agent's rows first, then each
     neighbor's, with absent frames omitted and "\\r\\n" line ends, in one
-    write.
+    write; returns the sha256 of the bytes written.
 
     The rows are `np.nonzero(scene.present)`, agent by agent.  Each column
     is turned into strings whole, floats by repr so that they round-trip,
@@ -290,7 +302,62 @@ def write_scene(scene: Scene, path) -> None:
                 column[start:end] = map(repr, values[k, slot[start:end]].tolist())
         columns.append(column)
     lines = [",".join(SCENE_HEADER), *map(",".join, zip(*columns)), ""]
-    write_text(path, "\r\n".join(lines))
+    text = "\r\n".join(lines)
+    write_text(path, text, encoding="ascii")
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+def write_split(scenes: Sequence[Scene], split_dir) -> dict[str, str]:
+    """Write a split's scenes as `scene_00000.csv` on, in place of any
+    scene files the directory holds; returns each file name with the
+    sha256 of the bytes written, in scene order."""
+    split_dir = Path(split_dir)
+    split_dir.mkdir(parents=True, exist_ok=True)
+    for stale in split_dir.glob(SCENE_GLOB):
+        stale.unlink()
+    names = [f"scene_{i:05d}.csv" for i in range(len(scenes))]
+    return {name: write_scene(scene, split_dir / name) for name, scene in zip(names, scenes)}
+
+
+def read_split(split_dir, digests: dict[str, str], history_len: int,
+               frame_rate: float = DEFAULT_FRAME_RATE) -> list[Sample]:
+    """The samples of a split's scene files, in name order, numbered from 0.
+
+    `digests` maps each file name the split's manifest lists to the sha256
+    of its bytes.  The split must hold exactly those scene files, each
+    with those bytes.  Files are read `SPLIT_CHUNK` at a time, each chunk
+    in one pass of `read_scene`'s checks and one of `build_sample`'s
+    features.  A chunk with a fault is read again one file at a time, so
+    the error is that of the first faulty file, as a loop of `read_scene`
+    over every file and then `build_sample` over every scene raises first.
+    """
+    split_dir = Path(split_dir)
+    held = sorted(split_dir.glob(SCENE_GLOB))
+    if not held:
+        raise DataError(f"no scene files in {split_dir}")
+    if len(held) != len(digests):
+        raise DataError(f"{split_dir} holds {len(held)} scene files, but its manifest lists {len(digests)}; "
+                        "run generate again")
+    for path in held:
+        if path.name not in digests:
+            raise DataError(f"{path} is not listed in its manifest; run generate again")
+    samples, no_future = [], None
+    for start in range(0, len(held), SPLIT_CHUNK):
+        chunk = held[start : start + SPLIT_CHUNK]
+        try:
+            scenes = _read_scenes(chunk, [digests[path.name] for path in chunk])
+        except DataError:
+            for path in chunk:
+                _read_scenes([path], [digests[path.name]])
+            raise
+        if no_future is None:
+            try:
+                samples += _samples(scenes, history_len, start, frame_rate)
+            except DataError as exc:  # raised once every file is read, as a file's fault comes first
+                no_future = exc
+    if no_future is not None:
+        raise no_future
+    return samples
 
 
 def read_scene(path, frame_rate: float = DEFAULT_FRAME_RATE) -> Scene:
@@ -310,61 +377,118 @@ def read_scene(path, frame_rate: float = DEFAULT_FRAME_RATE) -> Scene:
     agent's rows need not be adjacent.  A file that cannot be read is a
     DataError.
     """
-    path = Path(path)
-    table, v_empty, a_empty = _scene_table(path)
+    scenes = _read_scenes([Path(path)])
+    return Scene(*(getattr(scenes, name)[0] for name in SCENE_ARRAYS), frame_rate)
+
+
+@dataclass
+class _Scenes:
+    """S scenes as `Scene`'s arrays with a leading scene axis, padded with
+    absent agents and frames to the most agents A and the longest window
+    W; `lengths` (S,) and `counts` (S,) hold each scene's window length
+    and agent count."""
+
+    frames: np.ndarray
+    agent_ids: np.ndarray
+    present: np.ndarray
+    positions: np.ndarray
+    speeds: np.ndarray
+    accels: np.ndarray
+    recorded: np.ndarray
+    lengths: np.ndarray
+    counts: np.ndarray
+
+
+def _read_scenes(paths: list[Path], digests: Sequence[str] | None = None) -> _Scenes:
+    """The scenes of `paths`, read as `read_scene` reads one file, each
+    file's bytes checked against its sha256 in `digests` if given.
+
+    The files' bodies are checked and parsed as one table, the agents of
+    each file numbered by first appearance in that file, and the rows
+    scattered into (scene, agent, frame) arrays in one pass.  The error of
+    a fault names the file for one path and the chunk's first path for
+    more; `read_split` reads a faulty chunk again file by file."""
+    where = paths[0] if len(paths) == 1 else f"{paths[0]} (chunk of {len(paths)} files)"
+    bodies = [_scene_body(path, digest) for path, digest in zip(paths, digests or [None] * len(paths))]
+    table, v_empty, a_empty = _scene_table(where, b"".join(bodies))
     ids, frames = table["agent_id"], table["frame"]
-    new_run = np.concatenate([[True], ids[1:] != ids[:-1]])  # runs of rows of one agent
-    run_ids = ids[new_run]
-    agent_ids = list(dict.fromkeys(run_ids.tolist()))  # agents numbered by first appearance
-    by_id = np.argsort(agent_ids)
-    agent = by_id[np.searchsorted(agent_ids, run_ids, sorter=by_id)][np.cumsum(new_run) - 1]
-    window = frames[agent == 0]
-    if np.any(window[1:] <= window[:-1]):
-        raise DataError(f"{path}: reference agent's frames are not strictly increasing")
-    slot = np.minimum(np.searchsorted(window, frames), window.size - 1)
-    present = np.zeros((len(agent_ids), window.size), dtype=bool)
-    present[agent, slot] = True
-    positions = np.zeros(present.shape + (2,))
-    positions[agent, slot, 0] = table["x"]
-    positions[agent, slot, 1] = table["y"]
-    recorded = np.ones((2, len(agent_ids)), dtype=bool)  # v and a: if every row of the agent records it
-    recorded[0, agent[v_empty]] = False
-    recorded[1, agent[a_empty]] = False
-    speeds, accels = np.zeros(present.shape), np.zeros(present.shape)
+    rows = np.array([body.count(LF) for body in bodies])
+    scene = np.repeat(np.arange(rows.size), rows)
+    new_run = np.ones(ids.size, dtype=bool)  # runs of rows of one agent in one file
+    new_run[1:] = (ids[1:] != ids[:-1]) | (scene[1:] != scene[:-1])
+    run_scene, run_ids = scene[new_run], ids[new_run]
+    _, first_run, run_agent = np.unique(np.stack([run_scene, run_ids], axis=1), axis=0, return_index=True,
+                                        return_inverse=True)
+    appearance = np.empty_like(first_run)  # agents numbered by first appearance, file by file
+    appearance[np.argsort(first_run)] = np.arange(first_run.size)
+    counts = np.bincount(run_scene[first_run], minlength=rows.size)
+    run_agent = appearance[run_agent.reshape(-1)] - (np.cumsum(counts) - counts)[run_scene]  # within its file
+    agent_ids = np.zeros((rows.size, counts.max()), dtype=np.int64)
+    agent_ids[run_scene, run_agent] = run_ids
+    agent = run_agent[np.cumsum(new_run) - 1]
+    reference = agent == 0
+    window, window_scene = frames[reference], scene[reference]
+    if np.any((window[1:] <= window[:-1]) & (window_scene[1:] == window_scene[:-1])):
+        raise DataError(f"{where}: reference agent's frames are not strictly increasing")
+    lengths = np.bincount(window_scene, minlength=rows.size)
+    # each row's window slot by one search over (file, frame rank) keys, exact for any int64 frame
+    key = scene * frames.size + np.unique(frames, return_inverse=True)[1]
+    window_keys, window_start = key[reference], (np.cumsum(lengths) - lengths)[scene]
+    at = np.minimum(np.searchsorted(window_keys, key), window_start + lengths[scene] - 1)
+    outside = window_keys[at] != key  # a row on no frame of its file's window
+    slot = at - window_start
+    shape = (rows.size, agent_ids.shape[1], lengths.max())
+    windows = np.zeros(shape[::2], dtype=np.int64)
+    windows[window_scene, slot[reference]] = window
+    present = np.zeros(shape, dtype=bool)
+    present[scene, agent, slot] = True
+    positions = np.zeros(shape + (2,))
+    positions[scene, agent, slot, 0] = table["x"]
+    positions[scene, agent, slot, 1] = table["y"]
+    recorded = np.ones((2,) + shape[:2], dtype=bool)  # v and a: if every row of the agent records it
+    recorded[0, scene[v_empty], agent[v_empty]] = False
+    recorded[1, scene[a_empty], agent[a_empty]] = False
+    speeds, accels = np.zeros(shape), np.zeros(shape)
     for block, name, kept in zip((speeds, accels), "va", recorded):
-        block[agent, slot] = np.where(kept[agent], table[name], 0.0)
+        block[scene, agent, slot] = np.where(kept[scene, agent], table[name], 0.0)
     # every row on a window frame of its own, and every recorded value finite
-    if (np.any(window[slot] != frames) or np.count_nonzero(present) < frames.size
+    if (outside.any() or np.count_nonzero(present) < frames.size
             or not all(np.isfinite(block).all() for block in (positions, speeds, accels))):
-        raise _scene_fault(path, table, agent_ids, agent, window, slot, present, recorded)
-    return Scene(window, np.array(agent_ids, dtype=np.int64), present, positions, speeds, accels, recorded, frame_rate)
+        flat = scene * shape[1] + agent  # each row's agent among all files' padded agents
+        raise _scene_fault(where, table, agent_ids.ravel(), flat, outside, present.reshape(-1, shape[2]),
+                           recorded.reshape(2, -1))
+    return _Scenes(windows, agent_ids, present, positions, speeds, accels, recorded.transpose(1, 0, 2), lengths,
+                   counts)
 
 
-def _scene_fault(path, table, agent_ids, agent, window, slot, present, recorded) -> DataError:
+def _scene_fault(where, table, agent_ids, agent, outside, present, recorded) -> DataError:
     """The error of the first agent with a fault, for its first fault in
     this order: a frame outside the window (its first such frame in file
     order), a duplicate frame, a non-finite value."""
     frames = table["frame"]
-    outside = window[slot] != frames
     finite = np.isfinite(table["x"]) & np.isfinite(table["y"])
     finite &= (np.isfinite(table["v"]) | ~recorded[0][agent]) & (np.isfinite(table["a"]) | ~recorded[1][agent])
-    duplicate = np.count_nonzero(present, axis=1) < np.bincount(agent, minlength=len(agent_ids))
+    duplicate = np.count_nonzero(present, axis=1) < np.bincount(agent, minlength=agent_ids.size)
     faulty = duplicate.copy()
     faulty[agent[outside | ~finite]] = True
     k = int(np.argmax(faulty))
     outside = outside[agent == k]
     if outside.any():
         frame = int(frames[agent == k][np.argmax(outside)])
-        return DataError(f"{path}: scene agent {agent_ids[k]} has frame {frame} outside the window")
+        return DataError(f"{where}: scene agent {agent_ids[k]} has frame {frame} outside the window")
     if duplicate[k]:
-        return DataError(f"{path}: scene agent {agent_ids[k]} has a duplicate frame")
-    return DataError(f"{path}: scene agent {agent_ids[k]} has a non-finite value")
+        return DataError(f"{where}: scene agent {agent_ids[k]} has a duplicate frame")
+    return DataError(f"{where}: scene agent {agent_ids[k]} has a non-finite value")
 
 
-def _scene_table(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A scene file's rows as a SCENE_DTYPE table, with per-row flags for
-    an empty v and an empty a field (read as 0)."""
+def _scene_body(path: Path, digest: str | None) -> bytes:
+    """A scene file's body, ending in a line feed, after the file's checks
+    of its own: its sha256 if `digest` is given, ASCII, the header and at
+    least one row."""
     raw = _read_bytes(path)
+    if digest is not None and hashlib.sha256(raw).hexdigest() != digest:
+        raise DataError(f"{path} has changed since generate wrote it: its sha256 is not the one its manifest "
+                        "lists; run generate again")
     if not raw.isascii():  # numpy's text parser misreads, or crashes on, some non-ASCII characters
         at = int(np.argmax(np.frombuffer(raw, dtype=np.uint8) >= 0x80))
         raise DataError(f"{path}, line {raw.count(LF, 0, at) + 1}: non-ASCII byte 0x{raw[at]:02x}")
@@ -373,8 +497,12 @@ def _scene_table(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise DataError(f"bad scene header in {path}: {header.decode()!r}")
     if not body:
         raise DataError(f"scene file {path} has no rows")
-    if not body.endswith(LF):
-        body += LF
+    return body if body.endswith(LF) else body + LF
+
+
+def _scene_table(where, body: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scene body rows, each ending in a line feed, as a SCENE_DTYPE table,
+    with per-row flags for an empty v and an empty a field (read as 0)."""
     chars = np.frombuffer(body, dtype=np.uint8)
     ends = (chars == LF[0]).nonzero()[0]
     starts = np.concatenate([[0], ends[:-1] + 1])
@@ -384,7 +512,7 @@ def _scene_table(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # every carriage return ends a line, and each line holds its own five commas
     if (np.count_nonzero(chars == CR[0]) > np.count_nonzero(crlf) or commas.size != ends.size * 5
             or np.any(commas[::5] < starts) or np.any(commas[4::5] > ends)):
-        raise _scene_line_error(path, chars, ends, commas)
+        raise _scene_line_error(where, chars, ends, commas)
     commas = commas.reshape(ends.size, len(SCENE_HEADER) - 1)
     # numpy releases that still carry the 1.23 deprecation parse an int64
     # field that is not an integer as a float and truncate it, with only a
@@ -399,31 +527,31 @@ def _scene_table(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     a_empty = ends == commas[:, -1] + 1
     if v_empty.any() or a_empty.any():  # an empty v or a reads as 0
         body = np.insert(chars, np.concatenate([commas[v_empty, -1], ends[a_empty]]), ord("0")).tobytes()
-    text = body.decode()
     if suspect:
-        _check_scene_lines(path, text)
-    try:
-        table = np.loadtxt(io.StringIO(text), delimiter=",", dtype=SCENE_DTYPE, comments=None, ndmin=1)
+        _check_scene_lines(where, body.decode())
+    try:  # bytes, not a str of 4 bytes a character, keep the parser's input small
+        table = np.loadtxt(io.BytesIO(body), delimiter=",", dtype=SCENE_DTYPE, comments=None, ndmin=1,
+                           encoding="ascii")
     except ValueError as exc:
-        _check_scene_lines(path, text)
-        raise DataError(f"{path}: {exc}") from None
+        _check_scene_lines(where, body.decode())
+        raise DataError(f"{where}: {exc}") from None
     return table, v_empty, a_empty
 
 
-def _scene_line_error(path: Path, chars: np.ndarray, ends: np.ndarray, commas: np.ndarray) -> DataError:
+def _scene_line_error(where, chars: np.ndarray, ends: np.ndarray, commas: np.ndarray) -> DataError:
     """The error of the first scene body line with a carriage return before
     its end, or else of the first line without six fields."""
     returns = np.flatnonzero(chars == CR[0])
     bare = returns[chars[returns + 1] != LF[0]]
     if bare.size:
         line = int(np.searchsorted(ends, bare[0])) + 2
-        return DataError(f"{path}, line {line}: carriage return without a line feed")
+        return DataError(f"{where}, line {line}: carriage return without a line feed")
     fields = np.diff(np.searchsorted(commas, ends), prepend=0) + 1
     i = int(np.argmax(fields != len(SCENE_HEADER)))
-    return DataError(f"{path}, line {i + 2}: expected {len(SCENE_HEADER)} fields, got {fields[i]}")
+    return DataError(f"{where}, line {i + 2}: expected {len(SCENE_HEADER)} fields, got {fields[i]}")
 
 
-def _check_scene_lines(path: Path, text: str) -> None:
+def _check_scene_lines(where, text: str) -> None:
     """Raise the DataError of the first scene body line that does not parse."""
     for number, line in enumerate(text.split("\n")[:-1], start=2):
         try:
@@ -432,7 +560,7 @@ def _check_scene_lines(path: Path, text: str) -> None:
                     raise ValueError(f"could not convert string {field!r} to int64")
             np.loadtxt([line], delimiter=",", dtype=SCENE_DTYPE, comments=None)
         except ValueError as exc:
-            raise DataError(f"{path}, line {number}: {exc}") from None
+            raise DataError(f"{where}, line {number}: {exc}") from None
 
 
 def _read_bytes(path: Path) -> bytes:
@@ -688,35 +816,44 @@ def build_sample(scene: Scene, history_len: int, sample_id: int = 0) -> Sample:
     from the reference agent (phi 0 at l = 0).  Each agent's recorded
     values are picked by its `scene.recorded` flag, for all agents at once.
     """
-    if len(scene) <= history_len:
+    scenes = _Scenes(*(getattr(scene, name)[None] for name in SCENE_ARRAYS),
+                     np.array([len(scene)]), np.array([scene.agent_ids.size]))
+    (sample,) = _samples(scenes, history_len, sample_id, scene.frame_rate)
+    return sample
+
+
+def _samples(scenes: _Scenes, history_len: int, first_id: int, frame_rate: float) -> list[Sample]:
+    """`build_sample` of each scene, numbered from `first_id`, computed on
+    the padded arrays at once; each sample gets compact arrays of its own."""
+    short = np.flatnonzero(scenes.lengths <= history_len)
+    if short.size:
         raise DataError(
-            f"scene length {len(scene)} leaves no future after {history_len} history frames"
+            f"scene length {scenes.lengths[short[0]]} leaves no future after {history_len} history frames"
         )
     n = history_len
-    rate = scene.frame_rate
-    present = scene.present[:, :n]
-    positions = scene.positions[:, :n]  # (A, n, 2)
-    delta = np.diff(positions, axis=1)
-    derived = _speed(positions, rate)  # (A, n - 1), the speed at frames 1 .. n - 1
-    speed = np.where(scene.recorded[0, :, None], scene.speeds[:, 1:n], derived)
+    present = scenes.present[:, :, :n]
+    positions = scenes.positions[:, :, :n]  # (S, A, n, 2)
+    delta = np.diff(positions, axis=2)
+    derived = _speed(positions, frame_rate)  # (S, A, n - 1), the speed at frames 1 .. n - 1
+    speed = np.where(scenes.recorded[:, 0, :, None], scenes.speeds[:, :, 1:n], derived)
     accel = np.zeros_like(derived)
-    accel[:, 1:] = np.where(present[:, : n - 2], np.diff(speed, axis=1) * rate, 0.0)
-    accel = np.where(scene.recorded[1, :, None], scene.accels[:, 1:n], accel)
-    rel = positions[:, 1:] - positions[0, 1:]
+    accel[:, :, 1:] = np.where(present[:, :, : n - 2], np.diff(speed, axis=2) * frame_rate, 0.0)
+    accel = np.where(scenes.recorded[:, 1, :, None], scenes.accels[:, :, 1:n], accel)
+    rel = positions[:, :, 1:] - positions[:, :1, 1:]
     distance = np.hypot(rel[..., 0], rel[..., 1])
     bearing = np.where(distance == 0.0, 0.0, _heading(rel[..., 1], rel[..., 0]))
     features = np.stack(
         [delta[..., 0], delta[..., 1], speed, accel, _heading(delta[..., 1], delta[..., 0]), distance, bearing],
         axis=-1,
     )
-    valid = present[:, 1:] & present[:, :-1]
+    valid = present[:, :, 1:] & present[:, :, :-1]
     states = np.where(valid[..., None], features, 0.0)
-    future = scene.positions[0, n - 1 :] - scene.positions[0, n - 1]
-    return Sample(states=states, mask=valid.astype(np.float64), future=future, sample_id=sample_id)
-
-
-def build_samples(scenes: Sequence[Scene], history_len: int) -> list[Sample]:
-    return [build_sample(scene, history_len, sample_id=i) for i, scene in enumerate(scenes)]
+    mask = valid.astype(np.float64)
+    return [
+        Sample(states[i, :count].copy(), mask[i, :count].copy(),
+               scenes.positions[i, 0, n - 1 : length] - scenes.positions[i, 0, n - 1], first_id + i)
+        for i, (count, length) in enumerate(zip(scenes.counts.tolist(), scenes.lengths.tolist()))
+    ]
 
 
 def future_at(samples: Sequence[Sample], offsets) -> np.ndarray:

@@ -57,6 +57,16 @@ def _generate(tmp_path, extra=()):
     return data_dir
 
 
+def _rewrite_scene(scene: Path, text: str) -> None:
+    """Give a scene file of a generated data dir new text, and its manifest
+    the new file's sha256, as for data that generate does not write."""
+    scene.write_text(text)
+    manifest_path = scene.parents[1] / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["files"][scene.parent.name][scene.name] = hashlib.sha256(scene.read_bytes()).hexdigest()
+    manifest_path.write_text(json.dumps(manifest))
+
+
 def test_generate_writes_manifest_and_scenes(tmp_path, capsys):
     data_dir = _generate(tmp_path)
     manifest = json.loads((data_dir / "manifest.json").read_text())
@@ -64,6 +74,9 @@ def test_generate_writes_manifest_and_scenes(tmp_path, capsys):
     assert manifest["scenes"]["train"] == 6
     assert manifest["scenes"]["test"] == 2
     assert len(list((data_dir / "train").glob("scene_*.csv"))) == 6
+    for split in ("train", "test"):  # each file's name with the sha256 of its bytes
+        written = sorted((data_dir / split).glob("scene_*.csv"))
+        assert manifest["files"][split] == {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written}
     out = capsys.readouterr().out
     assert "8 scenes" in out
     assert "fingerprint" in out
@@ -163,7 +176,7 @@ def test_train_non_finite_loss_exits_3_without_checkpoint(tmp_path, capsys):
     for scene in (data_dir / "train").glob("scene_*.csv"):  # every future y 1e160 m away: the NLL overflows
         lines = scene.read_text().splitlines()
         lines[21:91] = [",".join([*line.split(",")[:3], "1e160", "", ""]) for line in lines[21:91]]
-        scene.write_text("\n".join(lines) + "\n")
+        _rewrite_scene(scene, "\n".join(lines) + "\n")
     out_dir = tmp_path / "run"
     capsys.readouterr()
     assert main(["train", *_sets(*TINY, f"data.dir={data_dir}", f"out.dir={out_dir}", "train.steps=1")]) == 3
@@ -207,8 +220,11 @@ def test_eval_at_another_history_len_than_generated_exits_1(tmp_path, capsys):
         lambda manifest: manifest.write_text(
             json.dumps({k: v for k, v in json.loads(manifest.read_text()).items() if k != "frame_rate"})
         ),
+        lambda manifest: manifest.write_text(
+            json.dumps({k: v for k, v in json.loads(manifest.read_text()).items() if k != "files"})
+        ),
     ],
-    ids=["deleted", "unreadable", "without-history-len", "without-frame-rate"],
+    ids=["deleted", "unreadable", "without-history-len", "without-frame-rate", "without-digests"],
 )
 def test_train_without_a_manifest_history_len_exits_2(tmp_path, capsys, spoil):
     data_dir = _generate(tmp_path)
@@ -279,6 +295,31 @@ def test_scene_file_not_in_the_manifest_exits_2(tmp_path, capsys):
     assert main(["train", *_sets(*TINY, f"data.dir={data_dir}", f"out.dir={tmp_path / 'run'}")]) == 2
     err = capsys.readouterr().err
     assert "holds 7 scene files, but its manifest lists 6" in err
+    assert not (tmp_path / "run" / "checkpoint.txt").exists()
+
+
+def _edit_a_digit(scene: Path) -> None:
+    """Change the first row's last digit, in place."""
+    data = bytearray(scene.read_bytes())
+    at = len(data[: data.index(b"\r\n", data.index(b"\n") + 1)].rstrip(b",")) - 1  # past empty v and a
+    data[at] = ord("0") + (data[at] - ord("0") + 1) % 10
+    scene.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (lambda split: _edit_a_digit(split / "scene_00003.csv"),
+     "scene_00003.csv has changed since generate wrote it: its sha256 is not the one its manifest lists"),
+    (lambda split: (split / "scene_00003.csv").rename(split / "scene_00099.csv"),
+     "scene_00099.csv is not listed in its manifest"),
+], ids=["edited", "renamed"])
+def test_scene_file_changed_in_place_exits_2(tmp_path, capsys, spoil, message):
+    data_dir = _generate(tmp_path)
+    spoil(data_dir / "train")
+    assert len(list((data_dir / "train").glob("scene_*.csv"))) == 6  # the count its manifest lists
+    capsys.readouterr()
+    assert main(["train", *_sets(*TINY, f"data.dir={data_dir}", f"out.dir={tmp_path / 'run'}")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data_dir / 'train'}") and message in err and "run generate again" in err
     assert not (tmp_path / "run" / "checkpoint.txt").exists()
 
 
@@ -572,7 +613,7 @@ def test_eval_non_finite_rmse_exits_3_without_eval_files(tmp_path, capsys):
     for scene in (data_dir / "test").glob("scene_*.csv"):  # every future y 1e160 m away: its square overflows
         lines = scene.read_text().splitlines()
         lines[21:91] = [",".join([*line.split(",")[:3], "1e160", "", ""]) for line in lines[21:91]]
-        scene.write_text("\n".join(lines) + "\n")
+        _rewrite_scene(scene, "\n".join(lines) + "\n")
     capsys.readouterr()
     args = ["eval", "--checkpoint", str(out_dir / "checkpoint.txt"),
             *_sets(*TINY, f"data.dir={data_dir}", f"out.dir={out_dir}")]
@@ -610,7 +651,7 @@ def test_train_bad_anchor_config_exits_1(tmp_path, capsys, overrides):
 def test_train_bad_scene_file_exits_2(tmp_path, capsys, corrupt):
     data_dir = _generate(tmp_path)
     scene = data_dir / "train" / "scene_00000.csv"
-    scene.write_text("\n".join(corrupt(scene.read_text().splitlines())) + "\n")
+    _rewrite_scene(scene, "\n".join(corrupt(scene.read_text().splitlines())) + "\n")
     capsys.readouterr()
     args = ["train", *_sets(*TINY, f"data.dir={data_dir}", f"out.dir={tmp_path / 'run'}")]
     assert main(args) == 2

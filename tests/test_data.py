@@ -26,7 +26,6 @@ from polytraj.data import (
     TRACK_ARRAYS,
     Segment,
     build_sample,
-    build_samples,
     build_scene,
     filter_straight,
     gen_synthetic,
@@ -410,7 +409,7 @@ def test_mixed_cycles_through_kinds(rng):
 
 def test_sample_future_origin_is_zero(rng):
     scenes = gen_synthetic(synthetic_params(frames=80, neighbors=2), 4, rng, history_len=20)
-    for sample in build_samples(scenes, history_len=20):
+    for sample in (build_sample(scene, history_len=20) for scene in scenes):
         np.testing.assert_array_equal(sample.future[0], [0.0, 0.0])
         assert sample.states.shape == (3, 19, 7)
         assert sample.future.shape == (61, 2)

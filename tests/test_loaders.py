@@ -2,6 +2,7 @@
 files end in a typed PolytrajError, never in a raw exception."""
 
 import base64
+import hashlib
 import re
 
 import numpy as np
@@ -11,6 +12,7 @@ from conftest import (
     model_config,
     oracle_ingest_ngsim,
     oracle_read_scene,
+    oracle_states,
     track_rows,
     with_first_value,
 )
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 
 from polytraj.autodiff import load_checkpoint
 from polytraj.cli import main
-from polytraj.data import ingest_ngsim, read_scene
+from polytraj.data import SPLIT_CHUNK, Scene, ingest_ngsim, read_scene, read_split, write_split
 from polytraj.errors import DataError, NumericalError, PolytrajError
 from polytraj.model import TrajectoryModel, load_model, save_model
 
@@ -508,3 +510,69 @@ def test_fuzzed_scene_raises_only_polytraj_errors(tmp_path_factory, edits, raw):
         return
     for values in (scene.positions, scene.speeds, scene.accels):
         assert np.all(np.isfinite(values))
+
+
+# -- splits ----------------------------------------------------------------------------
+
+SPLIT_HISTORY = 3
+
+
+def _split_scene(rng) -> Scene:
+    """A small scene of 1-4 agents with ids drawn from 1-4, so that files
+    share ids and a file's last agent is often the next file's first, on
+    an uneven window, each neighbour absent at random frames and each
+    agent's v and a recorded or not at random."""
+    width = int(rng.integers(SPLIT_HISTORY + 1, SPLIT_HISTORY + 6))
+    agents = int(rng.integers(1, 5))
+    frames = int(rng.integers(-5, 5)) + np.cumsum(rng.integers(1, 3, size=width))
+    present = rng.uniform(size=(agents, width)) < 0.7
+    present[0] = True
+    recorded = rng.uniform(size=(2, agents)) < 0.5
+    positions = np.where(present[..., None], rng.normal(0.0, 10.0, size=(agents, width, 2)), 0.0)
+    speeds, accels = (np.where(present & kept[:, None], rng.normal(0.0, 5.0, size=(agents, width)), 0.0)
+                      for kept in recorded)
+    return Scene(frames, rng.permutation(4)[:agents] + 1, present, positions, speeds, accels, recorded)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(files=st.integers(2, 40), seed=st.integers(0, 2**32 - 1),
+       spoil=st.none() | st.tuples(st.integers(0, 39), EDITS))
+def test_read_split_equals_the_per_file_oracle(tmp_path_factory, files, seed, spoil):
+    # up to 40 files, so that a split spans up to three chunks
+    assert SPLIT_CHUNK < 40
+    rng = np.random.default_rng(seed)
+    split_dir = tmp_path_factory.mktemp("split")
+    digests = write_split([_split_scene(rng) for _ in range(files)], split_dir)
+    paths = [split_dir / name for name in digests]
+    spoiled = None if spoil is None else paths[spoil[0] % files]
+    for path in paths:
+        lines = path.read_text().splitlines()
+        if lines[-1].split(",")[0] != lines[1].split(",")[0] and rng.uniform() < 0.3:
+            lines.insert(2, lines.pop())  # a neighbour's last row after the first: the reference in two runs
+        if path == spoiled:  # cells are edited like checkpoint tokens, with commas for spaces
+            lines = [line.replace(" ", ",") for line in _edit([line.replace(",", " ") for line in lines], spoil[1])]
+        path.write_bytes("\r\n".join(lines).encode("utf-8", "replace") + b"\r\n")
+        digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    try:
+        if spoiled is not None:
+            read_scene(spoiled)
+    except DataError as exc:  # the split's error is that of the spoiled file alone
+        with pytest.raises(DataError) as raised:
+            read_split(split_dir, digests, SPLIT_HISTORY)
+        assert str(raised.value) == str(exc)
+        return
+    scenes = [oracle_read_scene(path) for path in paths]
+    short = [len(scene) for scene in scenes if len(scene) <= SPLIT_HISTORY]
+    if short:
+        with pytest.raises(DataError) as raised:
+            read_split(split_dir, digests, SPLIT_HISTORY)
+        assert str(raised.value) == f"scene length {short[0]} leaves no future after {SPLIT_HISTORY} history frames"
+        return
+    samples = read_split(split_dir, digests, SPLIT_HISTORY)
+    assert [sample.sample_id for sample in samples] == list(range(files))
+    for sample, scene in zip(samples, scenes):
+        states, mask = oracle_states(scene, SPLIT_HISTORY)
+        future = scene.positions[0, SPLIT_HISTORY - 1 :] - scene.positions[0, SPLIT_HISTORY - 1]
+        for got, expected in ((sample.states, states), (sample.mask, mask), (sample.future, future)):
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()

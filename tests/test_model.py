@@ -25,7 +25,7 @@ from conftest import (
 
 from polytraj import autodiff as ad
 from polytraj.autodiff import Tensor
-from polytraj.data import Sample, build_samples
+from polytraj.data import Sample
 from polytraj.errors import ConfigError, DataError, NumericalError, ShapeError
 from polytraj.model import (
     COORDINATES,
