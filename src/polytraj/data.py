@@ -18,14 +18,16 @@ The reference agent covers the whole window, each neighbour only
 agent's history but the future of the reference agent alone, so a
 neighbour's future would be written, parsed and never used.  Scenes go
 to disk and back as CSV files, one row per present (agent, frame), an
-empty v or a field for a value the agent does not record: `write_scene`
-turns whole columns into strings and writes the file at once, and
-`write_split` writes a split's files and returns each one's sha256.
-`read_split` loads a split: it takes only the files the manifest lists,
-and reads them `SPLIT_CHUNK` at a time.  For each chunk it checks each
-file's sha256, ASCII and header, joins the bodies, checks their lines and
-fields at once and parses them in one `np.loadtxt` (an empty field reads
-as 0).  It then numbers each file's agents by first appearance, finds
+empty v or a field for a value the agent does not record.  `write_split`
+writes a split's files `SPLIT_CHUNK` at a time and returns each one's
+sha256.  For each chunk it gathers the present cells into one row table,
+formats each column whole, each distinct value once (floats keyed by
+their bits), and writes each file at once; `write_scene` is its one-file
+case.  `read_split` loads a split: it takes only the files the manifest
+lists, and reads them `SPLIT_CHUNK` at a time.  For each chunk it checks
+each file's sha256, ASCII and header, joins the bodies, checks their
+lines and fields at once and parses them in one `np.loadtxt` (an empty
+field reads as 0).  It then numbers each file's agents by first appearance, finds
 every row's window slot by one `searchsorted`, checks all rows at once
 and scatters them into (scene, agent, frame) arrays.  One feature pass
 over those arrays gives the chunk's samples.  `read_scene` and
@@ -57,7 +59,7 @@ import numpy as np
 from .autodiff import sigmoid
 from .config import default, parse_ratio
 from .errors import ConfigError, DataError
-from .files import write_text
+from .files import write_bytes
 
 log = logging.getLogger(__name__)
 
@@ -79,8 +81,9 @@ INT_FIELD_BYTES = b"0123456789+- \t,"
 STATE_DIM = 7
 
 SCENE_GLOB = "scene_*.csv"  # a split's scene files, named by `write_split`
-# scene files `read_split` parses in one pass; a whole split at once held
-# its text and arrays together, which raised the loader's peak memory by half
+# scene files `read_split` parses, and `write_split` formats, in one pass; a
+# whole split at once held its text and arrays together, which raised the
+# loader's peak memory by half
 SPLIT_CHUNK = 16
 
 
@@ -281,42 +284,76 @@ def _ngsim_line_error(path: Path, columns: list[int]) -> DataError:
 
 
 def write_scene(scene: Scene, path) -> str:
-    """Write one scene: the reference agent's rows first, then each
-    neighbor's, with absent frames omitted and "\\r\\n" line ends, in one
-    write; returns the sha256 of the bytes written.
-
-    The rows are `np.nonzero(scene.present)`, agent by agent.  Each column
-    is turned into strings whole, floats by repr so that they round-trip,
-    except v and a: those start empty, and the rows of each agent that
-    records the value are filled in.
-    """
-    agent, slot = np.nonzero(scene.present)
-    ends = np.cumsum(np.count_nonzero(scene.present, axis=1)).tolist()  # where each agent's rows end
-    x, y = scene.positions[agent, slot].T
-    columns = [scene.agent_ids.astype(str)[agent].tolist(), map(str, scene.frames[slot].tolist()),
-               map(repr, x.tolist()), map(repr, y.tolist())]
-    for values, recorded in zip((scene.speeds, scene.accels), scene.recorded.tolist()):
-        column = [""] * agent.size
-        for k, (start, end) in enumerate(zip([0, *ends], ends)):
-            if recorded[k]:
-                column[start:end] = map(repr, values[k, slot[start:end]].tolist())
-        columns.append(column)
-    lines = [",".join(SCENE_HEADER), *map(",".join, zip(*columns)), ""]
-    text = "\r\n".join(lines)
-    write_text(path, text, encoding="ascii")
-    return hashlib.sha256(text.encode("ascii")).hexdigest()
+    """Write one scene file, as `write_split` writes each file of a split,
+    and return the sha256 of the bytes written."""
+    (digest,) = _write_scenes([scene], [Path(path)])
+    return digest
 
 
 def write_split(scenes: Sequence[Scene], split_dir) -> dict[str, str]:
     """Write a split's scenes as `scene_00000.csv` on, in place of any
     scene files the directory holds; returns each file name with the
-    sha256 of the bytes written, in scene order."""
+    sha256 of the bytes written, in scene order.
+
+    A file holds the header, then one row per present (agent, frame),
+    `np.nonzero(scene.present)`: the reference agent's rows first, then
+    each neighbor's, with "\\r\\n" line ends.  Ids and frames are written
+    by str and floats by repr, so that they round-trip; a v or a field is
+    empty for an agent that does not record the value.  Scenes are written
+    `SPLIT_CHUNK` at a time, each chunk in one pass of `_write_scenes`.
+    """
     split_dir = Path(split_dir)
     split_dir.mkdir(parents=True, exist_ok=True)
     for stale in split_dir.glob(SCENE_GLOB):
         stale.unlink()
     names = [f"scene_{i:05d}.csv" for i in range(len(scenes))]
-    return {name: write_scene(scene, split_dir / name) for name, scene in zip(names, scenes)}
+    digests = []
+    for start in range(0, len(scenes), SPLIT_CHUNK):
+        chunk = slice(start, start + SPLIT_CHUNK)
+        digests += _write_scenes(scenes[chunk], [split_dir / name for name in names[chunk]])
+    return dict(zip(names, digests))
+
+
+def _write_scenes(scenes: Sequence[Scene], paths: list[Path]) -> list[str]:
+    """Write each scene to its path, each file's text encoded once for its
+    write and its sha256; returns the sha256s.
+
+    The scenes' rows are gathered into one SCENE_DTYPE table, with (2, R)
+    flags for a recorded v and a, and each column is formatted whole, each
+    distinct value once: floats are told apart by their bits, so -0.0
+    stays "-0.0", and only recorded v and a values are formatted."""
+    cells = [np.nonzero(scene.present) for scene in scenes]  # agent by agent
+    ends = np.cumsum([agent.size for agent, _ in cells]).tolist()
+    table, recorded = np.empty(ends[-1], SCENE_DTYPE), np.empty((2, ends[-1]), dtype=bool)
+    for scene, (agent, slot), start, end in zip(scenes, cells, [0, *ends], ends):
+        rows = table[start:end]
+        rows["agent_id"], rows["frame"] = scene.agent_ids[agent], scene.frames[slot]
+        rows["x"], rows["y"] = scene.positions[agent, slot].T
+        rows["v"], rows["a"] = scene.speeds[agent, slot], scene.accels[agent, slot]
+        recorded[:, start:end] = scene.recorded[:, agent]
+    columns = [_formatted(table[name], str) for name in ("agent_id", "frame")]
+    columns += [_formatted(table[name], repr) for name in ("x", "y")]
+    for name, kept in zip("va", recorded):
+        column = np.full(table.size, "", dtype=object)
+        column[kept] = _formatted(table[name][kept], repr)
+        columns.append(column)
+    digests = []
+    for path, start, end in zip(paths, [0, *ends], ends):
+        lines = map(",".join, zip(*(column[start:end].tolist() for column in columns)))
+        data = "\r\n".join([",".join(SCENE_HEADER), *lines, ""]).encode("ascii")
+        write_bytes(path, data)
+        digests.append(hashlib.sha256(data).hexdigest())
+    return digests
+
+
+def _formatted(values: np.ndarray, fmt) -> np.ndarray:
+    """`fmt` of each value, as an object array, with each distinct value
+    formatted once; floats are keyed by their float64 bits."""
+    values = np.ascontiguousarray(values)
+    keys = values.view(np.int64) if values.dtype == np.float64 else values
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    text = np.array(list(map(fmt, distinct.view(values.dtype).tolist())), dtype=object)
+    return text[inverse.reshape(-1)]
 
 
 def read_split(split_dir, digests: dict[str, str], history_len: int,

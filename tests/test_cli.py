@@ -362,18 +362,33 @@ def test_generate_of_no_scenes_exits_2_and_writes_nothing(tmp_path, capsys):
 
 
 NGSIM_GOLDEN = "898fd0af7d2babe51c89bbef9d7db91fe00558d43268eef07dfd03eb2cb2ba83"
+SYNTHETIC_GOLDEN = "01c1540725df06120ee6f0de92ad8601d28cccd3e1b0ee150cbc12bfeb602b7c"
+
+
+def _scene_files_digest(data_dir: Path) -> tuple[int, str]:
+    """The number of scene files under `data_dir` and the sha256 of their
+    names with each one's sha256; manifest.json is left out, as an NGSim
+    manifest holds the CSV's absolute path."""
+    scenes = {name: digest for name, digest in _hash_tree(data_dir).items() if Path(name).name.startswith("scene_")}
+    return len(scenes), hashlib.sha256(json.dumps(scenes, sort_keys=True).encode()).hexdigest()
 
 
 def test_ngsim_scene_files_match_their_golden_digest(tmp_path):
-    # the sha256 of every scene file of the NGSim fixture's data path, pinned;
-    # manifest.json is left out, as it holds the CSV's absolute path
+    # the scene files of the NGSim fixture's data path, pinned; only NGSim
+    # scenes record v and a
     csv_path = Path(__file__).parent / "fixtures" / "ngsim_small.csv"
     data_dir = tmp_path / "data"
     assert main(["generate", *_sets("data.source=ngsim", f"data.ngsim_csv={csv_path}", "data.segment_len=30",
                                     "data.history_len=10", "data.split_ratio=1:1", f"out.dir={data_dir}")]) == 0
-    scenes = {name: digest for name, digest in _hash_tree(data_dir).items() if Path(name).name.startswith("scene_")}
-    assert len(scenes) == 33
-    assert hashlib.sha256(json.dumps(scenes, sort_keys=True).encode()).hexdigest() == NGSIM_GOLDEN
+    assert _scene_files_digest(data_dir) == (33, NGSIM_GOLDEN)
+
+
+def test_synthetic_scene_files_match_their_golden_digest(tmp_path):
+    # the scene files of the TINY synthetic run with neighbours, pinned: no
+    # synthetic agent records v or a, so every v and a field is empty
+    data_dir = tmp_path / "data"
+    assert main(["generate", *_sets(*TINY, "synthetic.neighbors=2", f"out.dir={data_dir}")]) == 0
+    assert _scene_files_digest(data_dir) == (8, SYNTHETIC_GOLDEN)
 
 
 def test_closed_stdout_exits_141_without_a_traceback(tmp_path):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,7 @@ from polytraj.data import (
     read_scene,
     segment_and_split,
     write_scene,
+    write_split,
 )
 from polytraj.errors import ConfigError, DataError
 from polytraj.evaluation import fit_polynomials
@@ -640,6 +642,22 @@ def test_write_scene_bytes_match_csv_writer(tmp_path, rng):
             write_scene(scene, path)
             oracle_write_scene(scene, expected)
             assert path.read_bytes() == expected.read_bytes(), (name, i)
+
+
+def test_write_split_memory_does_not_grow_with_the_split(tmp_path, rng):
+    # write_split holds one chunk's rows and strings at a time, not the split's
+    scenes = gen_synthetic(synthetic_params(neighbors=4), 64, rng, history_len=HISTORY_LEN)
+    write_split(scenes[:1], tmp_path / "warm-up")
+
+    def peak_bytes(n):
+        tracemalloc.start()
+        try:
+            write_split(scenes[:n], tmp_path / str(n))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak_bytes(64) <= 1.5 * peak_bytes(16)
 
 
 def _random_scene(rng, n_agents):

@@ -13,6 +13,7 @@ from conftest import (
     oracle_ingest_ngsim,
     oracle_read_scene,
     oracle_states,
+    oracle_write_scene,
     track_rows,
     with_first_value,
 )
@@ -576,3 +577,46 @@ def test_read_split_equals_the_per_file_oracle(tmp_path_factory, files, seed, sp
         for got, expected in ((sample.states, states), (sample.mask, mask), (sample.future, future)):
             assert got.dtype == expected.dtype and got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
+
+
+# values that repeat within and across scenes: -0.0 beside 0.0, and floats
+# whose repr has an exponent or is subnormal
+POOLED_VALUES = np.array([0.0, -0.0, 1e16, 1e-05, 5e-324, 0.1, -2.5, 1 / 3, 123.456])
+
+
+def _pooled_scene(rng, i: int) -> Scene:
+    """A scene of 1-4 agents on a window of 1-6 frames, its values drawn
+    from POOLED_VALUES; the reference agent records v and a in an even
+    scene and neither in an odd one, the other agents each at random."""
+    width, agents = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+    frames = int(rng.integers(-5, 5)) + np.cumsum(rng.integers(1, 3, size=width))
+    present = rng.uniform(size=(agents, width)) < 0.7
+    present[0] = True
+    recorded = rng.uniform(size=(2, agents)) < 0.5
+    recorded[:, 0] = i % 2 == 0
+    positions = np.where(present[..., None], rng.choice(POOLED_VALUES, size=(agents, width, 2)), 0.0)
+    speeds, accels = (np.where(present & kept[:, None], rng.choice(POOLED_VALUES, size=(agents, width)), 0.0)
+                      for kept in recorded)
+    return Scene(frames, rng.permutation(4)[:agents] + 1, present, positions, speeds, accels, recorded)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(files=st.integers(0, 40), stale=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+@example(files=0, stale=2, seed=0)
+@example(files=1, stale=2, seed=1)
+def test_write_split_bytes_equal_the_per_scene_oracle(tmp_path_factory, files, stale, seed):
+    # up to 40 scenes, so that a split spans up to three chunks
+    assert SPLIT_CHUNK < 40
+    rng = np.random.default_rng(seed)
+    scenes = [_pooled_scene(rng, i) for i in range(files)]
+    split_dir, oracle_dir = tmp_path_factory.mktemp("split"), tmp_path_factory.mktemp("oracle")
+    for k in range(stale):  # scene files of an earlier, longer split
+        (split_dir / f"scene_{files + 2 * k:05d}.csv").write_bytes(b"stale\r\n")
+    digests = write_split(scenes, split_dir)
+    assert list(digests) == [f"scene_{i:05d}.csv" for i in range(files)]
+    assert sorted(path.name for path in split_dir.glob("scene_*.csv")) == list(digests)
+    for (name, digest), scene in zip(digests.items(), scenes):
+        oracle_write_scene(scene, oracle_dir / name)
+        written = (split_dir / name).read_bytes()
+        assert written == (oracle_dir / name).read_bytes(), name
+        assert hashlib.sha256(written).hexdigest() == digest
