@@ -108,7 +108,7 @@ def _prepare_out_dir(cfg: RunConfig) -> Path:
     return out_dir
 
 
-def _load_samples(cfg: RunConfig, split: str) -> list:
+def _load_samples(cfg: RunConfig, split: str) -> datamod.Samples:
     data_dir = Path(cfg["data.dir"])
     split_dir = data_dir / split
     if not split_dir.is_dir():

@@ -30,13 +30,15 @@ lines and fields at once and parses them in one `np.loadtxt` (an empty
 field reads as 0).  It then numbers each file's agents by first appearance, finds
 every row's window slot by one `searchsorted`, checks all rows at once
 and scatters them into (scene, agent, frame) arrays.  One feature pass
-over those arrays gives the chunk's samples.  `read_scene` and
-`build_sample` are that code's one-file and one-scene case, and a chunk
-with a fault is read again file by file for the first file's error.
-Both parsers accept plain comma-separated numbers only, with no quoting.
-A sample holds per-agent state histories plus the reference agent's
-future in its own frame at the current time step, which `future_at`
-reads at frame offsets for the loss and the metrics.  Keyword
+over those arrays gives the chunk's samples, copied into the split's
+table.  `read_scene` and `build_sample` are that code's one-file and
+one-scene case, and a chunk with a fault is read again file by file for
+the first file's error.  Both parsers accept plain comma-separated
+numbers only, with no quoting.  A split's samples are one `Samples`
+table: per-agent state histories plus the reference agent's future in
+its own frame at the current time step, padded over agents and frames.
+A batch is a selection of its rows, and `future_at` reads the future at
+frame offsets in one gather for the loss and the metrics.  Keyword
 defaults, such as a frame rate or a segment length, read
 `config.DEFAULTS`; none is written here.
 """
@@ -58,7 +60,7 @@ import numpy as np
 
 from .autodiff import sigmoid
 from .config import default, parse_ratio
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, ShapeError
 from .files import write_bytes
 
 log = logging.getLogger(__name__)
@@ -166,15 +168,35 @@ class Scene:
         return self.frames.size
 
 
-@dataclass
-class Sample:
-    """Model-ready sample: state histories per agent plus the reference
-    agent's future positions relative to its own position at t_0."""
+SAMPLE_ARRAYS = ("states", "mask", "counts", "future", "horizons", "sample_ids")
 
-    states: np.ndarray  # (agents, steps, STATE_DIM)
-    mask: np.ndarray  # (agents, steps), 1.0 where the state is valid
-    future: np.ndarray  # (horizon+1, 2); row 0 is the origin
-    sample_id: int = 0
+
+@dataclass
+class Samples:
+    """N model-ready samples as one table, padded to the most agents A and
+    the longest future H, and zero wherever a sample has no agent or no
+    frame: state histories per agent plus the reference agent's future
+    positions relative to its own position at t_0.
+
+    `states` (N, A, S, STATE_DIM) and `mask` (N, A, S), 1.0 where a state
+    is valid, hold the S history steps of each agent, the reference agent
+    in slot 0; `future` (N, H + 1, 2), row 0 the origin, is float64 too.
+    `counts` (N,), each sample's agent count, `horizons` (N,), each one's
+    future frames, and `sample_ids` (N,) are int64.  Indexing by a slice,
+    an index array or a boolean mask selects rows."""
+
+    states: np.ndarray
+    mask: np.ndarray
+    counts: np.ndarray
+    future: np.ndarray
+    horizons: np.ndarray
+    sample_ids: np.ndarray
+
+    def __len__(self) -> int:
+        return self.counts.size
+
+    def __getitem__(self, rows) -> Samples:
+        return Samples(*(getattr(self, name)[rows] for name in SAMPLE_ARRAYS))
 
 
 # -- ingestion ----------------------------------------------------------------
@@ -357,16 +379,18 @@ def _formatted(values: np.ndarray, fmt) -> np.ndarray:
 
 
 def read_split(split_dir, digests: dict[str, str], history_len: int,
-               frame_rate: float = DEFAULT_FRAME_RATE) -> list[Sample]:
-    """The samples of a split's scene files, in name order, numbered from 0.
+               frame_rate: float = DEFAULT_FRAME_RATE) -> Samples:
+    """The samples of a split's scene files, in name order, numbered from 0,
+    as one table.
 
     `digests` maps each file name the split's manifest lists to the sha256
     of its bytes.  The split must hold exactly those scene files, each
     with those bytes.  Files are read `SPLIT_CHUNK` at a time, each chunk
     in one pass of `read_scene`'s checks and one of `build_sample`'s
-    features.  A chunk with a fault is read again one file at a time, so
-    the error is that of the first faulty file, as a loop of `read_scene`
-    over every file and then `build_sample` over every scene raises first.
+    features, its samples copied into the table.  A chunk with a fault is
+    read again one file at a time, so the error is that of the first
+    faulty file, as a loop of `read_scene` over every file and then
+    `build_sample` over every scene raises first.
     """
     split_dir = Path(split_dir)
     held = sorted(split_dir.glob(SCENE_GLOB))
@@ -378,7 +402,7 @@ def read_split(split_dir, digests: dict[str, str], history_len: int,
     for path in held:
         if path.name not in digests:
             raise DataError(f"{path} is not listed in its manifest; run generate again")
-    samples, no_future = [], None
+    table, no_future = None, None
     for start in range(0, len(held), SPLIT_CHUNK):
         chunk = held[start : start + SPLIT_CHUNK]
         try:
@@ -389,12 +413,30 @@ def read_split(split_dir, digests: dict[str, str], history_len: int,
             raise
         if no_future is None:
             try:
-                samples += _samples(scenes, history_len, start, frame_rate)
+                table = _filled(table, len(held), start, _samples(scenes, history_len, start, frame_rate))
             except DataError as exc:  # raised once every file is read, as a file's fault comes first
                 no_future = exc
+        del scenes  # so that the next chunk is read without this one's arrays
     if no_future is not None:
         raise no_future
-    return samples
+    return table
+
+
+def _filled(table: Samples | None, rows: int, start: int, block: Samples) -> Samples:
+    """`table` with `block` copied into its rows from `start` on, in their
+    leading agent slots and future frames.  When there is no table, or when
+    `block` has more agents or a longer future, a zero table of `rows` rows
+    takes its place first, with the rows filled so far copied in."""
+    held = block[:0] if table is None else table[:start]
+    shapes = [(rows, *np.maximum(getattr(block, name).shape[1:], getattr(held, name).shape[1:]).tolist())
+              for name in SAMPLE_ARRAYS]
+    if table is None or shapes != [getattr(table, name).shape for name in SAMPLE_ARRAYS]:
+        zeros = Samples(*(np.zeros(shape, getattr(block, name).dtype) for shape, name in zip(shapes, SAMPLE_ARRAYS)))
+        table = _filled(zeros, rows, 0, held)
+    for name in SAMPLE_ARRAYS:
+        part = getattr(block, name)
+        getattr(table, name)[(slice(start, start + len(block)), *map(slice, part.shape[1:]))] = part
+    return table
 
 
 def read_scene(path, frame_rate: float = DEFAULT_FRAME_RATE) -> Scene:
@@ -840,9 +882,10 @@ def _heading(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.where(wrapped == -math.pi, math.pi, wrapped)
 
 
-def build_sample(scene: Scene, history_len: int, sample_id: int = 0) -> Sample:
-    """State histories over the input window plus the reference agent's
-    future, translated so the reference agent at t_0 is the origin.
+def build_sample(scene: Scene, history_len: int, sample_id: int = 0) -> Samples:
+    """One scene's sample as a one-row table: state histories over the
+    input window plus the reference agent's future, translated so the
+    reference agent at t_0 is the origin.
 
     The state of an agent at frame t (1 <= t < history_len) needs it at t
     and t - 1: [dx, dy, v, alpha, theta, l, phi] with (dx, dy) the position
@@ -855,13 +898,12 @@ def build_sample(scene: Scene, history_len: int, sample_id: int = 0) -> Sample:
     """
     scenes = _Scenes(*(getattr(scene, name)[None] for name in SCENE_ARRAYS),
                      np.array([len(scene)]), np.array([scene.agent_ids.size]))
-    (sample,) = _samples(scenes, history_len, sample_id, scene.frame_rate)
-    return sample
+    return _samples(scenes, history_len, sample_id, scene.frame_rate)
 
 
-def _samples(scenes: _Scenes, history_len: int, first_id: int, frame_rate: float) -> list[Sample]:
+def _samples(scenes: _Scenes, history_len: int, first_id: int, frame_rate: float) -> Samples:
     """`build_sample` of each scene, numbered from `first_id`, computed on
-    the padded arrays at once; each sample gets compact arrays of its own."""
+    the padded arrays at once: a table padded as `scenes` is."""
     short = np.flatnonzero(scenes.lengths <= history_len)
     if short.size:
         raise DataError(
@@ -884,27 +926,26 @@ def _samples(scenes: _Scenes, history_len: int, first_id: int, frame_rate: float
         axis=-1,
     )
     valid = present[:, :, 1:] & present[:, :, :-1]
-    states = np.where(valid[..., None], features, 0.0)
-    mask = valid.astype(np.float64)
-    return [
-        Sample(states[i, :count].copy(), mask[i, :count].copy(),
-               scenes.positions[i, 0, n - 1 : length] - scenes.positions[i, 0, n - 1], first_id + i)
-        for i, (count, length) in enumerate(zip(scenes.counts.tolist(), scenes.lengths.tolist()))
-    ]
+    horizons = scenes.lengths - n
+    future = scenes.positions[:, 0, n - 1 :] - scenes.positions[:, 0, n - 1 : n]
+    future[np.arange(future.shape[1]) > horizons[:, None]] = 0.0  # past each window's end
+    return Samples(np.where(valid[..., None], features, 0.0), valid.astype(np.float64), scenes.counts, future,
+                   horizons, first_id + np.arange(horizons.size))
 
 
-def future_at(samples: Sequence[Sample], offsets) -> np.ndarray:
+def future_at(samples: Samples, offsets) -> np.ndarray:
     """Each sample's future positions at frame offsets: (B, T, 2) for a
     (B, T) offset matrix, one row per sample, or a (T,) row shared by all.
-    An offset past a sample's future is a DataError naming the sample."""
+    A matrix of another row count is a ShapeError, and an offset past a
+    sample's future a DataError naming the first such sample."""
     offsets = np.asarray(offsets, dtype=np.int64)
+    if offsets.ndim == 2 and offsets.shape[0] != len(samples):
+        raise ShapeError(f"t_matrix rows {offsets.shape[0]} != batch size {len(samples)}")
     offsets = np.broadcast_to(offsets, (len(samples), offsets.shape[-1]))
-    truth = np.empty(offsets.shape + (2,))
-    for i, (sample, row) in enumerate(zip(samples, offsets)):
-        horizon = sample.future.shape[0] - 1
-        if row.max() > horizon:
-            raise DataError(
-                f"sample {sample.sample_id}: offset {int(row.max())} beyond available future of {horizon} frames"
-            )
-        truth[i] = sample.future[row]
-    return truth
+    last = offsets.max(axis=1)
+    beyond = np.flatnonzero(last > samples.horizons)
+    if beyond.size:
+        i = beyond[0]
+        raise DataError(f"sample {samples.sample_ids[i]}: offset {last[i]} beyond available future of "
+                        f"{samples.horizons[i]} frames")
+    return samples.future[np.arange(len(samples))[:, None], offsets]

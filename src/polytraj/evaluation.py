@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Sample, future_at
+from .data import Samples, future_at
 from .errors import DataError, NumericalError
 
 RMSE_OFFSETS = (10, 20, 30, 40, 50)  # 1..5 s at 10 Hz
@@ -33,7 +33,7 @@ class EvalReport:
     sample_count: int
 
 
-def predict_chunked(model, samples: Sequence[Sample], offsets) -> np.ndarray:
+def predict_chunked(model, samples: Samples, offsets) -> np.ndarray:
     """`model.predict_positions` on chunks of EVAL_CHUNK samples, shape
     (n_samples, n_offsets, 2)."""
     return np.concatenate([
@@ -47,7 +47,7 @@ def displacement(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
     return np.hypot(pred[..., 0] - truth[..., 0], pred[..., 1] - truth[..., 1])
 
 
-def displacement_errors(model, samples: Sequence[Sample], offsets: Sequence[int]) -> np.ndarray:
+def displacement_errors(model, samples: Samples, offsets: Sequence[int]) -> np.ndarray:
     """Euclidean displacement per sample per offset, shape (n_samples, n_offsets)."""
     if not samples:
         raise DataError("empty test set")
@@ -56,7 +56,7 @@ def displacement_errors(model, samples: Sequence[Sample], offsets: Sequence[int]
     return displacement(predict_chunked(model, samples, offsets), truth)
 
 
-def rmse_at_offsets(model, samples: Sequence[Sample], offsets: Sequence[int] = RMSE_OFFSETS) -> EvalReport:
+def rmse_at_offsets(model, samples: Samples, offsets: Sequence[int] = RMSE_OFFSETS) -> EvalReport:
     """Per-offset root-mean-square Euclidean displacement over the test set;
     a non-finite RMSE or ADE, as an error too large to square, is a
     NumericalError."""

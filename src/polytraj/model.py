@@ -55,7 +55,7 @@ from . import poly
 from .anchoring import spread
 from .autodiff import Adam, Tensor, sgd_step
 from .config import RunConfig
-from .data import STATE_DIM, Sample, future_at
+from .data import STATE_DIM, Samples, future_at
 from .errors import ConfigError, DataError, NumericalError, ShapeError
 from .poly import gaussian_nll
 
@@ -375,7 +375,7 @@ class TrajectoryModel:
                 hidden[layer] = x = gru_cell(x, hidden[layer], weights)
         return ad.transpose(hidden[-1]) @ params["head.w"] + params["head.b"]
 
-    def predict_positions(self, samples: Sequence[Sample], offsets: Sequence[int]) -> np.ndarray:
+    def predict_positions(self, samples: Samples, offsets: Sequence[int]) -> np.ndarray:
         """Predicted (x, y) of every sample at the given frame offsets: (B, T, 2)."""
         states, mask = collate(samples)
         raw = self.forward_batch(states, mask, train=False)
@@ -383,7 +383,7 @@ class TrajectoryModel:
         positions = np.stack([mean for mean, _ in moments(self.config, raw, t)], axis=2)
         finite = np.isfinite(positions).all(axis=(1, 2))
         if not finite.all():
-            bad = [samples[i].sample_id for i in np.flatnonzero(~finite)]
+            bad = samples.sample_ids[~finite].tolist()
             raise NumericalError(f"non-finite prediction for sample(s) {bad}")
         return positions
 
@@ -435,7 +435,7 @@ def moments(cfg: ModelConfig, raw, t) -> list:
     return [(pick(axis) * scale, ad.exp(2.0 * pick(2 * n + axis)) * scale**2) for axis in (0, 1)]
 
 
-def batch_loss(model: TrajectoryModel, batch: Sequence[Sample], t_matrix: np.ndarray, train: bool = True):
+def batch_loss(model: TrajectoryModel, batch: Samples, t_matrix: np.ndarray, train: bool = True):
     """Negative log-likelihood of a batch at the given anchor offsets.
 
     t_matrix is (B, T) integer frame offsets (one schedule row per sample;
@@ -443,9 +443,7 @@ def batch_loss(model: TrajectoryModel, batch: Sequence[Sample], t_matrix: np.nda
     `train`).  Returns (mean loss, per-sample loss vector).
     """
     t_matrix = np.asarray(t_matrix, dtype=np.int64)
-    batch_size, n_anchors = t_matrix.shape
-    if batch_size != len(batch):
-        raise ShapeError(f"t_matrix rows {batch_size} != batch size {len(batch)}")
+    n_anchors = t_matrix.shape[1]
     truth = future_at(batch, t_matrix)
     states, mask = collate(batch)
     out = model.forward_batch(states, mask, train=train)
@@ -455,21 +453,12 @@ def batch_loss(model: TrajectoryModel, batch: Sequence[Sample], t_matrix: np.nda
     return per_sample.mean(), per_sample
 
 
-def collate(batch: Sequence[Sample]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack samples, padding agent slots with fully masked zeros."""
-    if not batch:
+def collate(batch: Samples) -> tuple[np.ndarray, np.ndarray]:
+    """The batch's states and mask, cut to its most agents."""
+    if not len(batch):
         raise DataError("empty batch")
-    steps = batch[0].states.shape[1]
-    if any(s.states.shape[1] != steps for s in batch):
-        raise DataError("samples in one batch must share the history length")
-    max_agents = max(s.states.shape[0] for s in batch)
-    states = np.zeros((len(batch), max_agents, steps, STATE_DIM))
-    mask = np.zeros((len(batch), max_agents, steps))
-    for i, sample in enumerate(batch):
-        a = sample.states.shape[0]
-        states[i, :a] = sample.states
-        mask[i, :a] = sample.mask
-    return states, mask
+    agents = batch.counts.max()
+    return batch.states[:, :agents], batch.mask[:, :agents]
 
 
 # -- training ---------------------------------------------------------------------
@@ -511,14 +500,14 @@ def draw_schedules(
     return np.array(spread(lasts, cfg.anchor_count), dtype=np.int64)
 
 
-def train(model: TrajectoryModel, samples: Sequence[Sample], settings: TrainSettings) -> list[tuple[int, float]]:
+def train(model: TrajectoryModel, samples: Samples, settings: TrainSettings) -> list[tuple[int, float]]:
     """Mini-batch NLL training; returns the (step, loss) pair of every step.
     Every epoch reshuffles with its own stream.
 
     Anchor draws use a stream independent of shuffling, so a degenerate
     random range U{c, c} reproduces fixed-anchor training exactly.
     """
-    if not samples:
+    if not len(samples):
         raise DataError("training needs a non-empty dataset")
     _check_supervision_range(model.config, samples)
     rng_shuffle = _stream_rng(settings.seed, 1)
@@ -535,17 +524,15 @@ def train(model: TrajectoryModel, samples: Sequence[Sample], settings: TrainSett
         for start in range(0, len(order), settings.batch):
             if settings.steps and step >= settings.steps:
                 return loss_curve
-            batch = [samples[i] for i in order[start : start + settings.batch]]
+            batch = samples[order[start : start + settings.batch]]
             t_matrix = draw_schedules(model.config, len(batch), rng_anchor)
             with np.errstate(all="ignore"):  # a non-finite loss raises below, a non-finite gradient in the step
                 loss, per_sample = batch_loss(model, batch, t_matrix, train=True)
                 loss.backward()
             finite = np.isfinite(per_sample.data)
             if not finite.all():
-                bad = [batch[i].sample_id for i in np.flatnonzero(~finite)]
-                raise NumericalError(
-                    f"non-finite loss at step {step} for sample(s) {bad}"
-                )
+                bad = batch.sample_ids[~finite].tolist()
+                raise NumericalError(f"non-finite loss at step {step} for sample(s) {bad}")
             if adam is not None:
                 adam.step()
             else:
@@ -555,9 +542,9 @@ def train(model: TrajectoryModel, samples: Sequence[Sample], settings: TrainSett
     return loss_curve
 
 
-def _check_supervision_range(cfg: ModelConfig, samples: Sequence[Sample]) -> None:
+def _check_supervision_range(cfg: ModelConfig, samples: Samples) -> None:
     needed = cfg.horizon if cfg.anchor_mode == "fixed" else cfg.anchor_max
-    available = min(s.future.shape[0] - 1 for s in samples)
+    available = int(samples.horizons.min())
     if needed > available:
         raise DataError(
             f"anchors reach offset {needed} but samples only cover {available} future frames"

@@ -10,11 +10,10 @@ returns one RMSE `EvalReport` per head.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Sequence
 
 import numpy as np
 
-from .data import Sample, future_at
+from .data import Samples, future_at
 from .errors import ConfigError, DataError
 from .evaluation import (
     RMSE_OFFSETS,
@@ -40,7 +39,7 @@ EXTRAPOLATION_ANCHORS = 4  # also the coordinate head's points that the fits go 
 EXTRAPOLATION_EVAL_OFFSETS = tuple(range(2, 61, 2))  # 6 s at five points per second
 
 
-def _fit_model(config: ModelConfig, train_samples: Sequence[Sample], settings: TrainSettings) -> TrajectoryModel:
+def _fit_model(config: ModelConfig, train_samples: Samples, settings: TrainSettings) -> TrajectoryModel:
     model = TrajectoryModel(config, seed=settings.seed)
     train(model, train_samples, settings)
     return model
@@ -56,8 +55,8 @@ def even_offsets(horizon: int) -> tuple[int, ...]:
 
 
 def anchoring_study(
-    train_samples: Sequence[Sample],
-    test_samples: Sequence[Sample],
+    train_samples: Samples,
+    test_samples: Samples,
     base: ModelConfig,
     settings: TrainSettings,
 ) -> StudyReport:
@@ -83,8 +82,8 @@ def anchoring_study(
 
 
 def anchor_count_study(
-    train_samples: Sequence[Sample],
-    test_samples: Sequence[Sample],
+    train_samples: Samples,
+    test_samples: Samples,
     base: ModelConfig,
     settings: TrainSettings,
 ) -> StudyReport:
@@ -105,8 +104,8 @@ def anchor_count_study(
 
 
 def extrapolation_study(
-    train_samples: Sequence[Sample],
-    test_samples: Sequence[Sample],
+    train_samples: Samples,
+    test_samples: Samples,
     base: ModelConfig,
     settings: TrainSettings,
 ) -> StudyReport:
@@ -126,8 +125,8 @@ def extrapolation_study(
             f"coordinate head's {EXTRAPOLATION_ANCHORS}; use model.d_x <= {EXTRAPOLATION_ANCHORS - 1}"
         )
     offsets = np.asarray(EXTRAPOLATION_EVAL_OFFSETS, dtype=np.int64)
-    kept = [s for s in test_samples if s.future.shape[0] - 1 >= int(offsets.max())]
-    if not kept:
+    kept = test_samples[test_samples.horizons >= offsets.max()]
+    if not len(kept):
         raise DataError("no test sample covers the six-second evaluation span")
     horizon = EXTRAPOLATION_TRAIN_HORIZON
     poly_cfg = replace(
@@ -159,8 +158,8 @@ def extrapolation_study(
 
 
 def table1_protocol(
-    train_samples: Sequence[Sample],
-    test_samples: Sequence[Sample],
+    train_samples: Samples,
+    test_samples: Samples,
     base: ModelConfig,
     settings: TrainSettings,
 ) -> dict[str, EvalReport]:

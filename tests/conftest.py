@@ -1,6 +1,7 @@
 """Shared test helpers: the default model, training and synthetic settings
 with some fields replaced, finite-difference, loss, state, attention,
-forward-pass, per-sample anchor-draw and row-wise data-path oracles,
+forward-pass, per-sample anchor-draw, batching and row-wise data-path
+oracles, a sample table built from and viewed as per-sample rows,
 hand-built samples, a scene built from per-agent rows, a track table
 built from and viewed as per-track rows, an anchor
 histogram, a zeroed model head and a checkpoint values-line editor."""
@@ -27,7 +28,7 @@ from polytraj.data import (
     SCENE_ARRAYS,
     SCENE_HEADER,
     STATE_DIM,
-    Sample,
+    Samples,
     Scene,
     Tracks,
 )
@@ -80,10 +81,73 @@ def assert_close_to_fd(analytic: np.ndarray, numeric: np.ndarray, rel: float = 1
     assert np.all(gap <= bound), f"gradient mismatch: worst excess {np.max(gap - bound)}"
 
 
-def make_moderate_samples(rng: np.random.Generator, n: int, agents: int = 2, steps: int = 6, horizon: int = 55) -> list[Sample]:
+SampleRow = namedtuple("SampleRow", "states mask future sample_id", defaults=(0,))
+
+
+def samples_of(rows) -> Samples:
+    """A Samples table from per-sample rows `(states, mask, future[,
+    sample_id])`: (agents, S, STATE_DIM) states, (agents, S) mask and
+    (horizon + 1, 2) future, each padded with zeros."""
+    rows = [SampleRow(*row) for row in rows]
+    agents = max((len(row.states) for row in rows), default=0)
+    steps = rows[0].states.shape[1] if rows else 0
+    frames = max((len(row.future) for row in rows), default=1)
+    states, mask = np.zeros((len(rows), agents, steps, STATE_DIM)), np.zeros((len(rows), agents, steps))
+    future = np.zeros((len(rows), frames, 2))
+    for i, row in enumerate(rows):
+        states[i, : len(row.states)], mask[i, : len(row.mask)], future[i, : len(row.future)] = row[:3]
+    return Samples(states, mask, np.array([len(row.states) for row in rows], dtype=np.int64), future,
+                   np.array([len(row.future) - 1 for row in rows], dtype=np.int64),
+                   np.array([row.sample_id for row in rows], dtype=np.int64))
+
+
+def sample_rows(samples: Samples) -> list[SampleRow]:
+    """Each sample of a Samples table as a `SampleRow` of views into it,
+    without the padding."""
+    columns = zip(samples.counts.tolist(), samples.horizons.tolist(), samples.sample_ids.tolist())
+    return [SampleRow(samples.states[i, :count], samples.mask[i, :count], samples.future[i, : horizon + 1], sample_id)
+            for i, (count, horizon, sample_id) in enumerate(columns)]
+
+
+def oracle_collate(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample rows stacked one at a time, agent slots padded with fully
+    masked zeros."""
+    if not rows:
+        raise DataError("empty batch")
+    steps = rows[0].states.shape[1]
+    if any(row.states.shape[1] != steps for row in rows):
+        raise DataError("samples in one batch must share the history length")
+    max_agents = max(row.states.shape[0] for row in rows)
+    states = np.zeros((len(rows), max_agents, steps, STATE_DIM))
+    mask = np.zeros((len(rows), max_agents, steps))
+    for i, row in enumerate(rows):
+        a = row.states.shape[0]
+        states[i, :a] = row.states
+        mask[i, :a] = row.mask
+    return states, mask
+
+
+def oracle_future_at(rows, offsets) -> np.ndarray:
+    """Each row's future at frame offsets, one row at a time: (B, T, 2)
+    for a (B, T) offset matrix or a (T,) row shared by all."""
+    offsets = np.asarray(offsets, dtype=np.int64)
+    offsets = np.broadcast_to(offsets, (len(rows), offsets.shape[-1]))
+    truth = np.empty(offsets.shape + (2,))
+    for i, (row, row_offsets) in enumerate(zip(rows, offsets)):
+        horizon = row.future.shape[0] - 1
+        if row_offsets.max() > horizon:
+            raise DataError(
+                f"sample {row.sample_id}: offset {int(row_offsets.max())} beyond available future of {horizon} frames"
+            )
+        truth[i] = row.future[row_offsets]
+    return truth
+
+
+def moderate_rows(rng: np.random.Generator, n: int, agents: int = 2, steps: int = 6,
+                  horizon: int = 55) -> list[SampleRow]:
     """Small random-walk samples with O(1) magnitudes, so finite differences
-    are trustworthy at step 1e-3."""
-    samples = []
+    are trustworthy at step 1e-3, as per-sample rows numbered from 0."""
+    rows = []
     for i in range(n):
         states = rng.normal(0.0, 1.0, size=(agents, steps, 7))
         mask = np.ones((agents, steps))
@@ -91,8 +155,14 @@ def make_moderate_samples(rng: np.random.Generator, n: int, agents: int = 2, ste
             mask[1:, :2] = 0.0  # neighbors enter two frames late
         future = np.cumsum(rng.normal(0.0, 0.08, size=(horizon + 1, 2)), axis=0)
         future[0] = 0.0
-        samples.append(Sample(states=states, mask=mask, future=future, sample_id=i))
-    return samples
+        rows.append(SampleRow(states, mask, future, i))
+    return rows
+
+
+def make_moderate_samples(rng: np.random.Generator, n: int, agents: int = 2, steps: int = 6,
+                          horizon: int = 55) -> Samples:
+    """`moderate_rows` as one Samples table."""
+    return samples_of(moderate_rows(rng, n, agents, steps, horizon))
 
 
 def schedule_histogram(cfg: ModelConfig, n_draws: int, rng: np.random.Generator) -> dict[int, int]:

@@ -15,6 +15,7 @@ from conftest import (
     oracle_read_scene,
     oracle_states,
     oracle_write_scene,
+    sample_rows,
     scene_of,
     synthetic_params,
     track_rows,
@@ -24,6 +25,7 @@ from conftest import (
 from polytraj.config import load_config, parse_ratio
 from polytraj.data import (
     FEET_TO_METRES,
+    SAMPLE_ARRAYS,
     TRACK_ARRAYS,
     Segment,
     build_sample,
@@ -33,6 +35,7 @@ from polytraj.data import (
     ingest_ngsim,
     is_straight_constant_velocity,
     read_scene,
+    read_split,
     segment_and_split,
     write_scene,
     write_split,
@@ -178,6 +181,16 @@ def test_scene_arrays_that_do_not_fit_are_data_error():
 # -- states -----------------------------------------------------------------------
 
 
+def _sample(scene, history_len: int):
+    """`build_sample`'s one-row table as a `SampleRow`; one scene's table has
+    no padding."""
+    table = build_sample(scene, history_len)
+    assert table.states.shape[:2] == (1, scene.agent_ids.size)
+    assert table.horizons.tolist() == [len(scene) - history_len]
+    (row,) = sample_rows(table)
+    return row
+
+
 def _two_agent_scene():
     ego = (0, np.ones(4, dtype=bool), np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]))
     neighbor = (1, np.array([False, True, True, True]), np.array([[0.0, 0.0], [4.0, 3.0], [5.0, 4.0], [6.0, 5.0]]))
@@ -186,7 +199,7 @@ def _two_agent_scene():
 
 def test_state_increments_speed_heading():
     scene = _two_agent_scene()
-    sample = build_sample(scene, history_len=3)
+    sample = _sample(scene, history_len=3)
     dx, dy, v, _, theta, l, phi = sample.states[0, 0]  # ego at frame 1
     assert (dx, dy) == (1.0, 0.0)
     assert v == pytest.approx(10.0)
@@ -196,7 +209,7 @@ def test_state_increments_speed_heading():
 
 def test_neighbor_polar_coordinates():
     scene = _two_agent_scene()
-    state = build_sample(scene, history_len=3).states[1, 1]  # neighbor at frame 2
+    state = _sample(scene, history_len=3).states[1, 1]  # neighbor at frame 2
     # neighbor at (5, 4) vs ego at (2, 0): 3 m lateral, 4 m ahead
     assert state[5] == pytest.approx(5.0)
     assert state[6] == pytest.approx(math.atan2(4.0, 3.0))
@@ -204,7 +217,7 @@ def test_neighbor_polar_coordinates():
 
 def test_masked_neighbor_is_none_not_error():
     scene = _two_agent_scene()
-    sample = build_sample(scene, history_len=3)  # neighbor absent at frame 0
+    sample = _sample(scene, history_len=3)  # neighbor absent at frame 0
     assert sample.mask[1, 0] == 0.0
     np.testing.assert_array_equal(sample.states[1, 0], np.zeros(7))
 
@@ -212,7 +225,7 @@ def test_masked_neighbor_is_none_not_error():
 def test_states_require_predecessor():
     # increments need a predecessor frame: states start at frame 1, and the
     # config rejects a history with no frame after the first
-    sample = build_sample(_two_agent_scene(), history_len=3)
+    sample = _sample(_two_agent_scene(), history_len=3)
     assert sample.states.shape[1] == 2  # frames 1 and 2 of frames 0..2
     with pytest.raises(ConfigError):
         load_config(overrides=["data.history_len=1"])
@@ -220,7 +233,7 @@ def test_states_require_predecessor():
 
 def test_state_vector_order():
     scene = _two_agent_scene()
-    vec = build_sample(scene, history_len=3).states[1, 1]
+    vec = _sample(scene, history_len=3).states[1, 1]
     assert vec.shape == (7,)
     delta = scene.positions[1, 2] - scene.positions[1, 1]
     assert vec[0] == delta[0] and vec[1] == delta[1]
@@ -233,7 +246,7 @@ def test_constant_recorded_speed_gives_zero_alpha(rng):
     frames = np.arange(12)
     positions = np.stack([np.zeros(12), frames * 1.0], axis=1) + rng.normal(0.0, 0.05, size=(12, 2))
     ego = (1, np.ones(12, dtype=bool), positions, np.full(12, 10.0))
-    sample = build_sample(scene_of(frames, [ego], frame_rate=10.0), history_len=8)
+    sample = _sample(scene_of(frames, [ego], frame_rate=10.0), history_len=8)
     np.testing.assert_array_equal(sample.states[0, :, 2], 10.0)
     np.testing.assert_array_equal(sample.states[0, :, 3], 0.0)
 
@@ -411,7 +424,7 @@ def test_mixed_cycles_through_kinds(rng):
 
 def test_sample_future_origin_is_zero(rng):
     scenes = gen_synthetic(synthetic_params(frames=80, neighbors=2), 4, rng, history_len=20)
-    for sample in (build_sample(scene, history_len=20) for scene in scenes):
+    for sample in (_sample(scene, history_len=20) for scene in scenes):
         np.testing.assert_array_equal(sample.future[0], [0.0, 0.0])
         assert sample.states.shape == (3, 19, 7)
         assert sample.future.shape == (61, 2)
@@ -493,7 +506,7 @@ def test_build_sample_equals_per_frame_oracle_bitwise(tmp_path, rng):
     assert any(not scene.present.all() for scene in ngsim)
     for name, scenes in families.items():
         for scene in scenes:
-            sample = build_sample(scene, history_len=20)
+            sample = _sample(scene, history_len=20)
             states, mask = oracle_states(scene, history_len=20)
             assert sample.states.tobytes() == states.tobytes(), name
             assert sample.mask.tobytes() == mask.tobytes(), name
@@ -624,11 +637,11 @@ def test_scene_cut_at_t0_gives_the_full_window_sample(tmp_path, rng):
     for name, scene_pairs in pairs.items():
         for i, (scene, full) in enumerate(scene_pairs):
             assert not scene.present[1:, HISTORY_LEN:].any(), (name, i)
-            expected = build_sample(full, HISTORY_LEN)
+            expected = _sample(full, HISTORY_LEN)
             path = tmp_path / f"{name}_{i}.csv"
             write_scene(scene, path)
             for trimmed in (scene, read_scene(path, frame_rate=scene.frame_rate)):
-                sample = build_sample(trimmed, HISTORY_LEN)
+                sample = _sample(trimmed, HISTORY_LEN)
                 for field in ("states", "mask", "future"):
                     assert getattr(sample, field).tobytes() == getattr(expected, field).tobytes(), (name, i, field)
         if name != "tiny":  # the full window holds neighbour rows past t_0 that the cut scene drops
@@ -658,6 +671,27 @@ def test_write_split_memory_does_not_grow_with_the_split(tmp_path, rng):
             tracemalloc.stop()
 
     assert peak_bytes(64) <= 1.5 * peak_bytes(16)
+
+
+def test_read_split_memory_does_not_grow_with_the_split(tmp_path, rng, monkeypatch):
+    # read_split copies each chunk's samples into the split's one table and
+    # drops them: beside the table it holds one chunk's arrays, not a second
+    # copy of the split.  Chunks of 4 files make both splits several chunks
+    # long, so that in each the table is held while a chunk is read
+    scenes = gen_synthetic(synthetic_params(neighbors=4), 64, rng, history_len=HISTORY_LEN)
+    splits = {n: (tmp_path / str(n), write_split(scenes[:n], tmp_path / str(n))) for n in (1, 16, 64)}
+    monkeypatch.setattr("polytraj.data.SPLIT_CHUNK", 4)
+    read_split(*splits[1], HISTORY_LEN)
+
+    def extra_bytes(n):
+        tracemalloc.start()
+        try:
+            samples = read_split(*splits[n], HISTORY_LEN)
+            return tracemalloc.get_traced_memory()[1] - sum(getattr(samples, name).nbytes for name in SAMPLE_ARRAYS)
+        finally:
+            tracemalloc.stop()
+
+    assert extra_bytes(64) <= 1.5 * extra_bytes(16)
 
 
 def _random_scene(rng, n_agents):

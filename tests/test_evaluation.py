@@ -2,8 +2,8 @@
 
 import numpy as np
 import pytest
+from conftest import sample_rows, samples_of
 
-from polytraj.data import Sample
 from polytraj.errors import DataError
 from polytraj.evaluation import (
     EvalReport,
@@ -30,18 +30,20 @@ class _OffsetPredictor:
 
     def predict_positions(self, samples, offsets):
         offsets = np.asarray(offsets, dtype=int)
-        return np.stack([s.future[offsets] + self.shifts[s.sample_id] for s in samples])
+        return samples.future[:, offsets] + self.shifts[samples.sample_ids, np.newaxis]
 
 
-def _samples_with_futures(rng, n, horizon=55):
-    samples = []
+def _rows_with_futures(rng, n, horizon=55):
+    rows = []
     for i in range(n):
         future = np.cumsum(rng.normal(0, 0.5, size=(horizon + 1, 2)), axis=0)
         future[0] = 0.0
-        samples.append(
-            Sample(states=np.zeros((1, 3, 7)), mask=np.ones((1, 3)), future=future, sample_id=i)
-        )
-    return samples
+        rows.append((np.zeros((1, 3, 7)), np.ones((1, 3)), future, i))
+    return rows
+
+
+def _samples_with_futures(rng, n, horizon=55):
+    return samples_of(_rows_with_futures(rng, n, horizon))
 
 
 # -- ade: the mean over samples of `displacement_errors` --------------------------
@@ -67,8 +69,9 @@ def test_ade_three_four_five(rng):
 
 
 def test_ade_rejects_length_mismatch(rng):
-    samples = _samples_with_futures(rng, 2)
-    samples[1].future = samples[1].future[:21]  # shorter than the offsets
+    rows = _rows_with_futures(rng, 2)
+    rows[1] = (*rows[1][:2], rows[1][2][:21], rows[1][3])  # shorter than the offsets
+    samples = samples_of(rows)
     with pytest.raises(DataError, match="sample 1: offset 30 beyond available future of 20 frames"):
         _ade(np.zeros((2, 2)), samples)
 
@@ -99,7 +102,7 @@ def test_rmse_matches_brute_force_oracle(rng):
     for j, offset in enumerate(offsets):
         squares = []
         displacements = []
-        for sample in samples:
+        for sample in sample_rows(samples):
             pred = sample.future[offset] + shifts[sample.sample_id]
             dx = pred[0] - sample.future[offset][0]
             dy = pred[1] - sample.future[offset][1]
@@ -111,7 +114,7 @@ def test_rmse_matches_brute_force_oracle(rng):
 
 def test_empty_test_set_rejected():
     with pytest.raises(DataError):
-        rmse_at_offsets(_OffsetPredictor(np.zeros((1, 2))), [], (10,))
+        rmse_at_offsets(_OffsetPredictor(np.zeros((1, 2))), samples_of([]), (10,))
 
 
 def test_offsets_beyond_future_rejected(rng):

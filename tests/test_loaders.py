@@ -14,6 +14,8 @@ from conftest import (
     oracle_read_scene,
     oracle_states,
     oracle_write_scene,
+    sample_rows,
+    synthetic_params,
     track_rows,
     with_first_value,
 )
@@ -22,7 +24,8 @@ from hypothesis import strategies as st
 
 from polytraj.autodiff import load_checkpoint
 from polytraj.cli import main
-from polytraj.data import SPLIT_CHUNK, Scene, ingest_ngsim, read_scene, read_split, write_split
+from polytraj.data import (SPLIT_CHUNK, Scene, build_sample, gen_synthetic, ingest_ngsim, read_scene, read_split,
+                           write_split)
 from polytraj.errors import DataError, NumericalError, PolytrajError
 from polytraj.model import TrajectoryModel, load_model, save_model
 
@@ -570,13 +573,40 @@ def test_read_split_equals_the_per_file_oracle(tmp_path_factory, files, seed, sp
         assert str(raised.value) == f"scene length {short[0]} leaves no future after {SPLIT_HISTORY} history frames"
         return
     samples = read_split(split_dir, digests, SPLIT_HISTORY)
-    assert [sample.sample_id for sample in samples] == list(range(files))
-    for sample, scene in zip(samples, scenes):
+    assert samples.sample_ids.tolist() == list(range(files))
+    assert samples.counts.tolist() == [scene.agent_ids.size for scene in scenes]
+    assert samples.horizons.tolist() == [len(scene) - SPLIT_HISTORY for scene in scenes]
+    assert samples.states.shape[1] == max(samples.counts) and samples.future.shape[1] == max(samples.horizons) + 1
+    for i, scene in enumerate(scenes):
         states, mask = oracle_states(scene, SPLIT_HISTORY)
         future = scene.positions[0, SPLIT_HISTORY - 1 :] - scene.positions[0, SPLIT_HISTORY - 1]
-        for got, expected in ((sample.states, states), (sample.mask, mask), (sample.future, future)):
+        count, frames = samples.counts[i], samples.horizons[i] + 1
+        for got, expected in ((samples.states[i, :count], states), (samples.mask[i, :count], mask),
+                              (samples.future[i, :frames], future)):
             assert got.dtype == expected.dtype and got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
+    _assert_zero_padding(samples)
+
+
+def _assert_zero_padding(samples) -> None:
+    """Every array of the table is +0.0 past each sample's agents and future."""
+    for i, (count, frames) in enumerate(zip(samples.counts.tolist(), (samples.horizons + 1).tolist())):
+        for padding in (samples.states[i, count:], samples.mask[i, count:], samples.future[i, frames:]):
+            assert padding.tobytes() == bytes(padding.nbytes)
+
+
+def test_read_split_widens_its_table_for_a_later_chunk(tmp_path, rng):
+    # the first chunk's scenes have one agent and 10 frames, the second's three and 14
+    scenes = (gen_synthetic(synthetic_params(frames=10, neighbors=0), SPLIT_CHUNK, rng, history_len=SPLIT_HISTORY)
+              + gen_synthetic(synthetic_params(frames=14, neighbors=2), 3, rng, history_len=SPLIT_HISTORY))
+    samples = read_split(tmp_path, write_split(scenes, tmp_path), SPLIT_HISTORY)
+    assert samples.states.shape[:2] == (SPLIT_CHUNK + 3, 3) and samples.future.shape[1] == 14 - SPLIT_HISTORY + 1
+    for i, (row, scene) in enumerate(zip(sample_rows(samples), scenes)):
+        (expected,) = sample_rows(build_sample(scene, SPLIT_HISTORY, i))
+        for got, want in zip(row[:3], expected[:3]):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert row.sample_id == i
+    _assert_zero_padding(samples)
 
 
 # values that repeat within and across scenes: -0.0 beside 0.0, and floats

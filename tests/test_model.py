@@ -5,27 +5,35 @@ import inspect
 import sys
 import tracemalloc
 import weakref
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
+    SampleRow,
     assert_close_to_fd,
     central_difference,
     make_moderate_samples,
     model_config,
+    moderate_rows,
+    oracle_collate,
     oracle_forward,
+    oracle_future_at,
     oracle_gru_cell,
     oracle_loss,
+    samples_of,
     train_settings,
     zero_head,
 )
 
 from polytraj import autodiff as ad
 from polytraj.autodiff import Tensor
-from polytraj.data import Sample
+from polytraj.data import future_at
 from polytraj.errors import ConfigError, DataError, NumericalError, ShapeError
 from polytraj.model import (
     COORDINATES,
@@ -271,8 +279,8 @@ def test_head_offsets_for_coordinates():
 
 
 def _forward(model, sample):
-    """Raw head output for one sample, through the batched inference path."""
-    states, mask = collate([sample])
+    """Raw head output for a one-row table, through the batched inference path."""
+    states, mask = collate(sample)
     return model.forward_batch(states, mask, train=False)[0]
 
 
@@ -280,7 +288,7 @@ def test_zero_head_polynomial_is_origin_everywhere(rng):
     samples = make_moderate_samples(rng, 1)
     model = TrajectoryModel(model_config(units=6, d_x=3, d_y=2), seed=3)
     zero_head(model)
-    raw = _forward(model, samples[0])[np.newaxis]
+    raw = _forward(model, samples)[np.newaxis]
     for mean, var in moments(model.config, raw, [[1, 10, 50]]):
         np.testing.assert_array_equal(mean, np.zeros((1, 3)))
         assert np.all(var > 0)
@@ -310,50 +318,42 @@ def test_coordinate_moments_select_requested_offsets(rng):
 def test_batched_prediction_matches_single_samples(rng):
     # padded agent slots change nothing; only the BLAS kernel choice for a
     # batch of one differs, at the last bits
-    samples = [make_moderate_samples(rng, 1, agents=n)[0] for n in (1, 3, 2)]
+    rows = [moderate_rows(rng, 1, agents=n)[0] for n in (1, 3, 2)]
     model = TrajectoryModel(model_config(units=6), seed=4)
-    batched = model.predict_positions(samples, [5, 25, 50])
-    for i, sample in enumerate(samples):
-        np.testing.assert_allclose(batched[i], model.predict_positions([sample], [5, 25, 50])[0], rtol=1e-12, atol=1e-14)
+    batched = model.predict_positions(samples_of(rows), [5, 25, 50])
+    for i, row in enumerate(rows):
+        single = model.predict_positions(samples_of([row]), [5, 25, 50])[0]
+        np.testing.assert_allclose(batched[i], single, rtol=1e-12, atol=1e-14)
 
 
 def test_history_length_one_and_five_both_accepted(rng):
     model = TrajectoryModel(model_config(units=5), seed=0)
     for steps in (1, 5):
-        sample = Sample(
-            states=rng.normal(0, 1, size=(1, steps, 7)),
-            mask=np.ones((1, steps)),
-            future=np.zeros((60, 2)),
-        )
+        sample = samples_of([(rng.normal(0, 1, size=(1, steps, 7)), np.ones((1, steps)), np.zeros((60, 2)))])
         out = _forward(model, sample)
         assert out.shape == (model.config.output_dim,)
 
 
 def test_empty_history_rejected(rng):
     model = TrajectoryModel(model_config(units=5), seed=0)
-    sample = Sample(states=np.zeros((1, 0, 7)), mask=np.zeros((1, 0)), future=np.zeros((60, 2)))
+    sample = samples_of([(np.zeros((1, 0, 7)), np.zeros((1, 0)), np.zeros((60, 2)))])
     with pytest.raises(DataError):
         _forward(model, sample)
 
 
 def test_forward_deterministic_across_rebuilds(rng):
     samples = make_moderate_samples(rng, 1, agents=3)
-    out1 = _forward(TrajectoryModel(model_config(units=8), seed=(7, 7)), samples[0])
-    out2 = _forward(TrajectoryModel(model_config(units=8), seed=(7, 7)), samples[0])
+    out1 = _forward(TrajectoryModel(model_config(units=8), seed=(7, 7)), samples)
+    out2 = _forward(TrajectoryModel(model_config(units=8), seed=(7, 7)), samples)
     np.testing.assert_array_equal(out1, out2)
 
 
 def test_neighbor_permutation_invariance(rng):
-    samples = make_moderate_samples(rng, 1, agents=4)
-    sample = samples[0]
+    (sample,) = moderate_rows(rng, 1, agents=4)
     model = TrajectoryModel(model_config(units=8), seed=11)
-    base = _forward(model, sample)
+    base = _forward(model, samples_of([sample]))
     order = [0, 3, 1, 2]  # reference agent stays in slot 0
-    shuffled = Sample(
-        states=sample.states[order],
-        mask=sample.mask[order],
-        future=sample.future,
-    )
+    shuffled = samples_of([(sample.states[order], sample.mask[order], sample.future)])
     np.testing.assert_allclose(_forward(model, shuffled), base, atol=1e-12)
 
 
@@ -394,7 +394,7 @@ def test_batch_loss_equals_trajectory_loss_contract(rng):
     model = TrajectoryModel(model_config(units=6, d_x=3, d_y=3), seed=9)
     schedule = [7, 21, 42]
     loss, _ = batch_loss(model, samples, np.array([schedule]), train=False)
-    raw = _forward(model, samples[0])
+    raw = _forward(model, samples)
     unscale = model.config.time_scale ** np.arange(3)
     traj = SimpleNamespace(
         a=raw[0:3] / unscale,
@@ -402,7 +402,7 @@ def test_batch_loss_equals_trajectory_loss_contract(rng):
         sigma_a=np.exp(raw[6:9]) / unscale,
         sigma_b=np.exp(raw[9:12]) / unscale,
     )
-    expected = oracle_loss(traj, samples[0].future, schedule)
+    expected = oracle_loss(traj, samples.future[0], schedule)
     assert float(loss) == pytest.approx(expected, rel=1e-12)
 
 
@@ -412,16 +412,12 @@ def test_coordinate_loss_only_sees_its_offsets(rng):
     model = TrajectoryModel(cfg, seed=1)
     t_matrix = np.array([cfg.head_offsets])
     base, _ = batch_loss(model, samples, t_matrix, train=False)
-    tweaked = Sample(
-        states=samples[0].states,
-        mask=samples[0].mask,
-        future=samples[0].future.copy(),
-    )
-    tweaked.future[10] += 100.0  # not an anchor
-    moved, _ = batch_loss(model, [tweaked], t_matrix, train=False)
+    tweaked = replace(samples, future=samples.future.copy())
+    tweaked.future[0, 10] += 100.0  # not an anchor
+    moved, _ = batch_loss(model, tweaked, t_matrix, train=False)
     assert float(moved) == float(base)
-    tweaked.future[25] += 1.0  # t_25 is an anchor
-    moved, _ = batch_loss(model, [tweaked], t_matrix, train=False)
+    tweaked.future[0, 25] += 1.0  # t_25 is an anchor
+    moved, _ = batch_loss(model, tweaked, t_matrix, train=False)
     assert float(moved) != float(base)
 
 
@@ -450,19 +446,20 @@ def test_whole_model_gradient_check_mini(rng):
         assert_close_to_fd(analytic, numeric)
 
 
-def _with_masks(samples, full: bool):
+def _with_masks(rows, full: bool):
     if full:
-        for sample in samples:
-            sample.mask[:] = 1.0
-    return samples
+        for row in rows:
+            row.mask[:] = 1.0
+    return rows
 
 
 @pytest.mark.parametrize("agents", [1, 5, 9])  # from 8 slots numpy's pairwise sum regroups the normaliser
 @pytest.mark.parametrize("full", [True, False], ids=["full-masks", "late-neighbours"])
 def test_batch_loss_and_gradients_match_unrolled_oracle(rng, monkeypatch, agents, full):
-    samples = _with_masks(make_moderate_samples(rng, 4, agents=agents, steps=5), full)
+    rows = _with_masks(moderate_rows(rng, 4, agents=agents, steps=5), full)
     if agents > 1:
-        samples.append(make_moderate_samples(rng, 1, agents=2, steps=5)[0])  # padded slots
+        rows.append(moderate_rows(rng, 1, agents=2, steps=5)[0])  # padded slots
+    samples = samples_of(rows)
     model = TrajectoryModel(model_config(units=4, d_x=2, d_y=2, decoder_steps=3), seed=17)
     t_matrix = np.tile([5, 20, 50], (len(samples), 1))
 
@@ -585,12 +582,12 @@ def test_lr_zero_keeps_parameters(rng):
 def test_empty_dataset_rejected():
     model = TrajectoryModel(model_config(units=4), seed=0)
     with pytest.raises(DataError):
-        train(model, [], train_settings())
+        train(model, samples_of([]), train_settings())
 
 
 def test_nan_loss_aborts_with_sample_id(rng):
     samples = make_moderate_samples(rng, 4)
-    samples[2].future[:] = np.nan
+    samples.future[2] = np.nan
     model = TrajectoryModel(model_config(units=4), seed=2)
     with pytest.raises(NumericalError, match=r"sample\(s\) \[2\]"):
         train(model, samples, train_settings(lr=0.01, epochs=1, batch=4, seed=(0, 0)))
@@ -672,7 +669,7 @@ def test_save_load_round_trip_preserves_predictions(tmp_path, rng):
     restored, meta = load_model(path)
     assert meta["fingerprint"] == "abc"
     assert restored.config == model.config
-    np.testing.assert_array_equal(_forward(restored, samples[0]), _forward(model, samples[0]))
+    np.testing.assert_array_equal(_forward(restored, samples), _forward(model, samples))
 
 
 def test_loaded_parameters_are_bit_identical_and_writable(tmp_path):
@@ -740,8 +737,53 @@ def test_checkpoint_with_the_older_input_dim_meta_line_loads_to_the_same_predict
 
 
 def test_collate_pads_variable_agent_counts(rng):
-    a = make_moderate_samples(rng, 1, agents=1)[0]
-    b = make_moderate_samples(rng, 1, agents=3)[0]
-    states, mask = collate([a, b])
+    a = moderate_rows(rng, 1, agents=1)[0]
+    b = moderate_rows(rng, 1, agents=3)[0]
+    states, mask = collate(samples_of([a, b]))
     assert states.shape == (2, 3, 6, 7)
     assert mask[0, 1:].sum() == 0.0
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 12), batch=st.integers(1, 8),
+       steps=st.integers(1, 6), anchors=st.integers(1, 5), shared=st.booleans())
+def test_batching_equals_the_per_sample_oracles(seed, size, batch, steps, anchors, shared):
+    # a batch drawn from a table as `train` draws one: ragged rows of 1-9
+    # agents with absent states, mixed horizons and ids out of order, so the
+    # table is often padded past the batch's most agents and longest future
+    rng = np.random.default_rng(seed)
+    rows = []
+    for sample_id in rng.permutation(100)[:size].tolist():
+        agents, horizon = int(rng.integers(1, 10)), int(rng.integers(1, 30))
+        mask = (rng.uniform(size=(agents, steps)) < 0.7).astype(np.float64)
+        states = np.where(mask[..., None] == 1.0, rng.normal(size=(agents, steps, 7)), 0.0)
+        rows.append(SampleRow(states, mask, rng.normal(size=(horizon + 1, 2)), sample_id))
+    table = samples_of(rows)
+    index = rng.permutation(size)[:batch]
+    samples, rows = table[index], [rows[i] for i in index]
+    for got, expected in zip(collate(samples), oracle_collate(rows)):
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+    # offsets reach a few frames past the longest future, so some are out of range
+    offsets = rng.integers(0, table.horizons.max() + 4, size=(anchors,) if shared else (len(rows), anchors))
+    try:
+        expected = oracle_future_at(rows, offsets)
+    except DataError as exc:
+        with pytest.raises(DataError) as raised:
+            future_at(samples, offsets)
+        assert str(raised.value) == str(exc)
+        return
+    got = future_at(samples, offsets)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_offset_rows_must_match_the_batch(rng):
+    samples = make_moderate_samples(rng, 3)
+    model = TrajectoryModel(model_config(units=4), seed=0)
+    for rows in (2, 4):
+        t_matrix = np.tile([5, 20, 50], (rows, 1))
+        for run in (lambda: future_at(samples, t_matrix), lambda: batch_loss(model, samples, t_matrix)):
+            with pytest.raises(ShapeError) as raised:
+                run()
+            assert str(raised.value) == f"t_matrix rows {rows} != batch size 3"

@@ -190,9 +190,9 @@ def _model_emitting(traj):
 
 
 def _loss(traj, truth, offsets):
-    sample = make_moderate_samples(np.random.default_rng(0), 1, horizon=truth.shape[0] - 1)[0]
-    sample.future[:] = truth
-    loss, _ = batch_loss(_model_emitting(traj), [sample], np.array([offsets]), train=False)
+    sample = make_moderate_samples(np.random.default_rng(0), 1, horizon=truth.shape[0] - 1)
+    sample.future[0] = truth
+    loss, _ = batch_loss(_model_emitting(traj), sample, np.array([offsets]), train=False)
     return float(loss)
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import make_moderate_samples, model_config, train_settings
+from conftest import make_moderate_samples, model_config, moderate_rows, samples_of, train_settings
 
 from polytraj.errors import DataError
 from polytraj.studies import extrapolation_study
@@ -13,9 +13,10 @@ SETTINGS = train_settings(lr=0.01, epochs=1, batch=4, seed=(0, 0))
 
 def test_extrapolation_skips_short_samples_for_every_curve(rng):
     train_samples = make_moderate_samples(rng, 4, horizon=60)
-    long_samples = make_moderate_samples(rng, 3, horizon=60)
-    short_samples = make_moderate_samples(rng, 2, horizon=45)
-    mixed = [short_samples[0], *long_samples[:2], short_samples[1], long_samples[2]]
+    long_rows = moderate_rows(rng, 3, horizon=60)
+    short_rows = moderate_rows(rng, 2, horizon=45)
+    long_samples, short_samples = samples_of(long_rows), samples_of(short_rows)
+    mixed = samples_of([short_rows[0], *long_rows[:2], short_rows[1], long_rows[2]])
 
     report = extrapolation_study(train_samples, mixed, BASE, SETTINGS)
     expected = extrapolation_study(train_samples, long_samples, BASE, SETTINGS)
