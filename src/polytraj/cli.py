@@ -155,23 +155,20 @@ def cmd_generate(cfg: RunConfig) -> int:
         train_segments, test_segments = datamod.segment_and_split(
             tracks, segment_len=cfg["data.segment_len"], ratio=cfg["data.split_ratio"]
         )
-        neighbors = cfg["data.neighbors"]
-        train_scenes = [
-            datamod.build_scene(seg, tracks, history_len, neighbors) for seg in train_segments
-        ]
-        test_scenes = [
-            datamod.build_scene(seg, tracks, history_len, neighbors) for seg in test_segments
-        ]
-        train_scenes = datamod.filter_straight(
-            train_scenes,
+        train_segments = datamod.filter_straight(
+            train_segments,
+            tracks,
             fraction=cfg["data.straight.fraction"],
             rng=np.random.default_rng([seed, 12]),
             lateral_range_m=cfg["data.straight.lateral_range_m"],
             speed_std=cfg["data.straight.speed_std"],
         )
-        if not train_scenes and not test_scenes:
+        if not train_segments and not test_segments:
             raise DataError(f"no scene from {csv_path} ({len(tracks)} tracks) at "
                             f"data.segment_len={cfg['data.segment_len']}; nothing written")
+        neighbors = cfg["data.neighbors"]
+        train_scenes = datamod.build_scene(train_segments, tracks, history_len, neighbors)
+        test_scenes = datamod.build_scene(test_segments, tracks, history_len, neighbors)
         detail = {"ngsim_csv": str(csv_path), "tracks": len(tracks)}
     out_dir = _prepare_out_dir(cfg)
     (out_dir / "manifest.json").unlink(missing_ok=True)  # written last, so a failed write leaves none

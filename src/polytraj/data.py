@@ -1,46 +1,46 @@
 """Dataset handling: NGSim-format ingestion, synthetic scenes, scene files
 and model-ready samples.
 
-A track is one agent's fixed-rate sequence of 2-D positions (x lateral,
-y longitudinal, metres); `ingest_ngsim` parses an NGSim CSV's six used
-columns in one `np.loadtxt`, sorts the rows by (vehicle, frame),
-cuts each vehicle's rows into tracks at frame gaps and returns them as
-one `Tracks` row table.  Tracks are cut into fixed-length segments, split
-temporally into train and test, and turned into scenes by `build_scene`:
-a window of frames with one reference agent and its nearest neighbours
-at t_0, found in the table's frame order.  `gen_synthetic` builds scenes
-directly from the `synthetic` section of a run config.  A `Scene` holds
-arrays over (agent, frame), the reference agent in row 0: presence,
-positions, speeds and accels, zero where the agent is absent, and a
-per-agent flag for whether it records its speed and its acceleration.
-The reference agent covers the whole window, each neighbour only
-`frames[:history_len]`, up to and including t_0: the model reads every
-agent's history but the future of the reference agent alone, so a
-neighbour's future would be written, parsed and never used.  Scenes go
-to disk and back as CSV files, one row per present (agent, frame), an
-empty v or a field for a value the agent does not record.  `write_split`
-writes a split's files `SPLIT_CHUNK` at a time and returns each one's
-sha256.  For each chunk it gathers the present cells into one row table,
+A track is one agent's fixed-rate sequence of 2-D positions (x lateral, y
+longitudinal, metres); `ingest_ngsim` parses an NGSim CSV's six used
+columns in one `np.loadtxt`, sorts the rows by (vehicle, frame), cuts
+each vehicle's rows into tracks at frame gaps and returns them as one
+`Tracks` row table.  Tracks are cut into fixed-length segments and split
+temporally into train and test.  `filter_straight` thins the straight
+segments, reading each one's own track rows, and `build_scene` turns a
+split's segments into one `Scenes` batch: per segment a window of frames
+with one reference agent and its nearest neighbours at t_0, found in the
+table's frame order.  `gen_synthetic` builds a batch directly from the
+`synthetic` section of a run config.  A batch holds arrays over (scene,
+agent, frame), the reference agent in row 0, padded with absent agents
+and frames.  The reference agent covers its scene's window, each
+neighbour only the first `history_len` frames, up to and including t_0:
+the model reads every agent's history but the future of the reference
+agent alone, so a neighbour's future would be written, parsed and never
+used.  Scenes go to disk and back as CSV files, one per scene and one row
+per present (agent, frame), an empty v or a field for a value the agent
+does not record.  `write_split` writes a split's files `SPLIT_CHUNK` at a
+time and returns each one's sha256.  For each chunk, a slice of the batch,
+it gathers the present cells into one row table by one `np.nonzero`,
 formats each column whole, each distinct value once (floats keyed by
 their bits), and writes each file at once; `write_scene` is its one-file
 case.  `read_split` loads a split: it takes only the files the manifest
 lists, and reads them `SPLIT_CHUNK` at a time.  For each chunk it checks
 each file's sha256, ASCII and header, joins the bodies, checks their
 lines and fields at once and parses them in one `np.loadtxt` (an empty
-field reads as 0).  It then numbers each file's agents by first appearance, finds
-every row's window slot by one `searchsorted`, checks all rows at once
-and scatters them into (scene, agent, frame) arrays.  One feature pass
-over those arrays gives the chunk's samples, copied into the split's
-table.  `read_scene` and `build_sample` are that code's one-file and
-one-scene case, and a chunk with a fault is read again file by file for
-the first file's error.  Both parsers accept plain comma-separated
-numbers only, with no quoting.  A split's samples are one `Samples`
-table: per-agent state histories plus the reference agent's future in
-its own frame at the current time step, padded over agents and frames.
-A batch is a selection of its rows, and `future_at` reads the future at
-frame offsets in one gather for the loss and the metrics.  Keyword
-defaults, such as a frame rate or a segment length, read
-`config.DEFAULTS`; none is written here.
+field reads as 0).  It then numbers each file's agents by first
+appearance, finds every row's window slot by one `searchsorted`, checks
+all rows at once and scatters them into a batch, whose samples
+`build_sample` computes in one feature pass and `read_split` copies into
+the split's table.  `read_scene` is that code's one-file case, and a chunk
+with a fault is read again file by file for the first file's error.  Both
+parsers accept plain comma-separated numbers only, with no quoting.  A
+split's samples are one `Samples` table: per-agent state histories plus
+the reference agent's future in its own frame at the current time step,
+padded over agents and frames.  A model batch is a selection of its rows;
+`future_at` reads the future at frame offsets in one gather for the loss
+and the metrics.  Keyword defaults, such as a frame rate or a segment
+length, read `config.DEFAULTS`; none is written here.
 """
 
 from __future__ import annotations
@@ -99,7 +99,8 @@ class Tracks:
 
     `agent_ids` (T,), `bounds` (T + 1,) and `frames` (R,) are int64;
     `positions` (R, 2), `speeds` (R,) and `accels` (R,) float64; `recorded`
-    (2, T) bool, as `Scene.recorded`, with 0 for a value not recorded.
+    (2, T) bool, as each scene's `Scenes.recorded`, with 0 for a value not
+    recorded.
     Derived: `owner` (R,), each row's track, and `by_frame` (R,), the rows
     in frame order, ties in table order.  The rules for one track (2 rows
     or more, one frame step, finite values) are checked by `ingest_ngsim`."""
@@ -132,18 +133,23 @@ SCENE_ARRAYS = ("frames", "agent_ids", "present", "positions", "speeds", "accels
 
 
 @dataclass
-class Scene:
-    """A fixed window of frames with arrays over (agent, frame), the
-    reference agent in row 0.
+class Scenes:
+    """N scenes, each a window of frames with arrays over (agent, frame),
+    the reference agent in row 0, padded with absent agents and frames to
+    the most agents A and the longest window W.
 
-    `frames` (W,) and `agent_ids` (A,) are int64; `present` (A, W) is bool,
-    `positions` (A, W, 2), `speeds` (A, W) and `accels` (A, W) are float64.
-    `recorded` (2, A) is bool and says whether an agent records its speed
+    `frames` (N, W) and `agent_ids` (N, A) are int64; `present` (N, A, W) is
+    bool, `positions` (N, A, W, 2), `speeds` and `accels` (N, A, W) float64.
+    `recorded` (N, 2, A) is bool and says whether an agent records its speed
     (row 0) and its acceleration (row 1); values an agent does not record
-    are 0, and every value is 0 where its agent is absent.  The reference
-    agent is present at every frame.  `build_scene` and `gen_synthetic`
-    leave each neighbor absent after t_0, the last of the `history_len`
-    history frames, since a sample never reads a neighbor's future."""
+    are 0, every value is 0 where its agent is absent, and padding agents
+    record nothing.  The reference agent is present on a prefix of the
+    window, its scene's own.
+    `build_scene` and `gen_synthetic` leave each neighbor absent after t_0,
+    the last of the `history_len` history frames, since a sample never
+    reads a neighbor's future.  Derived: `lengths` (N,), the windows, and
+    `counts` (N,), the agents up to the last one present at a frame.
+    Indexing by a slice, an index array or a boolean mask selects scenes."""
 
     frames: np.ndarray
     agent_ids: np.ndarray
@@ -155,17 +161,22 @@ class Scene:
     frame_rate: float = DEFAULT_FRAME_RATE
 
     def __post_init__(self):
-        a, w = self.agent_ids.size, self.frames.size
+        n, a, w = np.shape(self.present) if np.ndim(self.present) == 3 else (None,) * 3
         shapes = tuple(np.shape(getattr(self, name)) for name in SCENE_ARRAYS)
-        if shapes != ((w,), (a,), (a, w), (a, w, 2), (a, w), (a, w), (2, a)):
-            raise DataError(f"scene arrays {dict(zip(SCENE_ARRAYS, shapes))} do not fit {a} agents on {w} frames")
-        if a == 0:
-            raise DataError("scene has no agents")
-        if not bool(np.all(self.present[0])):
-            raise DataError("reference agent must be present at every frame")
+        if shapes != ((n, w), (n, a), (n, a, w), (n, a, w, 2), (n, a, w), (n, a, w), (n, 2, a)):
+            raise DataError(f"scene arrays {dict(zip(SCENE_ARRAYS, shapes))} do not fit {n} scenes of {a} agents "
+                            f"on {w} frames")
+        reference = self.present[:, :1].any(axis=1)  # (N, W), all False for a scene without agents
+        self.lengths = np.count_nonzero(reference, axis=1)
+        if np.any(self.lengths == 0) or np.any(reference != (np.arange(w) < self.lengths[:, None])):
+            raise DataError("the reference agent must be present on a prefix of the window, from its first frame")
+        self.counts = np.max(np.where(self.present.any(axis=2), np.arange(1, a + 1), 0), axis=1, initial=0)
 
     def __len__(self) -> int:
-        return self.frames.size
+        return len(self.frames)
+
+    def __getitem__(self, rows) -> Scenes:
+        return Scenes(*(getattr(self, name)[rows] for name in SCENE_ARRAYS), self.frame_rate)
 
 
 SAMPLE_ARRAYS = ("states", "mask", "counts", "future", "horizons", "sample_ids")
@@ -305,24 +316,24 @@ def _ngsim_line_error(path: Path, columns: list[int]) -> DataError:
 # -- scene files -----------------------------------------------------------------
 
 
-def write_scene(scene: Scene, path) -> str:
-    """Write one scene file, as `write_split` writes each file of a split,
-    and return the sha256 of the bytes written."""
-    (digest,) = _write_scenes([scene], [Path(path)])
+def write_scene(scene: Scenes, path) -> str:
+    """Write a one-scene batch as one scene file, as `write_split` writes
+    each file of a split, and return the sha256 of the bytes written."""
+    (digest,) = _write_scenes(scene, [Path(path)])
     return digest
 
 
-def write_split(scenes: Sequence[Scene], split_dir) -> dict[str, str]:
+def write_split(scenes: Scenes, split_dir) -> dict[str, str]:
     """Write a split's scenes as `scene_00000.csv` on, in place of any
     scene files the directory holds; returns each file name with the
     sha256 of the bytes written, in scene order.
 
-    A file holds the header, then one row per present (agent, frame),
-    `np.nonzero(scene.present)`: the reference agent's rows first, then
-    each neighbor's, with "\\r\\n" line ends.  Ids and frames are written
-    by str and floats by repr, so that they round-trip; a v or a field is
-    empty for an agent that does not record the value.  Scenes are written
-    `SPLIT_CHUNK` at a time, each chunk in one pass of `_write_scenes`.
+    A file holds the header, then one row per present (agent, frame):
+    the reference agent's rows first, then each neighbor's, with "\\r\\n"
+    line ends.  Ids and frames are written by str and floats by repr, so
+    that they round-trip; a v or a field is empty for an agent that does
+    not record the value.  Scenes are written `SPLIT_CHUNK` at a time, each
+    chunk, a slice of the batch, in one pass of `_write_scenes`.
     """
     split_dir = Path(split_dir)
     split_dir.mkdir(parents=True, exist_ok=True)
@@ -336,29 +347,28 @@ def write_split(scenes: Sequence[Scene], split_dir) -> dict[str, str]:
     return dict(zip(names, digests))
 
 
-def _write_scenes(scenes: Sequence[Scene], paths: list[Path]) -> list[str]:
+def _write_scenes(scenes: Scenes, paths: list[Path]) -> list[str]:
     """Write each scene to its path, each file's text encoded once for its
     write and its sha256; returns the sha256s.
 
-    The scenes' rows are gathered into one SCENE_DTYPE table, with (2, R)
-    flags for a recorded v and a, and each column is formatted whole, each
+    The present cells, `np.nonzero(scenes.present)` in scene, agent and
+    frame order, are gathered into one SCENE_DTYPE table, with (2, R) flags
+    for a recorded v and a, and each column is formatted whole, each
     distinct value once: floats are told apart by their bits, so -0.0
     stays "-0.0", and only recorded v and a values are formatted."""
-    cells = [np.nonzero(scene.present) for scene in scenes]  # agent by agent
-    ends = np.cumsum([agent.size for agent, _ in cells]).tolist()
-    table, recorded = np.empty(ends[-1], SCENE_DTYPE), np.empty((2, ends[-1]), dtype=bool)
-    for scene, (agent, slot), start, end in zip(scenes, cells, [0, *ends], ends):
-        rows = table[start:end]
-        rows["agent_id"], rows["frame"] = scene.agent_ids[agent], scene.frames[slot]
-        rows["x"], rows["y"] = scene.positions[agent, slot].T
-        rows["v"], rows["a"] = scene.speeds[agent, slot], scene.accels[agent, slot]
-        recorded[:, start:end] = scene.recorded[:, agent]
+    scene, agent, slot = np.nonzero(scenes.present)
+    table = np.empty(scene.size, SCENE_DTYPE)
+    table["agent_id"], table["frame"] = scenes.agent_ids[scene, agent], scenes.frames[scene, slot]
+    table["x"], table["y"] = scenes.positions[scene, agent, slot].T
+    table["v"], table["a"] = scenes.speeds[scene, agent, slot], scenes.accels[scene, agent, slot]
+    recorded = scenes.recorded[scene, :, agent].T
     columns = [_formatted(table[name], str) for name in ("agent_id", "frame")]
     columns += [_formatted(table[name], repr) for name in ("x", "y")]
     for name, kept in zip("va", recorded):
         column = np.full(table.size, "", dtype=object)
         column[kept] = _formatted(table[name][kept], repr)
         columns.append(column)
+    ends = np.cumsum(np.bincount(scene, minlength=len(scenes))).tolist()
     digests = []
     for path, start, end in zip(paths, [0, *ends], ends):
         lines = map(",".join, zip(*(column[start:end].tolist() for column in columns)))
@@ -406,14 +416,14 @@ def read_split(split_dir, digests: dict[str, str], history_len: int,
     for start in range(0, len(held), SPLIT_CHUNK):
         chunk = held[start : start + SPLIT_CHUNK]
         try:
-            scenes = _read_scenes(chunk, [digests[path.name] for path in chunk])
+            scenes = _read_scenes(chunk, frame_rate, [digests[path.name] for path in chunk])
         except DataError:
             for path in chunk:
-                _read_scenes([path], [digests[path.name]])
+                _read_scenes([path], frame_rate, [digests[path.name]])
             raise
         if no_future is None:
             try:
-                table = _filled(table, len(held), start, _samples(scenes, history_len, start, frame_rate))
+                table = _filled(table, len(held), start, build_sample(scenes, history_len, start))
             except DataError as exc:  # raised once every file is read, as a file's fault comes first
                 no_future = exc
         del scenes  # so that the next chunk is read without this one's arrays
@@ -439,9 +449,9 @@ def _filled(table: Samples | None, rows: int, start: int, block: Samples) -> Sam
     return table
 
 
-def read_scene(path, frame_rate: float = DEFAULT_FRAME_RATE) -> Scene:
-    """Read a scene file; the first agent block is the reference agent,
-    whose frames, strictly increasing, make the window.
+def read_scene(path, frame_rate: float = DEFAULT_FRAME_RATE) -> Scenes:
+    """Read a scene file as a one-scene batch; the first agent block is the
+    reference agent, whose frames, strictly increasing, make the window.
 
     The file is read once and its body parsed by one `np.loadtxt` into
     int64 ids and frames and float64 values.  Lines end in "\\n" or
@@ -456,31 +466,12 @@ def read_scene(path, frame_rate: float = DEFAULT_FRAME_RATE) -> Scene:
     agent's rows need not be adjacent.  A file that cannot be read is a
     DataError.
     """
-    scenes = _read_scenes([Path(path)])
-    return Scene(*(getattr(scenes, name)[0] for name in SCENE_ARRAYS), frame_rate)
+    return _read_scenes([Path(path)], frame_rate)
 
 
-@dataclass
-class _Scenes:
-    """S scenes as `Scene`'s arrays with a leading scene axis, padded with
-    absent agents and frames to the most agents A and the longest window
-    W; `lengths` (S,) and `counts` (S,) hold each scene's window length
-    and agent count."""
-
-    frames: np.ndarray
-    agent_ids: np.ndarray
-    present: np.ndarray
-    positions: np.ndarray
-    speeds: np.ndarray
-    accels: np.ndarray
-    recorded: np.ndarray
-    lengths: np.ndarray
-    counts: np.ndarray
-
-
-def _read_scenes(paths: list[Path], digests: Sequence[str] | None = None) -> _Scenes:
-    """The scenes of `paths`, read as `read_scene` reads one file, each
-    file's bytes checked against its sha256 in `digests` if given.
+def _read_scenes(paths: list[Path], frame_rate: float, digests: Sequence[str] | None = None) -> Scenes:
+    """One batch of the scenes of `paths`, read as `read_scene` reads one
+    file, each file's bytes checked against its sha256 in `digests` if given.
 
     The files' bodies are checked and parsed as one table, the agents of
     each file numbered by first appearance in that file, and the rows
@@ -524,7 +515,7 @@ def _read_scenes(paths: list[Path], digests: Sequence[str] | None = None) -> _Sc
     positions = np.zeros(shape + (2,))
     positions[scene, agent, slot, 0] = table["x"]
     positions[scene, agent, slot, 1] = table["y"]
-    recorded = np.ones((2,) + shape[:2], dtype=bool)  # v and a: if every row of the agent records it
+    recorded = np.array([np.arange(shape[1]) < counts[:, None]] * 2)  # v, a: if all rows of an agent in use do
     recorded[0, scene[v_empty], agent[v_empty]] = False
     recorded[1, scene[a_empty], agent[a_empty]] = False
     speeds, accels = np.zeros(shape), np.zeros(shape)
@@ -536,8 +527,7 @@ def _read_scenes(paths: list[Path], digests: Sequence[str] | None = None) -> _Sc
         flat = scene * shape[1] + agent  # each row's agent among all files' padded agents
         raise _scene_fault(where, table, agent_ids.ravel(), flat, outside, present.reshape(-1, shape[2]),
                            recorded.reshape(2, -1))
-    return _Scenes(windows, agent_ids, present, positions, speeds, accels, recorded.transpose(1, 0, 2), lengths,
-                   counts)
+    return Scenes(windows, agent_ids, present, positions, speeds, accels, recorded.transpose(1, 0, 2), frame_rate)
 
 
 def _scene_fault(where, table, agent_ids, agent, outside, present, recorded) -> DataError:
@@ -580,7 +570,7 @@ def _scene_body(path: Path, digest: str | None) -> bytes:
 
 
 def _scene_table(where, body: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scene body rows, each ending in a line feed, as a SCENE_DTYPE table,
+    """Body rows, each ending in a line feed, as a SCENE_DTYPE table,
     with per-row flags for an empty v and an empty a field (read as 0)."""
     chars = np.frombuffer(body, dtype=np.uint8)
     ends = (chars == LF[0]).nonzero()[0]
@@ -664,6 +654,11 @@ class Segment:
     start: int
     length: int
 
+    def rows(self, tracks: Tracks) -> slice:
+        """The segment's rows of `tracks`."""
+        first = int(tracks.bounds[self.track]) + self.start
+        return slice(first, first + self.length)
+
 
 def segment_and_split(
     tracks: Tracks,
@@ -702,41 +697,47 @@ def _speed(positions: np.ndarray, frame_rate: float) -> np.ndarray:
 
 
 def is_straight_constant_velocity(
-    scene: Scene,
+    segment: Segment,
+    tracks: Tracks,
     lateral_range_m: float = default("data.straight.lateral_range_m"),
     speed_std: float = default("data.straight.speed_std"),
 ) -> bool:
-    """Reference agent stays within a small lateral band at near-constant speed."""
-    positions = scene.positions[0]
+    """The segment's agent, the reference agent of its scene, stays within a
+    small lateral band at near-constant speed; its track's rows are read."""
+    rows = segment.rows(tracks)
+    positions = tracks.positions[rows]
     lateral_span = float(positions[:, 0].max() - positions[:, 0].min())
-    speeds = scene.speeds[0] if scene.recorded[0, 0] else _speed(positions, scene.frame_rate)
+    speeds = tracks.speeds[rows] if tracks.recorded[0, segment.track] else _speed(positions, tracks.frame_rate)
     return lateral_span < lateral_range_m and float(np.std(speeds)) < speed_std
 
 
 def filter_straight(
-    scenes: Sequence[Scene],
+    segments: Sequence[Segment],
+    tracks: Tracks,
     fraction: float,
     rng: np.random.Generator,
     lateral_range_m: float = default("data.straight.lateral_range_m"),
     speed_std: float = default("data.straight.speed_std"),
-) -> list[Scene]:
-    """Downsample straight constant-velocity scenes to `fraction`; keep the rest."""
+) -> list[Segment]:
+    """Downsample straight constant-velocity segments to `fraction`; keep
+    the rest.  Only the reference agent decides, so segments are chosen
+    before their scenes are built."""
     straight = [
         i
-        for i, scene in enumerate(scenes)
-        if is_straight_constant_velocity(scene, lateral_range_m, speed_std)
+        for i, segment in enumerate(segments)
+        if is_straight_constant_velocity(segment, tracks, lateral_range_m, speed_std)
     ]
     keep_count = int(len(straight) * fraction + 0.5)
     if keep_count == len(straight):
-        return list(scenes)
+        return list(segments)
     kept = rng.choice(len(straight), size=keep_count, replace=False)
     dropped = set(straight) - {straight[j] for j in kept.tolist()}
-    return [scene for i, scene in enumerate(scenes) if i not in dropped]
+    return [segment for i, segment in enumerate(segments) if i not in dropped]
 
 
-def build_scene(segment: Segment, tracks: Tracks, history_len: int, max_neighbors: int) -> Scene:
-    """Materialize a segment of `tracks` into a scene with its nearest
-    neighbors.
+def build_scene(segments: Sequence[Segment], tracks: Tracks, history_len: int, max_neighbors: int) -> Scenes:
+    """Materialize segments of `tracks` into one batch of scenes, each with
+    its nearest neighbors.
 
     Neighbors must be present at the reference agent's current frame
     t_0 = start + history_len - 1; the closest `max_neighbors` are kept,
@@ -744,37 +745,41 @@ def build_scene(segment: Segment, tracks: Tracks, history_len: int, max_neighbor
     tracks present at t_0 are the rows at that frame, found in the table's
     frame order `tracks.by_frame`.  The reference agent covers the whole
     window and each neighbor only the frames up to and including t_0, the
-    part `build_sample` reads.
+    part `build_sample` reads.  The batch is padded to the most agents a
+    scene has and the longest segment, so `max_neighbors` needs no end.
     """
-    if not 2 <= history_len < segment.length:
-        raise ConfigError(
-            f"history_len must be >= 2 and below the segment length {segment.length}, got {history_len}"
-        )
-    first = int(tracks.bounds[segment.track]) + segment.start  # the segment's first row
-    frames = tracks.frames[first : first + segment.length]
-    t0_frame = frames[history_len - 1]
-    rows = tracks.by_frame[slice(*np.searchsorted(tracks.frames, (t0_frame, t0_frame + 1), sorter=tracks.by_frame))]
-    rows = rows[tracks.agent_ids[tracks.owner[rows]] != tracks.agent_ids[segment.track]]  # other agents at t_0
-    owner = tracks.owner[rows]
-    offset = tracks.positions[rows] - tracks.positions[first + history_len - 1]
-    distance = np.hypot(offset[:, 0], offset[:, 1])
-    nearest = owner[np.lexsort((owner, tracks.agent_ids[owner], distance))[:max_neighbors]]
-    kept = [segment.track, *nearest.tolist()]
-    shape = (len(kept), frames.size)
+    short = [segment.length for segment in segments if not 2 <= history_len < segment.length]
+    if short:
+        raise ConfigError(f"history_len must be >= 2 and below the segment length {short[0]}, got {history_len}")
+    windows, kept = [tracks.frames[segment.rows(tracks)] for segment in segments], []
+    for segment in segments:
+        t0_row = segment.rows(tracks).start + history_len - 1
+        t0_frame = tracks.frames[t0_row]
+        rows = tracks.by_frame[slice(*np.searchsorted(tracks.frames, (t0_frame, t0_frame + 1), sorter=tracks.by_frame))]
+        rows = rows[tracks.agent_ids[tracks.owner[rows]] != tracks.agent_ids[segment.track]]  # other agents at t_0
+        owner = tracks.owner[rows]
+        offset = tracks.positions[rows] - tracks.positions[t0_row]
+        distance = np.hypot(offset[:, 0], offset[:, 1])
+        nearest = owner[np.lexsort((owner, tracks.agent_ids[owner], distance))[:max_neighbors]]
+        kept.append([segment.track, *nearest.tolist()])
+    shape = (len(segments), max(map(len, kept), default=0), max(map(len, windows), default=0))
+    frames, agent_ids = np.zeros(shape[::2], dtype=np.int64), np.zeros(shape[:2], dtype=np.int64)
     present, positions = np.zeros(shape, dtype=bool), np.zeros(shape + (2,))
-    speeds, accels = np.zeros(shape), np.zeros(shape)
-    for k, (track, last) in enumerate(zip(kept, [frames[-1]] + [t0_frame] * nearest.size)):
-        start, stop = tracks.bounds[track : track + 2]
-        rows = slice(*start + np.searchsorted(tracks.frames[start:stop], (frames[0], last + 1)))
-        slot = np.minimum(np.searchsorted(frames, tracks.frames[rows]), frames.size - 1)
-        landed = frames[slot] == tracks.frames[rows]  # the rows on a window frame
-        slot = slot[landed]
-        present[k, slot] = True
-        positions[k, slot] = tracks.positions[rows][landed]
-        speeds[k, slot] = tracks.speeds[rows][landed]
-        accels[k, slot] = tracks.accels[rows][landed]
-    return Scene(frames, tracks.agent_ids[kept], present, positions, speeds, accels, tracks.recorded[:, kept],
-                 tracks.frame_rate)
+    speeds, accels, recorded = np.zeros(shape), np.zeros(shape), np.zeros((shape[0], 2, shape[1]), dtype=bool)
+    for i, (window, agents) in enumerate(zip(windows, kept)):
+        frames[i, : window.size], agent_ids[i, : len(agents)] = window, tracks.agent_ids[agents]
+        recorded[i, :, : len(agents)] = tracks.recorded[:, agents]
+        for k, (track, last) in enumerate(zip(agents, [window[-1]] + [window[history_len - 1]] * len(agents))):
+            start, stop = tracks.bounds[track : track + 2]
+            rows = slice(*start + np.searchsorted(tracks.frames[start:stop], (window[0], last + 1)))
+            slot = np.minimum(np.searchsorted(window, tracks.frames[rows]), window.size - 1)
+            landed = window[slot] == tracks.frames[rows]  # the rows on a window frame
+            slot = slot[landed]
+            present[i, k, slot] = True
+            positions[i, k, slot] = tracks.positions[rows][landed]
+            speeds[i, k, slot] = tracks.speeds[rows][landed]
+            accels[i, k, slot] = tracks.accels[rows][landed]
+    return Scenes(frames, agent_ids, present, positions, speeds, accels, recorded, tracks.frame_rate)
 
 
 # -- synthetic scenes -------------------------------------------------------------
@@ -821,8 +826,8 @@ def gen_synthetic(
     frame_rate: float = DEFAULT_FRAME_RATE,
     *,
     history_len: int,
-) -> list[Scene]:
-    """Generate `n` scenes of params['frames'] frames with closed-form ground truth.
+) -> Scenes:
+    """A batch of `n` scenes of params['frames'] frames with closed-form ground truth.
 
     `params` is the `synthetic` section of a run config (`n` and
     `test_fraction` are the caller's).  const_vel is exactly degree 1 in
@@ -833,9 +838,9 @@ def gen_synthetic(
     neighbors, agents 1 and up, are present over the first `history_len`
     frames only, up to and including t_0, and zero elsewhere, as
     `read_scene` leaves absent frames.  No agent records speeds or accels.
-    The scenes share their frames, agent_ids, present and recorded arrays.
-    Each range's minimum must not exceed its maximum (the config bounds each
-    value).
+    All arrays but `positions` and `recorded` are read-only broadcasts of
+    one scene's.  Each range's minimum must not exceed its maximum (the
+    config bounds each value).
     """
     kind, n_frames, noise, n_neighbors = params["kind"], params["frames"], params["noise"], params["neighbors"]
     if not 2 <= history_len < n_frames:
@@ -845,27 +850,25 @@ def gen_synthetic(
             raise ConfigError(f"synthetic.{low} {params[low]} exceeds synthetic.{high} {params[high]}")
     cycle = ("const_vel", "const_acc", "lane_change", "arc")
     tau = np.arange(n_frames, dtype=np.float64) / frame_rate
-    frames = np.arange(n_frames, dtype=np.int64)
-    agent_ids = np.arange(1 + n_neighbors, dtype=np.int64)
-    present = np.zeros((agent_ids.size, n_frames), dtype=bool)
+    shape = (int(n), 1 + n_neighbors, n_frames)
+    present = np.zeros(shape[1:], dtype=bool)
     present[0] = True
     present[1:, :history_len] = True
-    recorded = np.zeros((2, agent_ids.size), dtype=bool)
     j = np.arange(n_neighbors)  # neighbour j, in row j + 1, drives j // 2 + 1 lanes right or left
     lateral = np.where(j % 2 == 0, 1.0, -1.0) * 3.5 * (j // 2 + 1)
-    scenes = []
-    for i in range(int(n)):
-        scene_kind = cycle[i % len(cycle)] if kind == "mixed" else kind
-        positions = np.zeros(present.shape + (2,))
-        positions[0] = _synthetic_ego(scene_kind, params, rng, tau)
+    positions = np.zeros(shape + (2,))
+    for i, scene in enumerate(positions):
+        scene[0] = _synthetic_ego(cycle[i % len(cycle)] if kind == "mixed" else kind, params, rng, tau)
         if noise > 0.0:
-            positions[0] += rng.normal(0.0, noise, size=(n_frames, 2))
+            scene[0] += rng.normal(0.0, noise, size=(n_frames, 2))
         speed, gap = rng.uniform((8.0, -30.0), (16.0, 30.0), size=(n_neighbors, 2)).T  # speed, gap per neighbour
-        positions[1:, :history_len, 0] = positions[0, 0, 0] + lateral[:, None]
-        positions[1:, :history_len, 1] = gap[:, None] + speed[:, None] * tau[:history_len]
-        scenes.append(Scene(frames, agent_ids, present, positions, np.zeros(present.shape), np.zeros(present.shape),
-                            recorded, frame_rate))
-    return scenes
+        scene[1:, :history_len, 0] = scene[0, 0, 0] + lateral[:, None]
+        scene[1:, :history_len, 1] = gap[:, None] + speed[:, None] * tau[:history_len]
+    frames = np.broadcast_to(np.arange(n_frames, dtype=np.int64), shape[::2])
+    agent_ids = np.broadcast_to(np.arange(shape[1], dtype=np.int64), shape[:2])
+    zeros = np.broadcast_to(0.0, shape)
+    return Scenes(frames, agent_ids, np.broadcast_to(present, shape), positions, zeros, zeros,
+                  np.zeros((shape[0], 2, shape[1]), dtype=bool), frame_rate)
 
 
 # -- samples ---------------------------------------------------------------------
@@ -882,10 +885,10 @@ def _heading(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.where(wrapped == -math.pi, math.pi, wrapped)
 
 
-def build_sample(scene: Scene, history_len: int, sample_id: int = 0) -> Samples:
-    """One scene's sample as a one-row table: state histories over the
-    input window plus the reference agent's future, translated so the
-    reference agent at t_0 is the origin.
+def build_sample(scenes: Scenes, history_len: int, first_id: int = 0) -> Samples:
+    """The scenes' samples, numbered from `first_id`, as one table padded as
+    `scenes` is: state histories over the input window plus the reference
+    agent's future, translated so the reference agent at t_0 is the origin.
 
     The state of an agent at frame t (1 <= t < history_len) needs it at t
     and t - 1: [dx, dy, v, alpha, theta, l, phi] with (dx, dy) the position
@@ -894,22 +897,16 @@ def build_sample(scene: Scene, history_len: int, sample_id: int = 0) -> Samples:
     from the same source at both frames (0 when the agent is absent at
     t - 2), theta the increment's heading, and (l, phi) the polar offset
     from the reference agent (phi 0 at l = 0).  Each agent's recorded
-    values are picked by its `scene.recorded` flag, for all agents at once.
+    values are picked by its `scenes.recorded` flag, and every feature is
+    computed for all scenes and agents at once.  A scene with no frame
+    after its history is a DataError.
     """
-    scenes = _Scenes(*(getattr(scene, name)[None] for name in SCENE_ARRAYS),
-                     np.array([len(scene)]), np.array([scene.agent_ids.size]))
-    return _samples(scenes, history_len, sample_id, scene.frame_rate)
-
-
-def _samples(scenes: _Scenes, history_len: int, first_id: int, frame_rate: float) -> Samples:
-    """`build_sample` of each scene, numbered from `first_id`, computed on
-    the padded arrays at once: a table padded as `scenes` is."""
     short = np.flatnonzero(scenes.lengths <= history_len)
     if short.size:
         raise DataError(
             f"scene length {scenes.lengths[short[0]]} leaves no future after {history_len} history frames"
         )
-    n = history_len
+    n, frame_rate = history_len, scenes.frame_rate
     present = scenes.present[:, :, :n]
     positions = scenes.positions[:, :, :n]  # (S, A, n, 2)
     delta = np.diff(positions, axis=2)
@@ -936,12 +933,16 @@ def _samples(scenes: _Scenes, history_len: int, first_id: int, frame_rate: float
 def future_at(samples: Samples, offsets) -> np.ndarray:
     """Each sample's future positions at frame offsets: (B, T, 2) for a
     (B, T) offset matrix, one row per sample, or a (T,) row shared by all.
-    A matrix of another row count is a ShapeError, and an offset past a
-    sample's future a DataError naming the first such sample."""
+    A matrix of another row count is a ShapeError, and a negative offset or
+    one past a sample's future a DataError naming the first such sample."""
     offsets = np.asarray(offsets, dtype=np.int64)
     if offsets.ndim == 2 and offsets.shape[0] != len(samples):
         raise ShapeError(f"t_matrix rows {offsets.shape[0]} != batch size {len(samples)}")
     offsets = np.broadcast_to(offsets, (len(samples), offsets.shape[-1]))
+    negative = np.flatnonzero(offsets.min(axis=1) < 0)
+    if negative.size:
+        i = negative[0]
+        raise DataError(f"sample {samples.sample_ids[i]}: offset {offsets[i][offsets[i] < 0][0]} is negative")
     last = offsets.max(axis=1)
     beyond = np.flatnonzero(last > samples.horizons)
     if beyond.size:

@@ -2,9 +2,10 @@
 with some fields replaced, finite-difference, loss, state, attention,
 forward-pass, per-sample anchor-draw, batching and row-wise data-path
 oracles, a sample table built from and viewed as per-sample rows,
-hand-built samples, a scene built from per-agent rows, a track table
-built from and viewed as per-track rows, an anchor
-histogram, a zeroed model head and a checkpoint values-line editor."""
+hand-built samples, a one-scene batch built from per-agent rows, a
+batch viewed as one-scene batches, a track table built from and viewed
+as per-track rows, an anchor histogram, a zeroed model head and a
+checkpoint values-line editor."""
 
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from polytraj.data import (
     SCENE_HEADER,
     STATE_DIM,
     Samples,
-    Scene,
+    Scenes,
     Tracks,
 )
 from polytraj.errors import DataError
@@ -206,18 +207,57 @@ def _wrap_angle(angle: float) -> float:
     return math.pi if wrapped == -math.pi else wrapped
 
 
-def scene_of(frames, agents, frame_rate: float = DEFAULT_FRAME_RATE) -> Scene:
-    """A Scene from per-agent rows `(agent_id, present, positions[, speeds[,
-    accels]])`, the reference agent first; a speeds or accels row left out or
-    None is not recorded."""
+def one_scene(frames, agent_ids, present, positions, speeds, accels, recorded,
+              frame_rate: float = DEFAULT_FRAME_RATE) -> Scenes:
+    """A one-scene batch of one scene's arrays, without padding: `recorded`
+    is (2, agents)."""
+    arrays = (frames, agent_ids, present, positions, speeds, accels, recorded)
+    return Scenes(*(np.asarray(array)[None] for array in arrays), frame_rate)
+
+
+def each_scene(scenes: Scenes) -> list[Scenes]:
+    """Each scene of a batch as a one-scene batch, a view keeping the
+    batch's padding."""
+    return [scenes[i : i + 1] for i in range(len(scenes))]
+
+
+SceneRow = namedtuple("SceneRow", (*SCENE_ARRAYS, "frame_rate"))
+
+
+def scene_rows(scenes: Scenes) -> list[SceneRow]:
+    """Each scene of a batch as a `SceneRow` of views into it, padding
+    kept: arrays over (agent, frame) and a (2, agents) `recorded`."""
+    return [SceneRow(*(getattr(scenes, name)[i] for name in SCENE_ARRAYS), scenes.frame_rate)
+            for i in range(len(scenes))]
+
+
+def batch_of(scenes: list[Scenes]) -> Scenes:
+    """One-scene batches stacked into one batch, each scene padded with
+    absent agents and frames to the most agents and the longest window."""
+    agents = max((scene.agent_ids.shape[1] for scene in scenes), default=0)
+    width = max((scene.frames.shape[1] for scene in scenes), default=0)
+    shapes = [(width,), (agents,), (agents, width), (agents, width, 2), (agents, width), (agents, width), (2, agents)]
+    dtypes = {"frames": np.int64, "agent_ids": np.int64, "present": bool, "recorded": bool}
+    batch = [np.zeros((len(scenes), *shape), dtypes.get(name, np.float64)) for name, shape in zip(SCENE_ARRAYS, shapes)]
+    for i, scene in enumerate(scenes):
+        for array, name in zip(batch, SCENE_ARRAYS):
+            part = getattr(scene, name)[0]
+            array[(i, *map(slice, part.shape))] = part
+    return Scenes(*batch, scenes[0].frame_rate if scenes else DEFAULT_FRAME_RATE)
+
+
+def scene_of(frames, agents, frame_rate: float = DEFAULT_FRAME_RATE) -> Scenes:
+    """A one-scene batch from per-agent rows `(agent_id, present,
+    positions[, speeds[, accels]])`, the reference agent first; a speeds or
+    accels row left out or None is not recorded."""
     ids, present, positions, speeds, accels = zip(*((*agent, None, None)[:5] for agent in agents))
     recorded = np.array([[v is not None for v in speeds], [a is not None for a in accels]])
 
     def block(rows):
         return np.array([np.zeros(len(frames)) if row is None else row for row in rows], dtype=np.float64)
 
-    return Scene(np.asarray(frames, dtype=np.int64), np.array(ids, dtype=np.int64), np.array(present, dtype=bool),
-                 np.array(positions, dtype=np.float64), block(speeds), block(accels), recorded, frame_rate)
+    return one_scene(np.asarray(frames, dtype=np.int64), np.array(ids, dtype=np.int64), np.array(present, dtype=bool),
+                     np.array(positions, dtype=np.float64), block(speeds), block(accels), recorded, frame_rate)
 
 
 TrackRow = namedtuple("TrackRow", "agent_id frames positions speeds accels")
@@ -254,9 +294,11 @@ def track_rows(tracks: Tracks) -> list[TrackRow]:
     return rows
 
 
-def oracle_states(scene: Scene, history_len: int) -> tuple[np.ndarray, np.ndarray]:
-    """Independent reimplementation of the sample states: one scalar state
-    vector per agent and frame, math-module angles."""
+def oracle_states(batch: Scenes, history_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """Independent reimplementation of the sample states of a one-scene
+    batch: one scalar state vector per agent row, padding included, and
+    frame, math-module angles."""
+    (scene,) = scene_rows(batch)
 
     def speed(a, t):
         if scene.recorded[0, a]:
@@ -426,8 +468,10 @@ def oracle_ingest_ngsim(csv_path, frame_rate: float = DEFAULT_FRAME_RATE) -> Tra
     return tracks_of(tracks, frame_rate)
 
 
-def oracle_write_scene(scene: Scene, path) -> None:
-    """One csv row per present agent frame, written by `csv.writer`."""
+def oracle_write_scene(batch: Scenes, path) -> None:
+    """One csv row per present agent frame of a one-scene batch, written by
+    `csv.writer`."""
+    (scene,) = scene_rows(batch)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SCENE_HEADER)
@@ -440,8 +484,9 @@ def oracle_write_scene(scene: Scene, path) -> None:
                     writer.writerow([agent_id, frame, x, y, v, acc])
 
 
-def oracle_read_scene(path, frame_rate: float = DEFAULT_FRAME_RATE) -> Scene:
-    """Scene rows parsed one csv row at a time with `int` and `float`."""
+def oracle_read_scene(path, frame_rate: float = DEFAULT_FRAME_RATE) -> Scenes:
+    """Scene rows parsed one csv row at a time with `int` and `float`, as a
+    one-scene batch without padding."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
@@ -493,19 +538,25 @@ def oracle_read_scene(path, frame_rate: float = DEFAULT_FRAME_RATE) -> Scene:
         recorded.append(kept)
         blocks.append((present, positions, speeds, accels))
     present, positions, speeds, accels = map(np.array, zip(*blocks))
-    return Scene(window, np.array(ids, dtype=np.int64), present, positions, speeds, accels, np.array(recorded).T,
-                 frame_rate)
+    return one_scene(window, np.array(ids, dtype=np.int64), present, positions, speeds, accels, np.array(recorded).T,
+                     frame_rate)
 
 
-def assert_same_scene(scene: Scene, expected: Scene) -> None:
-    """Equal frame rate and arrays, bit for bit, dtypes and shapes included."""
-    assert scene.frame_rate == expected.frame_rate
+def assert_same_scene(scene: Scenes, expected: Scenes) -> None:
+    """Two one-scene batches with an equal frame rate and equal arrays, bit
+    for bit and dtypes included, in the leading agents and frames of
+    `expected`; `scene` may be padded further, with zeros (False) only."""
+    assert scene.frame_rate == expected.frame_rate and len(scene) == len(expected) == 1
     for name in SCENE_ARRAYS:
         a, b = getattr(scene, name), getattr(expected, name)
-        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        leading = tuple(map(slice, b.shape))
+        assert a.dtype == b.dtype and a[leading].shape == b.shape and a[leading].tobytes() == b.tobytes(), name
+        padding = a.copy()
+        padding[leading] = 0
+        assert padding.tobytes() == bytes(padding.nbytes), name
 
 
-def oracle_build_scene(segment, tracks, history_len: int, max_neighbors: int) -> Scene:
+def oracle_build_scene(segment, tracks, history_len: int, max_neighbors: int) -> Scenes:
     """Neighbours found by a binary search of every track for t_0, and
     placed on the window one row at a time; the tracks are walked as
     per-track rows."""
@@ -541,17 +592,17 @@ def oracle_build_scene(segment, tracks, history_len: int, max_neighbors: int) ->
                 accels[a, slot] = agent.accels[row]
     recorded = np.array([[agent.speeds is not None for agent in kept], [agent.accels is not None for agent in kept]])
     agent_ids = np.array([agent.agent_id for agent in kept], dtype=np.int64)
-    return Scene(frames, agent_ids, present, positions, speeds, accels, recorded, tracks.frame_rate)
+    return one_scene(frames, agent_ids, present, positions, speeds, accels, recorded, tracks.frame_rate)
 
 
-def cut_neighbours_at_t0(scene: Scene, history_len: int) -> Scene:
-    """A scene with each neighbour absent, and zero, after t_0, the last of
-    the `history_len` history frames; the reference agent is kept whole."""
-    kept = np.ones(scene.present.shape, dtype=bool)
-    kept[1:, history_len:] = False
+def cut_neighbours_at_t0(scenes: Scenes, history_len: int) -> Scenes:
+    """A batch with each neighbour absent, and zero, after t_0, the last of
+    the `history_len` history frames; each reference agent is kept whole."""
+    kept = np.ones(scenes.present.shape, dtype=bool)
+    kept[:, 1:, history_len:] = False
     return dataclasses.replace(
-        scene, present=scene.present & kept, positions=np.where(kept[..., None], scene.positions, 0.0),
-        speeds=np.where(kept, scene.speeds, 0.0), accels=np.where(kept, scene.accels, 0.0),
+        scenes, present=scenes.present & kept, positions=np.where(kept[..., None], scenes.positions, 0.0),
+        speeds=np.where(kept, scenes.speeds, 0.0), accels=np.where(kept, scenes.accels, 0.0),
     )
 
 

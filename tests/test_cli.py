@@ -361,6 +361,22 @@ def test_generate_of_no_scenes_exits_2_and_writes_nothing(tmp_path, capsys):
     assert json.loads((data_dir / "manifest.json").read_text())["source"] == "synthetic"
 
 
+@pytest.mark.parametrize("fraction, counts", [("0", (8, 0)), ("1", (0, 8))], ids=["no-test", "no-train"])
+def test_generate_with_an_empty_split_exits_0_and_writes_no_scene_file_for_it(tmp_path, capsys, fraction, counts):
+    data_dir = _generate(tmp_path, [f"synthetic.test_fraction={fraction}"])
+    manifest = json.loads((data_dir / "manifest.json").read_text())
+    assert (manifest["scenes"]["train"], manifest["scenes"]["test"]) == counts
+    for split, count in zip(("train", "test"), counts):
+        assert len(list((data_dir / split).glob("scene_*.csv"))) == len(manifest["files"][split]) == count
+    assert f"({counts[0]} train, {counts[1]} test)" in capsys.readouterr().out
+    empty = "test" if counts[1] == 0 else "train"  # a command that reads the empty split exits 2
+    command = ["train"] if empty == "train" else ["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.txt")]
+    if empty == "test":
+        assert main(["train", *_sets(*TINY, f"data.dir={data_dir}", f"out.dir={tmp_path / 'run'}")]) == 0
+    assert main([*command, *_sets(*TINY, f"data.dir={data_dir}", f"out.dir={tmp_path / 'run'}")]) == 2
+    assert f"no scene files in {data_dir / empty}" in capsys.readouterr().err
+
+
 NGSIM_GOLDEN = "898fd0af7d2babe51c89bbef9d7db91fe00558d43268eef07dfd03eb2cb2ba83"
 SYNTHETIC_GOLDEN = "01c1540725df06120ee6f0de92ad8601d28cccd3e1b0ee150cbc12bfeb602b7c"
 

@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 from conftest import (
     assert_same_scene,
+    batch_of,
     cut_neighbours_at_t0,
+    each_scene,
+    one_scene,
     oracle_build_scene,
     oracle_ingest_ngsim,
     oracle_read_scene,
@@ -27,6 +30,7 @@ from polytraj.data import (
     FEET_TO_METRES,
     SAMPLE_ARRAYS,
     TRACK_ARRAYS,
+    Scenes,
     Segment,
     build_sample,
     build_scene,
@@ -160,11 +164,11 @@ def test_scene_round_trip_bit_exact(tmp_path, rng):
         path, again = tmp_path / "scene.csv", tmp_path / "again.csv"
         write_scene(scene, path)
         restored = read_scene(path)
-        assert restored.agent_ids.tolist() == [1, 2, 3]
-        np.testing.assert_array_equal(restored.frames, frames)
+        assert restored.agent_ids.tolist() == [[1, 2, 3]]
+        np.testing.assert_array_equal(restored.frames, [frames])
         for name in ("present", "positions", "speeds", "accels"):
             np.testing.assert_array_equal(getattr(restored, name), getattr(scene, name))
-        np.testing.assert_array_equal(restored.recorded, np.array(records).T)
+        np.testing.assert_array_equal(restored.recorded, [np.array(records).T])
         write_scene(restored, again)
         assert again.read_bytes() == path.read_bytes()
         np.testing.assert_array_equal(read_scene(again).recorded, restored.recorded)
@@ -172,10 +176,42 @@ def test_scene_round_trip_bit_exact(tmp_path, rng):
 
 def test_scene_arrays_that_do_not_fit_are_data_error():
     scene = scene_of(np.arange(4), [(0, np.ones(4, dtype=bool), np.zeros((4, 2)))])
-    for name, bad in (("speeds", np.zeros((1, 3))), ("accels", np.zeros(4)), ("recorded", np.zeros((1, 2), dtype=bool)),
-                      ("positions", np.zeros((1, 4, 3))), ("agent_ids", np.zeros(2, dtype=np.int64))):
+    for name, bad in (("speeds", np.zeros((1, 1, 3))), ("accels", np.zeros((1, 4))),
+                      ("recorded", np.zeros((1, 1, 2), dtype=bool)), ("positions", np.zeros((1, 1, 4, 3))),
+                      ("agent_ids", np.zeros((1, 2), dtype=np.int64)), ("frames", np.zeros((2, 4), dtype=np.int64)),
+                      ("present", np.ones((1, 4), dtype=bool))):
         with pytest.raises(DataError, match="do not fit"):
             dataclasses.replace(scene, **{name: bad})
+
+
+def test_scene_reference_agent_off_a_prefix_of_the_window_is_data_error():
+    for reference in ([False, True, True, True], [True, False, True, True], [False] * 4):
+        present = np.array([reference, [True] * 4])
+        with pytest.raises(DataError, match="reference agent must be present on a prefix of the window"):
+            one_scene(np.arange(4), [1, 2], present, np.zeros((2, 4, 2)), np.zeros((2, 4)), np.zeros((2, 4)),
+                      np.zeros((2, 2), dtype=bool))
+    no_agents = (np.zeros((1, 0, *shape)) for shape in ((), (4,), (4, 2), (4,), (4,)))
+    with pytest.raises(DataError, match="reference agent must be present"):  # a scene without agents
+        Scenes(np.zeros((1, 4), dtype=np.int64), *no_agents, np.zeros((1, 2, 0), dtype=bool))
+
+
+def test_scenes_derive_window_lengths_and_agent_counts_and_select_scenes():
+    # scene 0: 2 agents on 3 frames; scene 1: 4 agents on 4 frames, the third
+    # absent throughout but counted, as the fourth is present; scene 2: 1 agent
+    present = np.zeros((3, 4, 4), dtype=bool)
+    present[0, 0, :3] = present[0, 1, 1] = True
+    present[1, 0] = present[1, 1, :2] = present[1, 3, 0] = True
+    present[2, 0, :2] = True
+    zeros = np.zeros((3, 4, 4))
+    scenes = Scenes(np.zeros((3, 4), dtype=np.int64), np.zeros((3, 4), dtype=np.int64), present,
+                    np.zeros((3, 4, 4, 2)), zeros, zeros, np.zeros((3, 2, 4), dtype=bool), 12.5)
+    assert scenes.lengths.tolist() == [3, 4, 2] and scenes.counts.tolist() == [2, 4, 1] and len(scenes) == 3
+    for rows in (slice(1, 3), np.array([2, 1]), np.array([False, True, True])):
+        chosen = scenes[rows]
+        assert chosen.frame_rate == 12.5 and sorted(chosen.counts.tolist()) == [1, 4]
+        assert sorted(chosen.lengths.tolist()) == [2, 4] and chosen.present.shape == (2, 4, 4)
+    empty = scenes[:0]
+    assert len(empty) == 0 and empty.lengths.size == empty.counts.size == 0
 
 
 # -- states -----------------------------------------------------------------------
@@ -185,8 +221,8 @@ def _sample(scene, history_len: int):
     """`build_sample`'s one-row table as a `SampleRow`; one scene's table has
     no padding."""
     table = build_sample(scene, history_len)
-    assert table.states.shape[:2] == (1, scene.agent_ids.size)
-    assert table.horizons.tolist() == [len(scene) - history_len]
+    assert table.states.shape[:2] == (1, scene.agent_ids.shape[1])
+    assert table.horizons.tolist() == [scene.lengths[0] - history_len]
     (row,) = sample_rows(table)
     return row
 
@@ -235,7 +271,7 @@ def test_state_vector_order():
     scene = _two_agent_scene()
     vec = _sample(scene, history_len=3).states[1, 1]
     assert vec.shape == (7,)
-    delta = scene.positions[1, 2] - scene.positions[1, 1]
+    delta = scene.positions[0, 1, 2] - scene.positions[0, 1, 1]
     assert vec[0] == delta[0] and vec[1] == delta[1]
     assert vec[4] == pytest.approx(math.atan2(delta[1], delta[0]))
 
@@ -297,44 +333,64 @@ def test_parse_ratio_rejects_garbage():
 # -- straight filtering ----------------------------------------------------------------
 
 
-def _scene_from_positions(positions, frame_rate=10.0):
-    return scene_of(np.arange(len(positions)), [(0, np.ones(len(positions), dtype=bool), positions)], frame_rate)
+def _straight(n=50):
+    return np.stack([np.zeros(n), np.arange(n) * 1.0], axis=1)
 
 
-def _straight_scene(n=50):
-    return _scene_from_positions(np.stack([np.zeros(n), np.arange(n) * 1.0], axis=1))
-
-
-def _curved_scene(n=50):
+def _curved(n=50):
     t = np.arange(n, dtype=float)
-    return _scene_from_positions(np.stack([0.002 * t**2, t], axis=1))
+    return np.stack([0.002 * t**2, t], axis=1)
+
+
+def _segments_of(paths, speeds=None, frame_rate=10.0):
+    """One whole-track segment per path of positions, in a Tracks table."""
+    rows = [(k, np.arange(len(path)), path, speeds) for k, path in enumerate(paths)]
+    return [Segment(k, 0, len(path)) for k, path in enumerate(paths)], tracks_of(rows, frame_rate)
 
 
 def test_straightness_classifier():
-    assert is_straight_constant_velocity(_straight_scene())
-    assert not is_straight_constant_velocity(_curved_scene())
+    for path, straight in ((_straight(), True), (_curved(), False)):
+        (segment,), tracks = _segments_of([path])
+        assert is_straight_constant_velocity(segment, tracks) == straight
     # recorded speeds, where the reference agent has them, stand in for the derived ones
-    speeding_up = dataclasses.replace(_straight_scene(), speeds=np.linspace(0.0, 30.0, 50)[None],
-                                      recorded=np.array([[True], [False]]))
-    assert not is_straight_constant_velocity(speeding_up)
+    (segment,), speeding_up = _segments_of([_straight()], speeds=np.linspace(0.0, 30.0, 50))
+    assert not is_straight_constant_velocity(segment, speeding_up)
+    # only the segment's own rows of its track are read
+    _, tracks = _segments_of([np.concatenate([_curved(), _straight() + [0.0, 50.0]])])
+    assert is_straight_constant_velocity(Segment(0, 50, 50), tracks)
+    assert not is_straight_constant_velocity(Segment(0, 0, 50), tracks)
+
+
+def test_straightness_of_a_segment_is_that_of_its_scene_reference_agent():
+    tracks = ingest_ngsim(NGSIM_FIXTURE)
+    train, test = segment_and_split(tracks, segment_len=40)
+    scenes = build_scene(train + test, tracks, history_len=20, max_neighbors=8)
+    for lateral_range_m, speed_std in ((0.5, 0.5), (2.0, 1.0), (0.3, 2.0)):  # 2, 14 and 17 of 23 straight
+        verdicts = [is_straight_constant_velocity(segment, tracks, lateral_range_m, speed_std)
+                    for segment in train + test]
+        assert 0 < sum(verdicts) < len(verdicts)
+        positions, speeds = scenes.positions[:, 0], scenes.speeds[:, 0]  # the reference agents, recording v
+        assert verdicts == [bool(np.ptp(x[:, 0]) < lateral_range_m and np.std(v) < speed_std)
+                            for x, v in zip(positions, speeds)]
+    assert scenes.recorded[:, 0, 0].all()
 
 
 def test_all_curved_input_unchanged(rng):
-    scenes = [_curved_scene() for _ in range(10)]
-    assert filter_straight(scenes, 0.5, rng) == scenes
+    segments, tracks = _segments_of([_curved() for _ in range(10)])
+    assert filter_straight(segments, tracks, 0.5, rng) == segments
 
 
 def test_straight_downsampled_to_exact_count(rng):
-    scenes = [_straight_scene() for _ in range(100)]
-    kept = filter_straight(scenes, 0.5, rng)
+    segments, tracks = _segments_of([_straight() for _ in range(100)])
+    kept = filter_straight(segments, tracks, 0.5, rng)
     assert len(kept) == 50
 
 
 def test_curved_count_preserved_in_mixed_set(rng):
-    scenes = [_straight_scene() if i % 2 else _curved_scene() for i in range(40)]
-    kept = filter_straight(scenes, 0.5, rng)
-    curved_before = sum(1 for s in scenes if not is_straight_constant_velocity(s))
-    curved_after = sum(1 for s in kept if not is_straight_constant_velocity(s))
+    segments, tracks = _segments_of([_straight() if i % 2 else _curved() for i in range(40)])
+    kept = filter_straight(segments, tracks, 0.5, rng)
+    curved_before = sum(1 for s in segments if not is_straight_constant_velocity(s, tracks))
+    curved_after = sum(1 for s in kept if not is_straight_constant_velocity(s, tracks))
     assert curved_after == curved_before
     assert len(kept) == curved_before + 10
 
@@ -344,26 +400,27 @@ def test_curved_count_preserved_in_mixed_set(rng):
 
 def test_const_vel_span():
     params = synthetic_params(kind="const_vel", frames=51, speed_min=10.0, speed_max=10.0)
-    (scene,) = gen_synthetic(params, 1, np.random.default_rng(0), history_len=20)
-    assert scene.positions[0][0, 1] == 0.0
-    assert scene.positions[0][-1, 1] == pytest.approx(50.0)
+    scenes = gen_synthetic(params, 1, np.random.default_rng(0), history_len=20)
+    assert len(scenes) == 1
+    assert scenes.positions[0, 0, 0, 1] == 0.0
+    assert scenes.positions[0, 0, -1, 1] == pytest.approx(50.0)
 
 
 def test_const_acc_exact_quadratic(rng):
     scenes = gen_synthetic(synthetic_params(kind="const_acc", frames=120), 3, rng, history_len=20)
     t = np.arange(120, dtype=float)
     vandermonde = t[:, np.newaxis] ** np.arange(3, dtype=float)
-    for scene in scenes:
+    for positions in scenes.positions[:, 0]:
         for axis in (0, 1):
-            values = scene.positions[0][:, axis]
+            values = positions[:, axis]
             coefficients = fit_polynomials(t, values[:, np.newaxis], 2)[:, 0]
             assert np.linalg.norm(vandermonde @ coefficients - values) < 1e-9
 
 
 def test_lane_change_profile(rng):
     scenes = gen_synthetic(synthetic_params(kind="lane_change", frames=200), 4, rng, history_len=50)
-    for scene in scenes:
-        lateral = scene.positions[0][:, 0]
+    for positions in scenes.positions[:, 0]:
+        lateral = positions[:, 0]
         assert lateral[0] == 0.0
         assert abs(abs(lateral[-1]) - 3.5) < 0.05
         steps = np.diff(lateral)
@@ -371,8 +428,8 @@ def test_lane_change_profile(rng):
 
 
 def test_arc_constant_curvature(rng):
-    (scene,) = gen_synthetic(synthetic_params(kind="arc", frames=100), 1, rng, history_len=20)
-    positions = scene.positions[0]
+    scenes = gen_synthetic(synthetic_params(kind="arc", frames=100), 1, rng, history_len=20)
+    positions = scenes.positions[0, 0]
     x, y = positions[:, 0], positions[:, 1]
     sign = 1.0 if x[-1] >= 0 else -1.0
     # the center is at (sign * R, 0), so x^2 + y^2 = 2 R sign x on the circle
@@ -410,8 +467,8 @@ def test_range_minimum_above_its_maximum_rejected(rng, params):
 
 def test_const_acc_below_half_a_metre_per_second_never_brakes(rng):
     params = synthetic_params(kind="const_acc", frames=100, speed_min=0.0, speed_max=0.4, accel_max=1e-3)
-    for scene in gen_synthetic(params, 20, rng, history_len=20):
-        assert np.all(np.diff(scene.positions[0][:, 1]) > 0.0)
+    scenes = gen_synthetic(params, 20, rng, history_len=20)
+    assert np.all(np.diff(scenes.positions[:, 0, :, 1], axis=1) > 0.0)
 
 
 def test_mixed_cycles_through_kinds(rng):
@@ -419,19 +476,28 @@ def test_mixed_cycles_through_kinds(rng):
     assert len(scenes) == 8
 
 
+def test_gen_synthetic_keeps_the_draw_order_of_one_scene_at_a_time():
+    # scene i's draws follow scene i - 1's, so the first k scenes of a batch
+    # do not depend on how many come after
+    params = synthetic_params(frames=60, neighbors=3, noise=0.05)
+    many, few = (gen_synthetic(params, n, np.random.default_rng(7), history_len=20) for n in (9, 4))
+    assert many.positions[:4].tobytes() == few.positions.tobytes()
+    assert many.present.shape == (9, 4, 60) and not many.recorded.any() and not many.speeds.any()
+
+
 # -- samples ---------------------------------------------------------------------------
 
 
 def test_sample_future_origin_is_zero(rng):
     scenes = gen_synthetic(synthetic_params(frames=80, neighbors=2), 4, rng, history_len=20)
-    for sample in (_sample(scene, history_len=20) for scene in scenes):
+    for sample in (_sample(scene, history_len=20) for scene in each_scene(scenes)):
         np.testing.assert_array_equal(sample.future[0], [0.0, 0.0])
         assert sample.states.shape == (3, 19, 7)
         assert sample.future.shape == (61, 2)
 
 
 def test_sample_rejects_scene_without_future(rng):
-    (scene,) = gen_synthetic(synthetic_params(kind="const_vel", frames=20), 1, rng, history_len=19)
+    scene = gen_synthetic(synthetic_params(kind="const_vel", frames=20), 1, rng, history_len=19)
     with pytest.raises(DataError):
         build_sample(scene, history_len=20)
 
@@ -441,29 +507,54 @@ def test_scene_round_trip_with_masked_neighbor(tmp_path):
     path = tmp_path / "scene.csv"
     write_scene(scene, path)
     restored = read_scene(path)
-    assert restored.agent_ids.tolist() == [0, 1]
-    np.testing.assert_array_equal(restored.present[1], scene.present[1])
-    np.testing.assert_array_equal(restored.positions[1, 1:], scene.positions[1, 1:])
-    np.testing.assert_array_equal(restored.positions[0], scene.positions[0])
+    assert restored.agent_ids.tolist() == [[0, 1]]
+    np.testing.assert_array_equal(restored.present[0, 1], scene.present[0, 1])
+    np.testing.assert_array_equal(restored.positions[0, 1, 1:], scene.positions[0, 1, 1:])
+    np.testing.assert_array_equal(restored.positions[0, 0], scene.positions[0, 0])
 
 
-def test_build_scene_selects_nearest_neighbors():
+def _nearest_neighbour_tracks():
     ego = _track_of_length(400, agent_id=1)
     near = (2, np.arange(400), np.stack([np.full(400, 3.0), np.arange(400, dtype=float)], axis=1))
     far = (3, np.arange(400), np.stack([np.full(400, 80.0), np.arange(400, dtype=float)], axis=1))
     elsewhere = (4, np.arange(1000, 1400), np.stack([np.zeros(400), np.arange(400, dtype=float)], axis=1))
-    scene = build_scene(Segment(0, 0, 200), tracks_of([ego, near, far, elsewhere]), history_len=50, max_neighbors=1)
-    assert scene.agent_ids.tolist() == [1, 2]
-    assert bool(np.all(scene.present[1, :50]))
-    assert not scene.present[1, 50:].any()
+    return tracks_of([ego, near, far, elsewhere])
+
+
+def test_build_scene_selects_nearest_neighbors():
+    scene = build_scene([Segment(0, 0, 200)], _nearest_neighbour_tracks(), history_len=50, max_neighbors=1)
+    assert scene.agent_ids.tolist() == [[1, 2]]
+    assert bool(np.all(scene.present[0, 1, :50]))
+    assert not scene.present[0, 1, 50:].any()
+
+
+def test_build_scene_pads_to_the_agents_found_not_to_max_neighbors():
+    # no neighbour count is preallocated: the agent axis ends at the most
+    # agents a scene has, here the reference agent and the 2 tracks at t_0
+    tracks = _nearest_neighbour_tracks()
+    segments = [Segment(0, 0, 200), Segment(3, 0, 200), Segment(1, 200, 100)]
+    scenes = build_scene(segments, tracks, history_len=50, max_neighbors=10**9)
+    assert scenes.present.shape == (3, 3, 200) and scenes.counts.tolist() == [3, 1, 3]
+    assert scenes.lengths.tolist() == [200, 200, 100]
+    assert scenes.agent_ids.tolist() == [[1, 2, 3], [4, 0, 0], [2, 1, 3]]
+
+
+def test_empty_splits_build_write_and_generate_nothing(tmp_path, rng):
+    tracks = _nearest_neighbour_tracks()
+    for k, scenes in enumerate((build_scene([], tracks, history_len=50, max_neighbors=8),
+                                gen_synthetic(synthetic_params(neighbors=2), 0, rng, history_len=20))):
+        assert len(scenes) == 0 and scenes.counts.size == scenes.lengths.size == 0
+        split_dir = tmp_path / f"split_{k}"
+        assert write_split(scenes, split_dir) == {}
+        assert split_dir.is_dir() and not any(split_dir.iterdir())
 
 
 # -- whole-array states against the per-frame oracle -----------------------------------
 
 
 def _ngsim_scenes(tmp_path, rng, n_vehicles=40, frames=160):
-    """Scenes of up to 9 agents from a staggered NGSim-format file, so many
-    neighbours are present in only part of the window."""
+    """A batch of scenes of up to 9 agents from a staggered NGSim-format
+    file, so many neighbours are present in only part of the window."""
     rows = []
     for vid in range(1, n_vehicles + 1):
         lane, speed, y0 = vid % 5, rng.uniform(30.0, 60.0), rng.uniform(0.0, 100.0)
@@ -476,19 +567,31 @@ def _ngsim_scenes(tmp_path, rng, n_vehicles=40, frames=160):
     _write_csv(path, rows)
     tracks = ingest_ngsim(path)
     train, test = segment_and_split(tracks, segment_len=40)
-    return [build_scene(seg, tracks, history_len=20, max_neighbors=8) for seg in train + test]
+    return build_scene(train + test, tracks, history_len=20, max_neighbors=8)
 
 
-def _with_holes(scene, rng, share=0.2):
-    present = scene.present.copy()
-    present[1:] &= rng.uniform(size=present[1:].shape) >= share
-    return dataclasses.replace(scene, present=present, positions=scene.positions * present[..., None],
-                               speeds=scene.speeds * present, accels=scene.accels * present)
+def _with_holes(scenes, rng, t0, share=0.2):
+    """`scenes` with each neighbour absent at a random `share` of its frames
+    but t_0, where `build_scene` found it, so that none is absent throughout."""
+    present = scenes.present.copy()
+    holes = rng.uniform(size=present[:, 1:].shape) < share
+    holes[:, :, t0] = False
+    present[:, 1:] &= ~holes
+    return dataclasses.replace(scenes, present=present, positions=np.where(present[..., None], scenes.positions, 0.0),
+                               speeds=np.where(present, scenes.speeds, 0.0),
+                               accels=np.where(present, scenes.accels, 0.0))
 
 
-def _without_accels(scene):
-    return dataclasses.replace(scene, accels=np.zeros_like(scene.accels),
-                               recorded=np.stack([scene.recorded[0], np.zeros_like(scene.recorded[1])]))
+def _without_accels(scenes):
+    recorded = scenes.recorded.copy()
+    recorded[:, 1] = False
+    return dataclasses.replace(scenes, accels=np.zeros_like(scenes.accels), recorded=recorded)
+
+
+def _has_absent_cells(scenes):
+    """Whether an agent of some scene is absent on a frame of its window."""
+    in_use = (np.arange(scenes.present.shape[1]) < scenes.counts[:, None])[..., None]
+    return bool(np.any(in_use & (np.arange(scenes.present.shape[2]) < scenes.lengths[:, None, None]) & ~scenes.present))
 
 
 def test_build_sample_equals_per_frame_oracle_bitwise(tmp_path, rng):
@@ -499,17 +602,21 @@ def test_build_sample_equals_per_frame_oracle_bitwise(tmp_path, rng):
     }
     ngsim = _ngsim_scenes(tmp_path, rng)
     families["ngsim"] = ngsim
-    families["ngsim-holes"] = [_with_holes(scene, rng) for scene in ngsim]
-    families["ngsim-no-accels"] = [_without_accels(scene) for scene in families["ngsim-holes"]]
+    families["ngsim-holes"] = _with_holes(ngsim, rng, t0=19)
+    families["ngsim-no-accels"] = _without_accels(families["ngsim-holes"])
     assert len(ngsim) == 160
-    assert max(scene.agent_ids.size for scene in ngsim) == 9
-    assert any(not scene.present.all() for scene in ngsim)
+    assert max(ngsim.counts) == 9 and min(ngsim.counts) < 9  # a batch padded with absent agents
+    assert _has_absent_cells(ngsim)
     for name, scenes in families.items():
-        for scene in scenes:
-            sample = _sample(scene, history_len=20)
+        table = build_sample(scenes, history_len=20)  # every scene of the batch at once
+        for i, scene in enumerate(each_scene(scenes)):
             states, mask = oracle_states(scene, history_len=20)
-            assert sample.states.tobytes() == states.tobytes(), name
-            assert sample.mask.tobytes() == mask.tobytes(), name
+            assert table.states[i].tobytes() == states.tobytes(), name
+            assert table.mask[i].tobytes() == mask.tobytes(), name
+            sample = _sample(scene, history_len=20)  # and each scene alone
+            count = table.counts[i]
+            assert sample.states.tobytes() == states[:count].tobytes(), name
+            assert sample.mask.tobytes() == mask[:count].tobytes(), name
 
 
 # -- column-wise data path against the row-wise oracles ---------------------------------
@@ -525,14 +632,14 @@ def _assert_same_tracks(tracks, expected):
 def _fixture_scenes(history_len=20, neighbors=8):
     tracks = ingest_ngsim(NGSIM_FIXTURE)
     train, test = segment_and_split(tracks, segment_len=40)
-    return [build_scene(seg, tracks, history_len, neighbors) for seg in train + test]
+    return build_scene(train + test, tracks, history_len, neighbors)
 
 
 def test_ngsim_fixture_has_gaps_staggered_entries_and_masked_neighbours():
     scenes = _fixture_scenes()
     assert len(ingest_ngsim(NGSIM_FIXTURE)) == 13  # vehicle 5 splits in two; its isolated frame is dropped
-    assert len(scenes) == 23 and max(scene.agent_ids.size for scene in scenes) == 9
-    assert any(not scene.present.all() for scene in scenes)
+    assert len(scenes) == 23 and max(scenes.counts) == 9
+    assert _has_absent_cells(scenes)
 
 
 def test_ingest_ngsim_matches_row_wise_oracle(tmp_path):
@@ -564,9 +671,11 @@ def test_ingest_ngsim_reports_the_fault_a_per_vehicle_pass_finds_first(tmp_path,
 def test_build_scene_matches_row_wise_oracle(history_len, neighbors):
     tracks = ingest_ngsim(NGSIM_FIXTURE)
     train, test = segment_and_split(tracks, segment_len=40)
-    for segment in train + test:
+    scenes = build_scene(train + test, tracks, history_len, neighbors)
+    assert len(scenes) == len(train + test) and scenes.present.shape[1] == max(scenes.counts)
+    for scene, segment in zip(each_scene(scenes), train + test):
         expected = cut_neighbours_at_t0(oracle_build_scene(segment, tracks, history_len, neighbors), history_len)
-        assert_same_scene(build_scene(segment, tracks, history_len, neighbors), expected)
+        assert_same_scene(scene, expected)
 
 
 def test_build_scene_breaks_distance_ties_by_agent_id_then_list_order():
@@ -574,12 +683,12 @@ def test_build_scene_breaks_distance_ties_by_agent_id_then_list_order():
         return agent_id, np.arange(10), np.stack([np.full(10, x), np.zeros(10)], axis=1)
 
     tracks = tracks_of([track(5, 0.0), track(9, 3.0), track(2, -3.0), track(7, 3.0), track(2, 3.0)])
-    scene = build_scene(Segment(0, 0, 10), tracks, history_len=4, max_neighbors=3)
+    scene = build_scene([Segment(0, 0, 10)], tracks, history_len=4, max_neighbors=3)
     expected = oracle_build_scene(Segment(0, 0, 10), tracks, history_len=4, max_neighbors=3)
     expected = cut_neighbours_at_t0(expected, history_len=4)
     assert_same_scene(scene, expected)
-    assert scene.agent_ids.tolist() == [5, 2, 2, 7]
-    assert scene.positions[1, 0, 0] == -3.0
+    assert scene.agent_ids.tolist() == [[5, 2, 2, 7]]
+    assert scene.positions[0, 1, 0, 0] == -3.0
 
 
 def test_tracks_derive_each_rows_track_and_the_frame_order_once():
@@ -587,70 +696,69 @@ def test_tracks_derive_each_rows_track_and_the_frame_order_once():
     assert tracks.owner.tolist() == [0, 0, 0, 2, 2]
     assert tracks.by_frame.tolist() == [0, 1, 3, 4, 2]  # frame 5 of track 0 before frame 5 of track 2
     owner, by_frame = tracks.owner, tracks.by_frame
-    build_scene(Segment(0, 0, 3), tracks, history_len=2, max_neighbors=8)
+    build_scene([Segment(0, 0, 3)], tracks, history_len=2, max_neighbors=8)
     assert tracks.owner is owner and tracks.by_frame is by_frame
 
 
 HISTORY_LEN = 20  # of the scene families
 
 
-def _full_window(scene):
-    """`scene` with each neighbour present over the whole window, carried on
-    past its history at its first step's velocity, as the generator's
+def _full_window(scenes):
+    """`scenes` with each neighbour present over the whole window, carried
+    on past its history at its first step's velocity, as the generator's
     constant-velocity neighbours drive."""
-    steps = np.arange(len(scene))[:, None]
-    carried = scene.positions[:, :1] + (scene.positions[:, 1:2] - scene.positions[:, :1]) * steps
-    return dataclasses.replace(scene, present=np.ones_like(scene.present),
-                               positions=np.where(scene.present[..., None], scene.positions, carried))
+    steps = np.arange(scenes.present.shape[2])[:, None]
+    carried = scenes.positions[:, :, :1] + (scenes.positions[:, :, 1:2] - scenes.positions[:, :, :1]) * steps
+    return dataclasses.replace(scenes, present=np.ones_like(scenes.present),
+                               positions=np.where(scenes.present[..., None], scenes.positions, carried))
 
 
 def _scene_pairs(rng):
-    """Each family's scenes as (scene, the same scene over the full window)
-    pairs: neighbours are cut at t_0 in the first and not in the second.
-    Holes fall on the same frames of both."""
+    """Each family's scenes as a pair of batches, (scenes, the same scenes
+    over the full window): neighbours are cut at t_0 in the first and not
+    in the second.  Holes fall on the same frames of both."""
     tiny = synthetic_params(frames=90, noise=0.05)
     synthetic = {
         "tiny": gen_synthetic(tiny, 8, rng, history_len=HISTORY_LEN),
         "tiny-neighbours": gen_synthetic({**tiny, "neighbors": 2}, 8, rng, history_len=HISTORY_LEN),
         "mixed-4": gen_synthetic(synthetic_params(frames=60, neighbors=4), 12, rng, history_len=HISTORY_LEN),
     }
-    pairs = {name: [(scene, _full_window(scene)) for scene in scenes] for name, scenes in synthetic.items()}
+    pairs = {name: (scenes, _full_window(scenes)) for name, scenes in synthetic.items()}
     tracks = ingest_ngsim(NGSIM_FIXTURE)
     train, test = segment_and_split(tracks, segment_len=40)
-    pairs["ngsim"] = [
-        (build_scene(seg, tracks, HISTORY_LEN, 8), oracle_build_scene(seg, tracks, HISTORY_LEN, 8))
-        for seg in train + test
-    ]
-    pairs["ngsim-holes"] = [
-        tuple(_with_holes(scene, np.random.default_rng(i)) for scene in pair) for i, pair in enumerate(pairs["ngsim"])
-    ]
-    pairs["ngsim-no-accels"] = [tuple(map(_without_accels, pair)) for pair in pairs["ngsim-holes"]]
+    pairs["ngsim"] = (build_scene(train + test, tracks, HISTORY_LEN, 8),
+                      batch_of([oracle_build_scene(seg, tracks, HISTORY_LEN, 8) for seg in train + test]))
+    pairs["ngsim-holes"] = tuple(_with_holes(scenes, np.random.default_rng(0), HISTORY_LEN - 1)
+                                 for scenes in pairs["ngsim"])
+    pairs["ngsim-no-accels"] = tuple(map(_without_accels, pairs["ngsim-holes"]))
     return pairs
 
 
 def _scene_families(rng):
-    return {name: [scene for scene, _ in pairs] for name, pairs in _scene_pairs(rng).items()}
+    return {name: scenes for name, (scenes, _) in _scene_pairs(rng).items()}
 
 
 def test_scene_cut_at_t0_gives_the_full_window_sample(tmp_path, rng):
-    pairs = _scene_pairs(rng)
-    for name, scene_pairs in pairs.items():
-        for i, (scene, full) in enumerate(scene_pairs):
-            assert not scene.present[1:, HISTORY_LEN:].any(), (name, i)
-            expected = _sample(full, HISTORY_LEN)
+    for name, (scenes, full) in _scene_pairs(rng).items():
+        assert scenes.present.shape == full.present.shape, name
+        assert not scenes.present[:, 1:, HISTORY_LEN:].any(), name
+        expected = sample_rows(build_sample(full, HISTORY_LEN))
+        batched = sample_rows(build_sample(scenes, HISTORY_LEN))
+        for i, scene in enumerate(each_scene(scenes)):
             path = tmp_path / f"{name}_{i}.csv"
             write_scene(scene, path)
-            for trimmed in (scene, read_scene(path, frame_rate=scene.frame_rate)):
-                sample = _sample(trimmed, HISTORY_LEN)
+            for sample in (batched[i], _sample(scene, HISTORY_LEN),
+                           _sample(read_scene(path, frame_rate=scenes.frame_rate), HISTORY_LEN)):
                 for field in ("states", "mask", "future"):
-                    assert getattr(sample, field).tobytes() == getattr(expected, field).tobytes(), (name, i, field)
+                    got, want = getattr(sample, field), getattr(expected[i], field)
+                    assert got.tobytes() == want.tobytes(), (name, i, field)
         if name != "tiny":  # the full window holds neighbour rows past t_0 that the cut scene drops
-            assert any(full.present[1:, HISTORY_LEN:].any() for _, full in scene_pairs)
+            assert full.present[:, 1:, HISTORY_LEN:].any()
 
 
 def test_write_scene_bytes_match_csv_writer(tmp_path, rng):
     for name, scenes in _scene_families(rng).items():
-        for i, scene in enumerate(scenes):
+        for i, scene in enumerate(each_scene(scenes)):
             path, expected = tmp_path / f"{name}_{i}.csv", tmp_path / f"{name}_{i}_oracle.csv"
             write_scene(scene, path)
             oracle_write_scene(scene, expected)
@@ -728,10 +836,11 @@ def _interleaved_rows(text, rng):
 
 def test_read_scene_matches_row_wise_oracle(tmp_path, rng):
     for name, scenes in _scene_families(rng).items():
-        for i, scene in enumerate(scenes):
+        for i, scene in enumerate(each_scene(scenes)):
             path = tmp_path / f"{name}_{i}.csv"
             write_scene(scene, path)
             assert_same_scene(read_scene(path, frame_rate=12.5), oracle_read_scene(path, frame_rate=12.5))
+            assert_same_scene(dataclasses.replace(scene, frame_rate=12.5), read_scene(path, frame_rate=12.5))
     # 1 to 9 agents with absent frames and v and a recorded for some agents
     # only, in agent blocks as written and with the rows interleaved
     for n_agents in range(1, 10):

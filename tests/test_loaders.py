@@ -9,11 +9,14 @@ import numpy as np
 import pytest
 from conftest import (
     assert_same_scene,
+    batch_of,
+    each_scene,
     model_config,
     oracle_ingest_ngsim,
     oracle_read_scene,
     oracle_states,
     oracle_write_scene,
+    one_scene,
     sample_rows,
     synthetic_params,
     track_rows,
@@ -24,7 +27,7 @@ from hypothesis import strategies as st
 
 from polytraj.autodiff import load_checkpoint
 from polytraj.cli import main
-from polytraj.data import (SPLIT_CHUNK, Scene, build_sample, gen_synthetic, ingest_ngsim, read_scene, read_split,
+from polytraj.data import (SPLIT_CHUNK, Scenes, build_sample, gen_synthetic, ingest_ngsim, read_scene, read_split,
                            write_split)
 from polytraj.errors import DataError, NumericalError, PolytrajError
 from polytraj.model import TrajectoryModel, load_model, save_model
@@ -279,16 +282,16 @@ def _scene_file(tmp_path, text: str):
 
 def test_scene_reads_empty_field_as_not_recorded(tmp_path):
     scene = read_scene(_scene_file(tmp_path, SCENE_TEXT))
-    assert scene.agent_ids.tolist() == [3, 5]
-    np.testing.assert_array_equal(scene.present[1], [False, True, True, True])
-    np.testing.assert_array_equal(scene.speeds[1], [0.0, 9.0, 9.0, 9.0])
-    assert not scene.recorded[1, 1]
-    np.testing.assert_array_equal(scene.accels[0], [0.5] * 4)
+    assert scene.agent_ids.tolist() == [[3, 5]]
+    np.testing.assert_array_equal(scene.present[0, 1], [False, True, True, True])
+    np.testing.assert_array_equal(scene.speeds[0, 1], [0.0, 9.0, 9.0, 9.0])
+    assert not scene.recorded[0, 1, 1]
+    np.testing.assert_array_equal(scene.accels[0, 0], [0.5] * 4)
     # one empty v field makes the whole agent unrecorded, and its other v values read 0
     path = _scene_file(tmp_path, SCENE_TEXT.replace("5,2,3.5,5.0,9.0,", "5,2,3.5,5.0,,"))
     scene = read_scene(path)
-    assert not scene.recorded[:, 1].any()
-    np.testing.assert_array_equal(scene.speeds[1], [0.0] * 4)
+    assert not scene.recorded[0, :, 1].any()
+    np.testing.assert_array_equal(scene.speeds[0, 1], [0.0] * 4)
     assert_same_scene(scene, oracle_read_scene(path))
 
 
@@ -368,8 +371,8 @@ def test_scene_agent_rows_in_two_blocks_read_as_one_agent(tmp_path):
     text = "\n".join([*lines[:3], lines[5], *lines[3:5], *lines[6:]]) + "\n"  # agent 5's frame 1 between 3's
     path = _scene_file(tmp_path, text)
     scene = read_scene(path)
-    assert scene.agent_ids.tolist() == [3, 5]
-    np.testing.assert_array_equal(scene.present[1], [False, True, True, True])
+    assert scene.agent_ids.tolist() == [[3, 5]]
+    np.testing.assert_array_equal(scene.present[0, 1], [False, True, True, True])
     assert_same_scene(scene, oracle_read_scene(path))
     assert_same_scene(scene, read_scene(_scene_file(tmp_path, SCENE_TEXT)))
 
@@ -380,8 +383,8 @@ def test_scene_reads_crlf_line_ends(tmp_path):
     path.write_bytes(SCENE_TEXT.replace("\n", "\r\n", 4).encode())
     crlf = read_scene(path)
     plain = read_scene(_scene_file(tmp_path, SCENE_TEXT))
-    np.testing.assert_array_equal(crlf.positions[1], plain.positions[1])
-    assert not crlf.recorded[1, 1]
+    np.testing.assert_array_equal(crlf.positions[0, 1], plain.positions[0, 1])
+    assert not crlf.recorded[0, 1, 1]
 
 
 @pytest.mark.parametrize("text, line", [
@@ -449,9 +452,9 @@ def test_scene_int_fields_with_signs_blanks_and_leading_zeros_read(tmp_path, mon
     monkeypatch.setattr(np, "loadtxt", loadtxt)
     text = SCENE_TEXT.replace("5,1,", " +5,\t1 ,").replace("3,2,", f"3,{'0' * 20}2,")
     scene = read_scene(_scene_file(tmp_path, text))
-    assert scene.agent_ids.tolist() == [3, 5]
-    assert scene.frames.tolist() == [0, 1, 2, 3]
-    assert scene.present[1].tolist() == [False, True, True, True]
+    assert scene.agent_ids.tolist() == [[3, 5]]
+    assert scene.frames.tolist() == [[0, 1, 2, 3]]
+    assert scene.present[0, 1].tolist() == [False, True, True, True]
 
 
 def test_scene_frames_beyond_2_to_the_53_are_exact(tmp_path):
@@ -461,8 +464,8 @@ def test_scene_frames_beyond_2_to_the_53_are_exact(tmp_path):
         agent, frame, rest = lines[i].split(",", 2)
         lines[i] = f"{agent},{base + int(frame)},{rest}"
     scene = read_scene(_scene_file(tmp_path, "\n".join(lines)))
-    assert scene.frames.tolist() == [base, base + 1, base + 2, base + 3]
-    assert scene.present[1].tolist() == [False, True, True, True]
+    assert scene.frames.tolist() == [[base, base + 1, base + 2, base + 3]]
+    assert scene.present[0, 1].tolist() == [False, True, True, True]
 
 
 def test_scene_trailing_invalid_utf8_is_data_error(tmp_path):
@@ -521,7 +524,7 @@ def test_fuzzed_scene_raises_only_polytraj_errors(tmp_path_factory, edits, raw):
 SPLIT_HISTORY = 3
 
 
-def _split_scene(rng) -> Scene:
+def _split_scene(rng) -> Scenes:
     """A small scene of 1-4 agents with ids drawn from 1-4, so that files
     share ids and a file's last agent is often the next file's first, on
     an uneven window, each neighbour absent at random frames and each
@@ -535,7 +538,7 @@ def _split_scene(rng) -> Scene:
     positions = np.where(present[..., None], rng.normal(0.0, 10.0, size=(agents, width, 2)), 0.0)
     speeds, accels = (np.where(present & kept[:, None], rng.normal(0.0, 5.0, size=(agents, width)), 0.0)
                       for kept in recorded)
-    return Scene(frames, rng.permutation(4)[:agents] + 1, present, positions, speeds, accels, recorded)
+    return one_scene(frames, rng.permutation(4)[:agents] + 1, present, positions, speeds, accels, recorded)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -546,7 +549,7 @@ def test_read_split_equals_the_per_file_oracle(tmp_path_factory, files, seed, sp
     assert SPLIT_CHUNK < 40
     rng = np.random.default_rng(seed)
     split_dir = tmp_path_factory.mktemp("split")
-    digests = write_split([_split_scene(rng) for _ in range(files)], split_dir)
+    digests = write_split(batch_of([_split_scene(rng) for _ in range(files)]), split_dir)
     paths = [split_dir / name for name in digests]
     spoiled = None if spoil is None else paths[spoil[0] % files]
     for path in paths:
@@ -566,7 +569,7 @@ def test_read_split_equals_the_per_file_oracle(tmp_path_factory, files, seed, sp
         assert str(raised.value) == str(exc)
         return
     scenes = [oracle_read_scene(path) for path in paths]
-    short = [len(scene) for scene in scenes if len(scene) <= SPLIT_HISTORY]
+    short = [scene.lengths[0] for scene in scenes if scene.lengths[0] <= SPLIT_HISTORY]
     if short:
         with pytest.raises(DataError) as raised:
             read_split(split_dir, digests, SPLIT_HISTORY)
@@ -575,11 +578,11 @@ def test_read_split_equals_the_per_file_oracle(tmp_path_factory, files, seed, sp
     samples = read_split(split_dir, digests, SPLIT_HISTORY)
     assert samples.sample_ids.tolist() == list(range(files))
     assert samples.counts.tolist() == [scene.agent_ids.size for scene in scenes]
-    assert samples.horizons.tolist() == [len(scene) - SPLIT_HISTORY for scene in scenes]
+    assert samples.horizons.tolist() == [scene.lengths[0] - SPLIT_HISTORY for scene in scenes]
     assert samples.states.shape[1] == max(samples.counts) and samples.future.shape[1] == max(samples.horizons) + 1
     for i, scene in enumerate(scenes):
         states, mask = oracle_states(scene, SPLIT_HISTORY)
-        future = scene.positions[0, SPLIT_HISTORY - 1 :] - scene.positions[0, SPLIT_HISTORY - 1]
+        future = scene.positions[0, 0, SPLIT_HISTORY - 1 :] - scene.positions[0, 0, SPLIT_HISTORY - 1]
         count, frames = samples.counts[i], samples.horizons[i] + 1
         for got, expected in ((samples.states[i, :count], states), (samples.mask[i, :count], mask),
                               (samples.future[i, :frames], future)):
@@ -597,9 +600,10 @@ def _assert_zero_padding(samples) -> None:
 
 def test_read_split_widens_its_table_for_a_later_chunk(tmp_path, rng):
     # the first chunk's scenes have one agent and 10 frames, the second's three and 14
-    scenes = (gen_synthetic(synthetic_params(frames=10, neighbors=0), SPLIT_CHUNK, rng, history_len=SPLIT_HISTORY)
-              + gen_synthetic(synthetic_params(frames=14, neighbors=2), 3, rng, history_len=SPLIT_HISTORY))
-    samples = read_split(tmp_path, write_split(scenes, tmp_path), SPLIT_HISTORY)
+    scenes = (each_scene(gen_synthetic(synthetic_params(frames=10, neighbors=0), SPLIT_CHUNK, rng,
+                                       history_len=SPLIT_HISTORY))
+              + each_scene(gen_synthetic(synthetic_params(frames=14, neighbors=2), 3, rng, history_len=SPLIT_HISTORY)))
+    samples = read_split(tmp_path, write_split(batch_of(scenes), tmp_path), SPLIT_HISTORY)
     assert samples.states.shape[:2] == (SPLIT_CHUNK + 3, 3) and samples.future.shape[1] == 14 - SPLIT_HISTORY + 1
     for i, (row, scene) in enumerate(zip(sample_rows(samples), scenes)):
         (expected,) = sample_rows(build_sample(scene, SPLIT_HISTORY, i))
@@ -614,7 +618,7 @@ def test_read_split_widens_its_table_for_a_later_chunk(tmp_path, rng):
 POOLED_VALUES = np.array([0.0, -0.0, 1e16, 1e-05, 5e-324, 0.1, -2.5, 1 / 3, 123.456])
 
 
-def _pooled_scene(rng, i: int) -> Scene:
+def _pooled_scene(rng, i: int) -> Scenes:
     """A scene of 1-4 agents on a window of 1-6 frames, its values drawn
     from POOLED_VALUES; the reference agent records v and a in an even
     scene and neither in an odd one, the other agents each at random."""
@@ -627,7 +631,7 @@ def _pooled_scene(rng, i: int) -> Scene:
     positions = np.where(present[..., None], rng.choice(POOLED_VALUES, size=(agents, width, 2)), 0.0)
     speeds, accels = (np.where(present & kept[:, None], rng.choice(POOLED_VALUES, size=(agents, width)), 0.0)
                       for kept in recorded)
-    return Scene(frames, rng.permutation(4)[:agents] + 1, present, positions, speeds, accels, recorded)
+    return one_scene(frames, rng.permutation(4)[:agents] + 1, present, positions, speeds, accels, recorded)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -638,11 +642,11 @@ def test_write_split_bytes_equal_the_per_scene_oracle(tmp_path_factory, files, s
     # up to 40 scenes, so that a split spans up to three chunks
     assert SPLIT_CHUNK < 40
     rng = np.random.default_rng(seed)
-    scenes = [_pooled_scene(rng, i) for i in range(files)]
+    scenes = [_pooled_scene(rng, i) for i in range(files)]  # written as one padded batch; no file holds padding
     split_dir, oracle_dir = tmp_path_factory.mktemp("split"), tmp_path_factory.mktemp("oracle")
     for k in range(stale):  # scene files of an earlier, longer split
         (split_dir / f"scene_{files + 2 * k:05d}.csv").write_bytes(b"stale\r\n")
-    digests = write_split(scenes, split_dir)
+    digests = write_split(batch_of(scenes), split_dir)
     assert list(digests) == [f"scene_{i:05d}.csv" for i in range(files)]
     assert sorted(path.name for path in split_dir.glob("scene_*.csv")) == list(digests)
     for (name, digest), scene in zip(digests.items(), scenes):

@@ -778,6 +778,19 @@ def test_batching_equals_the_per_sample_oracles(seed, size, batch, steps, anchor
     assert got.tobytes() == expected.tobytes()
 
 
+def test_negative_offsets_are_data_error():
+    # an offset counts forward from t_0; on the padded table a negative one
+    # would read the padding of a 2-frame future and frame 4 of a 4-frame one
+    samples = samples_of([SampleRow(np.zeros((1, 2, 7)), np.ones((1, 2)), np.ones((3, 2)), 4),
+                          SampleRow(np.zeros((1, 2, 7)), np.ones((1, 2)), np.ones((5, 2)), 7)])
+    assert samples.horizons.tolist() == [2, 4]
+    for offsets, message in (([1, -1], "sample 4: offset -1 is negative"),  # one row shared by both samples
+                             ([[1, 2], [-3, -2]], "sample 7: offset -3 is negative")):
+        with pytest.raises(DataError) as raised:
+            future_at(samples, offsets)
+        assert str(raised.value) == message
+
+
 def test_offset_rows_must_match_the_batch(rng):
     samples = make_moderate_samples(rng, 3)
     model = TrajectoryModel(model_config(units=4), seed=0)
