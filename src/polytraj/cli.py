@@ -155,6 +155,10 @@ def cmd_generate(cfg: RunConfig) -> int:
         train_segments, test_segments = datamod.segment_and_split(
             tracks, segment_len=cfg["data.segment_len"], ratio=cfg["data.split_ratio"]
         )
+        # before the filter gathers rows: a split with no segment is data.segment_len wide, maybe past any array
+        if not len(train_segments) and not len(test_segments):
+            raise DataError(f"no scene from {csv_path} ({len(tracks)} tracks) at "
+                            f"data.segment_len={cfg['data.segment_len']}; nothing written")
         train_segments = datamod.filter_straight(
             train_segments,
             tracks,
@@ -163,9 +167,6 @@ def cmd_generate(cfg: RunConfig) -> int:
             lateral_range_m=cfg["data.straight.lateral_range_m"],
             speed_std=cfg["data.straight.speed_std"],
         )
-        if not train_segments and not test_segments:
-            raise DataError(f"no scene from {csv_path} ({len(tracks)} tracks) at "
-                            f"data.segment_len={cfg['data.segment_len']}; nothing written")
         neighbors = cfg["data.neighbors"]
         train_scenes = datamod.build_scene(train_segments, tracks, history_len, neighbors)
         test_scenes = datamod.build_scene(test_segments, tracks, history_len, neighbors)

@@ -6,10 +6,11 @@ longitudinal, metres); `ingest_ngsim` parses an NGSim CSV's six used
 columns in one `np.loadtxt`, sorts the rows by (vehicle, frame), cuts
 each vehicle's rows into tracks at frame gaps and returns them as one
 `Tracks` row table.  Tracks are cut into fixed-length segments and split
-temporally into train and test.  `filter_straight` thins the straight
-segments, reading each one's own track rows, and `build_scene` turns a
-split's segments into one `Scenes` batch: per segment a window of frames
-with one reference agent and its nearest neighbours at t_0, found in the
+temporally into train and test, a split being one array of segment rows.
+In whole-array passes, `filter_straight` thins the straight segments and
+`build_scene` turns a split's segments into one `Scenes` batch: per
+segment a window of frames with one reference agent and its nearest
+neighbours at t_0, which are the tracks at that frame, found in the
 table's frame order.  `gen_synthetic` builds a batch directly from the
 `synthetic` section of a run config.  A batch holds arrays over (scene,
 agent, frame), the reference agent in row 0, padded with absent agents
@@ -502,11 +503,9 @@ def _read_scenes(paths: list[Path], frame_rate: float, digests: Sequence[str] | 
         raise DataError(f"{where}: reference agent's frames are not strictly increasing")
     lengths = np.bincount(window_scene, minlength=rows.size)
     # each row's window slot by one search over (file, frame rank) keys, exact for any int64 frame
-    key = scene * frames.size + np.unique(frames, return_inverse=True)[1]
-    window_keys, window_start = key[reference], (np.cumsum(lengths) - lengths)[scene]
-    at = np.minimum(np.searchsorted(window_keys, key), window_start + lengths[scene] - 1)
-    outside = window_keys[at] != key  # a row on no frame of its file's window
-    slot = at - window_start
+    key, window_start = scene * frames.size + np.unique(frames, return_inverse=True)[1], np.cumsum(lengths) - lengths
+    at, on_window = _search(key[reference], key, window_start[scene] + lengths[scene] - 1)
+    slot = at - window_start[scene]
     shape = (rows.size, agent_ids.shape[1], lengths.max())
     windows = np.zeros(shape[::2], dtype=np.int64)
     windows[window_scene, slot[reference]] = window
@@ -522,10 +521,10 @@ def _read_scenes(paths: list[Path], frame_rate: float, digests: Sequence[str] | 
     for block, name, kept in zip((speeds, accels), "va", recorded):
         block[scene, agent, slot] = np.where(kept[scene, agent], table[name], 0.0)
     # every row on a window frame of its own, and every recorded value finite
-    if (outside.any() or np.count_nonzero(present) < frames.size
+    if (not on_window.all() or np.count_nonzero(present) < frames.size
             or not all(np.isfinite(block).all() for block in (positions, speeds, accels))):
         flat = scene * shape[1] + agent  # each row's agent among all files' padded agents
-        raise _scene_fault(where, table, agent_ids.ravel(), flat, outside, present.reshape(-1, shape[2]),
+        raise _scene_fault(where, table, agent_ids.ravel(), flat, ~on_window, present.reshape(-1, shape[2]),
                            recorded.reshape(2, -1))
     return Scenes(windows, agent_ids, present, positions, speeds, accels, recorded.transpose(1, 0, 2), frame_rate)
 
@@ -645,49 +644,33 @@ def _read_bytes(path: Path) -> bytes:
 # -- segmentation, splitting, filtering -----------------------------------------
 
 
-@dataclass(frozen=True)
-class Segment:
-    """A window of `length` rows of track `track` of a `Tracks` table,
-    starting at row offset `start` within that track."""
-
-    track: int
-    start: int
-    length: int
-
-    def rows(self, tracks: Tracks) -> slice:
-        """The segment's rows of `tracks`."""
-        first = int(tracks.bounds[self.track]) + self.start
-        return slice(first, first + self.length)
-
-
 def segment_and_split(
     tracks: Tracks,
     segment_len: int = default("data.segment_len"),
     ratio: str = default("data.split_ratio"),
-) -> tuple[list[Segment], list[Segment]]:
-    """Cut each track of `tracks` into non-overlapping segments and split
-    temporally; a track's length is its row count, `np.diff(tracks.bounds)`.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cut each track of `tracks`, as long as its row count, into
+    non-overlapping segments and split temporally; a split is one
+    (K, segment_len) int64 array whose row k holds the `tracks` rows of
+    segment k, in track and then time order.
 
     Within each track the later segments go to test; the test count is
     ceil(total * test_share), so a 3:1 ratio sends the last quarter
     (rounded up) of each track's segments to the test set.
     """
     train_share, test_share = parse_ratio(ratio)
-    denominator = train_share + test_share
-    train: list[Segment] = []
-    test: list[Segment] = []
-    skipped = 0
-    for track, total in enumerate((np.diff(tracks.bounds) // segment_len).tolist()):
-        if total == 0:
-            skipped += 1
-            continue
-        n_test = -(-total * test_share // denominator)  # ceil
-        for i in range(total):
-            segment = Segment(track, i * segment_len, segment_len)
-            (test if i >= total - n_test else train).append(segment)
-    if skipped:
-        log.warning("skipped %d track(s) shorter than %d frames", skipped, segment_len)
-    return train, test
+    totals = np.diff(tracks.bounds) // segment_len
+    if not totals.all():
+        log.warning("skipped %d track(s) shorter than %d frames", np.count_nonzero(totals == 0), segment_len)
+    # ceil, in Python ints, as a share may exceed int64
+    n_test = (-(-totals.astype(object) * test_share // (train_share + test_share))).astype(np.int64)
+    track = np.repeat(np.arange(totals.size), totals)
+    index = np.arange(track.size) - np.repeat(np.cumsum(totals) - totals, totals)  # within its track
+    starts = tracks.bounds[track] + index * segment_len
+    # no segment, no row offsets: segment_len may exceed every track
+    segments = starts[:, None] + np.arange(segment_len) if starts.size else np.zeros((0, segment_len), np.int64)
+    test = index >= (totals - n_test)[track]
+    return segments[~test], segments[test]
 
 
 def _speed(positions: np.ndarray, frame_rate: float) -> np.ndarray:
@@ -697,89 +680,105 @@ def _speed(positions: np.ndarray, frame_rate: float) -> np.ndarray:
 
 
 def is_straight_constant_velocity(
-    segment: Segment,
+    segments: np.ndarray,
     tracks: Tracks,
     lateral_range_m: float = default("data.straight.lateral_range_m"),
     speed_std: float = default("data.straight.speed_std"),
-) -> bool:
-    """The segment's agent, the reference agent of its scene, stays within a
-    small lateral band at near-constant speed; its track's rows are read."""
-    rows = segment.rows(tracks)
-    positions = tracks.positions[rows]
-    lateral_span = float(positions[:, 0].max() - positions[:, 0].min())
-    speeds = tracks.speeds[rows] if tracks.recorded[0, segment.track] else _speed(positions, tracks.frame_rate)
-    return lateral_span < lateral_range_m and float(np.std(speeds)) < speed_std
+) -> np.ndarray:
+    """Whether each segment's agent, the reference agent of its scene, stays
+    within a small lateral band at near-constant speed: (K,) bool for a
+    (K, L) row array.  Only the segments' own rows of `tracks` are read;
+    the recorded speeds of a track that has them, else the derived ones."""
+    positions = tracks.positions[segments]
+    lateral_span = np.max(positions[..., 0], axis=1) - np.min(positions[..., 0], axis=1)
+    spread = np.std(tracks.speeds[segments], axis=1)
+    derived = np.flatnonzero(~tracks.recorded[0, tracks.owner[segments[:, 0]]])
+    if derived.size:  # a one-frame segment derives no speed, whose std would warn
+        spread[derived] = np.std(_speed(positions[derived], tracks.frame_rate), axis=1)
+    return (lateral_span < lateral_range_m) & (spread < speed_std)
 
 
 def filter_straight(
-    segments: Sequence[Segment],
+    segments: np.ndarray,
     tracks: Tracks,
     fraction: float,
     rng: np.random.Generator,
     lateral_range_m: float = default("data.straight.lateral_range_m"),
     speed_std: float = default("data.straight.speed_std"),
-) -> list[Segment]:
+) -> np.ndarray:
     """Downsample straight constant-velocity segments to `fraction`; keep
-    the rest.  Only the reference agent decides, so segments are chosen
-    before their scenes are built."""
-    straight = [
-        i
-        for i, segment in enumerate(segments)
-        if is_straight_constant_velocity(segment, tracks, lateral_range_m, speed_std)
-    ]
-    keep_count = int(len(straight) * fraction + 0.5)
-    if keep_count == len(straight):
-        return list(segments)
-    kept = rng.choice(len(straight), size=keep_count, replace=False)
-    dropped = set(straight) - {straight[j] for j in kept.tolist()}
-    return [segment for i, segment in enumerate(segments) if i not in dropped]
+    the rest, in order.  Only the reference agent decides, so segments are
+    chosen before their scenes are built."""
+    straight = np.flatnonzero(is_straight_constant_velocity(segments, tracks, lateral_range_m, speed_std))
+    keep_count = int(straight.size * fraction + 0.5)
+    if keep_count == straight.size:
+        return segments
+    dropped = np.delete(straight, rng.choice(straight.size, size=keep_count, replace=False))
+    return np.delete(segments, dropped, axis=0)
 
 
-def build_scene(segments: Sequence[Segment], tracks: Tracks, history_len: int, max_neighbors: int) -> Scenes:
-    """Materialize segments of `tracks` into one batch of scenes, each with
-    its nearest neighbors.
+def _search(keys: np.ndarray, queries: np.ndarray, last) -> tuple[np.ndarray, np.ndarray]:
+    """Each query's index in the increasing `keys`, at most `last`, and
+    whether the key there is the query: keys are (group, frame rank) pairs
+    as `group * frames.size + rank`, ranks of the frames of a row table."""
+    at = np.minimum(np.searchsorted(keys, queries), last)
+    return at, keys[at] == queries
 
-    Neighbors must be present at the reference agent's current frame
-    t_0 = start + history_len - 1; the closest `max_neighbors` are kept,
-    ties going to the lower agent id, then to the earlier track.  The
-    tracks present at t_0 are the rows at that frame, found in the table's
-    frame order `tracks.by_frame`.  The reference agent covers the whole
-    window and each neighbor only the frames up to and including t_0, the
-    part `build_sample` reads.  The batch is padded to the most agents a
-    scene has and the longest segment, so `max_neighbors` needs no end.
+
+def build_scene(segments: np.ndarray, tracks: Tracks, history_len: int, max_neighbors: int) -> Scenes:
+    """Materialize segments of `tracks`, a (N, L) row array as
+    `segment_and_split` returns, into one batch of scenes, each with its
+    nearest neighbors.
+
+    Neighbors must be present at the reference agent's current frame t_0,
+    that of row `segments[:, history_len - 1]`; the closest `max_neighbors`
+    are kept, ties going to the lower agent id, then to the earlier track.
+    The tracks present at each t_0 are the rows at that frame, found in the
+    table's frame order `tracks.by_frame`, and every scene's are ranked by
+    one sort.  The reference agent covers the whole window and each
+    neighbor only the frames up to and including t_0, the part
+    `build_sample` reads, found by one search over (track, frame) keys.
+    The batch is padded to the most agents a scene has, so `max_neighbors`
+    needs no end.
     """
-    short = [segment.length for segment in segments if not 2 <= history_len < segment.length]
-    if short:
-        raise ConfigError(f"history_len must be >= 2 and below the segment length {short[0]}, got {history_len}")
-    windows, kept = [tracks.frames[segment.rows(tracks)] for segment in segments], []
-    for segment in segments:
-        t0_row = segment.rows(tracks).start + history_len - 1
-        t0_frame = tracks.frames[t0_row]
-        rows = tracks.by_frame[slice(*np.searchsorted(tracks.frames, (t0_frame, t0_frame + 1), sorter=tracks.by_frame))]
-        rows = rows[tracks.agent_ids[tracks.owner[rows]] != tracks.agent_ids[segment.track]]  # other agents at t_0
-        owner = tracks.owner[rows]
-        offset = tracks.positions[rows] - tracks.positions[t0_row]
-        distance = np.hypot(offset[:, 0], offset[:, 1])
-        nearest = owner[np.lexsort((owner, tracks.agent_ids[owner], distance))[:max_neighbors]]
-        kept.append([segment.track, *nearest.tolist()])
-    shape = (len(segments), max(map(len, kept), default=0), max(map(len, windows), default=0))
-    frames, agent_ids = np.zeros(shape[::2], dtype=np.int64), np.zeros(shape[:2], dtype=np.int64)
-    present, positions = np.zeros(shape, dtype=bool), np.zeros(shape + (2,))
-    speeds, accels, recorded = np.zeros(shape), np.zeros(shape), np.zeros((shape[0], 2, shape[1]), dtype=bool)
-    for i, (window, agents) in enumerate(zip(windows, kept)):
-        frames[i, : window.size], agent_ids[i, : len(agents)] = window, tracks.agent_ids[agents]
-        recorded[i, :, : len(agents)] = tracks.recorded[:, agents]
-        for k, (track, last) in enumerate(zip(agents, [window[-1]] + [window[history_len - 1]] * len(agents))):
-            start, stop = tracks.bounds[track : track + 2]
-            rows = slice(*start + np.searchsorted(tracks.frames[start:stop], (window[0], last + 1)))
-            slot = np.minimum(np.searchsorted(window, tracks.frames[rows]), window.size - 1)
-            landed = window[slot] == tracks.frames[rows]  # the rows on a window frame
-            slot = slot[landed]
-            present[i, k, slot] = True
-            positions[i, k, slot] = tracks.positions[rows][landed]
-            speeds[i, k, slot] = tracks.speeds[rows][landed]
-            accels[i, k, slot] = tracks.accels[rows][landed]
-    return Scenes(frames, agent_ids, present, positions, speeds, accels, recorded, tracks.frame_rate)
+    n, length = segments.shape
+    if not 2 <= history_len < length:
+        raise ConfigError(f"history_len must be >= 2 and below the segment length {length}, got {history_len}")
+    reference, t0 = tracks.owner[segments[:, 0]], segments[:, history_len - 1]
+    # each scene's candidates: its run of the frame order at t_0, less the reference agent's tracks
+    t0_frames = tracks.frames[t0]
+    first, stop = np.searchsorted(tracks.frames, (t0_frames, t0_frames + 1), sorter=tracks.by_frame)
+    runs = stop - first
+    scene = np.repeat(np.arange(n), runs)
+    rows = tracks.by_frame[np.arange(scene.size) + np.repeat(first - np.cumsum(runs) + runs, runs)]
+    other = tracks.agent_ids[tracks.owner[rows]] != tracks.agent_ids[reference[scene]]
+    scene, rows = scene[other], rows[other]
+    owner = tracks.owner[rows]
+    offset = tracks.positions[rows] - tracks.positions[t0[scene]]
+    order = np.lexsort((owner, tracks.agent_ids[owner], np.hypot(offset[:, 0], offset[:, 1]), scene))
+    found = np.bincount(scene, minlength=n)
+    rank = np.arange(order.size) - np.repeat(np.cumsum(found) - found, found)  # within its scene
+    kept = rank < min(max_neighbors, order.size)
+    scene, owner, slot = scene[order[kept]], owner[order[kept]], rank[kept] + 1
+    counts = 1 + np.bincount(scene, minlength=n)
+    shape = (n, int(counts.max(initial=1)), length)
+    # a neighbour's (track, frame rank) key at a history frame is the reference agent's there, moved to its track
+    keys = tracks.owner * tracks.frames.size + np.unique(tracks.frames, return_inverse=True)[1]
+    shift = (owner - reference[scene]) * tracks.frames.size
+    at, landed = _search(keys, keys[segments[scene, :history_len]] + shift[:, None], keys.size - 1)
+    cells = ((scene * shape[1] + slot) * length)[:, None] + np.arange(history_len)  # flat (scene, agent, frame)
+    cells, at = cells[landed], at[landed]
+    agent = np.zeros(shape[:2], dtype=np.int64)  # each slot's track
+    agent[:, 0], agent[scene, slot] = reference, owner
+    in_use = np.arange(shape[1]) < counts[:, None]
+    blocks = []
+    for values in (np.ones(tracks.frames.size, dtype=bool), tracks.positions, tracks.speeds, tracks.accels):
+        block = np.zeros(shape + values.shape[1:], values.dtype)
+        block[:, 0] = values[segments]
+        block.reshape(-1, *values.shape[1:])[cells] = values[at]
+        blocks.append(block)
+    return Scenes(tracks.frames[segments], np.where(in_use, tracks.agent_ids[agent], 0), *blocks,
+                  tracks.recorded[:, agent].transpose(1, 0, 2) & in_use[:, None], tracks.frame_rate)
 
 
 # -- synthetic scenes -------------------------------------------------------------

@@ -559,12 +559,14 @@ def assert_same_scene(scene: Scenes, expected: Scenes) -> None:
 def oracle_build_scene(segment, tracks, history_len: int, max_neighbors: int) -> Scenes:
     """Neighbours found by a binary search of every track for t_0, and
     placed on the window one row at a time; the tracks are walked as
-    per-track rows."""
+    per-track rows.  `segment` is one row of a segment array, its window's
+    consecutive rows of one track, found here by the track bounds."""
     rows = track_rows(tracks)
-    track = rows[segment.track]
-    frames = track.frames[segment.start : segment.start + segment.length]
+    index = int(np.searchsorted(tracks.bounds, segment[0], side="right")) - 1
+    track, start = rows[index], int(segment[0] - tracks.bounds[index])
+    frames = track.frames[start : start + len(segment)]
     t0_frame = frames[history_len - 1]
-    ego_t0 = track.positions[segment.start + history_len - 1]
+    ego_t0 = track.positions[start + history_len - 1]
     candidates = []
     for other in rows:
         if other.agent_id == track.agent_id:

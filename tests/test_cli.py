@@ -361,6 +361,17 @@ def test_generate_of_no_scenes_exits_2_and_writes_nothing(tmp_path, capsys):
     assert json.loads((data_dir / "manifest.json").read_text())["source"] == "synthetic"
 
 
+def test_generate_at_a_segment_len_past_any_array_exits_2_with_no_scene(tmp_path, capsys):
+    # no track is that long, so no segment's rows are gathered: no scene, not out of memory
+    csv_path = Path(__file__).parent / "fixtures" / "ngsim_small.csv"
+    out_dir = tmp_path / "data"
+    args = ["generate", *_sets("data.source=ngsim", f"data.ngsim_csv={csv_path}",
+                               "data.segment_len=1000000000000000000", f"out.dir={out_dir}")]
+    assert main(args) == 2
+    assert f"no scene from {csv_path} (13 tracks)" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("fraction, counts", [("0", (8, 0)), ("1", (0, 8))], ids=["no-test", "no-train"])
 def test_generate_with_an_empty_split_exits_0_and_writes_no_scene_file_for_it(tmp_path, capsys, fraction, counts):
     data_dir = _generate(tmp_path, [f"synthetic.test_fraction={fraction}"])

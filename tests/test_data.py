@@ -1,12 +1,16 @@
 """Tests for ingestion, feature computation, segmentation, and synthetics."""
 
 import dataclasses
+import importlib.util
 import math
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from conftest import (
     assert_same_scene,
     batch_of,
@@ -29,9 +33,9 @@ from polytraj.config import load_config, parse_ratio
 from polytraj.data import (
     FEET_TO_METRES,
     SAMPLE_ARRAYS,
+    SCENE_ARRAYS,
     TRACK_ARRAYS,
     Scenes,
-    Segment,
     build_sample,
     build_scene,
     filter_straight,
@@ -295,15 +299,23 @@ def _track_of_length(n, agent_id=1):
     return agent_id, np.arange(n), np.stack([np.zeros(n), np.arange(n, dtype=float)], axis=1)
 
 
+def _rows(tracks, track, start, length):
+    """One segment's row array: `length` rows of track `track` of `tracks`
+    from row offset `start`, as `segment_and_split` cuts them."""
+    return tracks.bounds[track] + start + np.arange(length)[None]
+
+
 def test_800_frames_gives_3_train_1_test():
     train, test = segment_and_split(tracks_of([_track_of_length(800)]), segment_len=200)
     assert len(train) == 3 and len(test) == 1
-    assert test[0].start == 600
+    assert test[0, 0] == 600
+    assert train.dtype == test.dtype == np.int64 and train.shape == (3, 200)
+    np.testing.assert_array_equal(np.concatenate([train, test]), np.arange(800).reshape(4, 200))
 
 
 def test_short_track_is_skipped():
     train, test = segment_and_split(tracks_of([_track_of_length(199)]), segment_len=200)
-    assert train == [] and test == []
+    assert train.shape == test.shape == (0, 200)
 
 
 def test_1000_frames_rounding_rule():
@@ -311,13 +323,15 @@ def test_1000_frames_rounding_rule():
     train, test = segment_and_split(tracks_of([_track_of_length(1000)]), segment_len=200)
     assert len(train) + len(test) == 5
     assert len(test) == 2
-    assert {seg.start for seg in test} == {600, 800}
+    assert set(test[:, 0].tolist()) == {600, 800}
+    # shares past int64 count exactly: ceil(5 * 10**30 / (10**30 + 1)) is 5
+    train, test = segment_and_split(tracks_of([_track_of_length(1000)]), segment_len=200, ratio=f"1:{10**30}")
+    assert len(train) == 0 and len(test) == 5
 
 
 def test_split_is_temporally_disjoint():
     train, test = segment_and_split(tracks_of([_track_of_length(1600)]), segment_len=200)
-    train_frames = {f for seg in train for f in range(seg.start, seg.start + seg.length)}
-    test_frames = {f for seg in test for f in range(seg.start, seg.start + seg.length)}
+    train_frames, test_frames = set(train.ravel().tolist()), set(test.ravel().tolist())
     assert not train_frames & test_frames
     assert max(train_frames) < min(test_frames)
 
@@ -343,31 +357,37 @@ def _curved(n=50):
 
 
 def _segments_of(paths, speeds=None, frame_rate=10.0):
-    """One whole-track segment per path of positions, in a Tracks table."""
-    rows = [(k, np.arange(len(path)), path, speeds) for k, path in enumerate(paths)]
-    return [Segment(k, 0, len(path)) for k, path in enumerate(paths)], tracks_of(rows, frame_rate)
+    """One whole-track segment per path of positions, all of one length,
+    as a row array, and their Tracks table."""
+    tracks = tracks_of([(k, np.arange(len(path)), path, speeds) for k, path in enumerate(paths)], frame_rate)
+    return np.concatenate([_rows(tracks, k, 0, len(path)) for k, path in enumerate(paths)]), tracks
 
 
 def test_straightness_classifier():
     for path, straight in ((_straight(), True), (_curved(), False)):
-        (segment,), tracks = _segments_of([path])
-        assert is_straight_constant_velocity(segment, tracks) == straight
+        segments, tracks = _segments_of([path])
+        assert is_straight_constant_velocity(segments, tracks).tolist() == [straight]
     # recorded speeds, where the reference agent has them, stand in for the derived ones
-    (segment,), speeding_up = _segments_of([_straight()], speeds=np.linspace(0.0, 30.0, 50))
-    assert not is_straight_constant_velocity(segment, speeding_up)
+    segments, speeding_up = _segments_of([_straight()], speeds=np.linspace(0.0, 30.0, 50))
+    assert is_straight_constant_velocity(segments, speeding_up).tolist() == [False]
     # only the segment's own rows of its track are read
     _, tracks = _segments_of([np.concatenate([_curved(), _straight() + [0.0, 50.0]])])
-    assert is_straight_constant_velocity(Segment(0, 50, 50), tracks)
-    assert not is_straight_constant_velocity(Segment(0, 0, 50), tracks)
+    assert is_straight_constant_velocity(_rows(tracks, 0, 50, 50), tracks).tolist() == [True]
+    assert is_straight_constant_velocity(_rows(tracks, 0, 0, 50), tracks).tolist() == [False]
+    # one call classifies a batch, each segment by its own reference agent's source of speeds
+    segments, tracks = _segments_of([_straight(), _curved(), _straight()])
+    mixed = tracks_of([(0, np.arange(50), _straight(), np.linspace(0.0, 30.0, 50)), (1, np.arange(50), _curved()),
+                       (2, np.arange(50), _straight())], frame_rate=10.0)
+    assert is_straight_constant_velocity(segments, tracks).tolist() == [True, False, True]
+    assert is_straight_constant_velocity(segments, mixed).tolist() == [False, False, True]
 
 
 def test_straightness_of_a_segment_is_that_of_its_scene_reference_agent():
     tracks = ingest_ngsim(NGSIM_FIXTURE)
-    train, test = segment_and_split(tracks, segment_len=40)
-    scenes = build_scene(train + test, tracks, history_len=20, max_neighbors=8)
+    segments = np.concatenate(segment_and_split(tracks, segment_len=40))
+    scenes = build_scene(segments, tracks, history_len=20, max_neighbors=8)
     for lateral_range_m, speed_std in ((0.5, 0.5), (2.0, 1.0), (0.3, 2.0)):  # 2, 14 and 17 of 23 straight
-        verdicts = [is_straight_constant_velocity(segment, tracks, lateral_range_m, speed_std)
-                    for segment in train + test]
+        verdicts = is_straight_constant_velocity(segments, tracks, lateral_range_m, speed_std).tolist()
         assert 0 < sum(verdicts) < len(verdicts)
         positions, speeds = scenes.positions[:, 0], scenes.speeds[:, 0]  # the reference agents, recording v
         assert verdicts == [bool(np.ptp(x[:, 0]) < lateral_range_m and np.std(v) < speed_std)
@@ -377,7 +397,7 @@ def test_straightness_of_a_segment_is_that_of_its_scene_reference_agent():
 
 def test_all_curved_input_unchanged(rng):
     segments, tracks = _segments_of([_curved() for _ in range(10)])
-    assert filter_straight(segments, tracks, 0.5, rng) == segments
+    assert filter_straight(segments, tracks, 0.5, rng).tolist() == segments.tolist()
 
 
 def test_straight_downsampled_to_exact_count(rng):
@@ -389,8 +409,8 @@ def test_straight_downsampled_to_exact_count(rng):
 def test_curved_count_preserved_in_mixed_set(rng):
     segments, tracks = _segments_of([_straight() if i % 2 else _curved() for i in range(40)])
     kept = filter_straight(segments, tracks, 0.5, rng)
-    curved_before = sum(1 for s in segments if not is_straight_constant_velocity(s, tracks))
-    curved_after = sum(1 for s in kept if not is_straight_constant_velocity(s, tracks))
+    curved_before = np.count_nonzero(~is_straight_constant_velocity(segments, tracks))
+    curved_after = np.count_nonzero(~is_straight_constant_velocity(kept, tracks))
     assert curved_after == curved_before
     assert len(kept) == curved_before + 10
 
@@ -522,7 +542,8 @@ def _nearest_neighbour_tracks():
 
 
 def test_build_scene_selects_nearest_neighbors():
-    scene = build_scene([Segment(0, 0, 200)], _nearest_neighbour_tracks(), history_len=50, max_neighbors=1)
+    tracks = _nearest_neighbour_tracks()
+    scene = build_scene(_rows(tracks, 0, 0, 200), tracks, history_len=50, max_neighbors=1)
     assert scene.agent_ids.tolist() == [[1, 2]]
     assert bool(np.all(scene.present[0, 1, :50]))
     assert not scene.present[0, 1, 50:].any()
@@ -532,16 +553,21 @@ def test_build_scene_pads_to_the_agents_found_not_to_max_neighbors():
     # no neighbour count is preallocated: the agent axis ends at the most
     # agents a scene has, here the reference agent and the 2 tracks at t_0
     tracks = _nearest_neighbour_tracks()
-    segments = [Segment(0, 0, 200), Segment(3, 0, 200), Segment(1, 200, 100)]
+    segments = np.concatenate([_rows(tracks, 0, 0, 200), _rows(tracks, 3, 0, 200)])
     scenes = build_scene(segments, tracks, history_len=50, max_neighbors=10**9)
-    assert scenes.present.shape == (3, 3, 200) and scenes.counts.tolist() == [3, 1, 3]
-    assert scenes.lengths.tolist() == [200, 200, 100]
-    assert scenes.agent_ids.tolist() == [[1, 2, 3], [4, 0, 0], [2, 1, 3]]
+    assert scenes.present.shape == (2, 3, 200) and scenes.counts.tolist() == [3, 1]
+    assert scenes.lengths.tolist() == [200, 200]
+    assert scenes.agent_ids.tolist() == [[1, 2, 3], [4, 0, 0]]
+    # a split's segments have one length, so a shorter one is a batch of its own
+    scenes = build_scene(_rows(tracks, 1, 200, 100), tracks, history_len=50, max_neighbors=10**9)
+    assert scenes.present.shape == (1, 3, 100) and scenes.counts.tolist() == [3]
+    assert scenes.lengths.tolist() == [100]
+    assert scenes.agent_ids.tolist() == [[2, 1, 3]]
 
 
 def test_empty_splits_build_write_and_generate_nothing(tmp_path, rng):
     tracks = _nearest_neighbour_tracks()
-    for k, scenes in enumerate((build_scene([], tracks, history_len=50, max_neighbors=8),
+    for k, scenes in enumerate((build_scene(np.zeros((0, 200), np.int64), tracks, history_len=50, max_neighbors=8),
                                 gen_synthetic(synthetic_params(neighbors=2), 0, rng, history_len=20))):
         assert len(scenes) == 0 and scenes.counts.size == scenes.lengths.size == 0
         split_dir = tmp_path / f"split_{k}"
@@ -566,8 +592,8 @@ def _ngsim_scenes(tmp_path, rng, n_vehicles=40, frames=160):
     path = tmp_path / "ngsim.csv"
     _write_csv(path, rows)
     tracks = ingest_ngsim(path)
-    train, test = segment_and_split(tracks, segment_len=40)
-    return build_scene(train + test, tracks, history_len=20, max_neighbors=8)
+    return build_scene(np.concatenate(segment_and_split(tracks, segment_len=40)), tracks, history_len=20,
+                       max_neighbors=8)
 
 
 def _with_holes(scenes, rng, t0, share=0.2):
@@ -631,8 +657,7 @@ def _assert_same_tracks(tracks, expected):
 
 def _fixture_scenes(history_len=20, neighbors=8):
     tracks = ingest_ngsim(NGSIM_FIXTURE)
-    train, test = segment_and_split(tracks, segment_len=40)
-    return build_scene(train + test, tracks, history_len, neighbors)
+    return build_scene(np.concatenate(segment_and_split(tracks, segment_len=40)), tracks, history_len, neighbors)
 
 
 def test_ngsim_fixture_has_gaps_staggered_entries_and_masked_neighbours():
@@ -670,12 +695,57 @@ def test_ingest_ngsim_reports_the_fault_a_per_vehicle_pass_finds_first(tmp_path,
 @pytest.mark.parametrize("history_len, neighbors", [(20, 8), (10, 2), (39, 0)])
 def test_build_scene_matches_row_wise_oracle(history_len, neighbors):
     tracks = ingest_ngsim(NGSIM_FIXTURE)
-    train, test = segment_and_split(tracks, segment_len=40)
-    scenes = build_scene(train + test, tracks, history_len, neighbors)
-    assert len(scenes) == len(train + test) and scenes.present.shape[1] == max(scenes.counts)
-    for scene, segment in zip(each_scene(scenes), train + test):
+    segments = np.concatenate(segment_and_split(tracks, segment_len=40))
+    scenes = build_scene(segments, tracks, history_len, neighbors)
+    assert len(scenes) == len(segments) and scenes.present.shape[1] == max(scenes.counts)
+    for scene, segment in zip(each_scene(scenes), segments):
         expected = cut_neighbours_at_t0(oracle_build_scene(segment, tracks, history_len, neighbors), history_len)
         assert_same_scene(scene, expected)
+
+
+# a random track: agent id (several tracks share one), first frame, rows, frame step
+RANDOM_TRACK = st.tuples(st.integers(0, 3), st.integers(0, 12), st.integers(2, 14), st.sampled_from([1, 2]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(shapes=st.lists(RANDOM_TRACK, min_size=1, max_size=7), seed=st.integers(0, 2**32 - 1),
+       history_len=st.integers(2, 6), future=st.integers(1, 4), max_neighbors=st.integers(0, 9))
+def test_build_scene_matches_row_wise_oracle_on_random_tracks(shapes, seed, history_len, future, max_neighbors):
+    # positions on a coarse grid, so that neighbours tie on distance; staggered
+    # frames and steps of 1 and 2, so that neighbours are absent at t_0 or
+    # present on part of the history only
+    rng = np.random.default_rng(seed)
+    tracks = tracks_of([(agent_id, first + step * np.arange(n), rng.integers(-2, 3, size=(n, 2)).astype(float),
+                         *(rng.normal(size=n) if rng.uniform() < 0.5 else None for _ in "va"))
+                        for agent_id, first, n, step in shapes])
+    segments = np.concatenate(segment_and_split(tracks, segment_len=history_len + future))
+    scenes = build_scene(segments, tracks, history_len, max_neighbors)
+    assert len(scenes) == len(segments) and scenes.present.shape[1] == max(scenes.counts, default=1)
+    for scene, segment in zip(each_scene(scenes), segments):
+        expected = oracle_build_scene(segment, tracks, history_len, max_neighbors)
+        assert_same_scene(scene, cut_neighbours_at_t0(expected, history_len))
+
+
+def test_build_scene_memory_stays_near_its_output(tmp_path):
+    # beside its output, build_scene holds arrays over the kept neighbours'
+    # history frames and over each scene's tracks at t_0, not over every
+    # (scene, agent, frame) cell; the input is the seed-1 train split of the
+    # benchmark's `ngsim_prep` workload
+    spec = importlib.util.spec_from_file_location("ngsim_gen", Path(__file__).parents[1] / "bench" / "ngsim_gen.py")
+    ngsim_gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ngsim_gen)
+    ngsim_gen.write_csv(tmp_path / "ngsim.csv", seed=1, n_vehicles=80, frames=600)
+    tracks = ingest_ngsim(tmp_path / "ngsim.csv")
+    train = filter_straight(segment_and_split(tracks)[0], tracks, 0.5, np.random.default_rng([1, 12]))
+    build_scene(train[:1], tracks, history_len=50, max_neighbors=8)
+    tracemalloc.start()
+    try:
+        scenes = build_scene(train, tracks, history_len=50, max_neighbors=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scenes.present.shape == (128, 9, 200)
+    assert peak <= 1.5 * sum(getattr(scenes, name).nbytes for name in SCENE_ARRAYS)
 
 
 def test_build_scene_breaks_distance_ties_by_agent_id_then_list_order():
@@ -683,8 +753,8 @@ def test_build_scene_breaks_distance_ties_by_agent_id_then_list_order():
         return agent_id, np.arange(10), np.stack([np.full(10, x), np.zeros(10)], axis=1)
 
     tracks = tracks_of([track(5, 0.0), track(9, 3.0), track(2, -3.0), track(7, 3.0), track(2, 3.0)])
-    scene = build_scene([Segment(0, 0, 10)], tracks, history_len=4, max_neighbors=3)
-    expected = oracle_build_scene(Segment(0, 0, 10), tracks, history_len=4, max_neighbors=3)
+    scene = build_scene(_rows(tracks, 0, 0, 10), tracks, history_len=4, max_neighbors=3)
+    expected = oracle_build_scene(np.arange(10), tracks, history_len=4, max_neighbors=3)
     expected = cut_neighbours_at_t0(expected, history_len=4)
     assert_same_scene(scene, expected)
     assert scene.agent_ids.tolist() == [[5, 2, 2, 7]]
@@ -696,7 +766,7 @@ def test_tracks_derive_each_rows_track_and_the_frame_order_once():
     assert tracks.owner.tolist() == [0, 0, 0, 2, 2]
     assert tracks.by_frame.tolist() == [0, 1, 3, 4, 2]  # frame 5 of track 0 before frame 5 of track 2
     owner, by_frame = tracks.owner, tracks.by_frame
-    build_scene([Segment(0, 0, 3)], tracks, history_len=2, max_neighbors=8)
+    build_scene(_rows(tracks, 0, 0, 3), tracks, history_len=2, max_neighbors=8)
     assert tracks.owner is owner and tracks.by_frame is by_frame
 
 
@@ -725,9 +795,9 @@ def _scene_pairs(rng):
     }
     pairs = {name: (scenes, _full_window(scenes)) for name, scenes in synthetic.items()}
     tracks = ingest_ngsim(NGSIM_FIXTURE)
-    train, test = segment_and_split(tracks, segment_len=40)
-    pairs["ngsim"] = (build_scene(train + test, tracks, HISTORY_LEN, 8),
-                      batch_of([oracle_build_scene(seg, tracks, HISTORY_LEN, 8) for seg in train + test]))
+    segments = np.concatenate(segment_and_split(tracks, segment_len=40))
+    pairs["ngsim"] = (build_scene(segments, tracks, HISTORY_LEN, 8),
+                      batch_of([oracle_build_scene(segment, tracks, HISTORY_LEN, 8) for segment in segments]))
     pairs["ngsim-holes"] = tuple(_with_holes(scenes, np.random.default_rng(0), HISTORY_LEN - 1)
                                  for scenes in pairs["ngsim"])
     pairs["ngsim-no-accels"] = tuple(map(_without_accels, pairs["ngsim-holes"]))
