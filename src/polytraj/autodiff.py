@@ -274,9 +274,7 @@ class Tensor:
         return out
 
     def softmax(self, axis: int = -1) -> "Tensor":
-        shifted = self.data - self.data.max(axis=axis, keepdims=True)
-        e = np.exp(shifted)
-        y = e / e.sum(axis=axis, keepdims=True)
+        y = softmax(self.data, axis=axis)
         out = Tensor(y, (self,))
 
         def _backward():

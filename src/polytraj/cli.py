@@ -2,13 +2,15 @@
 
 Every command is driven by the flat config (file plus --set overrides,
 overrides win) and is idempotent: identical config and seed reproduce
-identical output bytes.
+identical output bytes.  The format of a data directory is `data`'s own:
+generate hands it the split batches and the run's details to write, and
+train, eval and study ask it for a split's samples at the configured
+history length and frame rate.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -20,7 +22,6 @@ from . import studies
 from .config import RunConfig, defaults_help, load_config, parse_offsets
 from .errors import ConfigError, DataError, PolytrajError
 from .evaluation import RMSE_OFFSETS, rmse_at_offsets
-from .files import write_text
 from .model import (
     ModelConfig,
     TrainSettings,
@@ -49,12 +50,6 @@ STUDIES = {
 BROKEN_PIPE_EXIT = 141  # 128 + SIGPIPE, as a shell reports a process that a closed pipe ended
 OUT_OF_MEMORY_EXIT = 4
 INTERRUPTED_EXIT = 130  # 128 + SIGINT, as a shell reports a process that Ctrl-C ended
-
-GENERATED_KEYS = ("data.history_len", "data.frame_rate")
-"""Keys the scenes of a data dir are built with, recorded in its manifest:
-neighbours are kept over history_len frames, and the frame rate scales the
-speed and acceleration features."""
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems exit 1, not argparse's 2
@@ -109,24 +104,7 @@ def _prepare_out_dir(cfg: RunConfig) -> Path:
 
 
 def _load_samples(cfg: RunConfig, split: str) -> datamod.Samples:
-    data_dir = Path(cfg["data.dir"])
-    split_dir = data_dir / split
-    if not split_dir.is_dir():
-        raise DataError(f"no {split} split under {data_dir}; run generate first")
-    try:
-        manifest = json.loads((data_dir / "manifest.json").read_text())
-        generated = {key: manifest[key.removeprefix("data.")] for key in GENERATED_KEYS}
-        digests = manifest["files"][split]
-        if not isinstance(digests, dict):
-            raise TypeError(f"files.{split} is not an object")
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise DataError(f"{data_dir} has no readable manifest.json with a history_len, frame_rate and "
-                        f"{split} scene file digests ({exc!r}); run generate again") from None
-    for key, value in generated.items():
-        if cfg[key] != value:
-            raise ConfigError(f"{key} is {cfg[key]}, but {data_dir} was generated with "
-                              f"{key}={value}; use that or run generate again")
-    return datamod.read_split(split_dir, digests, cfg["data.history_len"], cfg["data.frame_rate"])
+    return datamod.read_split(cfg["data.dir"], split, cfg["data.history_len"], cfg["data.frame_rate"])
 
 
 # -- commands ---------------------------------------------------------------------
@@ -172,24 +150,11 @@ def cmd_generate(cfg: RunConfig) -> int:
         test_scenes = datamod.build_scene(test_segments, tracks, history_len, neighbors)
         detail = {"ngsim_csv": str(csv_path), "tracks": len(tracks)}
     out_dir = _prepare_out_dir(cfg)
-    (out_dir / "manifest.json").unlink(missing_ok=True)  # written last, so a failed write leaves none
-    train_names = datamod.write_split(train_scenes, out_dir / "train")
-    test_names = datamod.write_split(test_scenes, out_dir / "test")
-    manifest = {
-        "source": source,
-        "seed": seed,
-        "fingerprint": cfg.fingerprint(),
-        "history_len": history_len,
-        "frame_rate": frame_rate,
-        "scenes": {"train": len(train_names), "test": len(test_names),
-                   "total": len(train_names) + len(test_names)},
-        "files": {"train": train_names, "test": test_names},
-        **detail,
-    }
-    write_text(out_dir / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    print(f"wrote {manifest['scenes']['total']} scenes "
-          f"({len(train_names)} train, {len(test_names)} test) to {out_dir}")
-    print(f"fingerprint: {manifest['fingerprint']}")
+    fingerprint = cfg.fingerprint()
+    counts = datamod.write_data_dir(out_dir, {"train": train_scenes, "test": test_scenes}, history_len, frame_rate,
+                                    source=source, seed=seed, fingerprint=fingerprint, **detail)["scenes"]
+    print(f"wrote {counts['total']} scenes ({counts['train']} train, {counts['test']} test) to {out_dir}")
+    print(f"fingerprint: {fingerprint}")
     return 0
 
 

@@ -18,15 +18,17 @@ and frames.  The reference agent covers its scene's window, each
 neighbour only the first `history_len` frames, up to and including t_0:
 the model reads every agent's history but the future of the reference
 agent alone, so a neighbour's future would be written, parsed and never
-used.  Scenes go to disk and back as CSV files, one per scene and one row
-per present (agent, frame), an empty v or a field for a value the agent
-does not record.  `write_split` writes a split's files `SPLIT_CHUNK` at a
-time and returns each one's sha256.  For each chunk, a slice of the batch,
-it gathers the present cells into one row table by one `np.nonzero`,
-formats each column whole, each distinct value once (floats keyed by
-their bits), and writes each file at once; `write_scene` is its one-file
-case.  `read_split` loads a split: it takes only the files the manifest
-lists, and reads them `SPLIT_CHUNK` at a time.  For each chunk it checks
+used.  This module alone knows a data directory's format: per split, CSV
+files, one per scene and one row per present (agent, frame), an empty v
+or a field for a value not recorded, and a `manifest.json` with each
+file's sha256 and the scenes' `history_len` and frame rate.
+`write_data_dir` writes each split's files `SPLIT_CHUNK` at a time, then
+the manifest.  For each chunk, a slice of the batch, it gathers the
+present cells into one row table by one `np.nonzero`, formats each column
+whole, each distinct value once (floats keyed by their bits), and writes
+each file at once; `write_scene` is its one-file case.  `read_split` loads
+a split: it checks the manifest, takes only the files it lists, and reads
+them `SPLIT_CHUNK` at a time.  For each chunk it checks
 each file's sha256, ASCII and header, joins the bodies, checks their
 lines and fields at once and parses them in one `np.loadtxt` (an empty
 field reads as 0).  It then numbers each file's agents by first
@@ -50,6 +52,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import json
 import logging
 import math
 import re
@@ -83,8 +86,9 @@ INT_FIELD_BYTES = b"0123456789+- \t,"
 
 STATE_DIM = 7
 
-SCENE_GLOB = "scene_*.csv"  # a split's scene files, named by `write_split`
-# scene files `read_split` parses, and `write_split` formats, in one pass; a
+SCENE_GLOB = "scene_*.csv"  # a split's scene files, named by `write_data_dir`
+MANIFEST = "manifest.json"  # a data directory's record of its scenes, written by `write_data_dir`
+# scene files `read_split` parses, and `write_data_dir` formats, in one pass; a
 # whole split at once held its text and arrays together, which raised the
 # loader's peak memory by half
 SPLIT_CHUNK = 16
@@ -318,16 +322,19 @@ def _ngsim_line_error(path: Path, columns: list[int]) -> DataError:
 
 
 def write_scene(scene: Scenes, path) -> str:
-    """Write a one-scene batch as one scene file, as `write_split` writes
+    """Write a one-scene batch as one scene file, as `write_data_dir` writes
     each file of a split, and return the sha256 of the bytes written."""
     (digest,) = _write_scenes(scene, [Path(path)])
     return digest
 
 
-def write_split(scenes: Scenes, split_dir) -> dict[str, str]:
-    """Write a split's scenes as `scene_00000.csv` on, in place of any
-    scene files the directory holds; returns each file name with the
-    sha256 of the bytes written, in scene order.
+def write_data_dir(data_dir, splits: dict[str, Scenes], history_len: int, frame_rate: float, **origin) -> dict:
+    """Write a data directory and return its manifest: each split's scenes
+    as `SPLIT/scene_00000.csv` on, in place of any scene files the split
+    directory holds, then `manifest.json`, which is removed first so that a
+    failed write leaves none.  The manifest holds `history_len` and
+    `frame_rate`, each split's scene count and their total under `scenes`,
+    each file's sha256 under `files` and the keys of `origin`.
 
     A file holds the header, then one row per present (agent, frame):
     the reference agent's rows first, then each neighbor's, with "\\r\\n"
@@ -336,16 +343,24 @@ def write_split(scenes: Scenes, split_dir) -> dict[str, str]:
     not record the value.  Scenes are written `SPLIT_CHUNK` at a time, each
     chunk, a slice of the batch, in one pass of `_write_scenes`.
     """
-    split_dir = Path(split_dir)
-    split_dir.mkdir(parents=True, exist_ok=True)
-    for stale in split_dir.glob(SCENE_GLOB):
-        stale.unlink()
-    names = [f"scene_{i:05d}.csv" for i in range(len(scenes))]
-    digests = []
-    for start in range(0, len(scenes), SPLIT_CHUNK):
-        chunk = slice(start, start + SPLIT_CHUNK)
-        digests += _write_scenes(scenes[chunk], [split_dir / name for name in names[chunk]])
-    return dict(zip(names, digests))
+    data_dir = Path(data_dir)
+    (data_dir / MANIFEST).unlink(missing_ok=True)
+    files = {}
+    for split, scenes in splits.items():
+        split_dir = data_dir / split
+        split_dir.mkdir(parents=True, exist_ok=True)
+        for stale in split_dir.glob(SCENE_GLOB):
+            stale.unlink()
+        files[split] = {}
+        for start in range(0, len(scenes), SPLIT_CHUNK):
+            chunk = scenes[start : start + SPLIT_CHUNK]
+            paths = [split_dir / f"scene_{i:05d}.csv" for i in range(start, start + len(chunk))]
+            files[split].update(zip((path.name for path in paths), _write_scenes(chunk, paths)))
+    counts = {split: len(names) for split, names in files.items()}
+    manifest = {**origin, "history_len": history_len, "frame_rate": frame_rate,
+                "scenes": {**counts, "total": sum(counts.values())}, "files": files}
+    write_bytes(data_dir / MANIFEST, (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode("ascii"))
+    return manifest
 
 
 def _write_scenes(scenes: Scenes, paths: list[Path]) -> list[str]:
@@ -389,21 +404,38 @@ def _formatted(values: np.ndarray, fmt) -> np.ndarray:
     return text[inverse.reshape(-1)]
 
 
-def read_split(split_dir, digests: dict[str, str], history_len: int,
-               frame_rate: float = DEFAULT_FRAME_RATE) -> Samples:
-    """The samples of a split's scene files, in name order, numbered from 0,
-    as one table.
+def read_split(data_dir, split: str, history_len: int, frame_rate: float = DEFAULT_FRAME_RATE) -> Samples:
+    """The samples of a split of a data directory, its scene files in name
+    order numbered from 0, as one table.
 
-    `digests` maps each file name the split's manifest lists to the sha256
-    of its bytes.  The split must hold exactly those scene files, each
-    with those bytes.  Files are read `SPLIT_CHUNK` at a time, each chunk
-    in one pass of `read_scene`'s checks and one of `build_sample`'s
-    features, its samples copied into the table.  A chunk with a fault is
-    read again one file at a time, so the error is that of the first
-    faulty file, as a loop of `read_scene` over every file and then
-    `build_sample` over every scene raises first.
+    The directory's manifest must be readable, list the split's files and
+    record the `history_len` and `frame_rate` asked for, or else the scenes
+    were built for other features: a ConfigError.  The split must hold
+    exactly the files listed, each with the sha256 listed.  Files are read
+    `SPLIT_CHUNK` at a time, each chunk in one pass of `read_scene`'s
+    checks and one of `build_sample`'s features, its samples copied into
+    the table.  A chunk with a fault is read again one file at a time, so
+    the error is that of the first faulty file, as a loop of `read_scene`
+    over every file and then `build_sample` over every scene raises first.
     """
-    split_dir = Path(split_dir)
+    data_dir = Path(data_dir)
+    split_dir = data_dir / split
+    if not split_dir.is_dir():
+        raise DataError(f"no {split} split under {data_dir}; run generate first")
+    asked = {"history_len": history_len, "frame_rate": frame_rate}
+    try:
+        manifest = json.loads((data_dir / MANIFEST).read_text())
+        generated = {key: manifest[key] for key in asked}
+        digests = manifest["files"][split]
+        if not isinstance(digests, dict):
+            raise TypeError(f"files.{split} is not an object")
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"{data_dir} has no readable {MANIFEST} with a history_len, frame_rate and "
+                        f"{split} scene file digests ({exc!r}); run generate again") from None
+    for key, value in generated.items():
+        if asked[key] != value:
+            raise ConfigError(f"data.{key} is {asked[key]}, but {data_dir} was generated with "
+                              f"data.{key}={value}; use that or run generate again")
     held = sorted(split_dir.glob(SCENE_GLOB))
     if not held:
         raise DataError(f"no scene files in {split_dir}")
@@ -659,16 +691,18 @@ def segment_and_split(
     (rounded up) of each track's segments to the test set.
     """
     train_share, test_share = parse_ratio(ratio)
-    totals = np.diff(tracks.bounds) // segment_len
+    # in Python ints, as segment_len may be past int64; the widest int64 array is longer than any track too
+    width = min(segment_len, np.iinfo(np.intp).max // np.dtype(np.int64).itemsize)
+    totals = np.diff(tracks.bounds) // width
     if not totals.all():
         log.warning("skipped %d track(s) shorter than %d frames", np.count_nonzero(totals == 0), segment_len)
     # ceil, in Python ints, as a share may exceed int64
     n_test = (-(-totals.astype(object) * test_share // (train_share + test_share))).astype(np.int64)
     track = np.repeat(np.arange(totals.size), totals)
     index = np.arange(track.size) - np.repeat(np.cumsum(totals) - totals, totals)  # within its track
-    starts = tracks.bounds[track] + index * segment_len
+    starts = tracks.bounds[track] + index * width
     # no segment, no row offsets: segment_len may exceed every track
-    segments = starts[:, None] + np.arange(segment_len) if starts.size else np.zeros((0, segment_len), np.int64)
+    segments = starts[:, None] + np.arange(width) if starts.size else np.zeros((0, width), np.int64)
     test = index >= (totals - n_test)[track]
     return segments[~test], segments[test]
 
@@ -847,6 +881,8 @@ def gen_synthetic(
     for low, high in (("speed_min", "speed_max"), ("lane_mid_min", "lane_mid_max")):
         if params[low] > params[high]:
             raise ConfigError(f"synthetic.{low} {params[low]} exceeds synthetic.{high} {params[high]}")
+    if int(n) * (1 + n_neighbors) * n_frames * 2 * 8 > np.iinfo(np.intp).max:  # the bytes of `positions`
+        raise ConfigError("synthetic.n, synthetic.neighbors and synthetic.frames together are past numpy's index range")
     cycle = ("const_vel", "const_acc", "lane_change", "arc")
     tau = np.arange(n_frames, dtype=np.float64) / frame_rate
     shape = (int(n), 1 + n_neighbors, n_frames)

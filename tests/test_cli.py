@@ -363,13 +363,15 @@ def test_generate_of_no_scenes_exits_2_and_writes_nothing(tmp_path, capsys):
 
 def test_generate_at_a_segment_len_past_any_array_exits_2_with_no_scene(tmp_path, capsys):
     # no track is that long, so no segment's rows are gathered: no scene, not out of memory
+    # and 10**30 is past int64 as well
     csv_path = Path(__file__).parent / "fixtures" / "ngsim_small.csv"
     out_dir = tmp_path / "data"
-    args = ["generate", *_sets("data.source=ngsim", f"data.ngsim_csv={csv_path}",
-                               "data.segment_len=1000000000000000000", f"out.dir={out_dir}")]
-    assert main(args) == 2
-    assert f"no scene from {csv_path} (13 tracks)" in capsys.readouterr().err
-    assert not out_dir.exists()
+    for segment_len in (10**18, 10**30):
+        args = ["generate", *_sets("data.source=ngsim", f"data.ngsim_csv={csv_path}",
+                                   f"data.segment_len={segment_len}", f"out.dir={out_dir}")]
+        assert main(args) == 2
+        assert f"no scene from {csv_path} (13 tracks) at data.segment_len={segment_len};" in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("fraction, counts", [("0", (8, 0)), ("1", (0, 8))], ids=["no-test", "no-train"])
@@ -390,6 +392,7 @@ def test_generate_with_an_empty_split_exits_0_and_writes_no_scene_file_for_it(tm
 
 NGSIM_GOLDEN = "898fd0af7d2babe51c89bbef9d7db91fe00558d43268eef07dfd03eb2cb2ba83"
 SYNTHETIC_GOLDEN = "01c1540725df06120ee6f0de92ad8601d28cccd3e1b0ee150cbc12bfeb602b7c"
+SYNTHETIC_MANIFEST_GOLDEN = "8b26c67a1351cf430532306acafdeb04da2e0e9ca4ffdff7f31df9f8be18cb9c"
 
 
 def _scene_files_digest(data_dir: Path) -> tuple[int, str]:
@@ -418,6 +421,14 @@ def test_synthetic_scene_files_match_their_golden_digest(tmp_path):
     assert _scene_files_digest(data_dir) == (8, SYNTHETIC_GOLDEN)
 
 
+def test_synthetic_manifest_matches_its_golden_digest(tmp_path):
+    # the manifest bytes of the same run, pinned: a synthetic manifest names
+    # no path, so its keys, values, order and layout are all held here
+    data_dir = tmp_path / "data"
+    assert main(["generate", *_sets(*TINY, "synthetic.neighbors=2", f"out.dir={data_dir}")]) == 0
+    assert hashlib.sha256((data_dir / "manifest.json").read_bytes()).hexdigest() == SYNTHETIC_MANIFEST_GOLDEN
+
+
 def test_closed_stdout_exits_141_without_a_traceback(tmp_path):
     read_end, write_end = os.pipe()
     os.close(read_end)  # every write to the pipe now fails with EPIPE
@@ -433,6 +444,24 @@ def test_closed_stdout_exits_141_without_a_traceback(tmp_path):
     assert result.returncode == cli.BROKEN_PIPE_EXIT == 141
     assert b"Traceback" not in result.stderr and b"BrokenPipeError" not in result.stderr
     assert (tmp_path / "data" / "manifest.json").exists()
+
+
+def test_generate_at_synthetic_frames_past_the_index_range_exits_1(tmp_path, capsys):
+    # 10**19 frames is past int64: a ConfigError before any array is made, not a traceback from np.arange
+    out_dir = tmp_path / "data"
+    assert main(["generate", *_sets(*TINY, "synthetic.frames=10000000000000000000", f"out.dir={out_dir}")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: synthetic.n, synthetic.neighbors and synthetic.frames ") and "index range" in err
+    assert not out_dir.exists()
+
+
+def test_generate_at_synthetic_n_past_the_index_range_exits_1(tmp_path, capsys):
+    # 10**19 scenes are past int64: a ConfigError before any array is made, not a traceback from np.zeros
+    out_dir = tmp_path / "data"
+    assert main(["generate", *_sets(*TINY, "synthetic.n=10000000000000000000", f"out.dir={out_dir}")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: synthetic.n, synthetic.neighbors and synthetic.frames ") and "index range" in err
+    assert not out_dir.exists()
 
 
 def test_out_of_memory_exits_4_with_one_error_line(tmp_path, capsys, monkeypatch):

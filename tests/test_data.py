@@ -45,8 +45,8 @@ from polytraj.data import (
     read_scene,
     read_split,
     segment_and_split,
+    write_data_dir,
     write_scene,
-    write_split,
 )
 from polytraj.errors import ConfigError, DataError
 from polytraj.evaluation import fit_polynomials
@@ -570,9 +570,10 @@ def test_empty_splits_build_write_and_generate_nothing(tmp_path, rng):
     for k, scenes in enumerate((build_scene(np.zeros((0, 200), np.int64), tracks, history_len=50, max_neighbors=8),
                                 gen_synthetic(synthetic_params(neighbors=2), 0, rng, history_len=20))):
         assert len(scenes) == 0 and scenes.counts.size == scenes.lengths.size == 0
-        split_dir = tmp_path / f"split_{k}"
-        assert write_split(scenes, split_dir) == {}
-        assert split_dir.is_dir() and not any(split_dir.iterdir())
+        data_dir = tmp_path / f"data_{k}"
+        written = write_data_dir(data_dir, {"train": scenes}, 20, scenes.frame_rate)
+        assert written["files"] == {"train": {}} and written["scenes"] == {"train": 0, "total": 0}
+        assert (data_dir / "train").is_dir() and not any((data_dir / "train").iterdir())
 
 
 # -- whole-array states against the per-frame oracle -----------------------------------
@@ -836,14 +837,14 @@ def test_write_scene_bytes_match_csv_writer(tmp_path, rng):
 
 
 def test_write_split_memory_does_not_grow_with_the_split(tmp_path, rng):
-    # write_split holds one chunk's rows and strings at a time, not the split's
+    # write_data_dir holds one chunk's rows and strings at a time, not the split's
     scenes = gen_synthetic(synthetic_params(neighbors=4), 64, rng, history_len=HISTORY_LEN)
-    write_split(scenes[:1], tmp_path / "warm-up")
+    write_data_dir(tmp_path / "warm-up", {"train": scenes[:1]}, HISTORY_LEN, scenes.frame_rate)
 
     def peak_bytes(n):
         tracemalloc.start()
         try:
-            write_split(scenes[:n], tmp_path / str(n))
+            write_data_dir(tmp_path / str(n), {"train": scenes[:n]}, HISTORY_LEN, scenes.frame_rate)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -857,14 +858,15 @@ def test_read_split_memory_does_not_grow_with_the_split(tmp_path, rng, monkeypat
     # copy of the split.  Chunks of 4 files make both splits several chunks
     # long, so that in each the table is held while a chunk is read
     scenes = gen_synthetic(synthetic_params(neighbors=4), 64, rng, history_len=HISTORY_LEN)
-    splits = {n: (tmp_path / str(n), write_split(scenes[:n], tmp_path / str(n))) for n in (1, 16, 64)}
+    for n in (1, 16, 64):
+        write_data_dir(tmp_path / str(n), {"train": scenes[:n]}, HISTORY_LEN, scenes.frame_rate)
     monkeypatch.setattr("polytraj.data.SPLIT_CHUNK", 4)
-    read_split(*splits[1], HISTORY_LEN)
+    read_split(tmp_path / "1", "train", HISTORY_LEN)
 
     def extra_bytes(n):
         tracemalloc.start()
         try:
-            samples = read_split(*splits[n], HISTORY_LEN)
+            samples = read_split(tmp_path / str(n), "train", HISTORY_LEN)
             return tracemalloc.get_traced_memory()[1] - sum(getattr(samples, name).nbytes for name in SAMPLE_ARRAYS)
         finally:
             tracemalloc.stop()

@@ -3,6 +3,7 @@ files end in a typed PolytrajError, never in a raw exception."""
 
 import base64
 import hashlib
+import json
 import re
 
 import numpy as np
@@ -27,8 +28,8 @@ from hypothesis import strategies as st
 
 from polytraj.autodiff import load_checkpoint
 from polytraj.cli import main
-from polytraj.data import (SPLIT_CHUNK, Scenes, build_sample, gen_synthetic, ingest_ngsim, read_scene, read_split,
-                           write_split)
+from polytraj.data import (DEFAULT_FRAME_RATE, SPLIT_CHUNK, Scenes, build_sample, gen_synthetic, ingest_ngsim,
+                           read_scene, read_split, write_data_dir)
 from polytraj.errors import DataError, NumericalError, PolytrajError
 from polytraj.model import TrajectoryModel, load_model, save_model
 
@@ -524,6 +525,21 @@ def test_fuzzed_scene_raises_only_polytraj_errors(tmp_path_factory, edits, raw):
 SPLIT_HISTORY = 3
 
 
+def _write_train(data_dir, scenes: list[Scenes]) -> dict[str, str]:
+    """Write `scenes` as the train split of a data dir; returns each file's
+    name with its sha256, as the manifest lists them."""
+    return write_data_dir(data_dir, {"train": batch_of(scenes)}, SPLIT_HISTORY, DEFAULT_FRAME_RATE)["files"]["train"]
+
+
+def _relist_train(data_dir, digests: dict[str, str]) -> None:
+    """List `digests` in the data dir's manifest as its train files, as for
+    files that write_data_dir did not write."""
+    manifest_path = data_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["files"]["train"] = digests
+    manifest_path.write_text(json.dumps(manifest))
+
+
 def _split_scene(rng) -> Scenes:
     """A small scene of 1-4 agents with ids drawn from 1-4, so that files
     share ids and a file's last agent is often the next file's first, on
@@ -548,9 +564,9 @@ def test_read_split_equals_the_per_file_oracle(tmp_path_factory, files, seed, sp
     # up to 40 files, so that a split spans up to three chunks
     assert SPLIT_CHUNK < 40
     rng = np.random.default_rng(seed)
-    split_dir = tmp_path_factory.mktemp("split")
-    digests = write_split(batch_of([_split_scene(rng) for _ in range(files)]), split_dir)
-    paths = [split_dir / name for name in digests]
+    data_dir = tmp_path_factory.mktemp("data")
+    digests = _write_train(data_dir, [_split_scene(rng) for _ in range(files)])
+    paths = [data_dir / "train" / name for name in digests]
     spoiled = None if spoil is None else paths[spoil[0] % files]
     for path in paths:
         lines = path.read_text().splitlines()
@@ -560,22 +576,23 @@ def test_read_split_equals_the_per_file_oracle(tmp_path_factory, files, seed, sp
             lines = [line.replace(" ", ",") for line in _edit([line.replace(",", " ") for line in lines], spoil[1])]
         path.write_bytes("\r\n".join(lines).encode("utf-8", "replace") + b"\r\n")
         digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    _relist_train(data_dir, digests)
     try:
         if spoiled is not None:
             read_scene(spoiled)
     except DataError as exc:  # the split's error is that of the spoiled file alone
         with pytest.raises(DataError) as raised:
-            read_split(split_dir, digests, SPLIT_HISTORY)
+            read_split(data_dir, "train", SPLIT_HISTORY)
         assert str(raised.value) == str(exc)
         return
     scenes = [oracle_read_scene(path) for path in paths]
     short = [scene.lengths[0] for scene in scenes if scene.lengths[0] <= SPLIT_HISTORY]
     if short:
         with pytest.raises(DataError) as raised:
-            read_split(split_dir, digests, SPLIT_HISTORY)
+            read_split(data_dir, "train", SPLIT_HISTORY)
         assert str(raised.value) == f"scene length {short[0]} leaves no future after {SPLIT_HISTORY} history frames"
         return
-    samples = read_split(split_dir, digests, SPLIT_HISTORY)
+    samples = read_split(data_dir, "train", SPLIT_HISTORY)
     assert samples.sample_ids.tolist() == list(range(files))
     assert samples.counts.tolist() == [scene.agent_ids.size for scene in scenes]
     assert samples.horizons.tolist() == [scene.lengths[0] - SPLIT_HISTORY for scene in scenes]
@@ -603,7 +620,8 @@ def test_read_split_widens_its_table_for_a_later_chunk(tmp_path, rng):
     scenes = (each_scene(gen_synthetic(synthetic_params(frames=10, neighbors=0), SPLIT_CHUNK, rng,
                                        history_len=SPLIT_HISTORY))
               + each_scene(gen_synthetic(synthetic_params(frames=14, neighbors=2), 3, rng, history_len=SPLIT_HISTORY)))
-    samples = read_split(tmp_path, write_split(batch_of(scenes), tmp_path), SPLIT_HISTORY)
+    _write_train(tmp_path, scenes)
+    samples = read_split(tmp_path, "train", SPLIT_HISTORY)
     assert samples.states.shape[:2] == (SPLIT_CHUNK + 3, 3) and samples.future.shape[1] == 14 - SPLIT_HISTORY + 1
     for i, (row, scene) in enumerate(zip(sample_rows(samples), scenes)):
         (expected,) = sample_rows(build_sample(scene, SPLIT_HISTORY, i))
@@ -643,10 +661,12 @@ def test_write_split_bytes_equal_the_per_scene_oracle(tmp_path_factory, files, s
     assert SPLIT_CHUNK < 40
     rng = np.random.default_rng(seed)
     scenes = [_pooled_scene(rng, i) for i in range(files)]  # written as one padded batch; no file holds padding
-    split_dir, oracle_dir = tmp_path_factory.mktemp("split"), tmp_path_factory.mktemp("oracle")
+    data_dir, oracle_dir = tmp_path_factory.mktemp("data"), tmp_path_factory.mktemp("oracle")
+    split_dir = data_dir / "train"
+    split_dir.mkdir()
     for k in range(stale):  # scene files of an earlier, longer split
         (split_dir / f"scene_{files + 2 * k:05d}.csv").write_bytes(b"stale\r\n")
-    digests = write_split(batch_of(scenes), split_dir)
+    digests = _write_train(data_dir, scenes)
     assert list(digests) == [f"scene_{i:05d}.csv" for i in range(files)]
     assert sorted(path.name for path in split_dir.glob("scene_*.csv")) == list(digests)
     for (name, digest), scene in zip(digests.items(), scenes):
