@@ -59,9 +59,9 @@ DEFAULTS: dict[str, tuple[object, str | None, str]] = {
     "horizon_frames": (50, "[1, inf)", "prediction horizon for fixed schedules and evaluation"),
     "model.head": ("polynomial", "{polynomial, coordinates}", "output head"),
     "model.units": (32, "[1, inf)", "hidden units in every recurrent layer"),
-    "model.encoder_layers": (2, "[1, inf)", "stacked GRU layers in the encoder"),
-    "model.decoder_layers": (3, "[1, inf)", "stacked GRU layers in the decoder"),
-    "model.decoder_steps": (5, "[1, inf)", "decoder steps on the learned constant input"),
+    "model.encoder_layers": (2, "[1, 16]", "stacked GRU layers in the encoder"),
+    "model.decoder_layers": (3, "[1, 16]", "stacked GRU layers in the decoder"),
+    "model.decoder_steps": (5, "[1, 1000]", "decoder steps on the learned constant input"),
     "model.d_x": (3, "[1, inf)", "lateral polynomial degree"),
     "model.d_y": (3, "[1, inf)", "longitudinal polynomial degree"),
     "train.seed": (0, "[0, 2**63)", "per-run stream index mixed with run.seed"),
@@ -133,8 +133,8 @@ def parse_offsets(text: str) -> tuple[int, ...]:
         raise ConfigError(f"eval.offsets must be comma-separated integers, got {text!r}") from None
     if not offsets:
         raise ConfigError("eval.offsets must name at least one offset")
-    if min(offsets) < 1:
-        raise ConfigError(f"eval.offsets must be frame offsets of at least 1, got {min(offsets)}")
+    if not 1 <= min(offsets) <= max(offsets) < 2**63:  # offset arrays are int64
+        raise ConfigError(f"eval.offsets must be frame offsets in [1, 2**63), got {text!r}")
     return offsets
 
 

@@ -34,16 +34,17 @@ lines and fields at once and parses them in one `np.loadtxt` (an empty
 field reads as 0).  It then numbers each file's agents by first
 appearance, finds every row's window slot by one `searchsorted`, checks
 all rows at once and scatters them into a batch, whose samples
-`build_sample` computes in one feature pass and `read_split` copies into
-the split's table.  `read_scene` is that code's one-file case, and a chunk
-with a fault is read again file by file for the first file's error.  Both
-parsers accept plain comma-separated numbers only, with no quoting.  A
-split's samples are one `Samples` table: per-agent state histories plus
-the reference agent's future in its own frame at the current time step,
-padded over agents and frames.  A model batch is a selection of its rows;
-`future_at` reads the future at frame offsets in one gather for the loss
-and the metrics.  Keyword defaults, such as a frame rate or a segment
-length, read `config.DEFAULTS`; none is written here.
+`build_sample` computes in one feature pass, angles by numpy's `arctan2`,
+and `read_split` copies into the split's table.  `read_scene` is that
+code's one-file case, and a chunk with a fault is read again file by file
+for the first file's error.  Both parsers accept plain comma-separated
+numbers only, with no quoting.  A split's samples are one `Samples`
+table: per-agent state histories plus the reference agent's future in its
+own frame at the current time step, padded over agents and frames.  A
+model batch is a selection of its rows; `future_at` reads the future at
+frame offsets in one gather for the loss and the metrics.  Keyword
+defaults, such as a frame rate or a segment length, read
+`config.DEFAULTS`; none is written here.
 """
 
 from __future__ import annotations
@@ -707,9 +708,8 @@ def segment_and_split(
     return segments[~test], segments[test]
 
 
-def _speed(positions: np.ndarray, frame_rate: float) -> np.ndarray:
-    """Speed from position increments along the frame axis: (..., n, 2) -> (..., n - 1)."""
-    delta = np.diff(positions, axis=-2)
+def _speed(delta: np.ndarray, frame_rate: float) -> np.ndarray:
+    """Speed from position increments: (..., 2) -> (...)."""
     return np.hypot(delta[..., 0], delta[..., 1]) * frame_rate
 
 
@@ -728,7 +728,7 @@ def is_straight_constant_velocity(
     spread = np.std(tracks.speeds[segments], axis=1)
     derived = np.flatnonzero(~tracks.recorded[0, tracks.owner[segments[:, 0]]])
     if derived.size:  # a one-frame segment derives no speed, whose std would warn
-        spread[derived] = np.std(_speed(positions[derived], tracks.frame_rate), axis=1)
+        spread[derived] = np.std(_speed(np.diff(positions[derived], axis=1), tracks.frame_rate), axis=1)
     return (lateral_span < lateral_range_m) & (spread < speed_std)
 
 
@@ -852,6 +852,12 @@ def _synthetic_ego(kind: str, p: dict, rng: np.random.Generator, tau: np.ndarray
     return np.stack([x, y], axis=1)
 
 
+def check_indexable(shape: tuple[int, ...], keys: str) -> None:
+    """A ConfigError naming `keys` if a float64 array of `shape` is past numpy's index range."""
+    if math.prod(shape) * 8 > np.iinfo(np.intp).max:
+        raise ConfigError(f"{keys} together are past numpy's index range")
+
+
 def gen_synthetic(
     params: dict,
     n: int,
@@ -881,11 +887,10 @@ def gen_synthetic(
     for low, high in (("speed_min", "speed_max"), ("lane_mid_min", "lane_mid_max")):
         if params[low] > params[high]:
             raise ConfigError(f"synthetic.{low} {params[low]} exceeds synthetic.{high} {params[high]}")
-    if int(n) * (1 + n_neighbors) * n_frames * 2 * 8 > np.iinfo(np.intp).max:  # the bytes of `positions`
-        raise ConfigError("synthetic.n, synthetic.neighbors and synthetic.frames together are past numpy's index range")
+    shape = (int(n), 1 + n_neighbors, n_frames)
+    check_indexable(shape + (2,), "synthetic.n, synthetic.neighbors and synthetic.frames")  # `positions`
     cycle = ("const_vel", "const_acc", "lane_change", "arc")
     tau = np.arange(n_frames, dtype=np.float64) / frame_rate
-    shape = (int(n), 1 + n_neighbors, n_frames)
     present = np.zeros(shape[1:], dtype=bool)
     present[0] = True
     present[1:, :history_len] = True
@@ -910,14 +915,10 @@ def gen_synthetic(
 
 
 def _heading(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Elementwise angle of (x, y) in (-pi, pi].
-
-    Maps math.atan2, which np.arctan2 can differ from in the last bit, and
-    wraps as (angle + pi) % 2pi - pi with -pi sent to pi.
-    """
-    angle = np.array(list(map(math.atan2, y.ravel().tolist(), x.ravel().tolist())), dtype=np.float64)
-    wrapped = np.remainder(angle.reshape(y.shape) + math.pi, 2.0 * math.pi) - math.pi
-    return np.where(wrapped == -math.pi, math.pi, wrapped)
+    """Elementwise angle of (x, y) in (-pi, pi]: numpy's `arctan2` on C-contiguous
+    arrays, so every call takes one ufunc loop, and its -pi (at y = -0.0) sent to pi."""
+    angle = np.arctan2(np.ascontiguousarray(y), np.ascontiguousarray(x))
+    return np.where(angle == -np.pi, np.pi, angle)
 
 
 def build_sample(scenes: Scenes, history_len: int, first_id: int = 0) -> Samples:
@@ -931,10 +932,10 @@ def build_sample(scenes: Scenes, history_len: int, first_id: int = 0) -> Samples
     the recorded acceleration or else the change of v from t - 1, with v
     from the same source at both frames (0 when the agent is absent at
     t - 2), theta the increment's heading, and (l, phi) the polar offset
-    from the reference agent (phi 0 at l = 0).  Each agent's recorded
-    values are picked by its `scenes.recorded` flag, and every feature is
-    computed for all scenes and agents at once.  A scene with no frame
-    after its history is a DataError.
+    from the reference agent (phi 0 at l = 0), angles by `_heading`'s
+    `np.arctan2`.  Each agent's recorded values are picked by its
+    `scenes.recorded` flag, and every feature is computed for all scenes and
+    agents at once.  A scene with no frame after its history is a DataError.
     """
     short = np.flatnonzero(scenes.lengths <= history_len)
     if short.size:
@@ -945,7 +946,7 @@ def build_sample(scenes: Scenes, history_len: int, first_id: int = 0) -> Samples
     present = scenes.present[:, :, :n]
     positions = scenes.positions[:, :, :n]  # (S, A, n, 2)
     delta = np.diff(positions, axis=2)
-    derived = _speed(positions, frame_rate)  # (S, A, n - 1), the speed at frames 1 .. n - 1
+    derived = _speed(delta, frame_rate)  # (S, A, n - 1), the speed at frames 1 .. n - 1
     speed = np.where(scenes.recorded[:, 0, :, None], scenes.speeds[:, :, 1:n], derived)
     accel = np.zeros_like(derived)
     accel[:, :, 1:] = np.where(present[:, :, : n - 2], np.diff(speed, axis=2) * frame_rate, 0.0)

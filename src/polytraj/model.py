@@ -55,7 +55,7 @@ from . import poly
 from .anchoring import spread
 from .autodiff import Adam, Tensor, sgd_step
 from .config import RunConfig
-from .data import STATE_DIM, Samples, future_at
+from .data import STATE_DIM, Samples, check_indexable, future_at
 from .errors import ConfigError, DataError, NumericalError, ShapeError
 from .poly import gaussian_nll
 
@@ -124,6 +124,9 @@ class ModelConfig:
             raise ConfigError(f"fixed anchors need count {count} <= horizon {self.horizon}")
         if self.anchor_mode == "random" and not count <= low <= high:
             raise ConfigError(f"random anchors need count {count} <= min {low} <= max {high}")
+        keys = ("model.units, model.d_x and model.d_y" if self.head == POLYNOMIAL
+                else "model.units, model.d_x, model.d_y and anchors.count")
+        check_indexable(max((s for _, s in self.param_shapes()), key=math.prod), keys)  # short: layers are bounded
 
     @classmethod
     def from_config(cls, cfg: RunConfig) -> "ModelConfig":

@@ -202,9 +202,11 @@ def oracle_loss(traj, truth, offsets) -> float:
     return total / len(offsets)
 
 
-def _wrap_angle(angle: float) -> float:
-    wrapped = (angle + math.pi) % (2.0 * math.pi) - math.pi
-    return math.pi if wrapped == -math.pi else wrapped
+def _angle(y: float, x: float) -> float:
+    """The angle of (x, y) in (-pi, pi]: `np.arctan2` on one-element arrays,
+    with -pi sent to pi."""
+    angle = float(np.arctan2(np.array([y]), np.array([x]))[0])
+    return math.pi if angle == -math.pi else angle
 
 
 def one_scene(frames, agent_ids, present, positions, speeds, accels, recorded,
@@ -297,7 +299,7 @@ def track_rows(tracks: Tracks) -> list[TrackRow]:
 def oracle_states(batch: Scenes, history_len: int) -> tuple[np.ndarray, np.ndarray]:
     """Independent reimplementation of the sample states of a one-scene
     batch: one scalar state vector per agent row, padding included, and
-    frame, math-module angles."""
+    frame, each angle from `np.arctan2` on one element."""
     (scene,) = scene_rows(batch)
 
     def speed(a, t):
@@ -322,10 +324,10 @@ def oracle_states(batch: Scenes, history_len: int) -> tuple[np.ndarray, np.ndarr
                 alpha = (v - speed(a, t - 1)) * scene.frame_rate
             else:
                 alpha = 0.0
-            theta = _wrap_angle(math.atan2(delta[1], delta[0]))
+            theta = _angle(delta[1], delta[0])
             rel = scene.positions[a, t] - scene.positions[0, t]
             l = float(np.hypot(rel[0], rel[1]))
-            phi = 0.0 if l == 0.0 else _wrap_angle(math.atan2(rel[1], rel[0]))
+            phi = 0.0 if l == 0.0 else _angle(rel[1], rel[0])
             states[a, t - 1] = [delta[0], delta[1], v, alpha, theta, l, phi]
             mask[a, t - 1] = 1.0
     return states, mask

@@ -21,6 +21,7 @@ from polytraj import cli, files, studies
 from polytraj.autodiff import load_checkpoint
 from polytraj.cli import main
 from polytraj.config import DEFAULTS, RunConfig, load_config
+from polytraj.errors import DataError
 from polytraj.model import ModelConfig, TrainSettings, TrajectoryModel, save_model
 
 TINY = [
@@ -157,7 +158,9 @@ def test_train_nan_learning_rate_exits_1_without_checkpoint(tmp_path, capsys):
     assert not (out_dir / "checkpoint.txt").exists()
 
 
-@pytest.mark.parametrize("key, value", [("eval.offsets", "abc"), ("data.split_ratio", "x:y")])
+@pytest.mark.parametrize(
+    "key, value", [("eval.offsets", "abc"), ("eval.offsets", "10000000000000000000"), ("data.split_ratio", "x:y")]
+)
 def test_bad_eval_offsets_or_split_ratio_exits_1_on_every_command(tmp_path, capsys, key, value):
     data_dir = _generate(tmp_path)
     checkpoint = tmp_path / "run" / "checkpoint.txt"
@@ -462,6 +465,23 @@ def test_generate_at_synthetic_n_past_the_index_range_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: synthetic.n, synthetic.neighbors and synthetic.frames ") and "index range" in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("override", ["model.units=10000000000000000000", "model.d_y=1000000000000000000"])
+def test_train_at_model_sizes_past_the_index_range_exits_1(tmp_path, capsys, override):
+    # a parameter past numpy's index range: a ConfigError before any array is made, not a ValueError traceback
+    data_dir = _generate(tmp_path)
+    out_dir = tmp_path / "run"
+    capsys.readouterr()
+    assert main(["train", *_sets(*TINY, f"data.dir={data_dir}", f"out.dir={out_dir}", override)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: model.units, model.d_x and model.d_y ") and "index range" in err
+    assert not (out_dir / "checkpoint.txt").exists()
+    # a checkpoint's meta goes through the same checks, and the layer counts' ends
+    meta = ModelConfig.from_config(RunConfig()).to_meta()
+    for key, value in (override.split("="), ("model.decoder_steps", "1001")):
+        with pytest.raises(DataError, match="bad model meta"):
+            ModelConfig.from_meta({**meta, key: value})
 
 
 def test_out_of_memory_exits_4_with_one_error_line(tmp_path, capsys, monkeypatch):
@@ -885,6 +905,10 @@ def test_every_default_lies_in_its_domain():
         ("train", "horizon_frames=0"),
         ("train", "train.lr=1e300"),
         ("generate", "data.frame_rate=1e-300"),
+        # each ran until killed, its memory growing
+        ("train", "model.decoder_steps=10000000000000000000"),
+        ("train", "model.encoder_layers=10000000000000000000"),
+        ("train", "model.decoder_layers=100000000000"),
     ],
 )
 def test_out_of_domain_setting_exits_1_naming_key_and_domain(tmp_path, capsys, command, override):

@@ -36,6 +36,7 @@ from polytraj.data import (
     SCENE_ARRAYS,
     TRACK_ARRAYS,
     Scenes,
+    _heading,
     build_sample,
     build_scene,
     filter_straight,
@@ -245,6 +246,23 @@ def test_state_increments_speed_heading():
     assert v == pytest.approx(10.0)
     assert theta == 0.0
     assert l == 0.0 and phi == 0.0
+
+
+def test_heading_is_numpy_arctan2_with_minus_pi_sent_to_pi(rng):
+    y, x = rng.normal(size=(2, 200_000))
+    assert _heading(y, x).tobytes() == np.arctan2(y, x).tobytes()
+    assert _heading(y[::3], x[::3]).tobytes() == np.arctan2(y, x)[::3].tobytes()  # a strided view too
+    # no rounding wrap: the correctly rounded atan(0.1), where (angle + pi) % 2pi - pi gave ...186
+    assert _heading(np.array(1.0), np.array(10.0)) == 0.09966865249116202
+    # arctan2's -pi, at y = -0.0 and x < 0 or x = -0.0, is pi; +0.0 over +0.0 stays 0.0
+    signed_zeros = _heading(np.array([-0.0, -0.0, 0.0, 0.0]), np.array([-1.0, -0.0, -0.0, 0.0]))
+    assert signed_zeros.tolist() == [np.pi, np.pi, np.pi, 0.0] and not np.signbit(signed_zeros).any()
+    # a neighbour on the reference agent at -0.0: phi, pi by _heading, is 0 as l is
+    ego = (0, np.ones(3, dtype=bool), np.zeros((3, 2)))
+    neighbor = (1, np.ones(3, dtype=bool), np.full((3, 2), -0.0))
+    dx, dy, _, _, theta, l, phi = _sample(scene_of(np.arange(3), [ego, neighbor]), history_len=2).states[1, 0]
+    assert (l, phi) == (0.0, 0.0) and not np.signbit(phi)
+    assert theta == _heading(np.array(dy), np.array(dx)) == 0.0  # (-0.0) - (-0.0) is +0.0
 
 
 def test_neighbor_polar_coordinates():
