@@ -6,7 +6,9 @@ exp and log, reductions, reshapes, basic slicing and softmax.  The
 GRU cell's gates are a hand-written graph node (`model.gru_cell`), so its
 sigmoid and tanh are array functions only.
 A ``Tensor`` wraps a numpy array and remembers the operation that
-produced it; calling ``backward()`` on a scalar result accumulates
+produced it.  An operand that is not a ``Tensor`` (an array or a number)
+is a constant outside the graph: it is no node and gets no gradient.
+Calling ``backward()`` on a scalar result accumulates
 ``d(result)/d(node)`` into every reachable node, visiting each node
 exactly once in reverse topological order.  ``backward()`` consumes the
 graph: each node lets go of its parents and its backward closure once it
@@ -66,6 +68,16 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+# the gradient of each binary op's first and second operand from its output
+# gradient g, one function per operand: a node calls one per parent, so the
+# gradient of a constant operand is never computed
+_ADD_GRADS = (lambda g, a, b: g, lambda g, a, b: g)
+_SUB_GRADS = (lambda g, a, b: g, lambda g, a, b: -g)
+_MUL_GRADS = (lambda g, a, b: g * b, lambda g, a, b: g * a)
+_DIV_GRADS = (lambda g, a, b: g / b, lambda g, a, b: -g * a / b**2)
+_MATMUL_GRADS = (lambda g, a, b: g @ b.T, lambda g, a, b: a.T @ g)
+
+
 class Tensor:
     """A node in the computation graph: value, lazy gradient, parents."""
 
@@ -86,9 +98,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape})"
 
@@ -100,71 +109,47 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    @staticmethod
-    def _wrap(other) -> "Tensor":
-        return other if isinstance(other, Tensor) else Tensor(other)
-
-    def _broadcast_check(self, other: "Tensor", op: str) -> None:
-        try:
-            np.broadcast_shapes(self.data.shape, other.data.shape)
-        except ValueError:
-            raise ShapeError(
-                f"cannot {op} shapes {self.data.shape} and {other.data.shape}"
-            ) from None
+    def _operand(self, other) -> tuple[np.ndarray, tuple["Tensor", ...]]:
+        """The array of `other` and the parents of a node on self and `other`:
+        a non-Tensor `other` is a constant, not a parent."""
+        if isinstance(other, Tensor):
+            return other.data, (self, other)
+        return _as_array(other), (self,)
 
     # -- elementwise arithmetic ----------------------------------------
 
-    def __add__(self, other) -> "Tensor":
-        other = self._wrap(other)
-        self._broadcast_check(other, "add")
-        out = Tensor(self.data + other.data, (self, other))
+    def _elementwise(self, other, verb: str, value, grads) -> "Tensor":
+        """`value(a, b)` with numpy broadcasting, for a = self.data and b the
+        array of `other`, as one node; `grads` is the op's pair of operand
+        gradients (see `_ADD_GRADS`), each taken before `_unbroadcast`."""
+        a = self.data
+        b, parents = self._operand(other)
+        try:
+            np.broadcast_shapes(a.shape, b.shape)
+        except ValueError:
+            raise ShapeError(f"cannot {verb} shapes {a.shape} and {b.shape}") from None
+        out = Tensor(value(a, b), parents)
 
         def _backward():
-            self._accumulate(_unbroadcast(out.grad, self.data.shape))
-            other._accumulate(_unbroadcast(out.grad, other.data.shape))
+            for node, grad in zip(out._parents, grads):
+                node._accumulate(_unbroadcast(grad(out.grad, a, b), node.data.shape))
 
         out._backward = _backward
         return out
+
+    def __add__(self, other) -> "Tensor":
+        return self._elementwise(other, "add", np.add, _ADD_GRADS)
 
     def __sub__(self, other) -> "Tensor":
-        other = self._wrap(other)
-        self._broadcast_check(other, "subtract")
-        out = Tensor(self.data - other.data, (self, other))
-
-        def _backward():
-            self._accumulate(_unbroadcast(out.grad, self.data.shape))
-            other._accumulate(_unbroadcast(-out.grad, other.data.shape))
-
-        out._backward = _backward
-        return out
+        return self._elementwise(other, "subtract", np.subtract, _SUB_GRADS)
 
     def __mul__(self, other) -> "Tensor":
-        other = self._wrap(other)
-        self._broadcast_check(other, "multiply")
-        out = Tensor(self.data * other.data, (self, other))
-
-        def _backward():
-            self._accumulate(_unbroadcast(out.grad * other.data, self.data.shape))
-            other._accumulate(_unbroadcast(out.grad * self.data, other.data.shape))
-
-        out._backward = _backward
-        return out
+        return self._elementwise(other, "multiply", np.multiply, _MUL_GRADS)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
-        other = self._wrap(other)
-        self._broadcast_check(other, "divide")
-        out = Tensor(self.data / other.data, (self, other))
-
-        def _backward():
-            self._accumulate(_unbroadcast(out.grad / other.data, self.data.shape))
-            other._accumulate(
-                _unbroadcast(-out.grad * self.data / other.data**2, other.data.shape)
-            )
-
-        out._backward = _backward
-        return out
+        return self._elementwise(other, "divide", np.divide, _DIV_GRADS)
 
     def __pow__(self, exponent) -> "Tensor":
         if not isinstance(exponent, (int, float)):
@@ -180,15 +165,15 @@ class Tensor:
     # -- matrix product -------------------------------------------------
 
     def __matmul__(self, other) -> "Tensor":
-        other = self._wrap(other)
-        a, b = self.data, other.data
+        a = self.data
+        b, parents = self._operand(other)
         if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
             raise ShapeError(f"cannot matmul shapes {a.shape} and {b.shape}")
-        out = Tensor(a @ b, (self, other))
+        out = Tensor(a @ b, parents)
 
         def _backward():
-            self._accumulate(out.grad @ b.T)
-            other._accumulate(a.T @ out.grad)
+            for node, grad in zip(out._parents, _MATMUL_GRADS):
+                node._accumulate(grad(out.grad, a, b))
 
         out._backward = _backward
         return out

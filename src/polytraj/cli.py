@@ -92,6 +92,9 @@ def _build_parser() -> _Parser:
 
 
 def _prepare_out_dir(cfg: RunConfig) -> Path:
+    """Make `out.dir` and probe that it takes a file.  A command calls it
+    after everything that can refuse the run, so a refused run leaves no
+    directory, and before the training or evaluation it would waste."""
     out_dir = Path(cfg["out.dir"])
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -159,10 +162,10 @@ def cmd_generate(cfg: RunConfig) -> int:
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    out_dir = _prepare_out_dir(cfg)
-    samples = _load_samples(cfg, "train")
     settings = TrainSettings.from_config(cfg)
     model = TrajectoryModel(ModelConfig.from_config(cfg), seed=settings.seed)
+    samples = _load_samples(cfg, "train")
+    out_dir = _prepare_out_dir(cfg)
     loss_curve = train(model, samples, settings)
     fingerprint = cfg.fingerprint()
     checkpoint = out_dir / "checkpoint.txt"
@@ -178,7 +181,6 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_eval(cfg: RunConfig, checkpoint_path: str) -> int:
-    out_dir = _prepare_out_dir(cfg)
     model, meta = load_model(checkpoint_path)
     if model.config.head != cfg["model.head"]:
         raise ConfigError(
@@ -186,8 +188,9 @@ def cmd_eval(cfg: RunConfig, checkpoint_path: str) -> int:
             f"model.head {cfg['model.head']!r}"
         )
     samples = _load_samples(cfg, "test")
-    fingerprint = cfg.fingerprint()
     offsets = parse_offsets(cfg["eval.offsets"])
+    out_dir = _prepare_out_dir(cfg)
+    fingerprint = cfg.fingerprint()
     report = rmse_at_offsets(model, samples, offsets)
     write_eval_csv(report, out_dir / f"eval_{fingerprint}.csv")
     label, _ = HEADS[model.config.head]
@@ -205,11 +208,11 @@ def cmd_eval(cfg: RunConfig, checkpoint_path: str) -> int:
 
 
 def cmd_study(cfg: RunConfig, name: str) -> int:
-    out_dir = _prepare_out_dir(cfg)
-    train_samples = _load_samples(cfg, "train")
-    test_samples = _load_samples(cfg, "test")
     base = ModelConfig.from_config(cfg)
     settings = TrainSettings.from_config(cfg)
+    train_samples = _load_samples(cfg, "train")
+    test_samples = _load_samples(cfg, "test")
+    out_dir = _prepare_out_dir(cfg)
     fingerprint = cfg.fingerprint()
     report = STUDIES[name](train_samples, test_samples, base, settings)
     if name == "table1":

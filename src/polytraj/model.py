@@ -7,8 +7,9 @@ states, and the attended context initializes a stacked-GRU decoder driven
 for a fixed number of steps by a learned constant input.  A dense layer
 on the final decoder state emits either fixed-offset coordinates (with
 per-point log-sigmas) or polynomial coefficients (with per-coefficient
-log-sigmas).  `gru_cell` is the one GRU function: encoder and decoder run
-it step-major, one call per layer and step, holding one state per layer.
+log-sigmas).  `gru_cell` is the one GRU function and `_unroll` the one
+stack loop: encoder and decoder both run through it step-major, one
+`gru_cell` call per layer and step, holding one state per layer.
 When training, each call is one graph node with a hand-written backward
 pass, so the graph unrolls backpropagation through time step by step.
 
@@ -46,7 +47,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import partial
-from typing import Sequence
+from itertools import repeat
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -187,8 +189,7 @@ class ModelConfig:
         yield "head.b", (self.output_dim,)
 
 
-@dataclass(frozen=True)
-class GRUWeights:
+class GRUWeights(NamedTuple):
     """One cell's weights: `w_x` maps the input to the three stacked gate
     pre-activations [update | reset | candidate], `u_zr` maps the hidden
     state to the two gate pre-activations, `u_c` to the candidate."""
@@ -211,7 +212,7 @@ def gru_cell(x, h, weights: GRUWeights, mask=None):
     backward pass is written by hand from the cached gates; on plain arrays
     no graph is built.
     """
-    inputs = (x, h, weights.w_x, weights.u_zr, weights.u_c, weights.b)
+    inputs = (x, h, *weights)
     # lists, not tuples built from generators: those leave a resized tuple
     # on the interpreter's free list per call, which reads as memory growth
     arrays = [v.data if isinstance(v, Tensor) else v for v in inputs]
@@ -343,12 +344,12 @@ class TrajectoryModel:
         The encoder runs once over all A·B agent rows, agent-major, so its
         (units, A·B) last state is a (units, A, B) stack of slots, which
         attention pools into the decoder's initial state; one agent is its
-        own context.  Encoder and decoder run step-major: each step goes up
-        through every layer, one `gru_cell` each, before the next step
-        starts, so one state per layer is held.  The GRU inputs and states
-        are feature-major, (features, rows); the head and the loss are
-        row-major, so only the decoder's last state and the learned
-        (1, units) decoder input are transposed.
+        own context.  Encoder and decoder run through `_unroll`, the one
+        stack loop: the encoder is fed one (input, column mask) pair per
+        history frame, the decoder its learned input once per step.  The
+        GRU inputs and states are feature-major, (features, rows); the head
+        and the loss are row-major, so only the decoder's last state and the
+        learned (1, units) decoder input are transposed.
         """
         if states.ndim != 4 or states.shape[3] != STATE_DIM:
             raise ShapeError(f"states must be (B, A, S, {STATE_DIM}), got {states.shape}")
@@ -359,24 +360,14 @@ class TrajectoryModel:
         params = self._param_values(train)
         rows = n_agents * batch
         all_present = bool(np.all(mask == 1.0))
-        layers = [_weights(params, f"enc{layer}") for layer in range(cfg.encoder_layers)]
-        hidden = [np.zeros((cfg.units, rows))] * cfg.encoder_layers
-        for t in range(steps):
-            x = states[:, :, t].T.reshape(STATE_DIM, rows) * INPUT_SCALE[:, np.newaxis]
-            present = None if all_present else mask[:, :, t].T.reshape(rows)
-            for layer, weights in enumerate(layers):
-                hidden[layer] = x = gru_cell(x, hidden[layer], weights, present)
-        context = hidden[-1]  # the softmax of a single slot's score is exactly 1
-        if n_agents > 1:
+        frames = ((states[:, :, t].T.reshape(STATE_DIM, rows) * INPUT_SCALE[:, np.newaxis],
+                   None if all_present else mask[:, :, t].T.reshape(rows)) for t in range(steps))
+        context = _unroll(params, "enc", cfg.encoder_layers, np.zeros((cfg.units, rows)), frames)
+        if n_agents > 1:  # else the softmax of a single slot's score is exactly 1
             context = attention(context.reshape(cfg.units, n_agents, batch), mask.any(axis=2))
         x0 = ad.transpose(params["dec.x0"]) + np.zeros((cfg.units, batch))  # the learned constant input
-        layers = [_weights(params, f"dec{layer}") for layer in range(cfg.decoder_layers)]
-        hidden = [context] * cfg.decoder_layers
-        for _ in range(cfg.decoder_steps):
-            x = x0
-            for layer, weights in enumerate(layers):
-                hidden[layer] = x = gru_cell(x, hidden[layer], weights)
-        return ad.transpose(hidden[-1]) @ params["head.w"] + params["head.b"]
+        last = _unroll(params, "dec", cfg.decoder_layers, context, repeat((x0, None), cfg.decoder_steps))
+        return ad.transpose(last) @ params["head.w"] + params["head.b"]
 
     def predict_positions(self, samples: Samples, offsets: Sequence[int]) -> np.ndarray:
         """Predicted (x, y) of every sample at the given frame offsets: (B, T, 2)."""
@@ -391,13 +382,21 @@ class TrajectoryModel:
         return positions
 
 
-def _weights(params: dict, prefix: str) -> GRUWeights:
-    return GRUWeights(
-        w_x=params[f"{prefix}.w_x"],
-        u_zr=params[f"{prefix}.u_zr"],
-        u_c=params[f"{prefix}.u_c"],
-        b=params[f"{prefix}.b"],
-    )
+def _unroll(params: dict, prefix: str, layers: int, initial, steps):
+    """The last layer's final state of the GRU stack `prefix` ("enc" or
+    "dec") of `layers` layers, each starting from the state `initial`.
+
+    `steps` yields one (input, column mask) pair per step, the mask None
+    when every column is present.  The stack runs step-major: each step
+    goes up through every layer, one `gru_cell` each, before the next step
+    starts, so one state per layer is held."""
+    stack = [GRUWeights(*[params[f"{prefix}{layer}.{key}"] for key in GRUWeights._fields])
+             for layer in range(layers)]
+    hidden = [initial] * layers
+    for x, present in steps:
+        for layer, weights in enumerate(stack):
+            hidden[layer] = x = gru_cell(x, hidden[layer], weights, present)
+    return hidden[-1]
 
 
 # -- decoding and loss ------------------------------------------------------------

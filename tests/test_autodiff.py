@@ -120,6 +120,38 @@ def test_op_gradients_match_finite_differences(name, build, rng):
         assert_close_to_fd(param.grad if param.grad is not None else np.zeros_like(param.data), numeric)
 
 
+_CONSTANT = np.arange(1.0, 13.0).reshape(3, 4) / 4.0  # no zero to divide by
+
+
+@pytest.mark.parametrize(
+    "name,build,constant",
+    [
+        ("add array", lambda t, c: t + c, _CONSTANT),
+        ("add float", lambda t, c: t + c, 1.5),
+        ("sub array", lambda t, c: t - c, _CONSTANT),
+        ("sub float", lambda t, c: t - c, 1.5),
+        ("mul array", lambda t, c: t * c, _CONSTANT),
+        ("mul float", lambda t, c: t * c, 1.5),
+        ("rmul array", lambda t, c: c * t, _CONSTANT),
+        ("rmul float", lambda t, c: c * t, 2.0),
+        ("div array", lambda t, c: t / c, _CONSTANT),
+        ("div float", lambda t, c: t / c, 1.5),
+        ("matmul array", lambda t, c: t @ c, _CONSTANT[:1]),
+    ],
+)
+def test_a_non_tensor_operand_is_a_constant_outside_the_graph(name, build, constant, rng):
+    values = rng.normal(0, 1, size=(3, 1))  # broadcast against the (3, 4) array
+    t = Tensor(values)
+    out = build(t, constant)
+    assert len(out._parents) == 1 and out._parents[0] is t
+    weights = rng.normal(0, 1, size=out.shape)
+    (out * weights).sum().backward()
+    # the same gradient, bit for bit, as with the constant a leaf of the graph
+    wrapped = Tensor(values)
+    (build(wrapped, Tensor(constant)) * weights).sum().backward()
+    np.testing.assert_array_equal(t.grad, wrapped.grad)
+
+
 def test_reduction_slice_reshape_gradients(rng):
     a = Tensor(rng.normal(0, 1, size=(3, 10)))
     b = Tensor(rng.normal(0, 1, size=(15,)))

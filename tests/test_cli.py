@@ -174,6 +174,23 @@ def test_bad_eval_offsets_or_split_ratio_exits_1_on_every_command(tmp_path, caps
         assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "command,extra,code",
+    [
+        (["train"], ["model.units=10000000000000000000"], 1),
+        (["train"], ["data.dir=nodata"], 2),
+        (["eval", "--checkpoint", "nope.txt"], [], 2),
+        (["study", "anchoring"], ["anchors.count=100"], 1),
+    ],
+)
+def test_a_refused_run_leaves_no_out_dir(tmp_path, capsys, monkeypatch, command, extra, code):
+    data_dir = _generate(tmp_path)
+    monkeypatch.chdir(tmp_path)  # where the relative data.dir and checkpoint are looked for
+    out_dir = tmp_path / "run"
+    assert main([*command, *_sets(*TINY, f"data.dir={data_dir}", f"out.dir={out_dir}", *extra)]) == code
+    assert not out_dir.exists()
+
+
 def test_train_non_finite_loss_exits_3_without_checkpoint(tmp_path, capsys):
     data_dir = _generate(tmp_path)
     for scene in (data_dir / "train").glob("scene_*.csv"):  # every future y 1e160 m away: the NLL overflows

@@ -197,7 +197,7 @@ def test_gru_cell_chain_gradients_match_finite_differences(rng):
         assert_close_to_fd(node.grad, numeric)
 
 
-@pytest.mark.parametrize("agents", [1, 5])
+@pytest.mark.parametrize("agents", [1, 3, 5])
 def test_forward_batch_makes_one_gru_cell_call_per_layer_and_step(rng, monkeypatch, agents):
     # the benchmark's traced `model.gru_cell_calls_per_step` counts these calls
     calls = []
