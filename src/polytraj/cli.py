@@ -3,7 +3,7 @@
 Every command is driven by the flat config (file plus --set overrides,
 overrides win) and is idempotent: identical config and seed reproduce
 identical output bytes.  The format of a data directory is `data`'s own:
-generate hands it the split batches and the run's details to write, and
+generate hands it the splits and the run's details to write, and
 train, eval and study ask it for a split's samples at the configured
 history length and frame rate.
 """
@@ -148,9 +148,10 @@ def cmd_generate(cfg: RunConfig) -> int:
             lateral_range_m=cfg["data.straight.lateral_range_m"],
             speed_std=cfg["data.straight.speed_std"],
         )
+        # built a chunk at a time as they are written, their history_len checked now
         neighbors = cfg["data.neighbors"]
-        train_scenes = datamod.build_scene(train_segments, tracks, history_len, neighbors)
-        test_scenes = datamod.build_scene(test_segments, tracks, history_len, neighbors)
+        train_scenes = datamod.SceneSplit(train_segments, tracks, history_len, neighbors)
+        test_scenes = datamod.SceneSplit(test_segments, tracks, history_len, neighbors)
         detail = {"ngsim_csv": str(csv_path), "tracks": len(tracks)}
     out_dir = _prepare_out_dir(cfg)
     fingerprint = cfg.fingerprint()

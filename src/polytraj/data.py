@@ -5,16 +5,19 @@ A track is one agent's fixed-rate sequence of 2-D positions (x lateral, y
 longitudinal, metres); `ingest_ngsim` parses an NGSim CSV's six used
 columns in one `np.loadtxt`, sorts the rows by (vehicle, frame), cuts
 each vehicle's rows into tracks at frame gaps and returns them as one
-`Tracks` row table.  Tracks are cut into fixed-length segments and split
-temporally into train and test, a split being one array of segment rows.
-In whole-array passes, `filter_straight` thins the straight segments and
-`build_scene` turns a split's segments into one `Scenes` batch: per
-segment a window of frames with one reference agent and its nearest
-neighbours at t_0, which are the tracks at that frame, found in the
-table's frame order.  `gen_synthetic` builds a batch directly from the
-`synthetic` section of a run config.  A batch holds arrays over (scene,
-agent, frame), the reference agent in row 0, padded with absent agents
-and frames.  The reference agent covers its scene's window, each
+`Tracks` row table, which owns its rows' frame order and frame ranks.
+Tracks are cut into fixed-length segments and split temporally into
+train and test, a split being one array of segment rows.  In
+whole-array passes, `filter_straight` thins the straight segments and
+`build_scene` turns segments into one `Scenes` batch: per segment a
+window of frames with one reference agent and its nearest neighbours at
+t_0, which are the tracks at that frame, found in the table's frame
+order.  A `SceneSplit` hands a split to `write_data_dir` unbuilt, so
+that it is built one chunk of segments at a time, each chunk written
+before the next is built.  `gen_synthetic` builds a batch directly from
+the `synthetic` section of a run config.  A batch holds arrays over
+(scene, agent, frame), the reference agent in row 0, padded with absent
+agents and frames.  The reference agent covers its scene's window, each
 neighbour only the first `history_len` frames, up to and including t_0:
 the model reads every agent's history but the future of the reference
 agent alone, so a neighbour's future would be written, parsed and never
@@ -23,7 +26,7 @@ files, one per scene and one row per present (agent, frame), an empty v
 or a field for a value not recorded, and a `manifest.json` with each
 file's sha256 and the scenes' `history_len` and frame rate.
 `write_data_dir` writes each split's files `SPLIT_CHUNK` at a time, then
-the manifest.  For each chunk, a slice of the batch, it gathers the
+the manifest.  For each chunk, a slice of the split, it gathers the
 present cells into one row table by one `np.nonzero`, formats each column
 whole, each distinct value once (floats keyed by their bits), and writes
 each file at once; `write_scene` is its one-file case.  `read_split` loads
@@ -107,9 +110,13 @@ class Tracks:
     `positions` (R, 2), `speeds` (R,) and `accels` (R,) float64; `recorded`
     (2, T) bool, as each scene's `Scenes.recorded`, with 0 for a value not
     recorded.
-    Derived: `owner` (R,), each row's track, and `by_frame` (R,), the rows
-    in frame order, ties in table order.  The rules for one track (2 rows
-    or more, one frame step, finite values) are checked by `ingest_ngsim`."""
+    Derived: `owner` (R,), each row's track, `by_frame` (R,), the rows in
+    frame order, ties in table order, and `frame_rank` (R,), the rank of
+    each row's frame among the table's distinct frames, read off
+    `by_frame`.  The table owns these, so that `build_scene` can be called
+    once per chunk of scenes without sorting its rows again.  The rules for
+    one track (2 rows or more, one frame step, finite values) are checked
+    by `ingest_ngsim`."""
 
     agent_ids: np.ndarray
     bounds: np.ndarray
@@ -130,6 +137,9 @@ class Tracks:
             raise DataError(f"track bounds must run from 0 to {r} without decreasing")
         self.owner = np.repeat(np.arange(t), lengths)
         self.by_frame = np.argsort(self.frames, kind="stable")
+        ordered = self.frames[self.by_frame]
+        self.frame_rank = np.empty(r, dtype=np.int64)
+        self.frame_rank[self.by_frame] = np.cumsum(np.concatenate([[False], ordered[1:] != ordered[:-1]]))
 
     def __len__(self) -> int:
         return self.agent_ids.size
@@ -329,7 +339,8 @@ def write_scene(scene: Scenes, path) -> str:
     return digest
 
 
-def write_data_dir(data_dir, splits: dict[str, Scenes], history_len: int, frame_rate: float, **origin) -> dict:
+def write_data_dir(data_dir, splits: dict[str, Scenes | SceneSplit], history_len: int, frame_rate: float,
+                   **origin) -> dict:
     """Write a data directory and return its manifest: each split's scenes
     as `SPLIT/scene_00000.csv` on, in place of any scene files the split
     directory holds, then `manifest.json`, which is removed first so that a
@@ -342,7 +353,10 @@ def write_data_dir(data_dir, splits: dict[str, Scenes], history_len: int, frame_
     line ends.  Ids and frames are written by str and floats by repr, so
     that they round-trip; a v or a field is empty for an agent that does
     not record the value.  Scenes are written `SPLIT_CHUNK` at a time, each
-    chunk, a slice of the batch, in one pass of `_write_scenes`.
+    chunk, a slice of the split, in one pass of `_write_scenes`.  A split
+    is a `Scenes` batch or a `SceneSplit`, whose slice builds its chunk, so
+    that an NGSim split is built and written one chunk at a time and only
+    that chunk's batch is held.
     """
     data_dir = Path(data_dir)
     (data_dir / MANIFEST).unlink(missing_ok=True)
@@ -759,6 +773,13 @@ def _search(keys: np.ndarray, queries: np.ndarray, last) -> tuple[np.ndarray, np
     return at, keys[at] == queries
 
 
+def _check_history_len(history_len: int, length: int, what: str) -> None:
+    """A ConfigError unless `history_len` leaves a history of 2 frames or
+    more and a future within a window of `length` frames, its `what`."""
+    if not 2 <= history_len < length:
+        raise ConfigError(f"history_len must be >= 2 and below the {what} {length}, got {history_len}")
+
+
 def build_scene(segments: np.ndarray, tracks: Tracks, history_len: int, max_neighbors: int) -> Scenes:
     """Materialize segments of `tracks`, a (N, L) row array as
     `segment_and_split` returns, into one batch of scenes, each with its
@@ -771,13 +792,15 @@ def build_scene(segments: np.ndarray, tracks: Tracks, history_len: int, max_neig
     table's frame order `tracks.by_frame`, and every scene's are ranked by
     one sort.  The reference agent covers the whole window and each
     neighbor only the frames up to and including t_0, the part
-    `build_sample` reads, found by one search over (track, frame) keys.
-    The batch is padded to the most agents a scene has, so `max_neighbors`
-    needs no end.
+    `build_sample` reads, found by one search over (track, frame rank)
+    keys, the ranks `tracks.frame_rank`.  The batch is padded to the most
+    agents a scene has, so `max_neighbors` needs no end.  A scene depends
+    on its own segment alone, so a split built a chunk of segments at a
+    time, as `SceneSplit` builds it, writes the same scene files as one
+    built whole.
     """
     n, length = segments.shape
-    if not 2 <= history_len < length:
-        raise ConfigError(f"history_len must be >= 2 and below the segment length {length}, got {history_len}")
+    _check_history_len(history_len, length, "segment length")
     reference, t0 = tracks.owner[segments[:, 0]], segments[:, history_len - 1]
     # each scene's candidates: its run of the frame order at t_0, less the reference agent's tracks
     t0_frames = tracks.frames[t0]
@@ -797,7 +820,7 @@ def build_scene(segments: np.ndarray, tracks: Tracks, history_len: int, max_neig
     counts = 1 + np.bincount(scene, minlength=n)
     shape = (n, int(counts.max(initial=1)), length)
     # a neighbour's (track, frame rank) key at a history frame is the reference agent's there, moved to its track
-    keys = tracks.owner * tracks.frames.size + np.unique(tracks.frames, return_inverse=True)[1]
+    keys = tracks.owner * tracks.frames.size + tracks.frame_rank
     shift = (owner - reference[scene]) * tracks.frames.size
     at, landed = _search(keys, keys[segments[scene, :history_len]] + shift[:, None], keys.size - 1)
     cells = ((scene * shape[1] + slot) * length)[:, None] + np.arange(history_len)  # flat (scene, agent, frame)
@@ -813,6 +836,31 @@ def build_scene(segments: np.ndarray, tracks: Tracks, history_len: int, max_neig
         blocks.append(block)
     return Scenes(tracks.frames[segments], np.where(in_use, tracks.agent_ids[agent], 0), *blocks,
                   tracks.recorded[:, agent].transpose(1, 0, 2) & in_use[:, None], tracks.frame_rate)
+
+
+@dataclass
+class SceneSplit:
+    """A split's scenes, built a chunk at a time: its length is the segment
+    count of `segments`, a (K, L) row array of `tracks`, and its slice
+    `[start:stop]` is `build_scene` of those segment rows, so that
+    `write_data_dir` builds each chunk just before writing it and never
+    holds the whole split's batch.  `build_scene`'s check of `history_len`
+    is made here, when the split is made, so that a refused run fails
+    before anything is written."""
+
+    segments: np.ndarray
+    tracks: Tracks
+    history_len: int
+    max_neighbors: int
+
+    def __post_init__(self):
+        _check_history_len(self.history_len, self.segments.shape[1], "segment length")
+
+    def __len__(self) -> int:
+        return len(self.segments)
+
+    def __getitem__(self, rows: slice) -> Scenes:
+        return build_scene(self.segments[rows], self.tracks, self.history_len, self.max_neighbors)
 
 
 # -- synthetic scenes -------------------------------------------------------------
@@ -882,8 +930,7 @@ def gen_synthetic(
     config bounds each value).
     """
     kind, n_frames, noise, n_neighbors = params["kind"], params["frames"], params["noise"], params["neighbors"]
-    if not 2 <= history_len < n_frames:
-        raise ConfigError(f"history_len must be >= 2 and below the frame count {n_frames}, got {history_len}")
+    _check_history_len(history_len, n_frames, "frame count")
     for low, high in (("speed_min", "speed_max"), ("lane_mid_min", "lane_mid_max")):
         if params[low] > params[high]:
             raise ConfigError(f"synthetic.{low} {params[low]} exceeds synthetic.{high} {params[high]}")

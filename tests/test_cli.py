@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polytraj import cli, files, studies
+from polytraj import data as datamod
 from polytraj.autodiff import load_checkpoint
 from polytraj.cli import main
 from polytraj.config import DEFAULTS, RunConfig, load_config
@@ -34,6 +35,9 @@ TINY = [
     "train.batch=4",
     "anchors.count=3",
 ]
+
+
+NGSIM_CSV = Path(__file__).parent / "fixtures" / "ngsim_small.csv"
 
 
 def _sets(*pairs):
@@ -181,6 +185,9 @@ def test_bad_eval_offsets_or_split_ratio_exits_1_on_every_command(tmp_path, caps
         (["train"], ["data.dir=nodata"], 2),
         (["eval", "--checkpoint", "nope.txt"], [], 2),
         (["study", "anchoring"], ["anchors.count=100"], 1),
+        # refused when its splits are made, as they are built only as they are written
+        (["generate"], ["data.source=ngsim", f"data.ngsim_csv={NGSIM_CSV}", "data.segment_len=30",
+                        "data.history_len=30"], 1),
     ],
 )
 def test_a_refused_run_leaves_no_out_dir(tmp_path, capsys, monkeypatch, command, extra, code):
@@ -411,6 +418,8 @@ def test_generate_with_an_empty_split_exits_0_and_writes_no_scene_file_for_it(tm
 
 
 NGSIM_GOLDEN = "898fd0af7d2babe51c89bbef9d7db91fe00558d43268eef07dfd03eb2cb2ba83"
+NGSIM_GOLDEN_RUN = ("data.source=ngsim", f"data.ngsim_csv={NGSIM_CSV}", "data.segment_len=30", "data.history_len=10",
+                    "data.split_ratio=1:1")
 SYNTHETIC_GOLDEN = "01c1540725df06120ee6f0de92ad8601d28cccd3e1b0ee150cbc12bfeb602b7c"
 SYNTHETIC_MANIFEST_GOLDEN = "8b26c67a1351cf430532306acafdeb04da2e0e9ca4ffdff7f31df9f8be18cb9c"
 
@@ -426,11 +435,29 @@ def _scene_files_digest(data_dir: Path) -> tuple[int, str]:
 def test_ngsim_scene_files_match_their_golden_digest(tmp_path):
     # the scene files of the NGSim fixture's data path, pinned; only NGSim
     # scenes record v and a
-    csv_path = Path(__file__).parent / "fixtures" / "ngsim_small.csv"
     data_dir = tmp_path / "data"
-    assert main(["generate", *_sets("data.source=ngsim", f"data.ngsim_csv={csv_path}", "data.segment_len=30",
-                                    "data.history_len=10", "data.split_ratio=1:1", f"out.dir={data_dir}")]) == 0
+    assert main(["generate", *_sets(*NGSIM_GOLDEN_RUN, f"out.dir={data_dir}")]) == 0
     assert _scene_files_digest(data_dir) == (33, NGSIM_GOLDEN)
+
+
+def test_ngsim_generate_builds_no_more_than_a_chunk_of_scenes_at_a_time(tmp_path, monkeypatch):
+    built, real_build_scene = [], datamod.build_scene
+
+    def build_scene(segments, *args):
+        built.append(len(segments))
+        return real_build_scene(segments, *args)
+
+    monkeypatch.setattr("polytraj.data.build_scene", build_scene)
+    monkeypatch.setattr("polytraj.data.SPLIT_CHUNK", 4)
+    assert main(["generate", *_sets(*NGSIM_GOLDEN_RUN, f"out.dir={tmp_path / 'data'}")]) == 0
+    assert max(built) <= 4 and sum(built) == 33
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 16])
+def test_ngsim_scene_files_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr("polytraj.data.SPLIT_CHUNK", chunk)
+    assert main(["generate", *_sets(*NGSIM_GOLDEN_RUN, f"out.dir={tmp_path / 'data'}")]) == 0
+    assert _scene_files_digest(tmp_path / "data") == (33, NGSIM_GOLDEN)
 
 
 def test_synthetic_scene_files_match_their_golden_digest(tmp_path):

@@ -36,6 +36,7 @@ from polytraj.data import (
     SCENE_ARRAYS,
     TRACK_ARRAYS,
     Scenes,
+    SceneSplit,
     _heading,
     build_sample,
     build_scene,
@@ -745,17 +746,23 @@ def test_build_scene_matches_row_wise_oracle_on_random_tracks(shapes, seed, hist
         assert_same_scene(scene, cut_neighbours_at_t0(expected, history_len))
 
 
-def test_build_scene_memory_stays_near_its_output(tmp_path):
-    # beside its output, build_scene holds arrays over the kept neighbours'
-    # history frames and over each scene's tracks at t_0, not over every
-    # (scene, agent, frame) cell; the input is the seed-1 train split of the
-    # benchmark's `ngsim_prep` workload
+def _bench_ngsim_train_split(tmp_path):
+    """The tracks and the seed-1 train split of the benchmark's `ngsim_prep` workload."""
     spec = importlib.util.spec_from_file_location("ngsim_gen", Path(__file__).parents[1] / "bench" / "ngsim_gen.py")
     ngsim_gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ngsim_gen)
     ngsim_gen.write_csv(tmp_path / "ngsim.csv", seed=1, n_vehicles=80, frames=600)
     tracks = ingest_ngsim(tmp_path / "ngsim.csv")
     train = filter_straight(segment_and_split(tracks)[0], tracks, 0.5, np.random.default_rng([1, 12]))
+    return tracks, train
+
+
+def test_build_scene_memory_stays_near_its_output(tmp_path):
+    # beside its output, build_scene holds arrays over the kept neighbours'
+    # history frames and over each scene's tracks at t_0, not over every
+    # (scene, agent, frame) cell; the input is the seed-1 train split of the
+    # benchmark's `ngsim_prep` workload
+    tracks, train = _bench_ngsim_train_split(tmp_path)
     build_scene(train[:1], tracks, history_len=50, max_neighbors=8)
     tracemalloc.start()
     try:
@@ -784,9 +791,17 @@ def test_tracks_derive_each_rows_track_and_the_frame_order_once():
     tracks = tracks_of([(4, [3, 5, 7], np.zeros((3, 2))), (2, [], np.zeros((0, 2))), (4, [5, 6], np.ones((2, 2)))])
     assert tracks.owner.tolist() == [0, 0, 0, 2, 2]
     assert tracks.by_frame.tolist() == [0, 1, 3, 4, 2]  # frame 5 of track 0 before frame 5 of track 2
-    owner, by_frame = tracks.owner, tracks.by_frame
+    assert tracks.frame_rank.tolist() == [0, 1, 3, 1, 2]
+    owner, by_frame, frame_rank = tracks.owner, tracks.by_frame, tracks.frame_rank
     build_scene(_rows(tracks, 0, 0, 3), tracks, history_len=2, max_neighbors=8)
-    assert tracks.owner is owner and tracks.by_frame is by_frame
+    assert tracks.owner is owner and tracks.by_frame is by_frame and tracks.frame_rank is frame_rank
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(-(2**62), 2**62), max_size=40))
+def test_tracks_frame_rank_is_each_frames_rank_among_the_distinct_frames(frames):
+    tracks = tracks_of([(1, frames, np.zeros((len(frames), 2)))])
+    assert tracks.frame_rank.tolist() == np.unique(np.array(frames, dtype=np.int64), return_inverse=True)[1].tolist()
 
 
 HISTORY_LEN = 20  # of the scene families
@@ -868,6 +883,34 @@ def test_write_split_memory_does_not_grow_with_the_split(tmp_path, rng):
             tracemalloc.stop()
 
     assert peak_bytes(64) <= 1.5 * peak_bytes(16)
+
+
+def test_scene_split_memory_does_not_grow_with_the_split(tmp_path):
+    # a SceneSplit is built one chunk at a time as write_data_dir writes it,
+    # so no batch of the whole split is held; the input is the seed-1 train
+    # split of the benchmark's `ngsim_prep` workload
+    tracks, train = _bench_ngsim_train_split(tmp_path)
+    write_data_dir(tmp_path / "warm-up", {"train": SceneSplit(train[:1], tracks, 50, 8)}, 50, tracks.frame_rate)
+
+    def peak_bytes(n):
+        tracemalloc.start()
+        try:
+            write_data_dir(tmp_path / str(n), {"train": SceneSplit(train[:n], tracks, 50, 8)}, 50, tracks.frame_rate)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert len(train) == 128
+    assert peak_bytes(128) <= 1.5 * peak_bytes(32)
+
+
+@pytest.mark.parametrize("make", [build_scene, SceneSplit])
+@pytest.mark.parametrize("history_len", [1, 5])
+def test_a_history_len_that_leaves_no_history_or_future_is_refused(make, history_len):
+    # a SceneSplit refuses when it is made, before any chunk is built
+    tracks = tracks_of([(1, np.arange(10), np.zeros((10, 2)))])
+    with pytest.raises(ConfigError, match=f"must be >= 2 and below the segment length 5, got {history_len}"):
+        make(np.zeros((0, 5), dtype=np.int64), tracks, history_len, 8)
 
 
 def test_read_split_memory_does_not_grow_with_the_split(tmp_path, rng, monkeypatch):
